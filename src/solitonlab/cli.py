@@ -127,21 +127,19 @@ def _fd_gradient(f, lam, step=1e-5):
     return out
 
 
-def _fd_hessian(f, lam, step=1e-4):
-    k, n = lam.shape
-    out = np.zeros((k, n, n))
-    base = f.value(lam)
+def _fd_hessian(f, lam, step=1e-5):
+    """Central differences of the analytic gradient, symmetrized.
+
+    Differencing the gradient rather than taking second differences of the
+    value keeps the rounding error near eps / step instead of eps / step^2.
+    """
+    n = lam.shape[1]
+    out = np.zeros((lam.shape[0], n, n))
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        out[:, i, i] = (f.value(lam + ei) - 2.0 * base + f.value(lam - ei)) / step ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            mixed = (f.value(lam + ei + ej) - f.value(lam + ei - ej)
-                     - f.value(lam - ei + ej) + f.value(lam - ei - ej)) / (4.0 * step ** 2)
-            out[:, i, j] = out[:, j, i] = mixed
-    return out
+        e = np.zeros(n)
+        e[i] = step
+        out[:, i, :] = (f.gradient(lam + e) - f.gradient(lam - e)) / (2.0 * step)
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def _gap_scales(f, g, lam):

@@ -11,17 +11,26 @@ with tangential redistribution to uniform arclength after every step, optional
 fixed-measure rescaling about the centroid, and per-step monitors for the
 pinching ratio, the umbilicity defects, and the soliton residual fit.  Flat
 ambient space only.
+
+The redistribution is the periodic C^2 cubic interpolant of the samples
+against arclength, with its slopes solved directly from the cyclic
+tridiagonal system (one LAPACK call).  Each accepted step extracts the
+geometry once, when the candidate is validated; the fixed-scale rescale
+updates that geometry by similarity instead of extracting it again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline  # noqa: F401  unused; perfbench/tracing.py patches this name
+from scipy.linalg.lapack import dgtsv
 
 from . import soliton
 from .curvfun import DomainError
 from .hypersurface import (GeometryError, PlaneCurve, RevolutionProfile, ShapeData,
                            curve_geometry, revolution_geometry)
+
+_MAX_HALVINGS = 20
 
 TRACE_HEADER = "t,dt,scale,r_max,F_aniso_max,aHH_max,umb_max,tau_fit,rel_residual,measure"
 
@@ -144,6 +153,57 @@ def _advance(surface, geom, f, dt):
     return RevolutionProfile(prof)
 
 
+def _periodic_spline(knots, values, targets):
+    """Periodic C^2 cubic interpolant of `values` over `knots`, evaluated at `targets`.
+
+    `knots` (N + 1,) increase strictly over one period and `values` (N + 1, k)
+    repeat their first row at the end; `targets` lie in [knots[0], knots[-1]].
+    This is the interpolant of `CubicSpline(knots, values, bc_type="periodic")`:
+    the knot slopes solve the cyclic tridiagonal C^2 system, whose two corner
+    entries are handled by a Sherman-Morrison correction, so one `dgtsv` call
+    takes every coordinate and the correction vector as right-hand sides.
+    """
+    h = np.diff(knots)
+    if not h.min() > 0.0:
+        raise GeometryError("coincident samples: arclength does not increase")
+    n = h.size
+    hc = h[:, None]
+    delta = np.diff(values, axis=0) / hc
+    h_prev = np.concatenate((h[-1:], h[:-1]))
+    delta_prev = np.concatenate((delta[-1:], delta[:-1]))
+    # row i: h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1}
+    #        = 3 (h_i delta_{i-1} + h_{i-1} delta_i), indices mod n
+    diag = 2.0 * (h_prev + h)
+    corner_first, corner_last = h[0], h_prev[-1]     # entries (0, n-1) and (n-1, 0)
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= corner_first * corner_last / gamma
+    rhs = np.zeros((n, values.shape[1] + 1))
+    rhs[:, :-1] = 3.0 * (hc * delta_prev + h_prev[:, None] * delta)
+    rhs[0, -1] = gamma
+    rhs[-1, -1] = corner_last
+    _, _, _, sol, info = dgtsv(h[1:], diag, h_prev[:-1], rhs, overwrite_b=1)
+    if info != 0:
+        raise GeometryError("singular periodic spline system")
+    ratio = corner_first / gamma
+    correction = (sol[0] + ratio * sol[-1]) / (1.0 + sol[0, -1] + ratio * sol[-1, -1])
+    m0 = sol[:, :-1] - sol[:, -1:] * correction[:-1]      # knot slopes
+    m1 = np.concatenate((m0[1:], m0[:1]))
+
+    # per-interval power form, then one gather for the targets
+    t = (m0 + m1 - 2.0 * delta) / hc
+    coef = np.stack((values[:-1], m0, (delta - m0) / hc - t, t / hc), axis=1)
+    idx = np.minimum(np.searchsorted(knots, targets, side="right") - 1, n - 1)
+    c = coef[idx]
+    x = (targets - knots[idx])[:, None]
+    return c[:, 0] + x * (c[:, 1] + x * (c[:, 2] + x * c[:, 3]))
+
+
+def _arclength(points):
+    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
 def _redistribute(surface):
     """Resample to uniform arclength with periodic cubic interpolation.
 
@@ -155,21 +215,17 @@ def _redistribute(surface):
         pts = surface.points
         m = pts.shape[0]
         closed = np.vstack([pts, pts[:1]])
-        seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        spline = CubicSpline(s, closed, bc_type="periodic", axis=0)
-        return PlaneCurve(spline(s[-1] * np.arange(m) / m))
+        s = _arclength(closed)
+        return PlaneCurve(_periodic_spline(s, closed, s[-1] * np.arange(m) / m))
 
     prof = surface.profile
     m = prof.shape[0]
-    seg = np.linalg.norm(np.diff(prof, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = _arclength(prof)
     length = s[-1]
     mirrored = np.column_stack([prof[-2:0:-1, 0], -prof[-2:0:-1, 1]])
     doubled = np.vstack([prof, mirrored, prof[:1]])
     s_ext = np.concatenate([s, 2.0 * length - s[-2::-1]])
-    spline = CubicSpline(s_ext, doubled, bc_type="periodic", axis=0)
-    new = spline(np.linspace(0.0, length, m))
+    new = _periodic_spline(s_ext, doubled, np.linspace(0.0, length, m))
     new[0] = prof[0]
     new[-1] = prof[-1]
     new[:, 1] = np.abs(new[:, 1])      # guard rounding at the near-pole samples
@@ -200,6 +256,15 @@ def _centroid(surface, geom):
 
 
 def _rescale(surface, geom, target_measure):
+    """Scale about the centroid to `target_measure`; returns (surface, geometry, alpha).
+
+    The geometry of the scaled surface follows from `geom` by similarity, on
+    the same parameter grid: curvatures scale by 1/alpha, the metric by
+    alpha^2, the second form by alpha, the measure weights by alpha^n, and
+    the support about the origin becomes alpha Z + (1 - alpha) <c, nu>.
+    Scaling keeps convexity, simplicity and the pole angle, so nothing is
+    extracted or validated again.
+    """
     d = geom.dim
     alpha = (target_measure / geom.measure) ** (1.0 / d)
     center = _centroid(surface, geom)
@@ -209,7 +274,20 @@ def _rescale(surface, geom, target_measure):
         prof = center + alpha * (surface.profile - center)
         prof[0, 1] = prof[-1, 1] = 0.0
         scaled = RevolutionProfile(prof)
-    return scaled, alpha
+        center = np.array([center[0], 0.0, 0.0])
+    scaled_geom = replace(
+        geom,
+        position=center + alpha * (geom.position - center),
+        metric=alpha * alpha * geom.metric,
+        second_form=alpha * geom.second_form,
+        weingarten=geom.weingarten / alpha,
+        lam=geom.lam / alpha,
+        mean=geom.mean / alpha,
+        norm_A2=geom.norm_A2 / (alpha * alpha),
+        support=alpha * geom.support + (1.0 - alpha) * (geom.normal @ center),
+        weights=alpha ** d * geom.weights,
+    )
+    return scaled, scaled_geom, alpha
 
 
 def _min_spacing(surface):
@@ -260,36 +338,40 @@ def run(config, surface):
         stiffness = float(f.gradient(geom.lam).sum(axis=1).max())
         dt = config.dt_safety * h_min * h_min / stiffness
 
+        # dt is floored relative to the stable dt by the halving cap; the run
+        # stops on underflow only once a step no longer advances the clock
         accepted = None
-        for _ in range(21):
-            if dt < 1e-14:
-                trace.stop_reason = "aborted: dt underflow"
-                trace.aborted = True
-                trace.final_surface = surface
-                return trace
+        for _ in range(_MAX_HALVINGS + 1):
+            if not t + dt > t:
+                return _abort(trace, surface, f"dt underflow (dt = {dt:.3g} at t = {t:.6g})")
             try:
                 candidate = _redistribute(_advance(surface, geom, f, dt))
                 candidate_geom = _extract(candidate)
                 f.value(candidate_geom.lam)
                 accepted = (candidate, candidate_geom)
                 break
-            except (GeometryError, DomainError):
+            except (GeometryError, DomainError) as exc:
+                last_error = exc
                 dt *= 0.5
         if accepted is None:
-            trace.stop_reason = "aborted: convexity or validity lost after 20 dt halvings"
-            trace.aborted = True
-            trace.final_surface = surface
-            return trace
+            return _abort(trace, surface, f"convexity or validity lost after {_MAX_HALVINGS} "
+                                          f"dt halvings (last: {last_error})")
 
         surface, geom = accepted
         t += dt
         alpha = 1.0
         if config.rescale_mode == "fixed-scale":
-            surface, alpha = _rescale(surface, geom, measure0)
-            geom = _extract(surface)
+            surface, geom, alpha = _rescale(surface, geom, measure0)
             cumulative *= alpha
         mon = monitors(geom, f)
         trace.rows.append(_row(t, dt, alpha, mon, geom.measure))
+
+
+def _abort(trace, surface, cause):
+    trace.stop_reason = f"aborted: {cause}"
+    trace.aborted = True
+    trace.final_surface = surface
+    return trace
 
 
 def _row(t, dt, scale, mon, measure):

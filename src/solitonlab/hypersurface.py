@@ -160,7 +160,6 @@ class ShapeData:
     norm_A2: np.ndarray      # (M,) sum of squared principal curvatures
     shape_sq: np.ndarray     # (M, n, n) components of h_i^k h_kj
     support: np.ndarray      # (M,) support value about the base point
-    drho_tan: np.ndarray     # (M, n) coordinate components of d_rho^T
     weights: np.ndarray      # (M,) measure weights (arclength / area elements)
 
     @property
@@ -225,7 +224,6 @@ def curve_geometry(curve, base_point=None):
     rho = np.linalg.norm(rel, axis=1)
     if np.any(rho < 1e-12 * max(1.0, float(np.abs(pts).max()))):
         raise GeometryError("base point lies on the curve; radial direction undefined")
-    drho_tan = (np.einsum("ij,ij->i", rel, np.column_stack([xp, yp])) / (rho * w2))[:, None]
 
     metric = w2.reshape(m, 1, 1)
     second = (k * w2).reshape(m, 1, 1)
@@ -236,7 +234,7 @@ def curve_geometry(curve, base_point=None):
         variant="curve", dim=1, position=pts.copy(), normal=normal,
         metric=metric, second_form=second, weingarten=weingarten, lam=lam,
         mean=k.copy(), norm_A2=k * k, shape_sq=shape_sq, support=support,
-        drho_tan=drho_tan, weights=w * h,
+        weights=w * h,
     )
 
 
@@ -383,9 +381,6 @@ def _meridian_shape_data(f):
     shape_sq = np.zeros((m, 2, 2))
     shape_sq[:, 0, 0] = f.lam_m ** 2 * f.E
     shape_sq[:, 1, 1] = f.lam_p ** 2 * f.G
-    rho = np.hypot(f.rel_x, f.y)
-    drho = np.zeros((m, 2))
-    drho[:, 0] = (f.rel_x * f.xp + f.y * f.yp) / (rho * f.E)
     weights = 2.0 * np.pi * f.y * f.w * f.du
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -393,7 +388,7 @@ def _meridian_shape_data(f):
         variant="revolution", dim=2, position=pos, normal=nrm,
         metric=metric, second_form=second, weingarten=weingarten, lam=lam,
         mean=f.lam_m + f.lam_p, norm_A2=f.lam_m ** 2 + f.lam_p ** 2,
-        shape_sq=shape_sq, support=f.support, drho_tan=drho, weights=weights,
+        shape_sq=shape_sq, support=f.support, weights=weights,
     )
 
 
@@ -442,9 +437,7 @@ def ellipsoid_geometry(semi_axes, u, v=None):
         nu = -np.array([b * math.cos(t), a * math.sin(t)])
         nu /= np.linalg.norm(nu)
         k = a * b / speed2 ** 1.5
-        rho = float(np.linalg.norm(pos))
         support = float(pos @ nu)
-        drho = np.array([[float(pos @ tangent) / (rho * speed2)]])
         return ShapeData(
             variant="ellipsoid", dim=1,
             position=pos[None, :], normal=nu[None, :],
@@ -452,7 +445,7 @@ def ellipsoid_geometry(semi_axes, u, v=None):
             weingarten=np.array([[[k]]]), lam=np.array([[k]]),
             mean=np.array([k]), norm_A2=np.array([k * k]),
             shape_sq=np.array([[[k * k * speed2]]]), support=np.array([support]),
-            drho_tan=drho, weights=np.array([math.sqrt(speed2)]),
+            weights=np.array([math.sqrt(speed2)]),
         )
 
     a, b, c = surf.semi_axes
@@ -476,9 +469,6 @@ def ellipsoid_geometry(semi_axes, u, v=None):
     weingarten = np.linalg.solve(g, h)
     ginv = np.linalg.inv(g)
     shape_sq = h @ ginv @ h
-    rho = float(np.linalg.norm(pos))
-    comp = np.array([pos @ xu, pos @ xv]) / rho
-    drho = ginv @ comp
     return ShapeData(
         variant="ellipsoid", dim=2,
         position=pos[None, :], normal=nu[None, :],
@@ -487,7 +477,7 @@ def ellipsoid_geometry(semi_axes, u, v=None):
         mean=np.array([float(np.trace(weingarten))]),
         norm_A2=np.array([float(np.sum(lam * lam))]),
         shape_sq=shape_sq[None, :, :], support=np.array([float(pos @ nu)]),
-        drho_tan=drho[None, :], weights=np.array([math.sqrt(np.linalg.det(g))]),
+        weights=np.array([math.sqrt(np.linalg.det(g))]),
     )
 
 

@@ -62,6 +62,14 @@ def test_identity_suite_small_passes(tmp_path):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("seed", [8, 86, 205])
+def test_identity_suite_hessian_fd_rows_pass(seed):
+    rows = cli.identity_suite_checks(100, seed)
+    hessian_rows = [(name, res, tol) for name, res, tol in rows if name.endswith("_hessian_fd")]
+    assert hessian_rows
+    assert all(res <= tol for _, res, tol in hessian_rows), hessian_rows
+
+
 def test_identity_suite_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert main(["--out", str(tmp_path / sub), "--seed", "11",
@@ -89,6 +97,28 @@ def test_flow_circle_extinction_guard(tmp_path, capsys):
     assert snap["format_version"] == 1
     assert snap["variant"] == "curve"
     assert snap["metadata"]["stop_reason"] == "min_scale_fraction"
+
+
+def test_flow_abort_names_the_geometry_error(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "flow", "--surface", "spheroid 1 3", "--f", "H",
+                 "--rescale", "fixed-scale", "--r-tol", "0.22", "--t-max", "10"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "steps=0 " in out
+    assert "after 20 dt halvings (last: " in out and "pole-angle violation" in out
+    snap = json.loads((tmp_path / "flow_final.json").read_text())
+    assert "pole-angle violation" in snap["metadata"]["stop_reason"]
+
+
+def test_flow_abort_after_rescale_writes_outputs(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "flow", "--surface", "spheroid 1 2", "--f", "H",
+                 "--rescale", "fixed-scale", "--r-tol", "0.22", "--t-max", "10"])
+    assert code == 1
+    assert "stop=aborted: " in capsys.readouterr().out
+    lines = (tmp_path / "flow_trace.csv").read_text().strip().split("\n")
+    assert len(lines) > 50
+    snap = json.loads((tmp_path / "flow_final.json").read_text())
+    assert snap["metadata"]["stop_reason"].startswith("aborted: ")
 
 
 def test_flow_missing_stop_is_usage_error(tmp_path):

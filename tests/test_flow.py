@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from solitonlab import curvfun, flow, hypersurface, soliton
 from solitonlab.flow import FlowConfig, StopRule, TRACE_HEADER, monitors, run, step
@@ -169,3 +171,106 @@ def test_revolution_flow_keeps_poles_on_axis():
     prof = trace.final_surface.profile
     assert prof[0, 1] == 0.0 and prof[-1, 1] == 0.0
     assert np.all(prof[1:-1, 1] > 0.0)
+
+
+def _redistribute_reference(surface):
+    """Uniform-arclength resampling with scipy's periodic CubicSpline."""
+    if isinstance(surface, hypersurface.PlaneCurve):
+        pts = surface.points
+        closed = np.vstack([pts, pts[:1]])
+        s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(closed, axis=0), axis=1))])
+        spline = CubicSpline(s, closed, bc_type="periodic", axis=0)
+        return spline(s[-1] * np.arange(pts.shape[0]) / pts.shape[0])
+    prof = surface.profile
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(prof, axis=0), axis=1))])
+    mirrored = np.column_stack([prof[-2:0:-1, 0], -prof[-2:0:-1, 1]])
+    doubled = np.vstack([prof, mirrored, prof[:1]])
+    s_ext = np.concatenate([s, 2.0 * s[-1] - s[-2::-1]])
+    spline = CubicSpline(s_ext, doubled, bc_type="periodic", axis=0)
+    return spline(np.linspace(0.0, s[-1], prof.shape[0]))
+
+
+@pytest.mark.parametrize("m", [16, 64, 256, 1024])
+def test_periodic_spline_matches_scipy(m):
+    rng = np.random.default_rng(m)
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, m))])
+    values = rng.standard_normal((m + 1, 2))
+    values[-1] = values[0]
+    targets = np.concatenate([np.sort(rng.uniform(0.0, knots[-1], 3 * m)), knots])
+    expect = CubicSpline(knots, values, bc_type="periodic", axis=0)(targets)
+    got = flow._periodic_spline(knots, values, targets)
+    assert np.abs(got - expect).max() < 1e-13 * np.abs(expect).max()
+
+    # closed curve and doubled meridian on non-uniform parameter grids
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    curve = hypersurface.PlaneCurve(np.column_stack([2.0 * np.cos(th), np.sin(th)]))
+    u = np.concatenate([[0.0], np.sort(rng.uniform(0.0, np.pi, m - 2)), [np.pi]])
+    profile = hypersurface.RevolutionProfile(np.column_stack([-1.3 * np.cos(u), np.sin(u)]))
+    for surface, coords in ((curve, lambda s: s.points), (profile, lambda s: s.profile)):
+        expect = _redistribute_reference(surface)
+        got = coords(flow._redistribute(surface))
+        inner = slice(None) if surface is curve else slice(1, -1)   # poles are pinned
+        assert np.abs(got[inner] - expect[inner]).max() < 1e-13 * np.abs(expect).max()
+
+
+# The fresh extraction carries its own rounding, which grows like eps / du^2
+# (about 2e-12 of the field on the spheroid at M = 256); M = 128 keeps it
+# under the 1e-12 bound used here.
+@pytest.mark.parametrize("surface,f", [(ellipse(2.0, 1.0, 128), H1),
+                                       (spheroid_profile(1.0, 1.3, 128), H2)])
+@pytest.mark.parametrize("factor", [0.7, 2.3])
+def test_rescale_similarity_matches_extraction(surface, f, factor):
+    moved = step(surface, f, 1e-4)
+    geom = flow._extract(moved)
+    scaled, scaled_geom, alpha = flow._rescale(moved, geom, factor * geom.measure)
+    assert alpha == pytest.approx(factor ** (1.0 / geom.dim))
+    fresh = flow._extract(scaled)
+    for fld in dataclasses.fields(fresh):
+        a, b = getattr(scaled_geom, fld.name), getattr(fresh, fld.name)
+        if isinstance(b, np.ndarray):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), fld.name
+        else:
+            assert a == b, fld.name
+
+
+@pytest.mark.parametrize("surface,f", [(ellipse(2.0, 1.0, 64), H1),
+                                       (spheroid_profile(1.0, 1.3, 64), H2)])
+def test_one_extraction_per_fixed_scale_step(monkeypatch, surface, f):
+    counts = {"extract": 0, "spline": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flow, "curve_geometry", counting(flow.curve_geometry, "extract"))
+    monkeypatch.setattr(flow, "revolution_geometry",
+                        counting(flow.revolution_geometry, "extract"))
+    monkeypatch.setattr(flow, "CubicSpline", counting(flow.CubicSpline, "spline"))
+    config = FlowConfig(f=f, stop=StopRule(t_max=0.2), rescale_mode="fixed-scale")
+    trace = run(config, surface)
+    steps = len(trace.rows) - 1
+    assert trace.stop_reason == "t_max" and steps > 10
+    assert counts == {"extract": steps + 1, "spline": 0}
+
+
+def test_circle_dilation_invariance():
+    step_counts = set()
+    for s in (1e-6, 1.0, 1e3):
+        config = FlowConfig(f=H1, stop=StopRule(t_max=0.1 * s * s), grid_size=256)
+        trace = run(config, circle(s, 256))
+        assert trace.stop_reason == "t_max"
+        step_counts.add(len(trace.rows))
+        for row in trace.rows:
+            assert row.measure / (2.0 * math.pi * s) == pytest.approx(
+                math.sqrt(1.0 - 2.0 * row.t / (s * s)), rel=1e-3)
+    assert len(step_counts) == 1
+
+
+def test_dt_underflow_stops_a_run_past_extinction():
+    config = FlowConfig(f=H1, stop=StopRule(t_max=1.0), grid_size=16)
+    trace = run(config, circle(1.0, 16))
+    assert trace.aborted
+    assert trace.stop_reason.startswith("aborted: dt underflow")
+    assert trace.final.t < 1.0
