@@ -18,7 +18,6 @@ import io
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -472,22 +471,19 @@ def _cmd_flow(args, cfg, out_dir, seed):
     snapshot_name = _resolve(args, cfg, command, "snapshot", str, default="flow_final.json")
 
     surface = _build_surface(surface_spec, grid)
-    dim = 1 if isinstance(surface, hypersurface.PlaneCurve) else 2
-    f = curvfun.parse_curvature_function(f_spec, dim)
+    f = curvfun.parse_curvature_function(f_spec, surface.dim)
     stop = flow.StopRule(
         t_max=_resolve(args, cfg, command, "t_max", float),
         r_tol=_resolve(args, cfg, command, "r_tol", float),
         curvature_cap=_resolve(args, cfg, command, "curvature_cap", float),
         min_scale_fraction=_resolve(args, cfg, command, "min_scale_fraction", float),
     )
-    config = flow.FlowConfig(f=f, stop=stop, dt_safety=dt_safety,
-                             rescale_mode=rescale, grid_size=grid)
+    config = flow.FlowConfig(f=f, stop=stop, dt_safety=dt_safety, rescale_mode=rescale)
 
     trace = flow.run(config, surface)
     trace_path = out_dir / trace_name
     trace_path.write_text(trace.to_csv())
 
-    final_surface = trace.final_surface if trace.final_surface is not None else surface
     last = trace.final
     print(f"flow: surface='{surface_spec}' f={f.name} rescale={rescale} grid={grid}")
     print(f"steps={len(trace.rows) - 1} t_final={last.t:.6g} stop={trace.stop_reason}")
@@ -495,7 +491,7 @@ def _cmd_flow(args, cfg, out_dir, seed):
           f"rel_residual={last.rel_residual:.4e}")
     print(f"wrote {trace_path}")
     snapshot_path = out_dir / snapshot_name
-    hypersurface.save_surface(final_surface, snapshot_path,
+    hypersurface.save_surface(trace.final_surface, snapshot_path,
                               metadata={"seed": seed, "f": f.name,
                                         "stop_reason": trace.stop_reason,
                                         "t_final": last.t})
@@ -516,14 +512,10 @@ def _cmd_sweep_pinching(args, cfg, out_dir, seed):
     if m_start <= 0.0 <= m_stop:
         raise UsageError("the degree range must exclude 0 (m = 0 is outside the "
                          "classification)")
-    ms = np.linspace(m_start, m_stop, count)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda m: soliton.sweep_row(float(m), n, classification), ms))
-    rows.sort(key=lambda r: r["m"])
-
     lines = ["m,branch,threshold,quad_residual,monotone_ok"]
     prev_high = None
-    for row in rows:
+    for m in np.linspace(m_start, m_stop, count):
+        row = soliton.sweep_row(float(m), n, classification)
         threshold = row["threshold"]
         monotone = ""
         if threshold is not None and row["m"] > 1.0:
@@ -556,16 +548,12 @@ def _cmd_soliton_fit(args, cfg, out_dir, seed):
         base_point = coords if len(coords) > 1 else coords[0]
     geom = hypersurface.extract_geometry(surface, base_point=base_point, grid_size=grid)
     f = curvfun.parse_curvature_function(f_spec, geom.dim)
-    report = soliton.fit_tau(geom, f)
+    mon = flow.monitors(geom, f)
+    report = mon.soliton
     rng = np.random.default_rng(seed)
     verdict_samples = rng.uniform(0.2, 3.0, size=(classify_samples, geom.dim))
     classification = curvfun.convexity_classify(f, list(verdict_samples))
-    if geom.dim == 1:
-        k = geom.lam[:, 0]
-        r_max = float(k.max() / k.min())
-    else:
-        r_max = float((geom.lam[:, -1] / geom.lam[:, 0]).max())
-    verdict = soliton.admissibility(geom.dim, f, classification, r_max)
+    verdict = soliton.admissibility(geom.dim, f, classification, mon.r_max)
 
     doc = {
         "format_version": CONFIG_FORMAT_VERSION,
@@ -670,7 +658,6 @@ def main(argv=None):
             return _cmd_sweep_pinching(args, cfg, out_dir, args.seed)
         if args.command == "soliton-fit":
             return _cmd_soliton_fit(args, cfg, out_dir, args.seed)
-        parser.error(f"unknown command {args.command!r}")
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

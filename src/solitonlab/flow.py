@@ -12,23 +12,22 @@ fixed-measure rescaling about the centroid, and per-step monitors for the
 pinching ratio, the umbilicity defects, and the soliton residual fit.  Flat
 ambient space only.
 
-The redistribution is the periodic C^2 cubic interpolant of the samples
-against arclength, with its slopes solved directly from the cyclic
-tridiagonal system (one LAPACK call).  Each accepted step extracts the
-geometry once, when the candidate is validated; the fixed-scale rescale
-updates that geometry by similarity instead of extracting it again.
+The surfaces (`PlaneCurve`, `RevolutionProfile`) own every operation that
+depends on their grid layout, so nothing here branches on the surface type.
+`run` loops over the step that `step` takes: each accepted step extracts the
+geometry once, to validate the candidate; the fixed-scale rescale updates
+that geometry by similarity instead of extracting it again.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
-import numpy as np
-from scipy.interpolate import CubicSpline  # noqa: F401  unused; perfbench/tracing.py patches this name
-from scipy.linalg.lapack import dgtsv
+# unused here, but perfbench/tracing.py patches CubicSpline and the geometry names
+from scipy.interpolate import CubicSpline  # noqa: F401
 
 from . import soliton
 from .curvfun import DomainError
 from .hypersurface import (GeometryError, PlaneCurve, RevolutionProfile, ShapeData,
-                           curve_geometry, revolution_geometry)
+                           curve_geometry, revolution_geometry)  # noqa: F401
 
 _MAX_HALVINGS = 20
 
@@ -37,11 +36,18 @@ TRACE_HEADER = "t,dt,scale,r_max,F_aniso_max,aHH_max,umb_max,tau_fit,rel_residua
 
 @dataclass(frozen=True)
 class StopRule:
-    """Flow termination criteria; at least one must be set."""
+    """Flow termination criteria; at least one must be set.
 
-    t_max: float | None = None
-    r_tol: float | None = None                 # stop once r_max - 1 < r_tol
-    curvature_cap: float | None = None
+    Without rescaling every criterion is in the physical frame.  Under fixed
+    scale the comments give each frame, with C the cumulative scale applied
+    so far and m the degree of F.
+    """
+
+    t_max: float | None = None                 # on the clock t; under fixed scale t is
+                                               # normalized: a step dt is a physical dt * C^-(m+1)
+    r_tol: float | None = None                 # stop once r_max - 1 < r_tol (scale-free)
+    curvature_cap: float | None = None         # max curvature of the rescaled surface under
+                                               # fixed scale: never fires on a shrinking circle
     min_scale_fraction: float | None = None    # on the unscaled (physical) measure
 
     def __post_init__(self):
@@ -56,7 +62,6 @@ class FlowConfig:
     stop: StopRule
     dt_safety: float = 0.4
     rescale_mode: str = "none"        # none | fixed-scale
-    grid_size: int = 256
     c: float = 0.0
 
     def __post_init__(self):
@@ -91,10 +96,7 @@ class TraceRow:
     measure: float
 
     def csv(self):
-        vals = (self.t, self.dt, self.scale, self.r_max, self.aniso_max,
-                self.ahh_max, self.umb_max, self.tau_fit, self.rel_residual,
-                self.measure)
-        return ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(f"{v:.17g}" for v in astuple(self))
 
 
 @dataclass
@@ -113,9 +115,9 @@ class FlowTrace:
         return self.rows[-1]
 
 
-def monitors(surface, f, base_point=None):
+def monitors(surface, f):
     """Pinching, umbilicity, and soliton monitors of a surface snapshot."""
-    geom = surface if isinstance(surface, ShapeData) else _extract(surface, base_point)
+    geom = surface if isinstance(surface, ShapeData) else _extract(surface)
     lam = geom.lam
     if geom.dim == 1:
         k = lam[:, 0]
@@ -134,125 +136,46 @@ def monitors(surface, f, base_point=None):
                         soliton=soliton.fit_tau(geom, f))
 
 
-def _extract(surface, base_point=None):
-    if isinstance(surface, PlaneCurve):
-        return curve_geometry(surface, base_point)
-    if isinstance(surface, RevolutionProfile):
-        return revolution_geometry(surface, base_point)
-    raise GeometryError(f"flows run on PlaneCurve or RevolutionProfile snapshots, "
-                        f"got {type(surface).__name__}")
+def _extract(surface):
+    if not isinstance(surface, (PlaneCurve, RevolutionProfile)):
+        raise GeometryError(f"flows run on PlaneCurve or RevolutionProfile snapshots, "
+                            f"got {type(surface).__name__}")
+    return surface.geometry()
 
 
 def _advance(surface, geom, f, dt):
-    speed = f.value(geom.lam)
-    if isinstance(surface, PlaneCurve):
-        pts = surface.points + dt * speed[:, None] * geom.normal
-        return PlaneCurve(pts)
-    prof = surface.profile + dt * speed[:, None] * geom.normal[:, :2]
-    prof[0, 1] = prof[-1, 1] = 0.0     # poles move along the axis exactly
-    return RevolutionProfile(prof)
-
-
-def _periodic_spline(knots, values, targets):
-    """Periodic C^2 cubic interpolant of `values` over `knots`, evaluated at `targets`.
-
-    `knots` (N + 1,) increase strictly over one period and `values` (N + 1, k)
-    repeat their first row at the end; `targets` lie in [knots[0], knots[-1]].
-    This is the interpolant of `CubicSpline(knots, values, bc_type="periodic")`:
-    the knot slopes solve the cyclic tridiagonal C^2 system, whose two corner
-    entries are handled by a Sherman-Morrison correction, so one `dgtsv` call
-    takes every coordinate and the correction vector as right-hand sides.
-    """
-    h = np.diff(knots)
-    if not h.min() > 0.0:
-        raise GeometryError("coincident samples: arclength does not increase")
-    n = h.size
-    hc = h[:, None]
-    delta = np.diff(values, axis=0) / hc
-    h_prev = np.concatenate((h[-1:], h[:-1]))
-    delta_prev = np.concatenate((delta[-1:], delta[:-1]))
-    # row i: h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1}
-    #        = 3 (h_i delta_{i-1} + h_{i-1} delta_i), indices mod n
-    diag = 2.0 * (h_prev + h)
-    corner_first, corner_last = h[0], h_prev[-1]     # entries (0, n-1) and (n-1, 0)
-    gamma = -diag[0]
-    diag[0] -= gamma
-    diag[-1] -= corner_first * corner_last / gamma
-    rhs = np.zeros((n, values.shape[1] + 1))
-    rhs[:, :-1] = 3.0 * (hc * delta_prev + h_prev[:, None] * delta)
-    rhs[0, -1] = gamma
-    rhs[-1, -1] = corner_last
-    _, _, _, sol, info = dgtsv(h[1:], diag, h_prev[:-1], rhs, overwrite_b=1)
-    if info != 0:
-        raise GeometryError("singular periodic spline system")
-    ratio = corner_first / gamma
-    correction = (sol[0] + ratio * sol[-1]) / (1.0 + sol[0, -1] + ratio * sol[-1, -1])
-    m0 = sol[:, :-1] - sol[:, -1:] * correction[:-1]      # knot slopes
-    m1 = np.concatenate((m0[1:], m0[:1]))
-
-    # per-interval power form, then one gather for the targets
-    t = (m0 + m1 - 2.0 * delta) / hc
-    coef = np.stack((values[:-1], m0, (delta - m0) / hc - t, t / hc), axis=1)
-    idx = np.minimum(np.searchsorted(knots, targets, side="right") - 1, n - 1)
-    c = coef[idx]
-    x = (targets - knots[idx])[:, None]
-    return c[:, 0] + x * (c[:, 1] + x * (c[:, 2] + x * c[:, 3]))
-
-
-def _arclength(points):
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    return surface.moved(dt * f.value(geom.lam)[:, None] * geom.normal)
 
 
 def _redistribute(surface):
-    """Resample to uniform arclength with periodic cubic interpolation.
+    return surface.resampled()
 
-    Profiles are doubled through the poles (meridian continuation: axis
-    coordinate even, radius odd) so the resampled data keeps the reflection
-    symmetry that the pole stencils rely on.
+
+def _min_spacing(surface):
+    return surface.min_spacing()
+
+
+def _step(surface, geom, f, dt):
+    """Advance, redistribute and validate; returns the stepped surface and its geometry.
+
+    Raises `GeometryError` (convexity, simplicity) or `DomainError` (domain of f).
     """
-    if isinstance(surface, PlaneCurve):
-        pts = surface.points
-        m = pts.shape[0]
-        closed = np.vstack([pts, pts[:1]])
-        s = _arclength(closed)
-        return PlaneCurve(_periodic_spline(s, closed, s[-1] * np.arange(m) / m))
-
-    prof = surface.profile
-    m = prof.shape[0]
-    s = _arclength(prof)
-    length = s[-1]
-    mirrored = np.column_stack([prof[-2:0:-1, 0], -prof[-2:0:-1, 1]])
-    doubled = np.vstack([prof, mirrored, prof[:1]])
-    s_ext = np.concatenate([s, 2.0 * length - s[-2::-1]])
-    new = _periodic_spline(s_ext, doubled, np.linspace(0.0, length, m))
-    new[0] = prof[0]
-    new[-1] = prof[-1]
-    new[:, 1] = np.abs(new[:, 1])      # guard rounding at the near-pole samples
-    new[0, 1] = new[-1, 1] = 0.0
-    return RevolutionProfile(new)
+    candidate = _redistribute(_advance(surface, geom, f, dt))
+    candidate_geom = _extract(candidate)
+    f.value(candidate_geom.lam)
+    return candidate, candidate_geom
 
 
 def step(surface, f, dt):
     """One explicit Euler step (move along normals, then redistribute).
 
-    Raises `GeometryError` when the stepped surface loses convexity or
-    validity; callers retry with a smaller dt.
+    Returns the stepped surface.  Raises `GeometryError` when it loses
+    convexity or validity and `DomainError` when it leaves the domain of f;
+    callers retry with a smaller dt.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    geom = _extract(surface)
-    candidate = _redistribute(_advance(surface, geom, f, dt))
-    _extract(candidate)                # validates convexity / simplicity
-    return candidate
-
-
-def _centroid(surface, geom):
-    w = geom.weights
-    if isinstance(surface, PlaneCurve):
-        return (w @ surface.points) / w.sum()
-    cx = float(w @ surface.profile[:, 0]) / float(w.sum())
-    return np.array([cx, 0.0])
+    return _step(surface, _extract(surface), f, dt)[0]
 
 
 def _rescale(surface, geom, target_measure):
@@ -267,14 +190,7 @@ def _rescale(surface, geom, target_measure):
     """
     d = geom.dim
     alpha = (target_measure / geom.measure) ** (1.0 / d)
-    center = _centroid(surface, geom)
-    if isinstance(surface, PlaneCurve):
-        scaled = PlaneCurve(center + alpha * (surface.points - center))
-    else:
-        prof = center + alpha * (surface.profile - center)
-        prof[0, 1] = prof[-1, 1] = 0.0
-        scaled = RevolutionProfile(prof)
-        center = np.array([center[0], 0.0, 0.0])
+    center = surface.centroid(geom.weights)
     scaled_geom = replace(
         geom,
         position=center + alpha * (geom.position - center),
@@ -287,13 +203,7 @@ def _rescale(surface, geom, target_measure):
         support=alpha * geom.support + (1.0 - alpha) * (geom.normal @ center),
         weights=alpha ** d * geom.weights,
     )
-    return scaled, scaled_geom, alpha
-
-
-def _min_spacing(surface):
-    pts = surface.points if isinstance(surface, PlaneCurve) else surface.profile
-    closed = np.vstack([pts, pts[:1]]) if isinstance(surface, PlaneCurve) else pts
-    return float(np.linalg.norm(np.diff(closed, axis=0), axis=1).min())
+    return surface.scaled(alpha, center), scaled_geom, alpha
 
 
 def _stop_reason(stop, t, mon, geom, physical_fraction):
@@ -316,66 +226,56 @@ def run(config, surface):
     factor is recorded and the accumulated product defines the physical scale
     fraction used by the `min_scale_fraction` stop.
     """
-    f = config.f
+    f, stop = config.f, config.stop
     geom = _extract(surface)
     f.value(geom.lam)                  # domain check up front
     measure0 = geom.measure
     trace = FlowTrace()
-    t = 0.0
-    cumulative = 1.0
-    mon = monitors(geom, f)
-    trace.rows.append(_row(t, 0.0, 1.0, mon, geom.measure))
+    t = dt = 0.0
+    alpha = cumulative = 1.0
 
     while True:
+        mon = monitors(geom, f)
+        trace.rows.append(TraceRow(t, dt, alpha, mon.r_max, mon.aniso_max, mon.ahh_max,
+                                   mon.umb_max, mon.soliton.tau_fit,
+                                   mon.soliton.relative_residual, geom.measure))
         physical = geom.measure / cumulative ** geom.dim / measure0
-        reason = _stop_reason(config.stop, t, mon, geom, physical)
+        reason = _stop_reason(stop, t, mon, geom, physical)
         if reason is not None:
-            trace.stop_reason = reason
-            trace.final_surface = surface
-            return trace
+            return _finish(trace, surface, reason)
 
         h_min = _min_spacing(surface)
         stiffness = float(f.gradient(geom.lam).sum(axis=1).max())
         dt = config.dt_safety * h_min * h_min / stiffness
+        lands = stop.t_max is not None and t + dt >= stop.t_max
+        if lands:
+            dt = stop.t_max - t        # the step that reaches t_max ends on it
 
         # dt is floored relative to the stable dt by the halving cap; the run
         # stops on underflow only once a step no longer advances the clock
-        accepted = None
         for _ in range(_MAX_HALVINGS + 1):
             if not t + dt > t:
-                return _abort(trace, surface, f"dt underflow (dt = {dt:.3g} at t = {t:.6g})")
+                return _finish(trace, surface, f"dt underflow (dt = {dt:.3g} at t = {t:.6g})",
+                               aborted=True)
             try:
-                candidate = _redistribute(_advance(surface, geom, f, dt))
-                candidate_geom = _extract(candidate)
-                f.value(candidate_geom.lam)
-                accepted = (candidate, candidate_geom)
+                surface, geom = _step(surface, geom, f, dt)
                 break
             except (GeometryError, DomainError) as exc:
                 last_error = exc
                 dt *= 0.5
-        if accepted is None:
-            return _abort(trace, surface, f"convexity or validity lost after {_MAX_HALVINGS} "
-                                          f"dt halvings (last: {last_error})")
+                lands = False
+        else:
+            return _finish(trace, surface, f"convexity or validity lost after {_MAX_HALVINGS} "
+                                           f"dt halvings (last: {last_error})", aborted=True)
 
-        surface, geom = accepted
-        t += dt
-        alpha = 1.0
+        t = stop.t_max if lands else t + dt
         if config.rescale_mode == "fixed-scale":
             surface, geom, alpha = _rescale(surface, geom, measure0)
             cumulative *= alpha
-        mon = monitors(geom, f)
-        trace.rows.append(_row(t, dt, alpha, mon, geom.measure))
 
 
-def _abort(trace, surface, cause):
-    trace.stop_reason = f"aborted: {cause}"
-    trace.aborted = True
+def _finish(trace, surface, reason, aborted=False):
+    trace.stop_reason = f"aborted: {reason}" if aborted else reason
+    trace.aborted = aborted
     trace.final_surface = surface
     return trace
-
-
-def _row(t, dt, scale, mon, measure):
-    return TraceRow(t=t, dt=dt, scale=scale, r_max=mon.r_max,
-                    aniso_max=mon.aniso_max, ahh_max=mon.ahh_max,
-                    umb_max=mon.umb_max, tau_fit=mon.soliton.tau_fit,
-                    rel_residual=mon.soliton.relative_residual, measure=measure)

@@ -17,6 +17,10 @@ for uniform-arclength grids and for trigonometric meridians.
 
 Normals are inward everywhere, so convex surfaces have positive principal
 curvatures and negative support values about interior base points.
+
+The two grid types own every operation that depends on their layout, with
+the same members: `dim`, `geometry`, `moved`, `resampled`, `scaled`,
+`centroid` and `min_spacing`.
 """
 
 import json
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
 from . import _fd
 
@@ -54,6 +59,7 @@ class PlaneCurve:
     """Closed plane curve on a uniform periodic parameter grid."""
 
     points: np.ndarray       # (M, 2)
+    dim = 1                  # hypersurface dimension n (a class constant)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -67,12 +73,37 @@ class PlaneCurve:
     def grid_size(self):
         return self.points.shape[0]
 
+    def geometry(self, base_point=None):
+        return curve_geometry(self, base_point)
+
+    def moved(self, displacement):
+        """The curve with sample i displaced by row i of `displacement` (M, 2)."""
+        return PlaneCurve(self.points + displacement)
+
+    def resampled(self):
+        """Resampled to uniform arclength by the periodic C^2 cubic interpolant."""
+        closed = np.vstack([self.points, self.points[:1]])
+        s = _arclength(closed)
+        m = self.grid_size
+        return PlaneCurve(_periodic_spline(s, closed, s[-1] * np.arange(m) / m))
+
+    def scaled(self, alpha, center):
+        return PlaneCurve(center + alpha * (self.points - center))
+
+    def centroid(self, weights):
+        return (weights @ self.points) / weights.sum()
+
+    def min_spacing(self):
+        """Shortest segment of the closed polygon, the closing one included."""
+        return float(_segments(np.vstack([self.points, self.points[:1]])).min())
+
 
 @dataclass(frozen=True)
 class RevolutionProfile:
     """Meridian profile (x, y) rotated about the x-axis; ends on the axis."""
 
     profile: np.ndarray      # (M, 2), y >= 0, y = 0 exactly at both ends
+    dim = 2
 
     def __post_init__(self):
         prof = np.asarray(self.profile, dtype=float)
@@ -95,6 +126,47 @@ class RevolutionProfile:
     @property
     def grid_size(self):
         return self.profile.shape[0]
+
+    def geometry(self, base_point=None):
+        return revolution_geometry(self, base_point)
+
+    def moved(self, displacement):
+        """The profile moved by the meridian columns of `displacement` (M, 3).
+
+        The normal at a pole lies along the axis; the constructor snaps pole rounding to y = 0.
+        """
+        return RevolutionProfile(self.profile + displacement[:, :2])
+
+    def resampled(self):
+        """Resampled to uniform arclength with the poles kept in place.
+
+        The profile is doubled through the poles (axis coordinate even, radius odd)
+        so the resampled data keeps the reflection symmetry of the pole stencils.
+        """
+        prof = self.profile
+        s = _arclength(prof)
+        length = s[-1]
+        mirrored = np.column_stack([prof[-2:0:-1, 0], -prof[-2:0:-1, 1]])
+        doubled = np.vstack([prof, mirrored, prof[:1]])
+        s_ext = np.concatenate([s, 2.0 * length - s[-2::-1]])
+        new = _periodic_spline(s_ext, doubled, np.linspace(0.0, length, self.grid_size))
+        new[0] = prof[0]
+        new[-1] = prof[-1]
+        new[:, 1] = np.abs(new[:, 1])      # guard rounding at the near-pole samples
+        return RevolutionProfile(new)
+
+    def scaled(self, alpha, center):
+        """Scaled by `alpha` about `center`, a point on the axis (x, 0, 0)."""
+        center = center[:2]
+        return RevolutionProfile(center + alpha * (self.profile - center))
+
+    def centroid(self, weights):
+        """Centroid (x, 0, 0) of the rotation surface under the area `weights`."""
+        return np.array([float(weights @ self.profile[:, 0]) / float(weights.sum()), 0.0, 0.0])
+
+    def min_spacing(self):
+        """Shortest meridian segment; the two poles are not joined."""
+        return float(_segments(self.profile).min())
 
 
 @dataclass(frozen=True)
@@ -119,8 +191,7 @@ class Ellipsoid:
 
 
 def circle(radius, grid_size=256):
-    th = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return PlaneCurve(radius * np.column_stack([np.cos(th), np.sin(th)]))
+    return ellipse(radius, radius, grid_size)
 
 
 def ellipse(a, b, grid_size=256):
@@ -137,8 +208,64 @@ def spheroid_profile(equatorial, polar, grid_size=256):
     u = np.linspace(0.0, np.pi, grid_size)
     x = -polar * np.cos(u)
     y = equatorial * np.sin(u)
-    y[0] = y[-1] = 0.0
     return RevolutionProfile(np.column_stack([x, y]))
+
+
+# ---------------------------------------------------------------------------
+# uniform-arclength resampling
+
+def _periodic_spline(knots, values, targets):
+    """Periodic C^2 cubic interpolant of `values` over `knots`, evaluated at `targets`.
+
+    `knots` (N + 1,) increase strictly over one period and `values` (N + 1, k)
+    repeat their first row at the end; `targets` lie in [knots[0], knots[-1]].
+    This is the interpolant of `CubicSpline(knots, values, bc_type="periodic")`:
+    the knot slopes solve the cyclic tridiagonal C^2 system, whose two corner
+    entries are handled by a Sherman-Morrison correction, so one `dgtsv` call
+    takes every coordinate and the correction vector as right-hand sides.
+    """
+    h = np.diff(knots)
+    if not h.min() > 0.0:
+        raise GeometryError("coincident samples: arclength does not increase")
+    n = h.size
+    hc = h[:, None]
+    delta = np.diff(values, axis=0) / hc
+    h_prev = np.concatenate((h[-1:], h[:-1]))
+    delta_prev = np.concatenate((delta[-1:], delta[:-1]))
+    # row i: h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1}
+    #        = 3 (h_i delta_{i-1} + h_{i-1} delta_i), indices mod n
+    diag = 2.0 * (h_prev + h)
+    corner_first, corner_last = h[0], h_prev[-1]     # entries (0, n-1) and (n-1, 0)
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= corner_first * corner_last / gamma
+    rhs = np.zeros((n, values.shape[1] + 1))
+    rhs[:, :-1] = 3.0 * (hc * delta_prev + h_prev[:, None] * delta)
+    rhs[0, -1] = gamma
+    rhs[-1, -1] = corner_last
+    _, _, _, sol, info = dgtsv(h[1:], diag, h_prev[:-1], rhs, overwrite_b=1)
+    if info != 0:
+        raise GeometryError("singular periodic spline system")
+    ratio = corner_first / gamma
+    correction = (sol[0] + ratio * sol[-1]) / (1.0 + sol[0, -1] + ratio * sol[-1, -1])
+    m0 = sol[:, :-1] - sol[:, -1:] * correction[:-1]      # knot slopes
+    m1 = np.concatenate((m0[1:], m0[:1]))
+
+    # per-interval power form, then one gather for the targets
+    t = (m0 + m1 - 2.0 * delta) / hc
+    coef = np.stack((values[:-1], m0, (delta - m0) / hc - t, t / hc), axis=1)
+    idx = np.minimum(np.searchsorted(knots, targets, side="right") - 1, n - 1)
+    c = coef[idx]
+    x = (targets - knots[idx])[:, None]
+    return c[:, 0] + x * (c[:, 1] + x * (c[:, 2] + x * c[:, 3]))
+
+
+def _segments(points):
+    return np.linalg.norm(np.diff(points, axis=0), axis=1)
+
+
+def _arclength(points):
+    return np.concatenate([[0.0], np.cumsum(_segments(points))])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +275,6 @@ def spheroid_profile(equatorial, polar, grid_size=256):
 class ShapeData:
     """Per-sample geometric state of a hypersurface."""
 
-    variant: str
     dim: int                 # hypersurface dimension n
     position: np.ndarray     # (M, n+1)
     normal: np.ndarray       # (M, n+1) inward unit normals
@@ -161,10 +287,6 @@ class ShapeData:
     shape_sq: np.ndarray     # (M, n, n) components of h_i^k h_kj
     support: np.ndarray      # (M,) support value about the base point
     weights: np.ndarray      # (M,) measure weights (arclength / area elements)
-
-    @property
-    def sample_count(self):
-        return self.lam.shape[0]
 
     @property
     def measure(self):
@@ -231,7 +353,7 @@ def curve_geometry(curve, base_point=None):
     lam = k.reshape(m, 1)
     shape_sq = (k * k * w2).reshape(m, 1, 1)
     return ShapeData(
-        variant="curve", dim=1, position=pts.copy(), normal=normal,
+        dim=1, position=pts.copy(), normal=normal,
         metric=metric, second_form=second, weingarten=weingarten, lam=lam,
         mean=k.copy(), norm_A2=k * k, shape_sq=shape_sq, support=support,
         weights=w * h,
@@ -258,7 +380,6 @@ class _MeridianFields:
     lam_p: np.ndarray        # parallel principal curvature
     support: np.ndarray      # Z about the base point
     rel_x: np.ndarray        # x - base_x
-    analytic: bool
 
     def d1(self, f):
         return _fd.reflected_d1(f, self.du, +1)
@@ -303,7 +424,7 @@ def _meridian_from_profile(profile, base_x=0.0):
     # estimator's own resolution, O((h kappa)^3), on interpolation-grade data
     # (resampled flow states); the reference curvature is the robust bulk
     # median so an irregular pole cannot loosen its own check.
-    h_arc = float(np.linalg.norm(np.diff(prof, axis=0), axis=1).mean())
+    h_arc = float(_segments(prof).mean())
     kappa_ref = float(np.median(np.abs(lam_m[m // 4: 3 * m // 4]))) or 1.0
     pole_tol = max(_POLE_ANGLE_TOL, (2.0 * h_arc * kappa_ref) ** 3)
     for label, xsl, ysl in (("first", _fd.onesided_d1_start(x, du), _fd.onesided_d1_start(y, du)),
@@ -322,7 +443,7 @@ def _meridian_from_profile(profile, base_x=0.0):
     support = rel_x * nu[:, 0] + y * nu[:, 1]
     return _MeridianFields(du=du, x=x, y=y, xp=xp, yp=yp, w=w, nu=nu,
                            E=w2, G=y * y, lam_m=lam_m, lam_p=lam_p,
-                           support=support, rel_x=rel_x, analytic=False)
+                           support=support, rel_x=rel_x)
 
 
 def _meridian_from_spheroid(equatorial, polar, grid_size, base_x=0.0):
@@ -344,7 +465,7 @@ def _meridian_from_spheroid(equatorial, polar, grid_size, base_x=0.0):
     support = rel_x * nu[:, 0] + y * nu[:, 1]
     return _MeridianFields(du=du, x=x, y=y, xp=xp, yp=yp, w=w, nu=nu,
                            E=w * w, G=y * y, lam_m=lam_m, lam_p=lam_p,
-                           support=support, rel_x=rel_x, analytic=True)
+                           support=support, rel_x=rel_x)
 
 
 def _meridian_fields(surface, grid_size=None, base_x=0.0):
@@ -364,31 +485,28 @@ def _meridian_fields(surface, grid_size=None, base_x=0.0):
     raise GeometryError(f"unsupported surface type {type(surface).__name__} for grid operations")
 
 
+def _diagonal(a, b):
+    """Stack of the diagonal tensors diag(a_i, b_i), shape (M, 2, 2)."""
+    out = np.zeros((a.shape[0], 2, 2))
+    out[:, 0, 0] = a
+    out[:, 1, 1] = b
+    return out
+
+
 def _meridian_shape_data(f):
     m = f.x.shape[0]
     pos = np.column_stack([f.x, f.y, np.zeros(m)])
     nrm = np.column_stack([f.nu, np.zeros(m)])
-    metric = np.zeros((m, 2, 2))
-    metric[:, 0, 0] = f.E
-    metric[:, 1, 1] = f.G
-    second = np.zeros((m, 2, 2))
-    second[:, 0, 0] = f.h_ss
-    second[:, 1, 1] = f.h_pp
-    weingarten = np.zeros((m, 2, 2))
-    weingarten[:, 0, 0] = f.lam_m
-    weingarten[:, 1, 1] = f.lam_p
     lam = np.sort(np.column_stack([f.lam_m, f.lam_p]), axis=1)
-    shape_sq = np.zeros((m, 2, 2))
-    shape_sq[:, 0, 0] = f.lam_m ** 2 * f.E
-    shape_sq[:, 1, 1] = f.lam_p ** 2 * f.G
     weights = 2.0 * np.pi * f.y * f.w * f.du
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return ShapeData(
-        variant="revolution", dim=2, position=pos, normal=nrm,
-        metric=metric, second_form=second, weingarten=weingarten, lam=lam,
-        mean=f.lam_m + f.lam_p, norm_A2=f.lam_m ** 2 + f.lam_p ** 2,
-        shape_sq=shape_sq, support=f.support, weights=weights,
+        dim=2, position=pos, normal=nrm, metric=_diagonal(f.E, f.G),
+        second_form=_diagonal(f.h_ss, f.h_pp), weingarten=_diagonal(f.lam_m, f.lam_p),
+        lam=lam, mean=f.lam_m + f.lam_p, norm_A2=f.lam_m ** 2 + f.lam_p ** 2,
+        shape_sq=_diagonal(f.lam_m ** 2 * f.E, f.lam_p ** 2 * f.G),
+        support=f.support, weights=weights,
     )
 
 
@@ -439,7 +557,7 @@ def ellipsoid_geometry(semi_axes, u, v=None):
         k = a * b / speed2 ** 1.5
         support = float(pos @ nu)
         return ShapeData(
-            variant="ellipsoid", dim=1,
+            dim=1,
             position=pos[None, :], normal=nu[None, :],
             metric=np.array([[[speed2]]]), second_form=np.array([[[k * speed2]]]),
             weingarten=np.array([[[k]]]), lam=np.array([[k]]),
@@ -470,7 +588,7 @@ def ellipsoid_geometry(semi_axes, u, v=None):
     ginv = np.linalg.inv(g)
     shape_sq = h @ ginv @ h
     return ShapeData(
-        variant="ellipsoid", dim=2,
+        dim=2,
         position=pos[None, :], normal=nu[None, :],
         metric=g[None, :, :], second_form=h[None, :, :],
         weingarten=weingarten[None, :, :], lam=lam[None, :],
@@ -515,10 +633,7 @@ def covariant_hessian(surface, phi, grid_size=None):
     ppp = f.d2(phi)
     ep = f.d1(f.E)
     gp = f.d1(f.G)
-    out = np.zeros((m, 2, 2))
-    out[:, 0, 0] = ppp - ep / (2.0 * f.E) * pp
-    out[:, 1, 1] = gp / (2.0 * f.E) * pp
-    return out
+    return _diagonal(ppp - ep / (2.0 * f.E) * pp, gp / (2.0 * f.E) * pp)
 
 
 def _meridian_nabla_h(f):
@@ -647,15 +762,12 @@ def load_surface(path):
 
 def extract_geometry(surface, base_point=None, grid_size=None):
     """Dispatch geometry extraction for any surface snapshot."""
-    if isinstance(surface, PlaneCurve):
-        return curve_geometry(surface, base_point)
-    if isinstance(surface, RevolutionProfile):
-        return revolution_geometry(surface, base_point)
+    if isinstance(surface, (PlaneCurve, RevolutionProfile)):
+        return surface.geometry(base_point)
     if isinstance(surface, Ellipsoid):
         if surface.dim == 2 and surface.axisymmetric:
             a, _, c = surface.semi_axes
-            base_x = None if base_point is None else float(base_point)
-            return spheroid_meridian_geometry(a, c, grid_size or 256, base_x)
+            return spheroid_meridian_geometry(a, c, grid_size or 256, base_point)
         raise GeometryError("general ellipsoids are evaluated pointwise; "
                             "use ellipsoid_geometry(semi_axes, u, v)")
     raise GeometryError(f"unknown surface type {type(surface).__name__}")

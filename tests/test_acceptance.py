@@ -154,7 +154,7 @@ def test_criterion_7_flow_rounding():
     f1 = curvfun.MeanCurvature(1)
     start = time.perf_counter()
     config = FlowConfig(f=f1, stop=StopRule(r_tol=0.02, t_max=50.0),
-                        rescale_mode="fixed-scale", grid_size=256)
+                        rescale_mode="fixed-scale")
     trace = flow.run(config, ellipse(2.0, 1.0, 256))
     ellipse_time = time.perf_counter() - start
     rows = trace.rows
@@ -166,7 +166,7 @@ def test_criterion_7_flow_rounding():
     f2 = curvfun.MeanCurvature(2)
     start = time.perf_counter()
     config = FlowConfig(f=f2, stop=StopRule(r_tol=0.22, t_max=10.0),
-                        rescale_mode="fixed-scale", grid_size=256)
+                        rescale_mode="fixed-scale")
     trace2 = flow.run(config, spheroid_profile(1.0, 1.3, 256))
     spheroid_time = time.perf_counter() - start
     rows2 = trace2.rows
@@ -182,7 +182,7 @@ def test_criterion_7_flow_rounding():
 
 def test_criterion_8_exact_ode_anchor():
     f1 = curvfun.MeanCurvature(1)
-    config = FlowConfig(f=f1, stop=StopRule(t_max=0.25), dt_safety=0.4, grid_size=256)
+    config = FlowConfig(f=f1, stop=StopRule(t_max=0.25), dt_safety=0.4)
     trace = flow.run(config, circle(1.0, 256))
     worst = 0.0
     for row in trace.rows:

@@ -121,6 +121,28 @@ def test_flow_abort_after_rescale_writes_outputs(tmp_path, capsys):
     assert snap["metadata"]["stop_reason"].startswith("aborted: ")
 
 
+def test_flow_refuses_an_ellipsoid_snapshot(tmp_path, capsys):
+    snap = tmp_path / "ellipsoid.json"
+    hypersurface.save_surface(hypersurface.Ellipsoid((1.0, 1.0, 1.3)), snap)
+    code = main(["--out", str(tmp_path), "flow", "--surface", f"profile {snap}",
+                 "--f", "H", "--t-max", "0.01"])
+    assert code == 2
+    assert ("flows run on PlaneCurve or RevolutionProfile snapshots, got Ellipsoid"
+            in capsys.readouterr().err)
+
+
+def test_flow_last_step_lands_on_t_max(tmp_path, capsys):
+    # the stable dt of a circle of radius 1e6 at M = 64 is about 3.85e9
+    code = main(["--out", str(tmp_path), "flow", "--surface", "circle 1e6", "--grid", "64",
+                 "--f", "H", "--t-max", "1e9"])
+    assert code == 0
+    assert "steps=1 t_final=1e+09 stop=t_max" in capsys.readouterr().out
+    lines = (tmp_path / "flow_trace.csv").read_text().strip().split("\n")
+    assert float(lines[-1].split(",")[0]) == 1e9
+    snap = json.loads((tmp_path / "flow_final.json").read_text())
+    assert snap["metadata"]["t_final"] == 1e9
+
+
 def test_flow_missing_stop_is_usage_error(tmp_path):
     assert main(["--out", str(tmp_path), "flow", "--surface", "circle 1",
                  "--f", "H"]) == 2

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +88,7 @@ def test_step_rejects_bad_dt():
 
 
 def test_circle_exact_ode_short():
-    config = FlowConfig(f=H1, stop=StopRule(t_max=0.1), grid_size=256)
+    config = FlowConfig(f=H1, stop=StopRule(t_max=0.1))
     trace = run(config, circle(1.0, 256))
     assert trace.stop_reason == "t_max"
     for row in trace.rows:
@@ -94,8 +97,7 @@ def test_circle_exact_ode_short():
 
 
 def test_stationary_circle_under_rescale():
-    config = FlowConfig(f=H1, stop=StopRule(t_max=0.01), rescale_mode="fixed-scale",
-                        grid_size=256)
+    config = FlowConfig(f=H1, stop=StopRule(t_max=0.01), rescale_mode="fixed-scale")
     trace = run(config, circle(1.0, 256))
     assert len(trace.rows) > 2
     for row in trace.rows:
@@ -106,8 +108,7 @@ def test_stationary_circle_under_rescale():
 
 
 def test_ellipse_rounding_short():
-    config = FlowConfig(f=H1, stop=StopRule(t_max=0.5), rescale_mode="fixed-scale",
-                        grid_size=128)
+    config = FlowConfig(f=H1, stop=StopRule(t_max=0.5), rescale_mode="fixed-scale")
     trace = run(config, ellipse(2.0, 1.0, 128))
     rows = trace.rows
     assert rows[-1].r_max < rows[0].r_max
@@ -119,8 +120,7 @@ def test_ellipse_rounding_short():
 
 def test_soliton_sphere_is_preserved():
     radius = soliton.solve_sphere_radius(H2, 1.0, 0.0)
-    config = FlowConfig(f=H2, stop=StopRule(t_max=0.02), rescale_mode="fixed-scale",
-                        grid_size=256)
+    config = FlowConfig(f=H2, stop=StopRule(t_max=0.02), rescale_mode="fixed-scale")
     trace = run(config, sphere_profile(radius, 256))
     assert len(trace.rows) > 10
     for row in trace.rows:
@@ -129,21 +129,21 @@ def test_soliton_sphere_is_preserved():
 
 
 def test_stop_reasons():
-    config = FlowConfig(f=H1, stop=StopRule(min_scale_fraction=0.9), grid_size=64)
+    config = FlowConfig(f=H1, stop=StopRule(min_scale_fraction=0.9))
     trace = run(config, circle(1.0, 64))
     assert trace.stop_reason == "min_scale_fraction"
     assert not trace.aborted
-    config = FlowConfig(f=H1, stop=StopRule(curvature_cap=1.5), grid_size=64)
+    config = FlowConfig(f=H1, stop=StopRule(curvature_cap=1.5))
     trace = run(config, circle(1.0, 64))
     assert trace.stop_reason == "curvature_cap"
-    config = FlowConfig(f=H1, stop=StopRule(r_tol=0.5), grid_size=64)
+    config = FlowConfig(f=H1, stop=StopRule(r_tol=0.5))
     trace = run(config, circle(1.0, 64))
     assert trace.stop_reason == "r_tol"
     assert len(trace.rows) == 1       # already round: stops before stepping
 
 
 def test_trace_csv_contract():
-    config = FlowConfig(f=H1, stop=StopRule(t_max=0.002), grid_size=64)
+    config = FlowConfig(f=H1, stop=StopRule(t_max=0.002))
     trace = run(config, circle(1.0, 64))
     text = trace.to_csv()
     lines = text.strip().split("\n")
@@ -160,13 +160,13 @@ def test_run_validates_initial_surface():
     th = 2.0 * np.pi * np.arange(64) / 64
     r = 1.0 + 0.5 * np.cos(3.0 * th)
     bumpy = hypersurface.PlaneCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]))
-    config = FlowConfig(f=H1, stop=StopRule(t_max=1.0), grid_size=64)
+    config = FlowConfig(f=H1, stop=StopRule(t_max=1.0))
     with pytest.raises(hypersurface.GeometryError):
         run(config, bumpy)
 
 
 def test_revolution_flow_keeps_poles_on_axis():
-    config = FlowConfig(f=H2, stop=StopRule(t_max=0.005), grid_size=96)
+    config = FlowConfig(f=H2, stop=StopRule(t_max=0.005))
     trace = run(config, spheroid_profile(1.0, 1.3, 96))
     prof = trace.final_surface.profile
     assert prof[0, 1] == 0.0 and prof[-1, 1] == 0.0
@@ -198,7 +198,7 @@ def test_periodic_spline_matches_scipy(m):
     values[-1] = values[0]
     targets = np.concatenate([np.sort(rng.uniform(0.0, knots[-1], 3 * m)), knots])
     expect = CubicSpline(knots, values, bc_type="periodic", axis=0)(targets)
-    got = flow._periodic_spline(knots, values, targets)
+    got = hypersurface._periodic_spline(knots, values, targets)
     assert np.abs(got - expect).max() < 1e-13 * np.abs(expect).max()
 
     # closed curve and doubled meridian on non-uniform parameter grids
@@ -244,9 +244,10 @@ def test_one_extraction_per_fixed_scale_step(monkeypatch, surface, f):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(flow, "curve_geometry", counting(flow.curve_geometry, "extract"))
-    monkeypatch.setattr(flow, "revolution_geometry",
-                        counting(flow.revolution_geometry, "extract"))
+    monkeypatch.setattr(hypersurface, "curve_geometry",
+                        counting(hypersurface.curve_geometry, "extract"))
+    monkeypatch.setattr(hypersurface, "revolution_geometry",
+                        counting(hypersurface.revolution_geometry, "extract"))
     monkeypatch.setattr(flow, "CubicSpline", counting(flow.CubicSpline, "spline"))
     config = FlowConfig(f=f, stop=StopRule(t_max=0.2), rescale_mode="fixed-scale")
     trace = run(config, surface)
@@ -258,7 +259,7 @@ def test_one_extraction_per_fixed_scale_step(monkeypatch, surface, f):
 def test_circle_dilation_invariance():
     step_counts = set()
     for s in (1e-6, 1.0, 1e3):
-        config = FlowConfig(f=H1, stop=StopRule(t_max=0.1 * s * s), grid_size=256)
+        config = FlowConfig(f=H1, stop=StopRule(t_max=0.1 * s * s))
         trace = run(config, circle(s, 256))
         assert trace.stop_reason == "t_max"
         step_counts.add(len(trace.rows))
@@ -269,8 +270,38 @@ def test_circle_dilation_invariance():
 
 
 def test_dt_underflow_stops_a_run_past_extinction():
-    config = FlowConfig(f=H1, stop=StopRule(t_max=1.0), grid_size=16)
+    config = FlowConfig(f=H1, stop=StopRule(t_max=1.0))
     trace = run(config, circle(1.0, 16))
     assert trace.aborted
     assert trace.stop_reason.startswith("aborted: dt underflow")
     assert trace.final.t < 1.0
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """The benchmark's span tracer, imported read-only from perfbench/."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.path.remove(perfbench)
+
+
+@pytest.mark.parametrize("surface,f,t_max,geometry_span", [
+    (ellipse(2.0, 1.0, 64), H1, 0.1, "hypersurface.curve_geometry"),
+    (spheroid_profile(1.0, 1.3, 64), H2, 0.01, "hypersurface.revolution_geometry"),
+])
+def test_tracer_sees_every_flow_phase(tracing, surface, f, t_max, geometry_span):
+    rec = tracing.SpanRecorder()
+    config = FlowConfig(f=f, stop=StopRule(t_max=t_max), rescale_mode="fixed-scale")
+    with tracing.patched(rec):
+        trace = flow.run(config, surface)
+    spans = rec.summary()
+    steps = len(trace.rows) - 1
+    assert trace.stop_reason == "t_max" and steps > 5
+    assert spans["flow.run"][0] == 1
+    for name in ("flow._advance", "flow._redistribute", "flow._rescale", "flow._min_spacing"):
+        assert spans[name][0] == steps, name
+    assert spans["flow.monitors"][0] == steps + 1      # the initial surface is monitored too
+    assert spans[geometry_span][0] == steps + 1

@@ -303,6 +303,21 @@ def test_snapshot_round_trip(tmp_path):
         surface_from_document({"format_version": 1, "variant": "blob"})
 
 
+def test_min_spacing_counts_the_closing_segment_but_not_the_pole_chord():
+    th = 2.0 * np.pi * np.linspace(0.0, 0.999, 32)      # last sample just short of the first
+    curve = PlaneCurve(np.column_stack([np.cos(th), np.sin(th)]))
+    closing = float(np.linalg.norm(curve.points[0] - curve.points[-1]))
+    assert closing < 0.01
+    assert curve.min_spacing() == closing
+
+    s = np.linspace(-1.0, 1.0, 17)                       # a thin tent; poles 0.02 apart
+    flat = RevolutionProfile(np.column_stack([0.01 * s, 1.0 - np.abs(s)]))
+    chord = float(np.linalg.norm(flat.profile[0] - flat.profile[-1]))
+    segments = np.linalg.norm(np.diff(flat.profile, axis=0), axis=1)
+    assert chord < segments.min()
+    assert flat.min_spacing() == float(segments.min())
+
+
 def test_extract_geometry_dispatch():
     assert extract_geometry(circle(1.0, 64)).dim == 1
     assert extract_geometry(spheroid_profile(1.0, 1.2, 64)).dim == 2
