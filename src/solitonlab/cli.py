@@ -1,39 +1,27 @@
 """Command-line front end: experiment orchestration and CSV/JSON emission.
 
-Commands: ``sphere-check`` (closed-form tau and residual on a sampled geodesic
-sphere), ``identity-suite`` (every library identity/residual check, one CSV row
-each), ``flow`` (integrate a configured flow, trace CSV plus final snapshot),
-``sweep-pinching`` (threshold table over a degree range), and ``soliton-fit``
-(least-squares tau plus admissibility verdict for a snapshot file).
-
+Each command is declared once, in `_COMMANDS`: its help, its handler and its
+options, from which the parser, the config allowlist and the defaults are built.
 All randomness flows from the single ``--seed``; identical configuration and
 seed give byte-identical outputs.  Config files are flat key/value INI text
 with one section per command plus a ``[config]`` section carrying
-``format_version: 1``; unknown sections or keys are rejected.
+``format_version: 1``; a key is its flag without ``--`` and with ``_`` for
+``-``, and unknown sections or keys are rejected.
 """
 
 import argparse
 import configparser
-import io
 import itertools
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import curvfun, flow, hypersurface, soliton, spaceform
 
 CONFIG_FORMAT_VERSION = 1
-
-_COMMAND_KEYS = {
-    "sphere-check": ("f", "R", "c", "n", "samples"),
-    "identity-suite": ("samples", "csv"),
-    "flow": ("surface", "f", "rescale", "dt_safety", "grid", "t_max", "r_tol",
-             "curvature_cap", "min_scale_fraction", "trace", "snapshot"),
-    "sweep-pinching": ("m_start", "m_stop", "count", "n", "classification", "csv"),
-    "soliton-fit": ("snapshot", "f", "grid", "classify_samples", "json", "base_point"),
-}
 
 
 class UsageError(ValueError):
@@ -46,6 +34,7 @@ class UsageError(ValueError):
 def parse_config_text(text):
     """Strictly parse a config document into {section: {key: value}}."""
     cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str        # keys are case-sensitive, as flags are (--R)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -61,11 +50,10 @@ def parse_config_text(text):
     for section in cp.sections():
         if section == "config":
             continue
-        if section not in _COMMAND_KEYS:
+        if section not in _COMMANDS:
             raise UsageError(f"unknown config section [{section}]")
-        allowed = set(_COMMAND_KEYS[section])
         body = dict(cp[section])
-        unknown = sorted(set(body) - allowed)
+        unknown = sorted(set(body) - {opt.key for opt in _COMMANDS[section].options})
         if unknown:
             raise UsageError(f"unknown keys in [{section}]: {', '.join(unknown)}")
         out[section] = body
@@ -75,31 +63,15 @@ def parse_config_text(text):
 def serialize_config(cfg):
     """Canonical text form of a parsed config (round-trips through parsing)."""
     lines = ["[config]", f"format_version: {cfg['config']['format_version']}", ""]
-    for section in _COMMAND_KEYS:
+    for section, command in _COMMANDS.items():
         if section not in cfg:
             continue
         lines.append(f"[{section}]")
-        for key in _COMMAND_KEYS[section]:
-            if key in cfg[section]:
-                lines.append(f"{key}: {cfg[section][key]}")
+        for opt in command.options:
+            if opt.key in cfg[section]:
+                lines.append(f"{opt.key}: {cfg[section][opt.key]}")
         lines.append("")
     return "\n".join(lines)
-
-
-def _resolve(args, cfg, command, key, cast, default=None, required=False):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    section = cfg.get(command, {})
-    if key in section:
-        try:
-            return cast(section[key])
-        except ValueError as exc:
-            raise UsageError(f"bad config value {section[key]!r} for [{command}] {key}") from exc
-    if required:
-        raise UsageError(f"missing required option --{key.replace('_', '-')} "
-                         f"(or [{command}] {key} in the config)")
-    return default
 
 
 # ---------------------------------------------------------------------------
@@ -110,35 +82,22 @@ def _random_rotation(rng, n):
     return q * np.sign(np.diag(r))
 
 
-def _random_spd(rng, n, low=0.2, high=3.0):
+def _random_spd(rng, n):
     q = _random_rotation(rng, n)
-    eig = rng.uniform(low, high, n)
+    eig = rng.uniform(0.2, 3.0, n)
     a = (q * eig) @ q.T
     return 0.5 * (a + a.T)
 
 
-def _fd_gradient(f, lam, step=1e-5):
-    out = np.zeros_like(lam)
-    for i in range(lam.shape[1]):
-        e = np.zeros(lam.shape[1])
-        e[i] = step
-        out[:, i] = (f.value(lam + e) - f.value(lam - e)) / (2.0 * step)
-    return out
-
-
-def _fd_hessian(f, lam, step=1e-5):
-    """Central differences of the analytic gradient, symmetrized.
-
-    Differencing the gradient rather than taking second differences of the
-    value keeps the rounding error near eps / step instead of eps / step^2.
-    """
+def _central_differences(fn, lam, step=1e-5):
+    """Central differences of `fn` along each eigenvalue axis, stacked on axis 1."""
     n = lam.shape[1]
-    out = np.zeros((lam.shape[0], n, n))
+    columns = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = step
-        out[:, i, :] = (f.gradient(lam + e) - f.gradient(lam - e)) / (2.0 * step)
-    return 0.5 * (out + out.transpose(0, 2, 1))
+        columns.append((fn(lam + e) - fn(lam - e)) / (2.0 * step))
+    return np.stack(columns, axis=1)
 
 
 def _gap_scales(f, g, lam):
@@ -171,10 +130,13 @@ def _eigenvalue_checks(rows, rng, sample_count, n, f):
 
     fd_n = min(sample_count, 50)
     grad = f.gradient(lam[:fd_n])
-    gerr = np.abs(_fd_gradient(f, lam[:fd_n]) - grad)
+    gerr = np.abs(_central_differences(f.value, lam[:fd_n]) - grad)
     rows.append((f"{tag}_gradient_fd", float((gerr / np.maximum(1.0, np.abs(grad))).max()), 1e-6))
+    # differencing the analytic gradient rather than taking second differences
+    # of the value keeps the rounding error near eps / step, not eps / step^2
+    fd_hess = _central_differences(f.gradient, lam[:fd_n])
     hess = f.hessian(lam[:fd_n])
-    herr = np.abs(_fd_hessian(f, lam[:fd_n]) - hess)
+    herr = np.abs(0.5 * (fd_hess + fd_hess.transpose(0, 2, 1)) - hess)
     rows.append((f"{tag}_hessian_fd", float((herr / np.maximum(1.0, np.abs(hess))).max()), 1e-6))
 
     worst = 0.0
@@ -184,20 +146,14 @@ def _eigenvalue_checks(rows, rng, sample_count, n, f):
             eig = np.sort(rng.uniform(0.2, 3.0, n))
         a = np.diag(eig)
         b = _random_spd(rng, n) - np.diag(rng.uniform(0.0, 1.0, n))
-        b = 0.5 * (b + b.T)
         form = curvfun.matrix_second_form(f, a, b)
         s = 1e-4
-
-        def feval(mat):
-            return f.value(np.linalg.eigvalsh(mat))
-
-        fd = (feval(a + s * b) - 2.0 * feval(a) + feval(a - s * b)) / s ** 2
+        plus, mid, minus = f.value(np.linalg.eigvalsh(np.stack([a + s * b, a, a - s * b])))
+        fd = (plus - 2.0 * mid + minus) / s ** 2
         worst = max(worst, abs(form - fd) / max(1.0, abs(form)))
     rows.append((f"{tag}_second_form_fd", worst, 1e-5))
 
-    worst_basis = 0.0
-    worst_e1 = 0.0
-    worst_e2 = 0.0
+    worst_basis = worst_e1 = worst_e2 = 0.0
     for _ in range(sample_count):
         a = _random_spd(rng, n)
         q = _random_rotation(rng, n)
@@ -218,8 +174,7 @@ def _pair_gap_checks(rows, rng, n):
     convex = curvfun.EuclideanNorm(n)
     concave = curvfun.GeometricMean(n)
     lam = rng.uniform(0.05, 4.0, size=(1000, n))
-    fwd_short = 0.0
-    swp_short = 0.0
+    fwd_short = swp_short = 0.0
     for row in lam:
         g1, g2 = curvfun.pair_sign_gaps(convex, concave, row)
         s1, s2 = _gap_scales(convex, concave, row)
@@ -268,10 +223,9 @@ def _geometry_checks(rows):
     rows.append(("covariant_hessian_constant", float(np.abs(const).max()), 1e-12))
 
     rev = hypersurface.revolution_geometry(hypersurface.spheroid_profile(2.0, 1.0, 257))
-    equator = 128
     exact = hypersurface.ellipsoid_geometry((2.0, 2.0, 1.0), np.pi / 2.0, 0.0)
     rows.append(("spheroid_equator_cross_oracle",
-                 float(np.abs(rev.lam[equator] - exact.lam[0]).max()), 1e-6))
+                 float(np.abs(rev.lam[128] - exact.lam[0]).max()), 1e-6))
     rows.append(("umbilic_sphere_defect",
                  float(np.abs(2.0 * sph_geom.norm_A2 - sph_geom.mean ** 2).max()), 1e-10))
 
@@ -310,19 +264,16 @@ def _spaceform_checks(rows):
 
 
 def _soliton_checks(rows, rng):
-    worst0 = worst1 = 0.0
+    worst = {0.0: 0.0, -1.0: 0.0}
     for n in (2, 3):
         for f in curvfun.builtin_functions(n, include_anisotropy=False):
-            for c, store in ((0.0, 0), (-1.0, 1)):
+            for c in worst:
                 tau = soliton.sphere_tau(f, 1.3, c)
                 samples = spaceform.sample_geodesic_sphere(c, 1.3, n, 64, seed=0)
                 res = float(np.abs(soliton.residual_field(samples, f, tau)).max())
-                if store == 0:
-                    worst0 = max(worst0, res)
-                else:
-                    worst1 = max(worst1, res)
-    rows.append(("sphere_residual_builtins_c0", worst0, 1e-10))
-    rows.append(("sphere_residual_builtins_cm1", worst1, 1e-10))
+                worst[c] = max(worst[c], res)
+    rows.append(("sphere_residual_builtins_c0", worst[0.0], 1e-10))
+    rows.append(("sphere_residual_builtins_cm1", worst[-1.0], 1e-10))
 
     f = curvfun.MeanCurvature(2)
     worst = 0.0
@@ -353,8 +304,7 @@ def _soliton_checks(rows, rng):
     rows.append(("threshold_root_check_low", worst, 1e-12))
 
     geom = hypersurface.curve_geometry(hypersurface.ellipse(2.0, 1.0, 256))
-    f1 = curvfun.MeanCurvature(1)
-    report = soliton.fit_tau(geom, f1)
+    report = soliton.fit_tau(geom, curvfun.MeanCurvature(1))
     res = geom.mean + report.tau_fit * geom.support
     normal_eq = abs(float(geom.weights @ (geom.support * res)))
     rows.append(("fit_tau_normal_equation", normal_eq / max(1.0, float(
@@ -386,50 +336,36 @@ def identity_suite_checks(sample_count, seed):
 
 
 def _suite_csv(rows):
-    buf = io.StringIO()
-    buf.write("name,residual,tolerance,pass\n")
-    for name, residual, tol in rows:
-        ok = residual <= tol
-        buf.write(f"{name},{residual:.12e},{tol:.12e},{str(ok).lower()}\n")
-    return buf.getvalue()
+    lines = [f"{name},{res:.12e},{tol:.12e},{str(res <= tol).lower()}\n" for name, res, tol in rows]
+    return "name,residual,tolerance,pass\n" + "".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_sphere_check(args, cfg, out_dir, seed, allow_positive_c):
-    command = "sphere-check"
-    f_spec = _resolve(args, cfg, command, "f", str, required=True)
-    radius = _resolve(args, cfg, command, "R", float, required=True)
-    c = _resolve(args, cfg, command, "c", float, default=0.0)
-    n = _resolve(args, cfg, command, "n", int, default=2)
-    samples = _resolve(args, cfg, command, "samples", int, default=256)
-    f = curvfun.parse_curvature_function(f_spec, n)
-    tau = soliton.sphere_tau(f, radius, c, allow_positive_c=allow_positive_c)
-    print(f"sphere-check: f={f.name} n={n} R={radius:g} c={c:g}")
+def _cmd_sphere_check(args, out_dir):
+    f = curvfun.parse_curvature_function(args.f, args.n)
+    tau = soliton.sphere_tau(f, args.R, args.c, allow_positive_c=args.allow_positive_c)
+    print(f"sphere-check: f={f.name} n={args.n} R={args.R:g} c={args.c:g}")
     print(f"tau = {tau:.10g}")
-    if c > 0.0:
+    if args.c > 0.0:
         print("residual check skipped: positive ambient curvature is unlocked for "
               "shc/chc and sphere_tau only")
         return 0
-    sphere = spaceform.sample_geodesic_sphere(c, radius, n, samples, seed=seed)
+    sphere = spaceform.sample_geodesic_sphere(args.c, args.R, args.n, args.samples, seed=args.seed)
     residual = float(np.abs(soliton.residual_field(sphere, f, tau)).max())
     ok = residual < 1e-8
-    print(f"max |F + tau Z| over {samples} samples = {residual:.3e}")
+    print(f"max |F + tau Z| over {args.samples} samples = {residual:.3e}")
     print(f"result: {'pass' if ok else 'FAIL'} (tolerance 1e-08)")
     return 0 if ok else 1
 
 
-def _cmd_identity_suite(args, cfg, out_dir, seed):
-    command = "identity-suite"
-    samples = _resolve(args, cfg, command, "samples", int, default=100)
-    csv_name = _resolve(args, cfg, command, "csv", str, default="identity_suite.csv")
-    rows = identity_suite_checks(samples, seed)
-    text = _suite_csv(rows)
-    path = out_dir / csv_name
-    path.write_text(text)
+def _cmd_identity_suite(args, out_dir):
+    rows = identity_suite_checks(args.samples, args.seed)
+    path = out_dir / args.csv
+    path.write_text(_suite_csv(rows))
     failures = [(name, res, tol) for name, res, tol in rows if res > tol]
-    print(f"identity-suite: {len(rows)} checks, seed={seed}, samples={samples}")
+    print(f"identity-suite: {len(rows)} checks, seed={args.seed}, samples={args.samples}")
     print(f"wrote {path}")
     if failures:
         print(f"{len(failures)} FAILING checks:")
@@ -460,62 +396,43 @@ def _build_surface(spec, grid):
                      f"sphere | spheroid | profile")
 
 
-def _cmd_flow(args, cfg, out_dir, seed):
-    command = "flow"
-    surface_spec = _resolve(args, cfg, command, "surface", str, required=True)
-    f_spec = _resolve(args, cfg, command, "f", str, required=True)
-    rescale = _resolve(args, cfg, command, "rescale", str, default="none")
-    dt_safety = _resolve(args, cfg, command, "dt_safety", float, default=0.4)
-    grid = _resolve(args, cfg, command, "grid", int, default=256)
-    trace_name = _resolve(args, cfg, command, "trace", str, default="flow_trace.csv")
-    snapshot_name = _resolve(args, cfg, command, "snapshot", str, default="flow_final.json")
-
-    surface = _build_surface(surface_spec, grid)
-    f = curvfun.parse_curvature_function(f_spec, surface.dim)
-    stop = flow.StopRule(
-        t_max=_resolve(args, cfg, command, "t_max", float),
-        r_tol=_resolve(args, cfg, command, "r_tol", float),
-        curvature_cap=_resolve(args, cfg, command, "curvature_cap", float),
-        min_scale_fraction=_resolve(args, cfg, command, "min_scale_fraction", float),
-    )
-    config = flow.FlowConfig(f=f, stop=stop, dt_safety=dt_safety, rescale_mode=rescale)
+def _cmd_flow(args, out_dir):
+    surface = _build_surface(args.surface, args.grid)
+    f = curvfun.parse_curvature_function(args.f, surface.dim)
+    stop = flow.StopRule(t_max=args.t_max, r_tol=args.r_tol, curvature_cap=args.curvature_cap,
+                         min_scale_fraction=args.min_scale_fraction)
+    config = flow.FlowConfig(f=f, stop=stop, dt_safety=args.dt_safety,
+                             rescale_mode=args.rescale)
 
     trace = flow.run(config, surface)
-    trace_path = out_dir / trace_name
+    trace_path = out_dir / args.trace
     trace_path.write_text(trace.to_csv())
 
     last = trace.final
-    print(f"flow: surface='{surface_spec}' f={f.name} rescale={rescale} grid={grid}")
+    print(f"flow: surface='{args.surface}' f={f.name} rescale={args.rescale} grid={args.grid}")
     print(f"steps={len(trace.rows) - 1} t_final={last.t:.6g} stop={trace.stop_reason}")
     print(f"final r_max={last.r_max:.8g} F_aniso_max={last.aniso_max:.4e} "
           f"rel_residual={last.rel_residual:.4e}")
     print(f"wrote {trace_path}")
-    snapshot_path = out_dir / snapshot_name
+    snapshot_path = out_dir / args.snapshot
     hypersurface.save_surface(trace.final_surface, snapshot_path,
-                              metadata={"seed": seed, "f": f.name,
+                              metadata={"seed": args.seed, "f": f.name,
                                         "stop_reason": trace.stop_reason,
                                         "t_final": last.t})
     print(f"wrote {snapshot_path}")
     return 1 if trace.aborted else 0
 
 
-def _cmd_sweep_pinching(args, cfg, out_dir, seed):
-    command = "sweep-pinching"
-    m_start = _resolve(args, cfg, command, "m_start", float, required=True)
-    m_stop = _resolve(args, cfg, command, "m_stop", float, required=True)
-    count = _resolve(args, cfg, command, "count", int, default=50)
-    n = _resolve(args, cfg, command, "n", int, default=2)
-    classification = _resolve(args, cfg, command, "classification", str, default="neither")
-    csv_name = _resolve(args, cfg, command, "csv", str, default="sweep_pinching.csv")
-    if m_start > m_stop:
+def _cmd_sweep_pinching(args, out_dir):
+    if args.m_start > args.m_stop:
         raise UsageError("m_start must not exceed m_stop")
-    if m_start <= 0.0 <= m_stop:
+    if args.m_start <= 0.0 <= args.m_stop:
         raise UsageError("the degree range must exclude 0 (m = 0 is outside the "
                          "classification)")
     lines = ["m,branch,threshold,quad_residual,monotone_ok"]
     prev_high = None
-    for m in np.linspace(m_start, m_stop, count):
-        row = soliton.sweep_row(float(m), n, classification)
+    for m in np.linspace(args.m_start, args.m_stop, args.count):
+        row = soliton.sweep_row(float(m), args.n, args.classification)
         threshold = row["threshold"]
         monotone = ""
         if threshold is not None and row["m"] > 1.0:
@@ -524,34 +441,28 @@ def _cmd_sweep_pinching(args, cfg, out_dir, seed):
         thr_text = "" if threshold is None else f"{threshold:.17g}"
         lines.append(f"{row['m']:.17g},{row['branch']},{thr_text},"
                      f"{row['quad_residual']:.12e},{monotone}")
-    path = out_dir / csv_name
+    path = out_dir / args.csv
     path.write_text("\n".join(lines) + "\n")
-    print(f"sweep-pinching: {count} degrees in [{m_start:g}, {m_stop:g}], n={n}, "
-          f"classification={classification}")
+    print(f"sweep-pinching: {args.count} degrees in [{args.m_start:g}, {args.m_stop:g}], "
+          f"n={args.n}, classification={args.classification}")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_soliton_fit(args, cfg, out_dir, seed):
-    command = "soliton-fit"
-    snapshot = _resolve(args, cfg, command, "snapshot", str, required=True)
-    f_spec = _resolve(args, cfg, command, "f", str, required=True)
-    grid = _resolve(args, cfg, command, "grid", int, default=256)
-    classify_samples = _resolve(args, cfg, command, "classify_samples", int, default=200)
-    json_name = _resolve(args, cfg, command, "json", str, default="soliton_fit.json")
-    base_spec = _resolve(args, cfg, command, "base_point", str)
-
-    surface = hypersurface.load_surface(snapshot)
+def _cmd_soliton_fit(args, out_dir):
+    surface = hypersurface.load_surface(args.snapshot)
     base_point = None
-    if base_spec is not None:
-        coords = [float(tok) for tok in base_spec.split()]
-        base_point = coords if len(coords) > 1 else coords[0]
-    geom = hypersurface.extract_geometry(surface, base_point=base_point, grid_size=grid)
-    f = curvfun.parse_curvature_function(f_spec, geom.dim)
+    if args.base_point is not None:
+        coords = [float(tok) for tok in args.base_point.split()]
+        if not coords:
+            raise UsageError(f"--base-point needs {_BASE_POINT_FORMS}")
+        base_point = coords[0] if len(coords) == 1 else coords
+    geom = hypersurface.extract_geometry(surface, base_point=base_point, grid_size=args.grid)
+    f = curvfun.parse_curvature_function(args.f, geom.dim)
     mon = flow.monitors(geom, f)
     report = mon.soliton
-    rng = np.random.default_rng(seed)
-    verdict_samples = rng.uniform(0.2, 3.0, size=(classify_samples, geom.dim))
+    rng = np.random.default_rng(args.seed)
+    verdict_samples = rng.uniform(0.2, 3.0, size=(args.classify_samples, geom.dim))
     classification = curvfun.convexity_classify(f, list(verdict_samples))
     verdict = soliton.admissibility(geom.dim, f, classification, mon.r_max)
 
@@ -565,18 +476,107 @@ def _cmd_soliton_fit(args, cfg, out_dir, seed):
         "admissible": verdict.admissible,
         "covered_by": list(verdict.covered_by),
         "threshold_2iii": verdict.threshold_2iii,
-        "metadata": {"seed": seed, "f": f.name, "snapshot": str(snapshot),
+        "metadata": {"seed": args.seed, "f": f.name, "snapshot": str(args.snapshot),
                      "sample_count": report.sample_count,
                      "classification": verdict.f_classification,
                      "r_max_observed": verdict.r_max_observed},
     }
-    path = out_dir / json_name
+    path = out_dir / args.json
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"soliton-fit: f={f.name} snapshot={snapshot}")
+    print(f"soliton-fit: f={f.name} snapshot={args.snapshot}")
     print(f"tau_fit={report.tau_fit:.10g} relative_residual={report.relative_residual:.4e} "
           f"admissible={verdict.admissible}")
     print(f"wrote {path}")
     return 0
+
+
+# ---------------------------------------------------------------------------
+# the command table: parser, config allowlist and key order, defaults, dispatch
+
+_REQUIRED = object()     # the default of an option that must be given
+_BASE_POINT_FORMS = "'x' on the axis for rotation surfaces, 'x y' for curves"
+
+
+class _Option(NamedTuple):
+    key: str            # config key; the flag is --key with '_' as '-'
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: object     # handler(args, out_dir) -> exit code
+    options: tuple      # _Option entries in flag order
+
+
+_COMMANDS = {
+    "sphere-check": _Command("closed-form tau and sphere residual", _cmd_sphere_check, (
+        _Option("f", str, _REQUIRED),
+        _Option("R", float, _REQUIRED),
+        _Option("c", float, 0.0),
+        _Option("n", int, 2),
+        _Option("samples", int, 256),
+    )),
+    "identity-suite": _Command("run every identity/residual check", _cmd_identity_suite, (
+        _Option("samples", int, 100),
+        _Option("csv", str, "identity_suite.csv"),
+    )),
+    "flow": _Command("integrate a curvature flow", _cmd_flow, (
+        _Option("surface", str, _REQUIRED),
+        _Option("f", str, _REQUIRED),
+        _Option("rescale", str, "none", choices=("none", "fixed-scale")),
+        _Option("dt_safety", float, 0.4),
+        _Option("grid", int, 256),
+        _Option("t_max", float),
+        _Option("r_tol", float),
+        _Option("curvature_cap", float),
+        _Option("min_scale_fraction", float),
+        _Option("trace", str, "flow_trace.csv"),
+        _Option("snapshot", str, "flow_final.json"),
+    )),
+    "sweep-pinching": _Command("pinching thresholds over a degree range", _cmd_sweep_pinching, (
+        _Option("m_start", float, _REQUIRED),
+        _Option("m_stop", float, _REQUIRED),
+        _Option("count", int, 50),
+        _Option("n", int, 2),
+        _Option("classification", str, "neither", choices=("convex", "concave", "neither")),
+        _Option("csv", str, "sweep_pinching.csv"),
+    )),
+    "soliton-fit": _Command("fit tau on a surface snapshot", _cmd_soliton_fit, (
+        _Option("snapshot", str, _REQUIRED),
+        _Option("f", str, _REQUIRED),
+        _Option("grid", int, 256),
+        _Option("classify_samples", int, 200),
+        _Option("json", str, "soliton_fit.json"),
+        _Option("base_point", str,
+                help=f"override the support base point: {_BASE_POINT_FORMS}"),
+    )),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _fill_options(args, cfg):
+    """Set each option of the command that no flag set: the config value, else the default."""
+    section = cfg.get(args.command, {})
+    for opt in _COMMANDS[args.command].options:
+        if getattr(args, opt.key) is not None:
+            continue
+        if opt.key in section:
+            try:
+                setattr(args, opt.key, opt.type(section[opt.key]))
+            except ValueError as exc:
+                raise UsageError(f"bad config value {section[opt.key]!r} "
+                                 f"for [{args.command}] {opt.key}") from exc
+        elif opt.default is _REQUIRED:
+            raise UsageError(f"missing required option {_flag(opt.key)} "
+                             f"(or [{args.command}] {opt.key} in the config)")
+        else:
+            setattr(args, opt.key, opt.default)
 
 
 # ---------------------------------------------------------------------------
@@ -593,49 +593,10 @@ def _build_parser():
     parser.add_argument("--allow-positive-c", action="store_true",
                         help="unlock c > 0 for shc/chc and sphere_tau only")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sphere-check", help="closed-form tau and sphere residual")
-    p.add_argument("--f", type=str)
-    p.add_argument("--R", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("identity-suite", help="run every identity/residual check")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--csv", type=str)
-
-    p = sub.add_parser("flow", help="integrate a curvature flow")
-    p.add_argument("--surface", type=str)
-    p.add_argument("--f", type=str)
-    p.add_argument("--rescale", type=str, choices=("none", "fixed-scale"))
-    p.add_argument("--dt-safety", dest="dt_safety", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--r-tol", dest="r_tol", type=float)
-    p.add_argument("--curvature-cap", dest="curvature_cap", type=float)
-    p.add_argument("--min-scale-fraction", dest="min_scale_fraction", type=float)
-    p.add_argument("--trace", type=str)
-    p.add_argument("--snapshot", type=str)
-
-    p = sub.add_parser("sweep-pinching", help="pinching thresholds over a degree range")
-    p.add_argument("--m-start", dest="m_start", type=float)
-    p.add_argument("--m-stop", dest="m_stop", type=float)
-    p.add_argument("--count", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--classification", type=str, choices=("convex", "concave", "neither"))
-    p.add_argument("--csv", type=str)
-
-    p = sub.add_parser("soliton-fit", help="fit tau on a surface snapshot")
-    p.add_argument("--snapshot", type=str)
-    p.add_argument("--f", type=str)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--classify-samples", dest="classify_samples", type=int)
-    p.add_argument("--json", type=str)
-    p.add_argument("--base-point", dest="base_point", type=str,
-                   help="override the support base point: 'x' on the axis for "
-                        "rotation surfaces, 'x y' for curves")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            p.add_argument(_flag(opt.key), type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -648,16 +609,8 @@ def main(argv=None):
             cfg = parse_config_text(Path(args.config).read_text())
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "sphere-check":
-            return _cmd_sphere_check(args, cfg, out_dir, args.seed, args.allow_positive_c)
-        if args.command == "identity-suite":
-            return _cmd_identity_suite(args, cfg, out_dir, args.seed)
-        if args.command == "flow":
-            return _cmd_flow(args, cfg, out_dir, args.seed)
-        if args.command == "sweep-pinching":
-            return _cmd_sweep_pinching(args, cfg, out_dir, args.seed)
-        if args.command == "soliton-fit":
-            return _cmd_soliton_fit(args, cfg, out_dir, args.seed)
+        _fill_options(args, cfg)
+        return _COMMANDS[args.command].handler(args, out_dir)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,15 +62,12 @@ class FlowConfig:
     stop: StopRule
     dt_safety: float = 0.4
     rescale_mode: str = "none"        # none | fixed-scale
-    c: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
         if self.rescale_mode not in ("none", "fixed-scale"):
             raise ValueError(f"unknown rescale_mode {self.rescale_mode!r}")
-        if self.c != 0.0:
-            raise ValueError("flows are integrated in flat ambient space only (c = 0)")
 
 
 @dataclass(frozen=True)

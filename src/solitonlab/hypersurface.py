@@ -25,6 +25,7 @@ the same members: `dim`, `geometry`, `moved`, `resampled`, `scaled`,
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,7 +285,6 @@ class ShapeData:
     lam: np.ndarray          # (M, n) principal curvatures, ascending
     mean: np.ndarray         # (M,) trace of the Weingarten map
     norm_A2: np.ndarray      # (M,) sum of squared principal curvatures
-    shape_sq: np.ndarray     # (M, n, n) components of h_i^k h_kj
     support: np.ndarray      # (M,) support value about the base point
     weights: np.ndarray      # (M,) measure weights (arclength / area elements)
 
@@ -293,10 +293,36 @@ class ShapeData:
         return float(self.weights.sum())
 
 
+def _plane_base(base_point):
+    """A plane curve's base point as an array of shape (2,); the origin by default."""
+    if base_point is None:
+        return np.zeros(2)
+    base = np.asarray(base_point, dtype=float)
+    if base.shape != (2,):
+        raise GeometryError(f"a plane curve's base point is a pair (x, y), got {base_point!r}")
+    return base
+
+
+def _axis_base(base_point):
+    """A rotation surface's base point as its x on the axis; 0 by default."""
+    if base_point is None:
+        return 0.0
+    if not isinstance(base_point, numbers.Real):
+        raise GeometryError(f"a rotation surface's base point is one real number (its x "
+                            f"on the axis), got {base_point!r}")
+    return float(base_point)
+
+
 def _require_interior_base(support, what):
     if np.any(support >= 0.0):
         raise GeometryError(f"{what}: base point is not strictly inside the surface "
                             "(support values must be negative with inward normals)")
+
+
+def _curve_velocity(points):
+    """Grid step and 4th-order periodic derivatives (x', y') of a curve grid."""
+    h = 2.0 * np.pi / points.shape[0]
+    return h, _fd.periodic_d1(points[:, 0], h), _fd.periodic_d1(points[:, 1], h)
 
 
 def curve_geometry(curve, base_point=None):
@@ -304,17 +330,13 @@ def curve_geometry(curve, base_point=None):
 
     Tangent, normal, and curvature come from 4th-order periodic differences;
     the normal is oriented inward and the signed curvature is positive for
-    convex curves.  The support value uses the origin unless `base_point`
-    overrides it.
+    convex curves.  The support value uses the origin unless `base_point`, a
+    pair (x, y), overrides it.
     """
-    if not isinstance(curve, PlaneCurve):
-        raise GeometryError(f"curve_geometry expects a PlaneCurve, got {type(curve).__name__}")
     pts = curve.points
     m = pts.shape[0]
-    h = 2.0 * np.pi / m
+    h, xp, yp = _curve_velocity(pts)
     x, y = pts[:, 0], pts[:, 1]
-    xp = _fd.periodic_d1(x, h)
-    yp = _fd.periodic_d1(y, h)
     w2 = xp * xp + yp * yp
     if np.any(w2 <= 0.0):
         raise GeometryError("degenerate parametrization (zero speed)")
@@ -340,8 +362,7 @@ def curve_geometry(curve, base_point=None):
     if abs(turning_number - 1.0) > 1e-6:
         raise GeometryError(f"curve is not simple: turning number {turning_number:.6f} != 1")
 
-    base = np.zeros(2) if base_point is None else np.asarray(base_point, dtype=float)
-    rel = pts - base
+    rel = pts - _plane_base(base_point)
     support = np.einsum("ij,ij->i", rel, normal)
     rho = np.linalg.norm(rel, axis=1)
     if np.any(rho < 1e-12 * max(1.0, float(np.abs(pts).max()))):
@@ -351,12 +372,10 @@ def curve_geometry(curve, base_point=None):
     second = (k * w2).reshape(m, 1, 1)
     weingarten = k.reshape(m, 1, 1)
     lam = k.reshape(m, 1)
-    shape_sq = (k * k * w2).reshape(m, 1, 1)
     return ShapeData(
         dim=1, position=pts.copy(), normal=normal,
         metric=metric, second_form=second, weingarten=weingarten, lam=lam,
-        mean=k.copy(), norm_A2=k * k, shape_sq=shape_sq, support=support,
-        weights=w * h,
+        mean=k.copy(), norm_A2=k * k, support=support, weights=w * h,
     )
 
 
@@ -379,7 +398,7 @@ class _MeridianFields:
     lam_m: np.ndarray        # meridian principal curvature
     lam_p: np.ndarray        # parallel principal curvature
     support: np.ndarray      # Z about the base point
-    rel_x: np.ndarray        # x - base_x
+    rel_x: np.ndarray        # x minus the base point's x
 
     def d1(self, f):
         return _fd.reflected_d1(f, self.du, +1)
@@ -396,7 +415,7 @@ class _MeridianFields:
         return self.lam_p * self.G
 
 
-def _meridian_from_profile(profile, base_x=0.0):
+def _meridian_from_profile(profile, base_point=None):
     prof = profile.profile
     m = prof.shape[0]
     du = 1.0 / (m - 1)
@@ -439,14 +458,14 @@ def _meridian_from_profile(profile, base_x=0.0):
     lam_p[0] = lam_m[0]          # regular pole limit
     lam_p[-1] = lam_m[-1]
 
-    rel_x = x - base_x
+    rel_x = x - _axis_base(base_point)
     support = rel_x * nu[:, 0] + y * nu[:, 1]
     return _MeridianFields(du=du, x=x, y=y, xp=xp, yp=yp, w=w, nu=nu,
                            E=w2, G=y * y, lam_m=lam_m, lam_p=lam_p,
                            support=support, rel_x=rel_x)
 
 
-def _meridian_from_spheroid(equatorial, polar, grid_size, base_x=0.0):
+def _meridian_from_spheroid(equatorial, polar, grid_size, base_point=None):
     a, c = float(equatorial), float(polar)
     m = int(grid_size)
     if m < 16:
@@ -461,16 +480,16 @@ def _meridian_from_spheroid(equatorial, polar, grid_size, base_x=0.0):
     nu = np.column_stack([yp, -xp]) / w[:, None]
     lam_m = a * c / w ** 3
     lam_p = c / (a * w)
-    rel_x = x - base_x
+    rel_x = x - _axis_base(base_point)
     support = rel_x * nu[:, 0] + y * nu[:, 1]
     return _MeridianFields(du=du, x=x, y=y, xp=xp, yp=yp, w=w, nu=nu,
                            E=w * w, G=y * y, lam_m=lam_m, lam_p=lam_p,
                            support=support, rel_x=rel_x)
 
 
-def _meridian_fields(surface, grid_size=None, base_x=0.0):
+def _meridian_fields(surface, grid_size=None, base_point=None):
     if isinstance(surface, RevolutionProfile):
-        return _meridian_from_profile(surface, base_x)
+        return _meridian_from_profile(surface, base_point)
     if isinstance(surface, Ellipsoid):
         if surface.dim != 2:
             raise GeometryError("meridian grid operations need a 2-dimensional surface")
@@ -481,7 +500,7 @@ def _meridian_fields(surface, grid_size=None, base_x=0.0):
         if grid_size is None:
             raise GeometryError("analytic ellipsoid grid operations need grid_size")
         a, _, c = surface.semi_axes
-        return _meridian_from_spheroid(a, c, grid_size, base_x)
+        return _meridian_from_spheroid(a, c, grid_size, base_point)
     raise GeometryError(f"unsupported surface type {type(surface).__name__} for grid operations")
 
 
@@ -505,7 +524,6 @@ def _meridian_shape_data(f):
         dim=2, position=pos, normal=nrm, metric=_diagonal(f.E, f.G),
         second_form=_diagonal(f.h_ss, f.h_pp), weingarten=_diagonal(f.lam_m, f.lam_p),
         lam=lam, mean=f.lam_m + f.lam_p, norm_A2=f.lam_m ** 2 + f.lam_p ** 2,
-        shape_sq=_diagonal(f.lam_m ** 2 * f.E, f.lam_p ** 2 * f.G),
         support=f.support, weights=weights,
     )
 
@@ -518,11 +536,7 @@ def revolution_geometry(profile, base_point=None):
     (equal to the meridian value) at the two poles.  `base_point`, when given,
     must lie on the rotation axis (a single x-coordinate).
     """
-    if not isinstance(profile, RevolutionProfile):
-        raise GeometryError(f"revolution_geometry expects a RevolutionProfile, "
-                            f"got {type(profile).__name__}")
-    base_x = 0.0 if base_point is None else float(base_point)
-    f = _meridian_from_profile(profile, base_x)
+    f = _meridian_from_profile(profile, base_point)
     bad = np.nonzero((f.lam_m <= 0.0) | (f.lam_p <= 0.0))[0]
     if bad.size:
         raise NonConvexSurfaceError("rotation surface is not convex", int(bad[0]))
@@ -531,8 +545,7 @@ def revolution_geometry(profile, base_point=None):
 
 def spheroid_meridian_geometry(equatorial, polar, grid_size=256, base_point=None):
     """Closed-form `ShapeData` on a meridian grid of an axisymmetric ellipsoid."""
-    base_x = 0.0 if base_point is None else float(base_point)
-    return _meridian_shape_data(_meridian_from_spheroid(equatorial, polar, grid_size, base_x))
+    return _meridian_shape_data(_meridian_from_spheroid(equatorial, polar, grid_size, base_point))
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +574,7 @@ def ellipsoid_geometry(semi_axes, u, v=None):
             position=pos[None, :], normal=nu[None, :],
             metric=np.array([[[speed2]]]), second_form=np.array([[[k * speed2]]]),
             weingarten=np.array([[[k]]]), lam=np.array([[k]]),
-            mean=np.array([k]), norm_A2=np.array([k * k]),
-            shape_sq=np.array([[[k * k * speed2]]]), support=np.array([support]),
+            mean=np.array([k]), norm_A2=np.array([k * k]), support=np.array([support]),
             weights=np.array([math.sqrt(speed2)]),
         )
 
@@ -585,16 +597,13 @@ def ellipsoid_geometry(semi_axes, u, v=None):
     h = np.array([[xuu @ nu, xuv @ nu], [xuv @ nu, xvv @ nu]])
     lam = scipy.linalg.eigh(h, g, eigvals_only=True)
     weingarten = np.linalg.solve(g, h)
-    ginv = np.linalg.inv(g)
-    shape_sq = h @ ginv @ h
     return ShapeData(
         dim=2,
         position=pos[None, :], normal=nu[None, :],
         metric=g[None, :, :], second_form=h[None, :, :],
         weingarten=weingarten[None, :, :], lam=lam[None, :],
         mean=np.array([float(np.trace(weingarten))]),
-        norm_A2=np.array([float(np.sum(lam * lam))]),
-        shape_sq=shape_sq[None, :, :], support=np.array([float(pos @ nu)]),
+        norm_A2=np.array([float(np.sum(lam * lam))]), support=np.array([float(pos @ nu)]),
         weights=np.array([math.sqrt(np.linalg.det(g))]),
     )
 
@@ -615,10 +624,7 @@ def covariant_hessian(surface, phi, grid_size=None):
         m = surface.grid_size
         if phi.shape != (m,):
             raise GeometryError(f"field shape {phi.shape} does not match grid ({m},)")
-        h = 2.0 * np.pi / m
-        x, y = surface.points[:, 0], surface.points[:, 1]
-        xp = _fd.periodic_d1(x, h)
-        yp = _fd.periodic_d1(y, h)
+        h, xp, yp = _curve_velocity(surface.points)
         e = xp * xp + yp * yp
         ep = _fd.periodic_d1(e, h)
         pp = _fd.periodic_d1(phi, h)
@@ -671,7 +677,7 @@ def codazzi_residual(surface, grid_size=None):
     return float(defect.max())
 
 
-def support_hessian_residual(surface, c=0.0, grid_size=None, base_point=None):
+def support_hessian_residual(surface, grid_size=None, base_point=None):
     """Max defect of the support-value Hessian identity (flat ambient).
 
     Checks nabla_i nabla_j Z = -h_ij - <X^T, nabla h_ij> - Z (A^2)_ij
@@ -679,29 +685,22 @@ def support_hessian_residual(surface, c=0.0, grid_size=None, base_point=None):
     nabla h from 4th-order differences.  The base point must be strictly
     inside the surface.
     """
-    if c != 0.0:
-        raise ValueError("the support-Hessian residual is implemented for c = 0 only; "
-                         "curved ambients are checked on geodesic spheres analytically")
     if isinstance(surface, PlaneCurve):
         geom = curve_geometry(surface, base_point=base_point)
         _require_interior_base(geom.support, "support_hessian_residual")
-        m = surface.grid_size
-        h = 2.0 * np.pi / m
+        h, xp, yp = _curve_velocity(surface.points)
         e = geom.metric[:, 0, 0]
         ep = _fd.periodic_d1(e, h)
         z = geom.support
         hess_z = _fd.periodic_d2(z, h) - ep / (2.0 * e) * _fd.periodic_d1(z, h)
         h11 = geom.second_form[:, 0, 0]
         nab_h = _fd.periodic_d1(h11, h) - (ep / e) * h11
-        rel = geom.position - (np.zeros(2) if base_point is None else np.asarray(base_point))
-        tang = np.einsum("ij,ij->i", rel,
-                         np.column_stack([_fd.periodic_d1(geom.position[:, 0], h),
-                                          _fd.periodic_d1(geom.position[:, 1], h)])) / e
-        res = hess_z + h11 + tang * nab_h + z * geom.shape_sq[:, 0, 0]
+        rel = geom.position - _plane_base(base_point)
+        tang = np.einsum("ij,ij->i", rel, np.column_stack([xp, yp])) / e
+        res = hess_z + h11 + tang * nab_h + z * (geom.lam[:, 0] ** 2 * e)
         return float(np.abs(res).max())
 
-    base_x = 0.0 if base_point is None else float(base_point)
-    f = _meridian_fields(surface, grid_size, base_x)
+    f = _meridian_fields(surface, grid_size, base_point)
     _require_interior_base(f.support, "support_hessian_residual")
     nab_s_ss, nab_s_pp, _, ep, gp = _meridian_nabla_h(f)
     z = f.support

@@ -155,19 +155,12 @@ def threshold_low(m):
 _CLASSIFICATIONS = ("convex", "concave", "neither")
 
 
-def admissibility(n, f, classification, r_max):
-    """Evaluate the umbilical-sphere classification branches.
+def _coverage(n, m, label):
+    """The branches covering degree m at every pinching ratio, and the 2(iii) threshold.
 
-    Branches: 2(i) degree >= 1 with convex or concave f; 2(ii) degree < 0
-    with convex or concave f; 2(iii) n = 2 with degree 1, degree in [-7, 0),
-    or a pinching bound r_max <= threshold for degree > 1 / < -7.
+    2(i) m >= 1 and 2(ii) m < 0, each with convex or concave f; 2(iii) for n = 2
+    at m = 1 or m in [-7, 0), and at m > 1 / m < -7 up to the returned threshold.
     """
-    label = getattr(classification, "label", classification)
-    if label not in _CLASSIFICATIONS:
-        raise ValueError(f"classification must be one of {_CLASSIFICATIONS}, got {label!r}")
-    if r_max < 1.0:
-        raise ValueError("r_max must be >= 1")
-    m = f.degree
     if m == 0.0:
         raise ValueError("degree m = 0 is outside the classification (m must be nonzero)")
     shaped = label in ("convex", "concave")
@@ -178,14 +171,26 @@ def admissibility(n, f, classification, r_max):
         covered.append("2(ii)")
     threshold = None
     if n == 2:
-        if m > 1.0:
+        if m == 1.0 or -7.0 <= m < 0.0:
+            covered.append("2(iii)")
+        elif m > 1.0:
             threshold = threshold_high(m)
         elif m < -7.0:
             threshold = threshold_low(m)
-        in_iii = (m == 1.0 or (-7.0 <= m < 0.0)
-                  or (threshold is not None and r_max <= threshold))
-        if in_iii:
-            covered.append("2(iii)")
+    return covered, threshold
+
+
+def admissibility(n, f, classification, r_max):
+    """Evaluate the umbilical-sphere classification branches (see `_coverage`)."""
+    label = getattr(classification, "label", classification)
+    if label not in _CLASSIFICATIONS:
+        raise ValueError(f"classification must be one of {_CLASSIFICATIONS}, got {label!r}")
+    if r_max < 1.0:
+        raise ValueError("r_max must be >= 1")
+    m = f.degree
+    covered, threshold = _coverage(n, m, label)
+    if threshold is not None and r_max <= threshold:
+        covered.append("2(iii)")
     return PinchingVerdict(
         n=n, m=m, f_classification=label, r_max_observed=float(r_max),
         covered_by=tuple(covered), threshold_2iii=threshold,
@@ -199,26 +204,12 @@ def sweep_row(m, n=2, classification="neither"):
     The `quad_residual` cross-validates the closed-form threshold against the
     binding quadratic: at the threshold ratio the gating quadratic must vanish.
     """
-    if m == 0.0:
-        raise ValueError("degree m = 0 is outside the classification (m must be nonzero)")
     if classification not in _CLASSIFICATIONS:
         raise ValueError(f"classification must be one of {_CLASSIFICATIONS}")
-    shaped = classification in ("convex", "concave")
-    unconditional = (shaped and (m >= 1.0 or m < 0.0)) or \
-                    (n == 2 and (m == 1.0 or -7.0 <= m < 0.0))
-    threshold = None
+    covered, threshold = _coverage(n, m, classification)
     quad_residual = 0.0
-    if n == 2 and m > 1.0:
-        threshold = threshold_high(m)
-        quad_residual = abs(pinching_quadratics(m, threshold)[1])
-    elif n == 2 and m < -7.0:
-        threshold = threshold_low(m)
-        quad_residual = abs(pinching_quadratics(m, threshold)[0])
-    if unconditional:
-        branch = "unconditional"
-    elif threshold is not None:
-        branch = "threshold"
-    else:
-        branch = "uncovered"
+    if threshold is not None:
+        quad_residual = abs(pinching_quadratics(m, threshold)[1 if m > 1.0 else 0])
+    branch = "unconditional" if covered else "uncovered" if threshold is None else "threshold"
     return {"m": m, "branch": branch, "threshold": threshold,
             "quad_residual": quad_residual}

@@ -271,3 +271,82 @@ def test_config_rejections(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(bad_key)
     assert main(["--config", str(path), "--out", str(tmp_path), "flow"]) == 2
+
+
+def test_soliton_fit_base_point_misuse_is_usage_error(tmp_path, capsys):
+    curve, rotation = tmp_path / "curve.json", tmp_path / "rotation.json"
+    hypersurface.save_surface(hypersurface.ellipse(2.0, 1.0, 64), curve)
+    hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), rotation)
+    cases = ((curve, "0.3", "pair (x, y)"), (rotation, "0.3 0.1", "one real number"),
+             (curve, "", "--base-point needs"), (rotation, " ", "--base-point needs"))
+    for snap, spec, message in cases:
+        code = main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
+                     "--f", "H", "--base-point", spec])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+def _sample_values(opt, pick):
+    """A valid command-line text for an option; `pick` selects among variants."""
+    if opt.choices:
+        return opt.choices[pick % len(opt.choices)]
+    return {int: ("7", "9"), float: ("1.5", "2.25"), str: ("alpha beta", "gamma")}[opt.type][pick]
+
+
+def _flags(name, pick):
+    argv = [name]
+    for opt in cli._COMMANDS[name].options:
+        argv += [cli._flag(opt.key), _sample_values(opt, pick)]
+    return argv
+
+
+def _config_text(names, pick):
+    lines = ["[config]", "format_version: 1", ""]
+    for name in names:
+        lines.append(f"[{name}]")
+        lines += [f"{opt.key}: {_sample_values(opt, pick)}" for opt in cli._COMMANDS[name].options]
+        lines.append("")
+    return "\n".join(lines)
+
+
+def _filled(argv, cfg):
+    args = cli._build_parser().parse_args(argv)
+    cli._fill_options(args, cfg)
+    return {opt.key: getattr(args, opt.key) for opt in cli._COMMANDS[args.command].options}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_config_value_and_flag_resolve_equal(name):
+    from_flags = _filled(_flags(name, 0), {})
+    from_config = _filled([name], parse_config_text(_config_text([name], 0)))
+    assert from_config == from_flags
+    assert all(value is not None for value in from_flags.values())
+    # a flag wins over the config
+    both = _filled(_flags(name, 1), parse_config_text(_config_text([name], 0)))
+    assert both == _filled(_flags(name, 1), {})
+    assert both != from_config
+
+
+def test_an_option_left_unset_takes_its_default_or_is_refused():
+    for name, command in cli._COMMANDS.items():
+        for opt in command.options:
+            cfg = parse_config_text(_config_text([name], 0))
+            del cfg[name][opt.key]
+            if opt.default is cli._REQUIRED:
+                with pytest.raises(cli.UsageError,
+                                   match=f"missing required option {cli._flag(opt.key)} "):
+                    _filled([name], cfg)
+            else:
+                assert _filled([name], cfg)[opt.key] == opt.default
+
+
+def test_serialize_config_round_trips_every_key():
+    text = _config_text(list(cli._COMMANDS), 0)
+    cfg = parse_config_text(text)
+    assert sum(len(cfg[name]) for name in cli._COMMANDS) == sum(
+        len(command.options) for command in cli._COMMANDS.values())
+    assert serialize_config(cfg) == text
+    assert parse_config_text(serialize_config(cfg)) == cfg

@@ -22,8 +22,6 @@ def test_config_validation():
         FlowConfig(f=H1, stop=stop, dt_safety=0.0)
     with pytest.raises(ValueError, match="rescale_mode"):
         FlowConfig(f=H1, stop=stop, rescale_mode="both")
-    with pytest.raises(ValueError, match="flat ambient"):
-        FlowConfig(f=H1, stop=stop, c=-1.0)
     with pytest.raises(ValueError, match="at least one"):
         StopRule()
 

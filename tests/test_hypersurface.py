@@ -278,9 +278,27 @@ def test_support_hessian_base_outside_rejected():
         support_hessian_residual(circle(1.0, 128), base_point=(5.0, 0.0))
 
 
-def test_support_hessian_curved_ambient_rejected():
-    with pytest.raises(ValueError, match="c = 0"):
-        support_hessian_residual(circle(1.0, 128), c=-1.0)
+def test_curve_base_point_must_be_a_pair():
+    curve = ellipse(2.0, 1.0, 64)
+    assert curve_geometry(curve, base_point=(0.3, 0.1)).support.shape == (64,)
+    for bad in (0.3, [0.3], (0.3, 0.1, 0.0), [], [[0.3, 0.1]]):
+        with pytest.raises(GeometryError, match=r"pair \(x, y\)"):
+            curve_geometry(curve, base_point=bad)
+        with pytest.raises(GeometryError, match=r"pair \(x, y\)"):
+            support_hessian_residual(curve, base_point=bad)
+
+
+def test_rotation_base_point_must_be_one_number():
+    profile = spheroid_profile(1.0, 1.3, 64)
+    shifted = revolution_geometry(profile, base_point=np.float64(0.1))
+    assert np.array_equal(shifted.support, revolution_geometry(profile, base_point=0.1).support)
+    for bad in ((0.3, 0.1), [0.3], np.array(0.3), "0.3", 1j):
+        with pytest.raises(GeometryError, match="one real number"):
+            revolution_geometry(profile, base_point=bad)
+        with pytest.raises(GeometryError, match="one real number"):
+            spheroid_meridian_geometry(1.0, 1.3, 64, base_point=bad)
+        with pytest.raises(GeometryError, match="one real number"):
+            support_hessian_residual(profile, base_point=bad)
 
 
 # ---------------------------------------------------------------------------
