@@ -452,47 +452,39 @@ class ConvexityVerdict:
 def convexity_classify(f, samples, tol=1e-9, min_samples=10):
     """Classify f as convex/concave/neither from sampled second-order data.
 
+    `samples` holds eigenvalue rows: a (k, n) array or a list of (n,) rows.
     Convex requires, at every sample, a positive semidefinite eigenvalue
     Hessian and nonnegative gradient divided differences (dually for concave).
     Linear functions report both flags and the label "convex".
     """
-    samples = [np.asarray(s, dtype=float) for s in samples]
-    if len(samples) == 0:
+    lam = np.asarray(samples, dtype=float)
+    if lam.size == 0:
         raise ValueError("convexity_classify: empty sample list")
-    convex_ok = True
-    concave_ok = True
-    saw_distinct = False
-    for lam in samples:
-        hess = f.hessian(lam)
-        eigs = np.linalg.eigvalsh(hess)
-        hscale = max(1.0, float(np.abs(hess).max()))
-        if eigs.min() < -tol * hscale:
-            convex_ok = False
-        if eigs.max() > tol * hscale:
-            concave_ok = False
-        g = f.gradient(lam)
-        gap_tol = 1e-8 * max(1.0, float(np.linalg.norm(lam)))
-        for i in range(f.n):
-            for j in range(i + 1, f.n):
-                gap = lam[i] - lam[j]
-                if abs(gap) < gap_tol:
-                    continue
-                saw_distinct = True
-                dd = (g[i] - g[j]) / gap
-                bound = tol * max(1.0, abs(dd))
-                if dd < -bound:
-                    convex_ok = False
-                if dd > bound:
-                    concave_ok = False
-    if len(samples) < min_samples or (f.n > 1 and not saw_distinct):
-        return ConvexityVerdict("indeterminate", False, False, len(samples))
-    if convex_ok:
-        label = "convex"
-    elif concave_ok:
-        label = "concave"
-    else:
-        label = "neither"
-    return ConvexityVerdict(label, convex_ok, concave_ok, len(samples))
+    if lam.ndim != 2:
+        raise ValueError(f"convexity_classify: expected (k, n) rows, got shape {lam.shape}")
+    k = lam.shape[0]
+    hess = f.hessian(lam)
+    eigs = np.linalg.eigvalsh(hess)
+    eig_tol = tol * np.maximum(1.0, np.abs(hess).max(axis=(1, 2)))
+    convex_ok = not np.any(eigs.min(axis=1) < -eig_tol)
+    concave_ok = not np.any(eigs.max(axis=1) > eig_tol)
+    g = f.gradient(lam)
+    i, j = np.triu_indices(f.n, 1)
+    gap = lam[:, i] - lam[:, j]
+    distinct = np.abs(gap) >= 1e-8 * np.maximum(1.0, np.linalg.norm(lam, axis=1))[:, None]
+    dd = (g[:, i] - g[:, j])[distinct] / gap[distinct]
+    bound = tol * np.maximum(1.0, np.abs(dd))
+    convex_ok = convex_ok and not np.any(dd < -bound)
+    concave_ok = concave_ok and not np.any(dd > bound)
+    if k < min_samples or (f.n > 1 and not distinct.any()):
+        return ConvexityVerdict("indeterminate", False, False, k)
+    label = "convex" if convex_ok else "concave" if concave_ok else "neither"
+    return ConvexityVerdict(label, convex_ok, concave_ok, k)
+
+
+def _row_dot(a, b):
+    """Dot products of matching rows of two (k, n) arrays, bit for bit `a[i] @ b[i]`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def pair_sign_gaps(f, g, lam):
@@ -504,7 +496,8 @@ def pair_sign_gaps(f, g, lam):
           m * sum_j (F * dg_j - G * df_j) )
 
     Both are nonnegative whenever f is convex and g is concave on nonnegative
-    eigenvalues (and nonpositive with the roles swapped).
+    eigenvalues (and nonpositive with the roles swapped).  One (n,) row gives
+    two floats; (k, n) rows give two (k,) arrays.
     """
     if not (f.elliptic_on_positive_cone and g.elliptic_on_positive_cone):
         raise ValueError("pair_sign_gaps requires two elliptic functions")
@@ -512,14 +505,18 @@ def pair_sign_gaps(f, g, lam):
         raise DegreeMismatchError(
             f"degree mismatch: {f.name} has degree {f.degree:g}, {g.name} has {g.degree:g}")
     lam = np.asarray(lam, dtype=float)
+    if lam.size == 0:
+        raise ValueError("pair_sign_gaps: empty eigenvalue array")
     if np.any(lam < 0.0):
         raise DomainError("pair_sign_gaps requires nonnegative eigenvalues")
+    single = lam.ndim == 1
+    rows = lam[None, :] if single else lam
     m = f.degree
-    value_f = f.value(lam)
-    value_g = g.value(lam)
-    grad_f = f.gradient(lam)
-    grad_g = g.gradient(lam)
-    lam_sq = lam * lam
-    gap1 = m * (value_g * float(grad_f @ lam_sq) - value_f * float(grad_g @ lam_sq))
-    gap2 = m * float(np.sum(value_f * grad_g - value_g * grad_f))
+    value_f, value_g = f.value(rows), g.value(rows)
+    grad_f, grad_g = f.gradient(rows), g.gradient(rows)
+    lam_sq = rows * rows
+    gap1 = m * (value_g * _row_dot(grad_f, lam_sq) - value_f * _row_dot(grad_g, lam_sq))
+    gap2 = m * (value_f[:, None] * grad_g - value_g[:, None] * grad_f).sum(axis=1)
+    if single:
+        return float(gap1[0]), float(gap2[0])
     return gap1, gap2

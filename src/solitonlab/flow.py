@@ -21,13 +21,13 @@ that geometry by similarity instead of extracting it again.
 
 from dataclasses import astuple, dataclass, field, replace
 
-# unused here, but perfbench/tracing.py patches CubicSpline and the geometry names
-from scipy.interpolate import CubicSpline  # noqa: F401
-
 from . import soliton
 from .curvfun import DomainError
 from .hypersurface import (GeometryError, PlaneCurve, RevolutionProfile, ShapeData,
                            curve_geometry, revolution_geometry)  # noqa: F401
+# the geometry names above and this placeholder are unused, but perfbench/tracing.py
+# patches them here (ROADMAP item 1 retires that); scipy.interpolate stays unloaded
+CubicSpline = None
 
 _MAX_HALVINGS = 20
 

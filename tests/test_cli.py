@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from solitonlab import cli, hypersurface
+from solitonlab import cli, hypersurface, identities
 from solitonlab.cli import main, parse_config_text, serialize_config
 
 
@@ -50,6 +54,26 @@ def test_invalid_f_spec_is_usage_error(tmp_path, capsys):
 
 def test_identity_suite_rejects_zero_samples(tmp_path):
     assert main(["--out", str(tmp_path), "identity-suite", "--samples", "0"]) == 2
+
+
+def test_identity_suite_command_calls_the_cli_name(tmp_path, monkeypatch):
+    # wrappers put on cli.identity_suite_checks must see the command's call
+    assert cli.identity_suite_checks is identities.identity_suite_checks
+    calls = []
+    monkeypatch.setattr(cli, "identity_suite_checks",
+                        lambda samples, seed: calls.append((samples, seed)) or [("x", 0.0, 1.0)])
+    assert main(["--out", str(tmp_path), "--seed", "4", "identity-suite", "--samples", "7"]) == 0
+    assert calls == [(7, 4)]
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, solitonlab.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_identity_suite_small_passes(tmp_path):
@@ -171,6 +195,37 @@ def test_sweep_pinching_branch_boundary(tmp_path):
     assert low[1] == "threshold"
     assert float(low[2]) == pytest.approx(2.0, abs=1e-3)
     assert high[1] == "unconditional" and high[2] == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sweep_pinching_count_below_one_is_usage_error(tmp_path, capsys, count):
+    assert main(["--out", str(tmp_path), "sweep-pinching", "--m-start", "1",
+                 "--m-stop", "2", "--count", count]) == 2
+    assert "--count >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_pinching.csv").exists()
+
+
+@pytest.mark.parametrize("spec, form", [("ellipse 2 1 5", "'ellipse A B'"),
+                                        ("ellipse 2", "'ellipse A B'"),
+                                        ("circle", "'circle R'"),
+                                        ("circle 1 1", "'circle R'"),
+                                        ("sphere 1 2", "'sphere R'"),
+                                        ("spheroid 1 1.3 2", "'spheroid A C'"),
+                                        ("profile a.json b.json", "'profile FILE'")])
+def test_flow_surface_token_count_is_usage_error(tmp_path, capsys, spec, form):
+    assert main(["--out", str(tmp_path), "flow", "--surface", spec, "--f", "H",
+                 "--grid", "64", "--t-max", "0.001"]) == 2
+    assert f"expected {form}" in capsys.readouterr().err
+    assert not (tmp_path / "flow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("spec, message", [("torus 1 2", "unknown surface kind 'torus'"),
+                                           ("", "unknown surface kind ''"),
+                                           ("circle one", "bad surface spec 'circle one'")])
+def test_flow_bad_surface_spec_is_usage_error(tmp_path, capsys, spec, message):
+    assert main(["--out", str(tmp_path), "flow", "--surface", spec, "--f", "H",
+                 "--t-max", "0.001"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_rejects_zero_in_range(tmp_path):

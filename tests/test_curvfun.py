@@ -285,6 +285,57 @@ def test_pair_gaps_rejections():
 
 
 # ---------------------------------------------------------------------------
+# the batch convention: (k, n) eigenvalue rows in one call
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_gaps_batch_matches_rows(n):
+    lam = np.random.default_rng(100 + n).uniform(0.05, 4.0, (300, n))
+    for f, g in ((EuclideanNorm(n), GeometricMean(n)), (GeometricMean(n), EuclideanNorm(n))):
+        batch = np.column_stack(pair_sign_gaps(f, g, lam))
+        rows = np.array([pair_sign_gaps(f, g, row) for row in lam])
+        assert batch.shape == rows.shape == (300, 2)
+        assert np.all(np.abs(batch - rows) <= 1e-15 * np.abs(rows))
+        assert all(type(x) is float for x in pair_sign_gaps(f, g, lam[0]))
+
+
+def _classify_sets(n):
+    """Seeded sample sets: plain, with coincident rows, clustered, and too few."""
+    rng = np.random.default_rng(7 + n)
+    coincident = rng.uniform(0.2, 3.0, (40, n))
+    coincident[::2] = coincident[::2, :1]
+    return [rng.uniform(0.2, 3.0, (60, n)), coincident,
+            np.repeat(rng.uniform(0.2, 3.0, (20, 1)), n, axis=1),
+            np.array([1.0, 2.0, 1.5][:n]) + 0.01 * rng.standard_normal((30, n)),
+            rng.uniform(0.2, 3.0, (5, n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_array_matches_list(n):
+    labels = set()
+    for f in builtin_functions(n, include_anisotropy=False) + [Power(GaussCurvature(n), 0.3)]:
+        for samples in _classify_sets(n):
+            verdict = convexity_classify(f, samples)
+            assert verdict == convexity_classify(f, list(samples))
+            assert verdict.samples_used == len(samples)
+            labels.add(verdict.label)
+    assert "indeterminate" in labels and len(labels) >= 3
+
+
+def test_batch_refusals():
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="empty"):
+            pair_sign_gaps(EuclideanNorm(n), GeometricMean(n), np.zeros((0, n)))
+        with pytest.raises(ValueError, match="empty"):
+            convexity_classify(MeanCurvature(n), np.zeros((0, n)))
+        with pytest.raises(ValueError):
+            convexity_classify(MeanCurvature(n), np.ones(n))
+    with pytest.raises(ValueError):
+        pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), np.ones((4, 3)))
+    with pytest.raises(DomainError, match="nonnegative"):
+        pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [[1.0, 2.0], [0.5, -1.0]])
+
+
+# ---------------------------------------------------------------------------
 # sampled invariants over every built-in family
 
 @pytest.mark.parametrize("n", [2, 3])
