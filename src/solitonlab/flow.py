@@ -1,35 +1,49 @@
-"""Explicit integrator for the normal-speed curvature flow dX/dt = F * nu.
+"""Linearly implicit integrator for the normal-speed curvature flow dX/dt = F * nu.
 
 The speed F is a symmetric curvature function of the principal curvatures and
 nu is the inward unit normal, so degree >= 1 families with positive F contract
 convex surfaces while the normalized negative-degree families (F < 0) expand
-them.  Time stepping is explicit Euler under the parabolic restriction
+them.  Each step is the 2-stage Rosenbrock method ROS2 (gamma = 1 + 1/sqrt(2);
+Verwer, Spee, Blom and Hundsdorfer, SIAM J. Sci. Comput. 20, 1999) in the
+normal displacement u along the normals of the current surface, u' = F:
 
-    dt = dt_safety * h_min^2 / max_M sum_i df/dlam_i,
+    W = I - gamma dt J,    k1 = W^-1 F(X),    k2 = W^-1 (F(X + dt k1 nu) - 2 k1),
+    X_new = X + dt (3/2 k1 + 1/2 k2) nu,
 
-with tangential redistribution to uniform arclength after every step, optional
-fixed-measure rescaling about the centroid, and per-step monitors for the
-pinching ratio, the umbilicity defects, and the soliton residual fit.  Flat
-ambient space only.
+with J the banded 3-point linearization of F that the surface builds from the
+exact gradient of F.  ROS2 is L-stable, and of order 2 for any J, so the step
+is not limited by the grid: it is set by accuracy,
+
+    dt = dt_safety * 0.05 / max_M sum_i (df/dlam_i) lam_i^2,
+
+which scales with the surface as the flow's clock does.  After every step the
+surface is redistributed to uniform arclength, optionally rescaled to a fixed
+measure about the centroid, and monitored for the pinching ratio, the
+umbilicity defects and the soliton residual fit.  Flat ambient space only.
 
 The surfaces (`PlaneCurve`, `RevolutionProfile`) own every operation that
-depends on their grid layout, so nothing here branches on the surface type.
-`run` loops over the step that `step` takes: each accepted step extracts the
-geometry once, to validate the candidate; the fixed-scale rescale updates
-that geometry by similarity instead of extracting it again.
+depends on their grid layout, the linearized solve included, so nothing here
+branches on the surface type.  `run` loops over the step that `step` takes:
+each accepted step extracts the geometry twice, for the second stage and to
+validate the candidate; the fixed-scale rescale updates that geometry by
+similarity instead of extracting it again.
 """
 
 from dataclasses import astuple, dataclass, field, replace
+
+import numpy as np
 
 from . import soliton
 from .curvfun import DomainError
 from .hypersurface import (GeometryError, PlaneCurve, RevolutionProfile, ShapeData,
                            curve_geometry, revolution_geometry)  # noqa: F401
-# the geometry names above and this placeholder are unused, but perfbench/tracing.py
+# the geometry names above and these placeholders are unused, but perfbench/tracing.py
 # patches them here (ROADMAP item 1 retires that); scipy.interpolate stays unloaded
-CubicSpline = None
+CubicSpline = _min_spacing = None
 
 _MAX_HALVINGS = 20
+_GAMMA = 1.0 + 0.5 ** 0.5          # ROS2's diagonal coefficient, the L-stable choice
+_STEP_SCALE = 0.05                 # dt * max sum_i (df/dlam_i) lam_i^2 at dt_safety = 1
 
 TRACE_HEADER = "t,dt,scale,r_max,F_aniso_max,aHH_max,umb_max,tau_fit,rel_residual,measure"
 
@@ -102,6 +116,7 @@ class FlowTrace:
     stop_reason: str = ""
     aborted: bool = False
     final_surface: object = None
+    dt_halvings: int = 0               # over the run, the ones before an abort included
 
     def to_csv(self):
         lines = [TRACE_HEADER] + [row.csv() for row in self.rows]
@@ -141,21 +156,24 @@ def _extract(surface):
 
 
 def _advance(surface, geom, f, dt):
-    return surface.moved(dt * f.value(geom.lam)[:, None] * geom.normal)
+    """One ROS2 step along the normals of `surface`; the stage geometry is validated."""
+    lam = np.diagonal(geom.weingarten, axis1=1, axis2=2)      # in the grid's frame order
+    solve = surface.linearized_solver(geom, f.gradient(lam), _GAMMA * dt)
+    k1 = solve(f.value(lam))
+    stage = _extract(surface.moved(dt * k1[:, None] * geom.normal))
+    k2 = solve(f.value(stage.lam) - 2.0 * k1)
+    return surface.moved(dt * (1.5 * k1 + 0.5 * k2)[:, None] * geom.normal)
 
 
 def _redistribute(surface):
     return surface.resampled()
 
 
-def _min_spacing(surface):
-    return surface.min_spacing()
-
-
 def _step(surface, geom, f, dt):
     """Advance, redistribute and validate; returns the stepped surface and its geometry.
 
-    Raises `GeometryError` (convexity, simplicity) or `DomainError` (domain of f).
+    Raises `GeometryError` (convexity, simplicity) or `DomainError` (domain of f),
+    from either stage.
     """
     candidate = _redistribute(_advance(surface, geom, f, dt))
     candidate_geom = _extract(candidate)
@@ -164,11 +182,14 @@ def _step(surface, geom, f, dt):
 
 
 def step(surface, f, dt):
-    """One explicit Euler step (move along normals, then redistribute).
+    """One linearly implicit ROS2 step, then redistribution to uniform arclength.
 
-    Returns the stepped surface.  Raises `GeometryError` when it loses
-    convexity or validity and `DomainError` when it leaves the domain of f;
-    callers retry with a smaller dt.
+    Both stages move the samples along the normals of `surface`, the second
+    one after the geometry of the first stage's surface is extracted, and
+    the result is resampled and extracted again.  Returns the stepped
+    surface.  Raises `GeometryError` when either stage loses convexity or
+    validity and `DomainError` when it leaves the domain of f; callers retry
+    with a smaller dt.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -241,16 +262,19 @@ def run(config, surface):
         if reason is not None:
             return _finish(trace, surface, reason)
 
-        h_min = _min_spacing(surface)
-        stiffness = float(f.gradient(geom.lam).sum(axis=1).max())
-        dt = config.dt_safety * h_min * h_min / stiffness
+        lam = geom.lam
+        dt = config.dt_safety * _STEP_SCALE / float((f.gradient(lam) * lam * lam).sum(axis=1).max())
         lands = stop.t_max is not None and t + dt >= stop.t_max
         if lands:
             dt = stop.t_max - t        # the step that reaches t_max ends on it
 
-        # dt is floored relative to the stable dt by the halving cap; the run
+        # dt is floored relative to the accuracy dt by the halving cap; the run
         # stops on underflow only once a step no longer advances the clock
-        for _ in range(_MAX_HALVINGS + 1):
+        for halving in range(_MAX_HALVINGS + 1):
+            if halving:
+                dt *= 0.5
+                lands = False
+                trace.dt_halvings += 1
             if not t + dt > t:
                 return _finish(trace, surface, f"dt underflow (dt = {dt:.3g} at t = {t:.6g})",
                                aborted=True)
@@ -259,8 +283,6 @@ def run(config, surface):
                 break
             except (GeometryError, DomainError) as exc:
                 last_error = exc
-                dt *= 0.5
-                lands = False
         else:
             return _finish(trace, surface, f"convexity or validity lost after {_MAX_HALVINGS} "
                                            f"dt halvings (last: {last_error})", aborted=True)

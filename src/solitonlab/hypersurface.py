@@ -20,7 +20,7 @@ curvatures and negative support values about interior base points.
 
 The two grid types own every operation that depends on their layout, with
 the same members: `dim`, `geometry`, `moved`, `resampled`, `scaled`,
-`centroid` and `min_spacing`.
+`centroid`, `min_spacing` and `linearized_solver`.
 """
 
 import json
@@ -98,6 +98,21 @@ class PlaneCurve:
         """Shortest segment of the closed polygon, the closing one included."""
         return float(_segments(np.vstack([self.points, self.points[:1]])).min())
 
+    def linearized_solver(self, geom, dfdlam, c):
+        """Solver of (I - c J) u = r for the normal speed F of the flow.
+
+        J is the 3-point linearization of F under a normal displacement u,
+        F'(k) (d_ss + k^2), with d_ss on the polygon's arclength spacings: a
+        cyclic tridiagonal matrix.  `dfdlam` (M, 1) is F' at the samples.
+        """
+        fwd = _segments(np.vstack([self.points, self.points[:1]]))   # sample i to i + 1
+        back = np.roll(fwd, 1)
+        a, b = _second_difference(back, fwd)
+        g = c * dfdlam[:, 0]
+        lower, upper = -g * a, -g * b
+        diag = 1.0 - g * (geom.lam[:, 0] ** 2 - a - b)
+        return lambda r: _cyclic_tridiagonal_solve(lower, diag, upper, r[:, None])[:, 0]
+
 
 @dataclass(frozen=True)
 class RevolutionProfile:
@@ -169,6 +184,40 @@ class RevolutionProfile:
         """Shortest meridian segment; the two poles are not joined."""
         return float(_segments(self.profile).min())
 
+    def linearized_solver(self, geom, dfdlam, c):
+        """Solver of (I - c J) u = r for the normal speed F of the flow.
+
+        J = F_m L_m + F_p L_p is the 3-point linearization of F under an
+        axisymmetric normal displacement u, with L_m = d_ss + lam_m^2 and
+        L_p = (y_s / y) d_s + lam_p^2 on the meridian's arclength spacings.
+        At a pole L_p tends to d_ss + lam_p^2, and u is even through it, so
+        the matrix is plainly tridiagonal.  `dfdlam` (M, 2) holds
+        (dF/dlam_m, dF/dlam_p) at the samples.
+        """
+        prof = self.profile
+        seg = _segments(prof)
+        back, fwd = seg[:-1], seg[1:]
+        a, b = _second_difference(back, fwd)
+        q = (prof[2:, 1] - prof[:-2, 1]) / (prof[1:-1, 1] * (back + fwd) ** 2)  # (y_s / y) d_s
+        fm, fp = c * dfdlam[:, 0], c * dfdlam[:, 1]
+        lam2 = fm * geom.weingarten[:, 0, 0] ** 2 + fp * geom.weingarten[:, 1, 1] ** 2
+        lower, upper = np.empty(self.grid_size), np.empty(self.grid_size)
+        lower[1:-1] = -fm[1:-1] * a + fp[1:-1] * q
+        upper[1:-1] = -fm[1:-1] * b - fp[1:-1] * q
+        diag = 1.0 - lam2
+        diag[1:-1] += fm[1:-1] * (a + b)
+        pole = 2.0 * (fm + fp)[[0, -1]] / seg[[0, -1]] ** 2      # d_ss with u_{-1} = u_1
+        diag[[0, -1]] += pole
+        upper[0], lower[-1] = -pole
+        lower, upper = lower[1:], upper[:-1]
+
+        def solve(r):
+            _, _, _, u, info = dgtsv(lower, diag, upper, r)
+            if info != 0:
+                raise GeometryError("singular linearized flow system")
+            return u
+        return solve
+
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -215,15 +264,48 @@ def spheroid_profile(equatorial, polar, grid_size=256):
 # ---------------------------------------------------------------------------
 # uniform-arclength resampling
 
+def _cyclic_tridiagonal_solve(lower, diag, upper, rhs):
+    """Solve the cyclic tridiagonal system A x = rhs for the columns of `rhs` (n, k).
+
+    Row i of A is lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], indices
+    mod n, so lower[0] and upper[-1] are the two corner entries.  They are
+    handled by a Sherman-Morrison correction, so one `dgtsv` call takes every
+    column and the correction vector as right-hand sides.
+    """
+    n = diag.size
+    corner_first, corner_last = lower[0], upper[-1]     # entries (0, n-1) and (n-1, 0)
+    gamma = -diag[0]
+    diag = diag.copy()
+    diag[0] -= gamma
+    diag[-1] -= corner_first * corner_last / gamma
+    b = np.zeros((n, rhs.shape[1] + 1))
+    b[:, :-1] = rhs
+    b[0, -1] = gamma
+    b[-1, -1] = corner_last
+    _, _, _, sol, info = dgtsv(lower[1:], diag, upper[:-1], b, overwrite_b=1)
+    if info != 0:
+        raise GeometryError("singular cyclic tridiagonal system")
+    ratio = corner_first / gamma
+    correction = (sol[0] + ratio * sol[-1]) / (1.0 + sol[0, -1] + ratio * sol[-1, -1])
+    return sol[:, :-1] - sol[:, -1:] * correction[:-1]
+
+
+def _second_difference(back, fwd):
+    """Weights (a, b) of the 3-point second difference a u_{i-1} - (a + b) u_i + b u_{i+1}.
+
+    `back` and `fwd` are the spacings to the previous and the next sample.
+    """
+    span = back + fwd
+    return 2.0 / (back * span), 2.0 / (fwd * span)
+
+
 def _periodic_spline(knots, values, targets):
     """Periodic C^2 cubic interpolant of `values` over `knots`, evaluated at `targets`.
 
     `knots` (N + 1,) increase strictly over one period and `values` (N + 1, k)
     repeat their first row at the end; `targets` lie in [knots[0], knots[-1]].
     This is the interpolant of `CubicSpline(knots, values, bc_type="periodic")`:
-    the knot slopes solve the cyclic tridiagonal C^2 system, whose two corner
-    entries are handled by a Sherman-Morrison correction, so one `dgtsv` call
-    takes every coordinate and the correction vector as right-hand sides.
+    the knot slopes solve the cyclic tridiagonal C^2 system.
     """
     h = np.diff(knots)
     if not h.min() > 0.0:
@@ -233,23 +315,10 @@ def _periodic_spline(knots, values, targets):
     delta = np.diff(values, axis=0) / hc
     h_prev = np.concatenate((h[-1:], h[:-1]))
     delta_prev = np.concatenate((delta[-1:], delta[:-1]))
-    # row i: h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1}
-    #        = 3 (h_i delta_{i-1} + h_{i-1} delta_i), indices mod n
-    diag = 2.0 * (h_prev + h)
-    corner_first, corner_last = h[0], h_prev[-1]     # entries (0, n-1) and (n-1, 0)
-    gamma = -diag[0]
-    diag[0] -= gamma
-    diag[-1] -= corner_first * corner_last / gamma
-    rhs = np.zeros((n, values.shape[1] + 1))
-    rhs[:, :-1] = 3.0 * (hc * delta_prev + h_prev[:, None] * delta)
-    rhs[0, -1] = gamma
-    rhs[-1, -1] = corner_last
-    _, _, _, sol, info = dgtsv(h[1:], diag, h_prev[:-1], rhs, overwrite_b=1)
-    if info != 0:
-        raise GeometryError("singular periodic spline system")
-    ratio = corner_first / gamma
-    correction = (sol[0] + ratio * sol[-1]) / (1.0 + sol[0, -1] + ratio * sol[-1, -1])
-    m0 = sol[:, :-1] - sol[:, -1:] * correction[:-1]      # knot slopes
+    # knot slopes m, row i: h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1}
+    #                      = 3 (h_i delta_{i-1} + h_{i-1} delta_i), indices mod n
+    m0 = _cyclic_tridiagonal_solve(h, 2.0 * (h_prev + h), h_prev,
+                                   3.0 * (hc * delta_prev + h_prev[:, None] * delta))
     m1 = np.concatenate((m0[1:], m0[:1]))
 
     # per-interval power form, then one gather for the targets

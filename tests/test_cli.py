@@ -145,6 +145,20 @@ def test_flow_abort_after_rescale_writes_outputs(tmp_path, capsys):
     assert snap["metadata"]["stop_reason"].startswith("aborted: ")
 
 
+def test_flow_reports_its_dt_halvings(tmp_path, capsys):
+    # the 1:2 spheroid loses its pole angle to the resampling, so steps keep being retried
+    code = main(["--out", str(tmp_path), "flow", "--surface", "spheroid 1 2", "--f", "H",
+                 "--grid", "256", "--rescale", "fixed-scale", "--r-tol", "0.22",
+                 "--t-max", "10"])
+    assert code == 1
+    steps_line = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("steps="))
+    halvings = int(steps_line.rsplit(" dt_halvings=", 1)[1])
+    assert halvings >= 20
+    snap = json.loads((tmp_path / "flow_final.json").read_text())
+    assert snap["metadata"]["dt_halvings"] == halvings
+
+
 def test_flow_refuses_an_ellipsoid_snapshot(tmp_path, capsys):
     snap = tmp_path / "ellipsoid.json"
     hypersurface.save_surface(hypersurface.Ellipsoid((1.0, 1.0, 1.3)), snap)
@@ -156,7 +170,7 @@ def test_flow_refuses_an_ellipsoid_snapshot(tmp_path, capsys):
 
 
 def test_flow_last_step_lands_on_t_max(tmp_path, capsys):
-    # the stable dt of a circle of radius 1e6 at M = 64 is about 3.85e9
+    # the accuracy dt of a circle of radius 1e6 is 0.4 * 0.05 * 1e12 = 2e10
     code = main(["--out", str(tmp_path), "flow", "--surface", "circle 1e6", "--grid", "64",
                  "--f", "H", "--t-max", "1e9"])
     assert code == 0

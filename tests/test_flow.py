@@ -95,7 +95,7 @@ def test_circle_exact_ode_short():
 
 
 def test_stationary_circle_under_rescale():
-    config = FlowConfig(f=H1, stop=StopRule(t_max=0.01), rescale_mode="fixed-scale")
+    config = FlowConfig(f=H1, stop=StopRule(t_max=0.1), rescale_mode="fixed-scale")
     trace = run(config, circle(1.0, 256))
     assert len(trace.rows) > 2
     for row in trace.rows:
@@ -118,7 +118,7 @@ def test_ellipse_rounding_short():
 
 def test_soliton_sphere_is_preserved():
     radius = soliton.solve_sphere_radius(H2, 1.0, 0.0)
-    config = FlowConfig(f=H2, stop=StopRule(t_max=0.02), rescale_mode="fixed-scale")
+    config = FlowConfig(f=H2, stop=StopRule(t_max=0.25), rescale_mode="fixed-scale")
     trace = run(config, sphere_profile(radius, 256))
     assert len(trace.rows) > 10
     for row in trace.rows:
@@ -233,7 +233,7 @@ def test_rescale_similarity_matches_extraction(surface, f, factor):
 
 @pytest.mark.parametrize("surface,f", [(ellipse(2.0, 1.0, 64), H1),
                                        (spheroid_profile(1.0, 1.3, 64), H2)])
-def test_one_extraction_per_fixed_scale_step(monkeypatch, surface, f):
+def test_two_extractions_per_fixed_scale_step(monkeypatch, surface, f):
     counts = {"extract": 0, "spline": 0}
 
     def counting(fn, key):
@@ -251,7 +251,7 @@ def test_one_extraction_per_fixed_scale_step(monkeypatch, surface, f):
     trace = run(config, surface)
     steps = len(trace.rows) - 1
     assert trace.stop_reason == "t_max" and steps > 10
-    assert counts == {"extract": steps + 1, "spline": 0}
+    assert counts == {"extract": 2 * steps + 1, "spline": 0}   # the ROS2 stage, the candidate
 
 
 def test_circle_dilation_invariance():
@@ -265,6 +265,62 @@ def test_circle_dilation_invariance():
             assert row.measure / (2.0 * math.pi * s) == pytest.approx(
                 math.sqrt(1.0 - 2.0 * row.t / (s * s)), rel=1e-3)
     assert len(step_counts) == 1
+
+
+def _circle_anchor_error(dt_safety):
+    config = FlowConfig(f=H1, stop=StopRule(t_max=0.25), dt_safety=dt_safety)
+    trace = run(config, circle(1.0, 256))
+    return max(abs(row.measure / (2.0 * math.pi) / math.sqrt(1.0 - 2.0 * row.t) - 1.0)
+               for row in trace.rows)
+
+
+def test_ros2_is_second_order_in_time():
+    # halving dt divides the error of the exact circle anchor by about 4
+    assert _circle_anchor_error(0.4) >= 3.0 * _circle_anchor_error(0.2)
+
+
+_CRITERION_7 = {
+    "ellipse": (lambda m: ellipse(2.0, 1.0, m), H1, StopRule(r_tol=0.02, t_max=50.0), 480),
+    "spheroid": (lambda m: spheroid_profile(1.0, 1.3, m), H2, StopRule(r_tol=0.22, t_max=10.0),
+                 863),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CRITERION_7))
+def test_criterion_7_step_count_does_not_grow_with_the_grid(name):
+    # the explicit Euler step took 9601 (ellipse) and 17277 (spheroid) steps at
+    # M = 256, four times more per doubling of M; the bound is 1/20 of those
+    make, f, stop, bound = _CRITERION_7[name]
+    counts = []
+    for m in (64, 256):
+        trace = run(FlowConfig(f=f, stop=stop, rescale_mode="fixed-scale"), make(m))
+        assert trace.stop_reason == "r_tol"
+        counts.append(len(trace.rows) - 1)
+    assert abs(counts[0] - counts[1]) <= 2
+    assert counts[1] <= bound
+
+
+@pytest.mark.parametrize("make,f", [
+    (lambda s: hypersurface.PlaneCurve(s * ellipse(2.0, 1.0, 64).points), H1),
+    (lambda s: hypersurface.RevolutionProfile(s * spheroid_profile(1.0, 1.3, 64).profile), H2),
+], ids=["ellipse", "spheroid"])
+@pytest.mark.parametrize("rescale_mode,t_max,rel", [("none", 0.1, 1e-9),
+                                                    ("fixed-scale", 0.3, 1e-12)])
+def test_dilation_invariance_in_both_clocks(make, f, rescale_mode, t_max, rel):
+    # a dilation by s scales dt, and so t, by s^2 for the H flow, and the measure by s^n;
+    # under fixed scale t is the normalized clock and the measure stays fixed
+    runs = {}
+    for s in (1e-3, 1.0, 1e3):
+        config = FlowConfig(f=f, stop=StopRule(t_max=t_max * s * s), rescale_mode=rescale_mode)
+        trace = run(config, make(s))
+        assert trace.stop_reason == "t_max"
+        runs[s] = (np.array([row.t for row in trace.rows]) / (s * s),
+                   np.array([row.measure for row in trace.rows]) / s ** f.n)
+    t_ref, measure_ref = runs[1.0]
+    for t, measure in runs.values():
+        assert t.shape == t_ref.shape                   # the same step count
+        assert t == pytest.approx(t_ref, rel=rel, abs=0.0)
+        assert measure == pytest.approx(measure_ref, rel=1e-9, abs=0.0)
 
 
 def test_dt_underflow_stops_a_run_past_extinction():
@@ -288,7 +344,7 @@ def tracing():
 
 @pytest.mark.parametrize("surface,f,t_max,geometry_span", [
     (ellipse(2.0, 1.0, 64), H1, 0.1, "hypersurface.curve_geometry"),
-    (spheroid_profile(1.0, 1.3, 64), H2, 0.01, "hypersurface.revolution_geometry"),
+    (spheroid_profile(1.0, 1.3, 64), H2, 0.1, "hypersurface.revolution_geometry"),
 ])
 def test_tracer_sees_every_flow_phase(tracing, surface, f, t_max, geometry_span):
     rec = tracing.SpanRecorder()
@@ -299,7 +355,8 @@ def test_tracer_sees_every_flow_phase(tracing, surface, f, t_max, geometry_span)
     steps = len(trace.rows) - 1
     assert trace.stop_reason == "t_max" and steps > 5
     assert spans["flow.run"][0] == 1
-    for name in ("flow._advance", "flow._redistribute", "flow._rescale", "flow._min_spacing"):
+    for name in ("flow._advance", "flow._redistribute", "flow._rescale"):
         assert spans[name][0] == steps, name
+    assert spans["flow._min_spacing"][0] == 0          # dt no longer depends on the grid
     assert spans["flow.monitors"][0] == steps + 1      # the initial surface is monitored too
-    assert spans[geometry_span][0] == steps + 1
+    assert spans[geometry_span][0] == 2 * steps + 1    # the ROS2 stage, the candidate, the start

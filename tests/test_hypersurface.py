@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from solitonlab import curvfun
 from solitonlab import hypersurface as hs
 from solitonlab.hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceError,
                                      PlaneCurve, RevolutionProfile, circle,
@@ -334,6 +335,28 @@ def test_min_spacing_counts_the_closing_segment_but_not_the_pole_chord():
     segments = np.linalg.norm(np.diff(flat.profile, axis=0), axis=1)
     assert chord < segments.min()
     assert flat.min_spacing() == float(segments.min())
+
+
+@pytest.mark.parametrize("surface,f,u", [
+    (ellipse(2.0, 1.0, 256), "H", lambda s: 1.0 + 0.3 * s.points[:, 0]),
+    (spheroid_profile(1.0, 1.3, 256), "H", lambda s: 1.0 + 0.3 * s.profile[:, 0]),
+    (spheroid_profile(1.0, 1.3, 256), "K", lambda s: 1.0 + 0.3 * s.profile[:, 0] ** 2),
+], ids=["ellipse-H", "spheroid-H", "spheroid-K"])
+def test_linearized_solver_matches_the_linearization_of_f(surface, f, u):
+    # J u from the solver, (I - c J)^-1 u = u + c J u + O(c^2), against the central
+    # difference of F under the normal displacement +-eps u; an axisymmetric u that
+    # is smooth in x is even through the poles
+    f = curvfun.parse_curvature_function(f, surface.dim)
+    geom = surface.geometry()
+    lam = np.diagonal(geom.weingarten, axis1=1, axis2=2)
+    u = u(surface)
+    c = 1e-8
+    ju = (surface.linearized_solver(geom, f.gradient(lam), c)(u) - u) / c
+    eps = 1e-6
+    speed = [f.value(surface.moved(e * u[:, None] * geom.normal).geometry().lam)
+             for e in (eps, -eps)]
+    ju_fd = (speed[0] - speed[1]) / (2.0 * eps)
+    assert np.abs(ju - ju_fd).max() < 1e-3 * np.abs(ju_fd).max()
 
 
 def test_extract_geometry_dispatch():
