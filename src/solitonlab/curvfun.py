@@ -8,7 +8,10 @@ eigenvalue calculus (divided differences of the gradient for off-diagonal
 directions, with the standard continuous extension at coincident eigenvalues).
 
 Supported dimensions are n in {1, 2, 3}.  Batch evaluation accepts arrays of
-shape (k, n) and is used heavily by the flow integrator.
+shape (k, n) and is used heavily by the flow integrator.  The matrix calculus
+(`matrix_first_derivative`, `matrix_second_form`, `euler_residuals`) follows
+the same convention: one (n, n) matrix, or a (k, n, n) stack checked member by
+member, with one implementation for both.
 """
 
 import itertools
@@ -367,16 +370,38 @@ def parse_curvature_function(spec, n):
 # ---------------------------------------------------------------------------
 # matrix calculus
 
-def _check_symmetric(a, what="matrix"):
+def _refuse_member(bad, what, single, problem, error=ValueError):
+    """Raise `error` naming the first member of a stack flagged in `bad`."""
+    if bad.any():
+        name = what if single else f"{what}[{int(np.argmax(bad))}]"
+        raise error(f"{name} {problem}")
+
+
+def _finite_stack(a, what):
+    """`a` as a (k, n, n) stack of finite square matrices, and whether it was one (n, n)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{what} has non-finite entries")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > 1e-12 * scale:
-        raise ValueError(f"{what} is not symmetric")
-    return 0.5 * (a + a.T)
+    single = a.ndim == 2
+    stack = a[None] if single else a
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"{what} must be square (n, n) or a (k, n, n) stack, got shape {a.shape}")
+    if stack.shape[0] == 0:
+        raise ValueError(f"{what} is an empty stack, shape {a.shape}")
+    _refuse_member(~np.isfinite(stack).all(axis=(1, 2)), what, single,
+                   "has non-finite entries", DomainError)
+    return stack, single
+
+
+def _scale(stack):
+    return np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+
+
+def _check_symmetric(a, what):
+    """The symmetrized (k, n, n) stack of `a`, and whether `a` was one matrix."""
+    stack, single = _finite_stack(a, what)
+    transpose = stack.transpose(0, 2, 1)
+    asym = np.abs(stack - transpose).max(axis=(1, 2))
+    _refuse_member(asym > 1e-12 * _scale(stack), what, single, "is not symmetric")
+    return 0.5 * (stack + transpose), single
 
 
 def matrix_first_derivative(f, a):
@@ -384,11 +409,13 @@ def matrix_first_derivative(f, a):
 
     Built from an eigen-decomposition A = U diag(lam) U^T as
     U diag(grad f(lam)) U^T, which also satisfies <dF, A> = m F(A).
+    One (n, n) matrix gives an (n, n) matrix; a (k, n, n) stack gives a stack.
     """
-    a = _check_symmetric(a, "A")
+    a, single = _check_symmetric(a, "A")
     lam, u = np.linalg.eigh(a)
     g = f.gradient(lam)
-    return (u * g) @ u.T
+    out = (u * g[:, None, :]) @ u.transpose(0, 2, 1)
+    return out[0] if single else out
 
 
 def matrix_second_form(f, a, b, coincidence_tol=1e-8):
@@ -396,47 +423,51 @@ def matrix_second_form(f, a, b, coincidence_tol=1e-8):
 
     Uses the eigenvalue Hessian on the diagonal part of B and gradient divided
     differences on the off-diagonal part; divided differences switch to their
-    continuous limit (hess_kk - hess_kl) when eigenvalues nearly coincide.
+    continuous limit (hess_kk - hess_kl) when eigenvalues nearly coincide,
+    decided per member.  One pair of (n, n) matrices gives a float; (k, n, n)
+    stacks of matching shape give a (k,) array.
     """
-    a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.abs(a).max()))
-    offdiag = a - np.diag(np.diag(a))
-    if np.abs(offdiag).max() > 1e-12 * scale:
-        raise ValueError("A must be diagonal for the second-derivative form")
-    b = _check_symmetric(b, "B")
-    lam = np.diag(a).astype(float)
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"A and B must have the same shape, got {np.shape(a)} and {np.shape(b)}")
+    a, single = _finite_stack(a, "A")
+    lam = np.diagonal(a, axis1=1, axis2=2)
+    offdiag = np.abs(a - lam[:, :, None] * np.eye(a.shape[1])).max(axis=(1, 2))
+    _refuse_member(offdiag > 1e-12 * _scale(a), "A", single,
+                   "must be diagonal for the second-derivative form")
+    b, _ = _check_symmetric(b, "B")
     g = f.gradient(lam)
     hess = f.hessian(lam)
-    bd = np.diag(b)
-    total = float(bd @ hess @ bd)
-    gap_tol = coincidence_tol * max(1.0, float(np.linalg.norm(lam)))
-    n = len(lam)
+    bd = np.diagonal(b, axis1=1, axis2=2)
+    total = _row_quadratic(bd, hess)
+    gap_tol = coincidence_tol * np.maximum(1.0, np.linalg.norm(lam, axis=1))
+    n = lam.shape[1]
     for k in range(n):
         for l in range(k + 1, n):
-            gap = lam[k] - lam[l]
-            if abs(gap) < gap_tol:
-                coeff = hess[k, k] - hess[k, l]
-            else:
-                coeff = (g[k] - g[l]) / gap
-            total += 2.0 * coeff * b[k, l] ** 2
-    return total
+            gap = lam[:, k] - lam[:, l]
+            near = np.abs(gap) < gap_tol
+            divided = (g[:, k] - g[:, l]) / np.where(near, 1.0, gap)
+            coeff = np.where(near, hess[:, k, k] - hess[:, k, l], divided)
+            total = total + 2.0 * coeff * b[:, k, l] ** 2
+    return float(total[0]) if single else total
 
 
 def euler_residuals(f, a):
     """Absolute defects of the two homogeneity identities at A.
 
     Returns (|<dF, A> - m F|, |d2F(A, A) - (m - 1) <dF, A>|); both vanish for
-    exactly homogeneous functions up to rounding.
+    exactly homogeneous functions up to rounding.  One (n, n) matrix gives two
+    floats; a (k, n, n) stack gives two (k,) arrays.
     """
-    a = _check_symmetric(a, "A")
+    a, single = _check_symmetric(a, "A")
     lam, _ = np.linalg.eigh(a)
     value = f.value(lam)
     g = f.gradient(lam)
     hess = f.hessian(lam)
     m = f.degree
-    first = float(g @ lam)
-    second = float(lam @ hess @ lam)  # A is diagonal in its own eigenbasis
-    return abs(first - m * value), abs(second - (m - 1.0) * first)
+    first = _row_dot(g, lam)
+    second = _row_quadratic(lam, hess)  # A is diagonal in its own eigenbasis
+    r1, r2 = np.abs(first - m * value), np.abs(second - (m - 1.0) * first)
+    return (float(r1[0]), float(r2[0])) if single else (r1, r2)
 
 
 @dataclass(frozen=True)
@@ -485,6 +516,11 @@ def convexity_classify(f, samples, tol=1e-9, min_samples=10):
 def _row_dot(a, b):
     """Dot products of matching rows of two (k, n) arrays, bit for bit `a[i] @ b[i]`."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_quadratic(v, m):
+    """`v[i] @ m[i] @ v[i]` for (k, n) rows `v` and (k, n, n) matrices `m`."""
+    return _row_dot((v[:, None, :] @ m)[:, 0, :], v)
 
 
 def pair_sign_gaps(f, g, lam):

@@ -78,6 +78,9 @@ class FlowConfig:
     rescale_mode: str = "none"        # none | fixed-scale
 
     def __post_init__(self):
+        if not self.f.elliptic_on_positive_cone:
+            raise ValueError(f"the flow speed must be elliptic (df/dlam_i > 0 on the positive "
+                             f"cone); f={self.f.name} is not")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
         if self.rescale_mode not in ("none", "fixed-scale"):

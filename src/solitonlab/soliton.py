@@ -46,10 +46,14 @@ class PinchingVerdict:
 
 def sphere_tau(f, radius, c=0.0, allow_positive_c=False):
     """The unique tau making the centered geodesic sphere of given radius a solution."""
+    require_nonpositive_curvature(c, allow_positive=allow_positive_c)
+    return _sphere_tau(f, f.unit_value(), radius, c)
+
+
+def _sphere_tau(f, f_unit, radius, c):
+    """`sphere_tau` with f(1, ..., 1) already evaluated as `f_unit`."""
     if radius <= 0.0:
         raise ValueError("sphere radius must be positive")
-    require_nonpositive_curvature(c, allow_positive=allow_positive_c)
-    f_unit = f.unit_value()
     if f_unit == 0.0:
         raise ValueError(f"{f.name}(1,...,1) = 0: no nonzero tau exists for spheres")
     m = f.degree
@@ -60,10 +64,12 @@ def solve_sphere_radius(f, tau, c=0.0, bracket=(1e-6, 50.0), max_iter=200, rtol=
     """Invert `sphere_tau` by bisection on the given radius bracket."""
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
+    require_nonpositive_curvature(c)
     lo, hi = bracket
+    f_unit = f.unit_value()
 
     def defect(r):
-        return sphere_tau(f, r, c) - tau
+        return _sphere_tau(f, f_unit, r, c) - tau
 
     d_lo, d_hi = defect(lo), defect(hi)
     if d_lo == 0.0 and d_hi == 0.0:

@@ -90,7 +90,11 @@ def require_nonpositive_curvature(c, allow_positive=False):
 
 @dataclass(frozen=True)
 class SupportData:
-    """Decomposition of the radial direction at a hypersurface point."""
+    """Decomposition of the radial direction at a hypersurface point.
+
+    `support_value` fills it with floats for one point; `support_rows` with
+    (k,) arrays, and a (k, d) `tangential`, for k points.
+    """
 
     rho: float              # distance to the base point
     nu_component: float     # <d_rho, nu>
@@ -98,10 +102,64 @@ class SupportData:
     support: float          # Z = shc(c, rho) * <d_rho, nu>
 
 
-def minkowski_inner(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(u[1:] @ v[1:] - u[0] * v[0])
+def _row_dot(u, v):
+    return (u * v).sum(axis=1)
+
+
+def _minkowski_rows(u, v):
+    return _row_dot(u[:, 1:], v[:, 1:]) - u[:, 0] * v[:, 0]
+
+
+def _refuse_rows(bad, problem, values=None):
+    """Raise for the first flagged point, naming its row when there are several.
+
+    With `values`, the first point's entry fills the `{}` in `problem`.
+    """
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f" (point {i})" if bad.size > 1 else ""
+        raise ValueError((problem if values is None else problem.format(values[i])) + where)
+
+
+def support_rows(c, positions, normals):
+    """`support_value` for k points at once: a `SupportData` of (k,) and (k, d) arrays.
+
+    Every check runs per row, and a refusal names the first bad point.
+    """
+    require_nonpositive_curvature(c)
+    x = np.asarray(positions, dtype=float)
+    nu = np.asarray(normals, dtype=float)
+    if x.shape != nu.shape or x.ndim != 2:
+        raise ValueError(f"positions and normals must both be (k, d) arrays, "
+                         f"got {x.shape} and {nu.shape}")
+    if c == 0.0:
+        norm = np.sqrt(_row_dot(nu, nu))
+        _refuse_rows(np.abs(norm - 1.0) > 1e-10, "normal must be unit length, |nu| = {}", norm)
+        rho = np.sqrt(_row_dot(x, x))
+        _refuse_rows(rho == 0.0, "point coincides with the base point; d_rho undefined")
+        d_rho = x / rho[:, None]
+        nu_comp = _row_dot(d_rho, nu)
+        z_scale = rho                               # shc(0, rho) = rho
+    else:
+        kappa = math.sqrt(-c)
+        _refuse_rows(np.abs(_minkowski_rows(x, x) - 1.0 / c) > 1e-8 * max(1.0, abs(1.0 / c)),
+                     "position does not lie on the model hyperboloid <<x,x>> = 1/c")
+        _refuse_rows(np.abs(_minkowski_rows(nu, nu) - 1.0) > 1e-10,
+                     "normal must be unit for the Minkowski pairing")
+        _refuse_rows(np.abs(_minkowski_rows(x, nu)) > 1e-8,
+                     "normal must be tangent to the hyperboloid")
+        x_hat = kappa * x
+        cosh_kr = x_hat[:, 0]                   # -<<x_hat, kappa * base point>>
+        _refuse_rows(cosh_kr < 1.0 + 1e-14, "point coincides with the base point; d_rho undefined")
+        rho = np.arccosh(cosh_kr) / kappa
+        sinh_kr = np.sinh(kappa * rho)
+        d_rho = cosh_kr[:, None] * x_hat
+        d_rho[:, 0] -= 1.0                      # minus kappa * base point
+        d_rho /= sinh_kr[:, None]
+        nu_comp = _minkowski_rows(d_rho, nu)
+        z_scale = sinh_kr / kappa               # shc(c, rho)
+    tangential = d_rho - nu_comp[:, None] * nu
+    return SupportData(rho, nu_comp, tangential, z_scale * nu_comp)
 
 
 def support_value(c, position, normal):
@@ -109,43 +167,16 @@ def support_value(c, position, normal):
 
     c = 0: `position` is the Euclidean position vector, and Z = <X, nu>.
     c < 0: `position` lies on the hyperboloid <<x, x>> = 1/c (time coordinate
-    first) and `normal` is unit and tangent there.
+    first) and `normal` is unit and tangent there.  This is the one-row case of
+    `support_rows`.
     """
-    require_nonpositive_curvature(c)
     x = np.asarray(position, dtype=float)
     nu = np.asarray(normal, dtype=float)
     if x.shape != nu.shape:
         raise ValueError("position and normal must have matching shapes")
-    if c == 0.0:
-        norm = np.linalg.norm(nu)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"normal must be unit length, |nu| = {norm}")
-        rho = float(np.linalg.norm(x))
-        if rho == 0.0:
-            raise ValueError("point coincides with the base point; d_rho undefined")
-        d_rho = x / rho
-        nu_comp = float(d_rho @ nu)
-        tangential = d_rho - nu_comp * nu
-        return SupportData(rho, nu_comp, tangential, shc(c, rho) * nu_comp)
-
-    kappa = math.sqrt(-c)
-    if abs(minkowski_inner(x, x) - 1.0 / c) > 1e-8 * max(1.0, abs(1.0 / c)):
-        raise ValueError("position does not lie on the model hyperboloid <<x,x>> = 1/c")
-    if abs(minkowski_inner(nu, nu) - 1.0) > 1e-10:
-        raise ValueError("normal must be unit for the Minkowski pairing")
-    if abs(minkowski_inner(x, nu)) > 1e-8:
-        raise ValueError("normal must be tangent to the hyperboloid")
-    base_hat = np.zeros_like(x)
-    base_hat[0] = 1.0                       # kappa * base point
-    x_hat = kappa * x
-    cosh_kr = -minkowski_inner(x_hat, base_hat)
-    if cosh_kr < 1.0 + 1e-14:
-        raise ValueError("point coincides with the base point; d_rho undefined")
-    rho = math.acosh(cosh_kr) / kappa
-    d_rho = (cosh_kr * x_hat - base_hat) / math.sinh(kappa * rho)
-    nu_comp = minkowski_inner(d_rho, nu)
-    tangential = d_rho - nu_comp * nu
-    return SupportData(rho, float(nu_comp), tangential, shc(c, rho) * nu_comp)
+    rows = support_rows(c, x[None, :], nu[None, :])
+    return SupportData(float(rows.rho[0]), float(rows.nu_component[0]), rows.tangential[0],
+                       float(rows.support[0]))
 
 
 @dataclass(frozen=True)
@@ -158,7 +189,7 @@ class GeodesicSphereSamples:
     positions: np.ndarray
     normals: np.ndarray     # inward unit normals
     lam: np.ndarray         # (M, n) principal curvatures, all chc/shc
-    support: np.ndarray     # (M,) support values from `support_value`
+    support: np.ndarray     # (M,) support values from `support_rows`
     weights: np.ndarray     # (M,) uniform positive weights
 
 
@@ -182,8 +213,9 @@ def _unit_directions(dim, count, seed):
 def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
     """Sample a geodesic sphere of given radius about the base point.
 
-    Principal curvatures are the exact chc(R)/shc(R); support values are
-    computed per point through `support_value`, exercising the model geometry.
+    Principal curvatures are the exact chc(R)/shc(R); support values come from
+    one checked pass of `support_rows` over the points, exercising the model
+    geometry.
     """
     require_nonpositive_curvature(c)
     if radius <= 0.0:
@@ -201,8 +233,7 @@ def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
         normals = np.empty_like(positions)
         normals[:, 0] = -math.sinh(kr)
         normals[:, 1:] = -math.cosh(kr) * dirs
-    support = np.array([support_value(c, p, nu).support
-                        for p, nu in zip(positions, normals)])
+    support = support_rows(c, positions, normals).support
     lam = np.full((count, dim), cotc(c, radius))
     weights = np.ones(count)
     return GeodesicSphereSamples(c, radius, dim, positions, normals, lam, support, weights)

@@ -181,6 +181,16 @@ def test_flow_last_step_lands_on_t_max(tmp_path, capsys):
     assert snap["metadata"]["t_final"] == 1e9
 
 
+def test_flow_refuses_a_non_elliptic_speed(tmp_path, capsys):
+    # the dt denominator sum (dF/dlam) lam^2 of the anisotropy ratio is rounding noise on a
+    # sphere, so without the refusal the run takes a single step of the whole t_max
+    code = main(["--out", str(tmp_path), "flow", "--surface", "sphere 1", "--grid", "64",
+                 "--f", "anisotropy", "--t-max", "0.1"])
+    assert code == 2
+    assert "f=anisotropy is not" in capsys.readouterr().err
+    assert not (tmp_path / "flow_trace.csv").exists()
+
+
 def test_flow_missing_stop_is_usage_error(tmp_path):
     assert main(["--out", str(tmp_path), "flow", "--surface", "circle 1",
                  "--f", "H"]) == 2

@@ -412,3 +412,80 @@ def test_ellipticity_flags(rng):
                 continue
             grads = f.gradient(rng.uniform(0.1, 4.0, (200, n)))
             assert np.all(grads > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the matrix calculus on (k, n, n) stacks
+
+def _calculus_stacks(rng, n, k=7):
+    """SPD matrices, diagonal matrices (one with coincident eigenvalues) and directions."""
+    spd = np.array([random_spd(rng, n) for _ in range(k)])
+    diag = np.array([np.diag(rng.uniform(0.2, 3.0, n)) for _ in range(k)])
+    diag[2] = 2.0 * np.eye(n)
+    direction = np.array([random_spd(rng, n) - 0.5 * np.eye(n) for _ in range(k)])
+    return spd, diag, direction
+
+
+def _close(stacked, single):
+    return np.abs(stacked - single).max() <= 1e-15 * max(1.0, np.abs(single).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_calculus_matches_single_matrices(n, rng):
+    spd, diag, direction = _calculus_stacks(rng, n)
+    for f in builtin_functions(n):
+        first = matrix_first_derivative(f, spd)
+        form = matrix_second_form(f, diag, direction)
+        r1, r2 = euler_residuals(f, spd)
+        assert first.shape == (len(spd), n, n)
+        assert form.shape == r1.shape == r2.shape == (len(spd),)
+        for i in range(len(spd)):
+            single = matrix_first_derivative(f, spd[i])
+            assert single.shape == (n, n) and _close(first[i], single)
+            single = matrix_second_form(f, diag[i], direction[i])
+            assert isinstance(single, float) and _close(form[i], single)
+            single = euler_residuals(f, spd[i])
+            assert all(isinstance(r, float) for r in single)
+            assert _close(r1[i], single[0]) and _close(r2[i], single[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_calculus_names_the_bad_member(n, rng):
+    spd, diag, direction = _calculus_stacks(rng, n)
+    for f in builtin_functions(n):
+        bad = spd.copy()
+        bad[4, 0, n - 1] = np.nan
+        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
+            matrix_first_derivative(f, bad)
+        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
+            euler_residuals(f, bad)
+        bad = diag.copy()
+        bad[4, 0, 0] = np.inf
+        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
+            matrix_second_form(f, bad, direction)
+        bad = direction.copy()
+        bad[5, n - 1, 0] = np.nan
+        with pytest.raises(DomainError, match=r"B\[5\] has non-finite"):
+            matrix_second_form(f, diag, bad)
+        if n > 1:
+            bad = spd.copy()
+            bad[3, 0, 1] += 0.1
+            with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
+                matrix_first_derivative(f, bad)
+            with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
+                euler_residuals(f, bad)
+            bad = direction.copy()
+            bad[6, 1, 0] += 0.1
+            with pytest.raises(ValueError, match=r"B\[6\] is not symmetric"):
+                matrix_second_form(f, diag, bad)
+            bad = diag.copy()
+            bad[1, 0, 1] = bad[1, 1, 0] = 0.3
+            with pytest.raises(ValueError, match=r"A\[1\] must be diagonal"):
+                matrix_second_form(f, bad, direction)
+        for calc in (matrix_first_derivative, euler_residuals):
+            with pytest.raises(ValueError, match="empty"):
+                calc(f, np.zeros((0, n, n)))
+        with pytest.raises(ValueError, match="empty"):
+            matrix_second_form(f, np.zeros((0, n, n)), np.zeros((0, n, n)))
+        with pytest.raises(ValueError, match="same shape"):
+            matrix_second_form(f, diag, direction[:-1])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from solitonlab import curvfun, hypersurface, soliton, spaceform
-from solitonlab.curvfun import (AnisotropyRatio, GaussCurvature, MeanCurvature,
-                                builtin_functions, parse_curvature_function)
+from solitonlab.curvfun import (AnisotropyRatio, CurvatureFunction, GaussCurvature,
+                                MeanCurvature, builtin_functions, parse_curvature_function)
 from solitonlab.soliton import (admissibility, fit_tau, pinching_quadratics,
                                 residual_field, solve_sphere_radius, sphere_tau,
                                 sweep_row, threshold_high, threshold_low)
@@ -71,12 +71,37 @@ def test_solve_sphere_radius_anchors():
     assert solve_sphere_radius(GaussCurvature(2), 1.0, 0.0) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_solve_sphere_radius_round_trip(rng):
+def _bisect_calling_sphere_tau(f, tau, c, lo=1e-6, hi=50.0):
+    """The bisection of `solve_sphere_radius`, evaluating `sphere_tau` on every step."""
+    d_lo = sphere_tau(f, lo, c) - tau
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        d_mid = sphere_tau(f, mid, c) - tau
+        if abs(d_mid) <= 1e-12 * abs(tau):
+            return mid
+        if d_lo * d_mid <= 0.0:
+            hi = mid
+        else:
+            lo, d_lo = mid, d_mid
+    raise AssertionError("reference bisection did not converge")
+
+
+def test_solve_sphere_radius_round_trip(rng, monkeypatch):
+    # f(1,...,1) is evaluated once per solve, and the radius is bit for bit the one a
+    # bisection evaluating `sphere_tau` on every step finds
+    calls = []
+    unit_value = CurvatureFunction.unit_value
+    monkeypatch.setattr(CurvatureFunction, "unit_value",
+                        lambda self: calls.append(self.name) or unit_value(self))
     for f in (MeanCurvature(2), GaussCurvature(3), parse_curvature_function("pow(H,-1)", 2)):
         for radius in rng.uniform(0.1, 10.0, 20):
             c = -1.0 if f.degree < 0 else 0.0   # m = -1 at c = 0 is degenerate
             tau = sphere_tau(f, radius, c)
-            assert abs(solve_sphere_radius(f, tau, c) - radius) < 1e-10
+            expect = _bisect_calling_sphere_tau(f, tau, c)
+            calls.clear()
+            found = solve_sphere_radius(f, tau, c)
+            assert abs(found - radius) < 1e-10
+            assert found == expect and calls == [f.name]
 
 
 def test_solve_sphere_radius_diagnostics():

@@ -5,7 +5,7 @@ import pytest
 
 from solitonlab import spaceform
 from solitonlab.spaceform import (chc, cotc, rho_hessian, sample_geodesic_sphere,
-                                  shc, support_value)
+                                  shc, support_rows, support_value)
 
 
 def test_flat_values():
@@ -123,3 +123,45 @@ def test_sample_geodesic_sphere():
         sample_geodesic_sphere(0.5, 1.0, 2)
     with pytest.raises(ValueError):
         sample_geodesic_sphere(0.0, -1.0, 2)
+
+
+def test_sample_support_matches_single_points():
+    for c in (0.0, -1.0):
+        for dim in (1, 2, 3):
+            s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
+            single = [support_value(c, p, nu).support for p, nu in zip(s.positions, s.normals)]
+            np.testing.assert_allclose(s.support, single, rtol=0.0, atol=1e-14)
+
+
+def test_support_rows_match_single_points():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((30, 3))
+    nu = rng.standard_normal((30, 3))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    rows = support_rows(0.0, x, nu)
+    for i in range(30):
+        data = support_value(0.0, x[i], nu[i])
+        assert abs(rows.support[i] - data.support) <= 1e-14
+        assert abs(rows.rho[i] - data.rho) <= 1e-14
+        assert np.abs(rows.tangential[i] - data.tangential).max() <= 1e-14
+
+
+@pytest.mark.parametrize("c, bad_position, bad_normal, message", [
+    (0.0, [0.0, 0.0], [1.0, 0.0], "base point"),
+    (0.0, [1.0, 0.0], [2.0, 0.0], "unit"),
+    (1.0, [1.0, 0.0], [0.0, 1.0], "<= 0"),
+    (-1.0, [1.0, 0.5, 0.0], [0.0, 0.0, 1.0], "hyperboloid"),
+    (-1.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "base point"),
+    (-1.0, [math.cosh(0.5), math.sinh(0.5), 0.0], [0.0, 0.0, 2.0], "unit"),
+    (-1.0, [math.cosh(0.5), math.sinh(0.5), 0.0], [0.0, 1.0, 0.0], "tangent"),
+])
+def test_support_refusals_fire_inside_a_batch(c, bad_position, bad_normal, message):
+    with pytest.raises(ValueError, match=message):
+        support_value(c, np.array(bad_position), np.array(bad_normal))
+    dim = len(bad_position) - (2 if c < 0.0 else 1)
+    good = sample_geodesic_sphere(min(c, 0.0), 0.8, dim, 6)
+    positions, normals = good.positions.copy(), good.normals.copy()
+    positions[3], normals[3] = bad_position, bad_normal
+    expect = message if c > 0.0 else rf"{message}.*\(point 3\)"
+    with pytest.raises(ValueError, match=expect):
+        support_rows(c, positions, normals)
