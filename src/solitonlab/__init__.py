@@ -2,8 +2,8 @@
 
 Curvature functions of principal curvatures with exact derivative calculus,
 space-form support geometry, discrete convex hypersurfaces, the self-similar
-solution equation F + tau * Z = 0, and an explicit flow integrator with
-pinching monitors.
+solution equation F + tau * Z = 0, and a linearly implicit flow integrator
+with pinching monitors.
 """
 
 from .curvfun import (AnisotropyRatio, ConvexityVerdict, CurvatureFunction,

@@ -103,13 +103,13 @@ def _cmd_identity_suite(args, out_dir):
     rows = identity_suite_checks(args.samples, args.seed)
     path = out_dir / args.csv
     path.write_text(_suite_csv(rows))
-    failures = [(name, res, tol) for name, res, tol in rows if res > tol]
+    failures = [(name, res, tol) for name, res, tol in rows if not res <= tol]   # NaN fails
     print(f"identity-suite: {len(rows)} checks, seed={args.seed}, samples={args.samples}")
     print(f"wrote {path}")
     if failures:
         print(f"{len(failures)} FAILING checks:")
         for name, res, tol in failures:
-            print(f"  {name}: residual {res:.3e} > tolerance {tol:.3e}")
+            print(f"  {name}: residual {res:.3e} is not within tolerance {tol:.3e}")
         return 1
     print("all checks pass")
     return 0

@@ -142,11 +142,12 @@ def monitors(surface, f):
         ahh = 1.0
         umb = 0.0
     else:
-        r_max = float((lam[:, -1] / lam[:, 0]).max())
-        h2 = geom.mean ** 2
-        aniso = float(((2.0 * geom.norm_A2 - h2) / h2).max())
-        ahh = float((geom.norm_A2 / h2).max())
-        umb = float((geom.dim * geom.norm_A2 - h2).max())
+        lam_1, lam_2 = lam.T            # n = 2, in the grid's frame order
+        r_max = float((np.maximum(lam_1, lam_2) / np.minimum(lam_1, lam_2)).max())
+        h2, a2 = geom.mean ** 2, geom.norm_A2
+        aniso = float(((2.0 * a2 - h2) / h2).max())
+        ahh = float((a2 / h2).max())
+        umb = float((geom.dim * a2 - h2).max())
     return FlowMonitors(r_max=r_max, aniso_max=aniso, ahh_max=ahh, umb_max=umb,
                         soliton=soliton.fit_tau(geom, f))
 
@@ -160,9 +161,8 @@ def _extract(surface):
 
 def _advance(surface, geom, f, dt):
     """One ROS2 step along the normals of `surface`; the stage geometry is validated."""
-    lam = np.diagonal(geom.weingarten, axis1=1, axis2=2)      # in the grid's frame order
-    solve = surface.linearized_solver(geom, f.gradient(lam), _GAMMA * dt)
-    k1 = solve(f.value(lam))
+    solve = surface.linearized_solver(geom, f.gradient(geom.lam), _GAMMA * dt)
+    k1 = solve(f.value(geom.lam))
     stage = _extract(surface.moved(dt * k1[:, None] * geom.normal))
     k2 = solve(f.value(stage.lam) - 2.0 * k1)
     return surface.moved(dt * (1.5 * k1 + 0.5 * k2)[:, None] * geom.normal)
@@ -203,9 +203,9 @@ def _rescale(surface, geom, target_measure):
     """Scale about the centroid to `target_measure`; returns (surface, geometry, alpha).
 
     The geometry of the scaled surface follows from `geom` by similarity, on
-    the same parameter grid: curvatures scale by 1/alpha, the metric by
-    alpha^2, the second form by alpha, the measure weights by alpha^n, and
-    the support about the origin becomes alpha Z + (1 - alpha) <c, nu>.
+    the same parameter grid: curvatures scale by 1/alpha, the measure weights
+    by alpha^n, and the support about the origin becomes
+    alpha Z + (1 - alpha) <c, nu>.  H and |A|^2 follow from the curvatures.
     Scaling keeps convexity, simplicity and the pole angle, so nothing is
     extracted or validated again.
     """
@@ -215,12 +215,7 @@ def _rescale(surface, geom, target_measure):
     scaled_geom = replace(
         geom,
         position=center + alpha * (geom.position - center),
-        metric=alpha * alpha * geom.metric,
-        second_form=alpha * geom.second_form,
-        weingarten=geom.weingarten / alpha,
         lam=geom.lam / alpha,
-        mean=geom.mean / alpha,
-        norm_A2=geom.norm_A2 / (alpha * alpha),
         support=alpha * geom.support + (1.0 - alpha) * (geom.normal @ center),
         weights=alpha ** d * geom.weights,
     )

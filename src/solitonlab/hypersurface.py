@@ -20,7 +20,7 @@ curvatures and negative support values about interior base points.
 
 The two grid types own every operation that depends on their layout, with
 the same members: `dim`, `geometry`, `moved`, `resampled`, `scaled`,
-`centroid`, `min_spacing` and `linearized_solver`.
+`centroid` and `linearized_solver`.
 """
 
 import json
@@ -93,10 +93,6 @@ class PlaneCurve:
 
     def centroid(self, weights):
         return (weights @ self.points) / weights.sum()
-
-    def min_spacing(self):
-        """Shortest segment of the closed polygon, the closing one included."""
-        return float(_segments(np.vstack([self.points, self.points[:1]])).min())
 
     def linearized_solver(self, geom, dfdlam, c):
         """Solver of (I - c J) u = r for the normal speed F of the flow.
@@ -180,10 +176,6 @@ class RevolutionProfile:
         """Centroid (x, 0, 0) of the rotation surface under the area `weights`."""
         return np.array([float(weights @ self.profile[:, 0]) / float(weights.sum()), 0.0, 0.0])
 
-    def min_spacing(self):
-        """Shortest meridian segment; the two poles are not joined."""
-        return float(_segments(self.profile).min())
-
     def linearized_solver(self, geom, dfdlam, c):
         """Solver of (I - c J) u = r for the normal speed F of the flow.
 
@@ -200,7 +192,7 @@ class RevolutionProfile:
         a, b = _second_difference(back, fwd)
         q = (prof[2:, 1] - prof[:-2, 1]) / (prof[1:-1, 1] * (back + fwd) ** 2)  # (y_s / y) d_s
         fm, fp = c * dfdlam[:, 0], c * dfdlam[:, 1]
-        lam2 = fm * geom.weingarten[:, 0, 0] ** 2 + fp * geom.weingarten[:, 1, 1] ** 2
+        lam2 = fm * geom.lam[:, 0] ** 2 + fp * geom.lam[:, 1] ** 2
         lower, upper = np.empty(self.grid_size), np.empty(self.grid_size)
         lower[1:-1] = -fm[1:-1] * a + fp[1:-1] * q
         upper[1:-1] = -fm[1:-1] * b - fp[1:-1] * q
@@ -343,19 +335,29 @@ def _arclength(points):
 
 @dataclass
 class ShapeData:
-    """Per-sample geometric state of a hypersurface."""
+    """Per-sample geometric state of a hypersurface.
+
+    `lam` keeps the grid's frame order: k on a curve, (lam_m, lam_p) (meridian,
+    parallel) on a rotation surface; a pointwise ellipsoid sample is ascending.
+    """
 
     dim: int                 # hypersurface dimension n
     position: np.ndarray     # (M, n+1)
     normal: np.ndarray       # (M, n+1) inward unit normals
-    metric: np.ndarray       # (M, n, n)
-    second_form: np.ndarray  # (M, n, n)
-    weingarten: np.ndarray   # (M, n, n)
-    lam: np.ndarray          # (M, n) principal curvatures, ascending
-    mean: np.ndarray         # (M,) trace of the Weingarten map
-    norm_A2: np.ndarray      # (M,) sum of squared principal curvatures
+    lam: np.ndarray          # (M, n) principal curvatures in the grid's frame order
     support: np.ndarray      # (M,) support value about the base point
     weights: np.ndarray      # (M,) measure weights (arclength / area elements)
+
+    # the row sums add whole columns: numpy's axis-1 reduction costs ~5x more at n <= 2
+    @property
+    def mean(self):
+        """(M,) mean curvature H, the sum of the principal curvatures."""
+        return sum(self.lam.T)
+
+    @property
+    def norm_A2(self):
+        """(M,) |A|^2, the sum of the squared principal curvatures."""
+        return sum(self.lam.T ** 2)
 
     @property
     def measure(self):
@@ -403,7 +405,6 @@ def curve_geometry(curve, base_point=None):
     pair (x, y), overrides it.
     """
     pts = curve.points
-    m = pts.shape[0]
     h, xp, yp = _curve_velocity(pts)
     x, y = pts[:, 0], pts[:, 1]
     w2 = xp * xp + yp * yp
@@ -437,15 +438,8 @@ def curve_geometry(curve, base_point=None):
     if np.any(rho < 1e-12 * max(1.0, float(np.abs(pts).max()))):
         raise GeometryError("base point lies on the curve; radial direction undefined")
 
-    metric = w2.reshape(m, 1, 1)
-    second = (k * w2).reshape(m, 1, 1)
-    weingarten = k.reshape(m, 1, 1)
-    lam = k.reshape(m, 1)
-    return ShapeData(
-        dim=1, position=pts.copy(), normal=normal,
-        metric=metric, second_form=second, weingarten=weingarten, lam=lam,
-        mean=k.copy(), norm_A2=k * k, support=support, weights=w * h,
-    )
+    return ShapeData(dim=1, position=pts.copy(), normal=normal, lam=k[:, None],
+                     support=support, weights=w * h)
 
 
 # ---------------------------------------------------------------------------
@@ -573,28 +567,15 @@ def _meridian_fields(surface, grid_size=None, base_point=None):
     raise GeometryError(f"unsupported surface type {type(surface).__name__} for grid operations")
 
 
-def _diagonal(a, b):
-    """Stack of the diagonal tensors diag(a_i, b_i), shape (M, 2, 2)."""
-    out = np.zeros((a.shape[0], 2, 2))
-    out[:, 0, 0] = a
-    out[:, 1, 1] = b
-    return out
-
-
 def _meridian_shape_data(f):
     m = f.x.shape[0]
     pos = np.column_stack([f.x, f.y, np.zeros(m)])
     nrm = np.column_stack([f.nu, np.zeros(m)])
-    lam = np.sort(np.column_stack([f.lam_m, f.lam_p]), axis=1)
     weights = 2.0 * np.pi * f.y * f.w * f.du
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return ShapeData(
-        dim=2, position=pos, normal=nrm, metric=_diagonal(f.E, f.G),
-        second_form=_diagonal(f.h_ss, f.h_pp), weingarten=_diagonal(f.lam_m, f.lam_p),
-        lam=lam, mean=f.lam_m + f.lam_p, norm_A2=f.lam_m ** 2 + f.lam_p ** 2,
-        support=f.support, weights=weights,
-    )
+    return ShapeData(dim=2, position=pos, normal=nrm, lam=np.column_stack([f.lam_m, f.lam_p]),
+                     support=f.support, weights=weights)
 
 
 def revolution_geometry(profile, base_point=None):
@@ -638,14 +619,8 @@ def ellipsoid_geometry(semi_axes, u, v=None):
         nu /= np.linalg.norm(nu)
         k = a * b / speed2 ** 1.5
         support = float(pos @ nu)
-        return ShapeData(
-            dim=1,
-            position=pos[None, :], normal=nu[None, :],
-            metric=np.array([[[speed2]]]), second_form=np.array([[[k * speed2]]]),
-            weingarten=np.array([[[k]]]), lam=np.array([[k]]),
-            mean=np.array([k]), norm_A2=np.array([k * k]), support=np.array([support]),
-            weights=np.array([math.sqrt(speed2)]),
-        )
+        return ShapeData(dim=1, position=pos[None, :], normal=nu[None, :], lam=np.array([[k]]),
+                         support=np.array([support]), weights=np.array([math.sqrt(speed2)]))
 
     a, b, c = surf.semi_axes
     uu, vv = float(u), float(v if v is not None else 0.0)
@@ -665,16 +640,9 @@ def ellipsoid_geometry(semi_axes, u, v=None):
     g = np.array([[xu @ xu, xu @ xv], [xu @ xv, xv @ xv]])
     h = np.array([[xuu @ nu, xuv @ nu], [xuv @ nu, xvv @ nu]])
     lam = scipy.linalg.eigh(h, g, eigvals_only=True)
-    weingarten = np.linalg.solve(g, h)
-    return ShapeData(
-        dim=2,
-        position=pos[None, :], normal=nu[None, :],
-        metric=g[None, :, :], second_form=h[None, :, :],
-        weingarten=weingarten[None, :, :], lam=lam[None, :],
-        mean=np.array([float(np.trace(weingarten))]),
-        norm_A2=np.array([float(np.sum(lam * lam))]), support=np.array([float(pos @ nu)]),
-        weights=np.array([math.sqrt(np.linalg.det(g))]),
-    )
+    return ShapeData(dim=2, position=pos[None, :], normal=nu[None, :], lam=lam[None, :],
+                     support=np.array([float(pos @ nu)]),
+                     weights=np.array([math.sqrt(np.linalg.det(g))]))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +676,10 @@ def covariant_hessian(surface, phi, grid_size=None):
     ppp = f.d2(phi)
     ep = f.d1(f.E)
     gp = f.d1(f.G)
-    return _diagonal(ppp - ep / (2.0 * f.E) * pp, gp / (2.0 * f.E) * pp)
+    hess = np.zeros((m, 2, 2))
+    hess[:, 0, 0] = ppp - ep / (2.0 * f.E) * pp
+    hess[:, 1, 1] = gp / (2.0 * f.E) * pp
+    return hess
 
 
 def _meridian_nabla_h(f):
@@ -758,11 +729,11 @@ def support_hessian_residual(surface, grid_size=None, base_point=None):
         geom = curve_geometry(surface, base_point=base_point)
         _require_interior_base(geom.support, "support_hessian_residual")
         h, xp, yp = _curve_velocity(surface.points)
-        e = geom.metric[:, 0, 0]
+        e = xp * xp + yp * yp
         ep = _fd.periodic_d1(e, h)
         z = geom.support
         hess_z = _fd.periodic_d2(z, h) - ep / (2.0 * e) * _fd.periodic_d1(z, h)
-        h11 = geom.second_form[:, 0, 0]
+        h11 = geom.lam[:, 0] * e
         nab_h = _fd.periodic_d1(h11, h) - (ep / e) * h11
         rel = geom.position - _plane_base(base_point)
         tang = np.einsum("ij,ij->i", rel, np.column_stack([xp, yp])) / e
@@ -828,14 +799,14 @@ def load_surface(path):
         return surface_from_document(json.load(fh))
 
 
-def extract_geometry(surface, base_point=None, grid_size=None):
+def extract_geometry(surface, base_point=None, grid_size=256):
     """Dispatch geometry extraction for any surface snapshot."""
     if isinstance(surface, (PlaneCurve, RevolutionProfile)):
         return surface.geometry(base_point)
     if isinstance(surface, Ellipsoid):
         if surface.dim == 2 and surface.axisymmetric:
             a, _, c = surface.semi_axes
-            return spheroid_meridian_geometry(a, c, grid_size or 256, base_point)
+            return spheroid_meridian_geometry(a, c, grid_size, base_point)
         raise GeometryError("general ellipsoids are evaluated pointwise; "
                             "use ellipsoid_geometry(semi_axes, u, v)")
     raise GeometryError(f"unknown surface type {type(surface).__name__}")

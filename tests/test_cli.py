@@ -66,6 +66,16 @@ def test_identity_suite_command_calls_the_cli_name(tmp_path, monkeypatch):
     assert calls == [(7, 4)]
 
 
+def test_identity_suite_fails_a_nan_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "identity_suite_checks",
+                        lambda samples, seed: [("ok", 0.0, 1.0), ("broken", float("nan"), 1.0)])
+    assert main(["--out", str(tmp_path), "identity-suite"]) == 1
+    out = capsys.readouterr().out
+    assert "1 FAILING checks:" in out and "broken" in out and "all checks pass" not in out
+    lines = (tmp_path / "identity_suite.csv").read_text().splitlines()
+    assert lines[2] == "broken,nan,1.000000000000e+00,false"
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -280,6 +290,16 @@ def test_soliton_fit_report_fields(tmp_path):
     assert doc["covered_by"] == ["2(i)", "2(iii)"]
     assert doc["threshold_2iii"] is None
     assert doc["metadata"]["classification"] == "convex"
+
+
+@pytest.mark.parametrize("grid", ["0", "8", "-5"])
+def test_soliton_fit_refuses_a_meridian_grid_below_16(tmp_path, capsys, grid):
+    snap = tmp_path / "spheroid.json"
+    hypersurface.save_surface(hypersurface.Ellipsoid((1.0, 1.0, 1.3)), snap)
+    assert main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
+                 "--f", "H", "--grid", grid]) == 2
+    assert "meridian grid needs at least 16 samples" in capsys.readouterr().err
+    assert not (tmp_path / "soliton_fit.json").exists()
 
 
 def test_soliton_fit_base_point_override(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,15 +118,27 @@ def test_spheroid_equator_cross_oracle():
     rev = revolution_geometry(spheroid_profile(2.0, 1.0, 257))
     exact = ellipsoid_geometry((2.0, 2.0, 1.0), math.pi / 2.0, 0.0)
     np.testing.assert_allclose(exact.lam[0], [0.5, 2.0], rtol=1e-12)
-    assert np.abs(rev.lam[128] - exact.lam[0]).max() < 1e-6
+    assert np.abs(np.sort(rev.lam[128]) - exact.lam[0]).max() < 1e-6
+
+
+def test_principal_curvatures_keep_the_grid_frame_order():
+    assert [fld.name for fld in dataclasses.fields(hs.ShapeData)] == [
+        "dim", "position", "normal", "lam", "support", "weights"]
+    # (meridian, parallel) on both rotation paths, not sorted: (2, 1/2) at the
+    # equator of the (2, 2, 1) spheroid
+    for geom in (revolution_geometry(spheroid_profile(2.0, 1.0, 257)),
+                 spheroid_meridian_geometry(2.0, 1.0, 257)):
+        np.testing.assert_allclose(geom.lam[128], [2.0, 0.5], rtol=1e-6)
+        assert np.array_equal(geom.mean, geom.lam.sum(axis=1))
+        assert np.array_equal(geom.norm_A2, (geom.lam ** 2).sum(axis=1))
 
 
 def test_revolution_two_path_consistency():
     rev = revolution_geometry(spheroid_profile(1.0, 1.3, 256))
     analytic = spheroid_meridian_geometry(1.0, 1.3, 256)
     assert np.abs(rev.lam - analytic.lam).max() < 1e-6
-    w = rev.weingarten
-    assert np.abs(np.einsum("kij,kji->k", w, w) - rev.norm_A2).max() < 1e-10
+    # |A|^2 = H^2 - 2K
+    assert np.abs(rev.mean ** 2 - 2.0 * rev.lam.prod(axis=1) - rev.norm_A2).max() < 1e-10
 
 
 def test_revolution_orientation():
@@ -178,11 +191,13 @@ def test_ellipsoid_equator_pinching():
 
 
 def test_ellipsoid_trace_consistency():
-    geom = ellipsoid_geometry((1.0, 1.2, 1.5), 1.1, 0.7)
-    trace_w = float(np.trace(geom.weingarten[0]))
-    trace_gh = float(np.sum(np.linalg.inv(geom.metric[0]) * geom.second_form[0]))
-    assert abs(trace_w - trace_gh) < 1e-12
-    assert trace_w == pytest.approx(float(geom.mean[0]), abs=1e-12)
+    # H = (a^2 + b^2 + c^2 - |X|^2) p^3 / (a b c)^2, with p^-2 = sum X_i^2 / a_i^4
+    axes = np.array([1.0, 1.2, 1.5])
+    geom = ellipsoid_geometry(tuple(axes), 1.1, 0.7)
+    x = geom.position[0]
+    p = float(np.sum(x ** 2 / axes ** 4)) ** -0.5
+    exact = float(np.sum(axes ** 2) - x @ x) * p ** 3 / float(np.prod(axes ** 2))
+    assert abs(float(geom.mean[0]) - exact) < 1e-12
 
 
 def test_ellipsoid_pole_proximity_rejected():
@@ -207,22 +222,25 @@ def test_covariant_hessian_constant_field():
 
 
 def test_covariant_hessian_sphere_height():
-    # height along the axis restricted to the unit sphere: hess = -height * g
+    # height along the axis restricted to the unit sphere: hess = -height * g,
+    # with g = diag(1, y^2) the round metric in (arclength, rotation angle)
     geom = spheroid_meridian_geometry(1.0, 1.0, 256)
-    height = geom.position[:, 0]
+    height, y = geom.position[:, 0], geom.position[:, 1]
     hess = covariant_hessian(Ellipsoid((1.0, 1.0, 1.0)), height, 256)
-    defect = hess + height[:, None, None] * geom.metric
+    metric = np.zeros((256, 2, 2))
+    metric[:, 0, 0], metric[:, 1, 1] = 1.0, y * y
+    defect = hess + height[:, None, None] * metric
     assert np.abs(defect).max() < 1e-6
     assert np.abs(hess[:, 0, 1]).max() == 0.0      # symmetric by construction
 
 
 def test_covariant_hessian_curve_reduction():
-    # phi = x on the unit circle: second arclength derivative is -x
+    # phi = x on the unit circle, parametrized by angle so the metric is 1:
+    # the second arclength derivative is -x
     surf = circle(1.0, 256)
     phi = surf.points[:, 0]
     hess = covariant_hessian(surf, phi)
-    geom = curve_geometry(surf)
-    assert np.abs(hess[:, 0, 0] + phi * geom.metric[:, 0, 0]).max() < 1e-7
+    assert np.abs(hess[:, 0, 0] + phi).max() < 1e-7
 
 
 def test_covariant_hessian_shape_validation():
@@ -322,21 +340,6 @@ def test_snapshot_round_trip(tmp_path):
         surface_from_document({"format_version": 1, "variant": "blob"})
 
 
-def test_min_spacing_counts_the_closing_segment_but_not_the_pole_chord():
-    th = 2.0 * np.pi * np.linspace(0.0, 0.999, 32)      # last sample just short of the first
-    curve = PlaneCurve(np.column_stack([np.cos(th), np.sin(th)]))
-    closing = float(np.linalg.norm(curve.points[0] - curve.points[-1]))
-    assert closing < 0.01
-    assert curve.min_spacing() == closing
-
-    s = np.linspace(-1.0, 1.0, 17)                       # a thin tent; poles 0.02 apart
-    flat = RevolutionProfile(np.column_stack([0.01 * s, 1.0 - np.abs(s)]))
-    chord = float(np.linalg.norm(flat.profile[0] - flat.profile[-1]))
-    segments = np.linalg.norm(np.diff(flat.profile, axis=0), axis=1)
-    assert chord < segments.min()
-    assert flat.min_spacing() == float(segments.min())
-
-
 @pytest.mark.parametrize("surface,f,u", [
     (ellipse(2.0, 1.0, 256), "H", lambda s: 1.0 + 0.3 * s.points[:, 0]),
     (spheroid_profile(1.0, 1.3, 256), "H", lambda s: 1.0 + 0.3 * s.profile[:, 0]),
@@ -348,10 +351,9 @@ def test_linearized_solver_matches_the_linearization_of_f(surface, f, u):
     # is smooth in x is even through the poles
     f = curvfun.parse_curvature_function(f, surface.dim)
     geom = surface.geometry()
-    lam = np.diagonal(geom.weingarten, axis1=1, axis2=2)
     u = u(surface)
     c = 1e-8
-    ju = (surface.linearized_solver(geom, f.gradient(lam), c)(u) - u) / c
+    ju = (surface.linearized_solver(geom, f.gradient(geom.lam), c)(u) - u) / c
     eps = 1e-6
     speed = [f.value(surface.moved(e * u[:, None] * geom.normal).geometry().lam)
              for e in (eps, -eps)]

@@ -1,7 +1,11 @@
 """The identity suite's rows: the benchmark counts them as operations."""
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from solitonlab import curvfun, hypersurface, identities, soliton, spaceform
 from solitonlab.identities import identity_suite_checks
 
 # (name, tolerance) of every row of identity_suite_checks(30, 0), in order
@@ -148,3 +152,70 @@ def test_suite_rows_are_pinned():
     rows = identity_suite_checks(30, 0)
     assert [(name, tol) for name, _, tol in rows] == SUITE_ROWS
     assert all(np.isfinite(res) and res <= tol for _, res, tol in rows)
+
+
+# ---------------------------------------------------------------------------
+# a NaN residual fails its row: Python's max(0.0, nan) is 0.0, so every fold
+# of a worst residual must keep the NaN
+
+NAN = float("nan")
+
+
+class _NaNFirstValue(curvfun.MeanCurvature):
+    """H with a NaN value in the first row of every batch."""
+
+    def _value(self, arr):
+        out = super()._value(arr).copy()
+        out[0] = np.nan
+        return out
+
+
+def test_a_nan_value_fails_the_eigenvalue_fold_rows():
+    rows = []
+    identities._eigenvalue_checks(rows, np.random.default_rng(0), 10, 2, _NaNFirstValue(2))
+    residual = {name: res for name, res, _ in rows}
+    assert math.isnan(residual["H_n2_permutation_symmetry"])
+    assert math.isnan(residual["H_n2_homogeneity"])
+
+
+def _nan_at(fn, hit):
+    """`fn`, but NaN where `hit(*args)` holds."""
+    return lambda *args, **kwargs: NAN if hit(*args) else fn(*args, **kwargs)
+
+
+def _soliton_layer(rows):
+    identities._soliton_checks(rows, np.random.default_rng(0))
+
+
+# (module, name, replacement, layer, rows that must read NaN)
+_NAN_CASES = [
+    (hypersurface, "codazzi_residual", lambda *a: NAN, identities._geometry_checks,
+     ["codazzi_spheroid_refinement_shortfall"]),
+    (hypersurface, "support_hessian_residual", lambda *a, **k: NAN, identities._geometry_checks,
+     ["support_hessian_spheroid_refinement_shortfall"]),
+    (identities, "_ellipse_curvature_error", lambda *a: NAN, identities._geometry_checks,
+     ["ellipse_curvature_refinement_shortfall"]),
+    (curvfun, "pair_sign_gaps", lambda f, g, lam: (np.full(len(lam), NAN),) * 2,
+     lambda rows: identities._pair_gap_checks(rows, np.random.default_rng(0), 2),
+     ["pair_gaps_convex_concave_n2", "pair_gaps_swapped_n2"]),
+    # c = 0 is mid-grid, so each fold already holds a positive worst when the NaN comes
+    (spaceform, "shc", _nan_at(spaceform.shc, lambda c, t: c == 0.0), identities._spaceform_checks,
+     ["shc_derivative_grid", "chc_derivative_grid", "shc_chc_pythagoras", "shc_continuity_at_c0"]),
+    (soliton, "residual_field", lambda samples, f, tau: np.full(4, NAN), _soliton_layer,
+     ["sphere_residual_builtins_c0", "sphere_residual_builtins_cm1"]),
+    (soliton, "solve_sphere_radius", lambda *a: NAN, _soliton_layer, ["sphere_radius_roundtrip"]),
+    (soliton, "sphere_tau", _nan_at(soliton.sphere_tau, lambda f, radius, c: radius == 2.0 * 1.7),
+     _soliton_layer, ["sphere_tau_scaling_covariance"]),
+    (soliton, "pinching_quadratics", lambda m, t: (NAN, NAN), _soliton_layer,
+     ["threshold_root_check_high", "threshold_root_check_low"]),
+]
+
+
+@pytest.mark.parametrize("module,name,replacement,layer,nan_rows", _NAN_CASES,
+                         ids=[case[1] for case in _NAN_CASES])
+def test_a_nan_residual_fails_its_row(monkeypatch, module, name, replacement, layer, nan_rows):
+    monkeypatch.setattr(module, name, replacement)
+    rows = []
+    layer(rows)
+    residual = {row: res for row, res, _ in rows}
+    assert all(math.isnan(residual[row]) for row in nan_rows), residual
