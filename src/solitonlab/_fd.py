@@ -4,13 +4,18 @@ Two grid topologies are supported: periodic (closed curves) and reflected
 (meridian grids of rotation surfaces, where every smooth field extends through
 the two poles with a definite parity: even for scalars like metric
 coefficients, odd for the radial profile coordinate).
+
+The stencils act along axis 0, on an (M,) array or on the k columns of an
+(M, k) array at once; each column gets the same operations, in the same
+order, as a call on that column alone, so the results are bit-identical.
 """
 
 import numpy as np
 
-# classic 5-point central stencils, O(h^4)
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# classic 5-point central stencils, O(h^4), as Python floats: a numpy scalar
+# times an array costs more than a float times it, for the same product
+_D1 = (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0).tolist()
+_D2 = (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0).tolist()
 
 # one-sided 5-point first derivative at the first node, O(h^4); used only for
 # raw boundary checks where a symmetric stencil would be vacuous
@@ -19,11 +24,12 @@ _D1_ONESIDED = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
 def _apply(ext, coeffs, scale):
     m = len(ext) - 4
-    out = np.zeros(m)
+    out = np.zeros((m,) + ext.shape[1:])
     for k, c in enumerate(coeffs):
         if c != 0.0:
             out += c * ext[k:k + m]
-    return out / scale
+    out /= scale
+    return out
 
 
 def periodic_d1(f, h):
@@ -39,7 +45,9 @@ def periodic_d2(f, h):
 
 
 def _reflect(f, parity):
-    # ghost nodes mirror interior ones about both end nodes
+    # ghost nodes mirror interior ones about both end nodes; `parity` is +-1 or
+    # one sign per column
+    parity = np.asarray(parity)
     left = parity * f[2:0:-1]
     right = parity * f[-2:-4:-1]
     return np.concatenate([left, f, right])
@@ -50,7 +58,8 @@ def reflected_d1(f, h, parity=1):
 
     parity +1: field extends evenly through both ends (derivative is then
     exactly zero at the end nodes); parity -1: odd extension, which requires
-    the end values themselves to vanish.
+    the end values themselves to vanish.  On an (M, k) array `parity` is one
+    sign for every column or a sequence of k signs, one per column.
     """
     return _apply(_reflect(f, parity), _D1, h)
 

@@ -138,7 +138,16 @@ def _build_surface(spec, grid):
         raise UsageError(f"bad surface spec {spec!r}: {exc}") from exc
 
 
+def _require_grid(grid):
+    """Refuse `--grid` below 16 whatever the surface; a `profile` surface and a curve
+    or rotation snapshot keep their own grid and do not read it."""
+    if grid < 16:
+        raise UsageError(f"--grid {grid} is below 16: a curve or meridian grid needs at "
+                         f"least 16 samples")
+
+
 def _cmd_flow(args, out_dir):
+    _require_grid(args.grid)
     surface = _build_surface(args.surface, args.grid)
     f = curvfun.parse_curvature_function(args.f, surface.dim)
     stop = flow.StopRule(t_max=args.t_max, r_tol=args.r_tol, curvature_cap=args.curvature_cap,
@@ -195,6 +204,7 @@ def _cmd_sweep_pinching(args, out_dir):
 
 
 def _cmd_soliton_fit(args, out_dir):
+    _require_grid(args.grid)
     surface = hypersurface.load_surface(args.snapshot)
     base_point = None
     if args.base_point is not None:

@@ -108,7 +108,7 @@ class CurvatureFunction:
         if arr.ndim != 2 or arr.shape[1] != self.n:
             raise ValueError(f"{self.name}: expected eigenvalue vectors of length {self.n}, "
                              f"got shape {np.shape(lam)}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError(f"{self.name}: non-finite eigenvalue entries")
         msg = self._domain_violation(arr)
         if msg is not None:

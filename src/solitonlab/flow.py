@@ -27,9 +27,15 @@ branches on the surface type.  `run` loops over the step that `step` takes:
 each accepted step extracts the geometry twice, for the second stage and to
 validate the candidate; the fixed-scale rescale updates that geometry by
 similarity instead of extracting it again.
+
+`run` evaluates F and its gradient once per state: the gradient sets dt and
+builds J, and the values give k1 and the monitors' tau fit.  The candidate's
+values, computed to check that it lies in the domain of F, are the next
+state's; under fixed scale the rescaled state is evaluated once more.  Each
+ROS2 stage evaluates F once.
 """
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,7 +116,8 @@ class TraceRow:
     measure: float
 
     def csv(self):
-        return ",".join(f"{v:.17g}" for v in astuple(self))
+        # the instance dict holds the fields in declaration order; astuple deep-copies each
+        return ",".join([f"{v:.17g}" for v in self.__dict__.values()])
 
 
 @dataclass
@@ -130,8 +137,11 @@ class FlowTrace:
         return self.rows[-1]
 
 
-def monitors(surface, f):
-    """Pinching, umbilicity, and soliton monitors of a surface snapshot."""
+def monitors(surface, f, values=None):
+    """Pinching, umbilicity, and soliton monitors of a surface snapshot.
+
+    `values`, when given, are F at the snapshot's principal curvatures.
+    """
     geom = surface if isinstance(surface, ShapeData) else _extract(surface)
     lam = geom.lam
     if geom.dim == 1:
@@ -149,7 +159,7 @@ def monitors(surface, f):
         ahh = float((a2 / h2).max())
         umb = float((geom.dim * a2 - h2).max())
     return FlowMonitors(r_max=r_max, aniso_max=aniso, ahh_max=ahh, umb_max=umb,
-                        soliton=soliton.fit_tau(geom, f))
+                        soliton=soliton.fit_tau(geom, f, values))
 
 
 def _extract(surface):
@@ -159,10 +169,17 @@ def _extract(surface):
     return surface.geometry()
 
 
-def _advance(surface, geom, f, dt):
-    """One ROS2 step along the normals of `surface`; the stage geometry is validated."""
-    solve = surface.linearized_solver(geom, f.gradient(geom.lam), _GAMMA * dt)
-    k1 = solve(f.value(geom.lam))
+def _advance(surface, geom, f, dt, values=None, dfdlam=None):
+    """One ROS2 step along the normals of `surface`; the stage geometry is validated.
+
+    `values` and `dfdlam`, when given, are F and its gradient at `geom.lam`.
+    """
+    if dfdlam is None:
+        dfdlam = f.gradient(geom.lam)
+    if values is None:
+        values = f.value(geom.lam)
+    solve = surface.linearized_solver(geom, dfdlam, _GAMMA * dt)
+    k1 = solve(values)
     stage = _extract(surface.moved(dt * k1[:, None] * geom.normal))
     k2 = solve(f.value(stage.lam) - 2.0 * k1)
     return surface.moved(dt * (1.5 * k1 + 0.5 * k2)[:, None] * geom.normal)
@@ -172,16 +189,17 @@ def _redistribute(surface):
     return surface.resampled()
 
 
-def _step(surface, geom, f, dt):
-    """Advance, redistribute and validate; returns the stepped surface and its geometry.
+def _step(surface, geom, f, dt, values, dfdlam):
+    """Advance, redistribute and validate; returns the stepped surface, its geometry
+    and F at its principal curvatures.
 
-    Raises `GeometryError` (convexity, simplicity) or `DomainError` (domain of f),
+    `values` and `dfdlam` are F and its gradient at `geom.lam`.  Raises
+    `GeometryError` (convexity, simplicity) or `DomainError` (domain of f),
     from either stage.
     """
-    candidate = _redistribute(_advance(surface, geom, f, dt))
+    candidate = _redistribute(_advance(surface, geom, f, dt, values, dfdlam))
     candidate_geom = _extract(candidate)
-    f.value(candidate_geom.lam)
-    return candidate, candidate_geom
+    return candidate, candidate_geom, f.value(candidate_geom.lam)
 
 
 def step(surface, f, dt):
@@ -196,7 +214,8 @@ def step(surface, f, dt):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _step(surface, _extract(surface), f, dt)[0]
+    geom = _extract(surface)
+    return _step(surface, geom, f, dt, f.value(geom.lam), f.gradient(geom.lam))[0]
 
 
 def _rescale(surface, geom, target_measure):
@@ -244,14 +263,14 @@ def run(config, surface):
     """
     f, stop = config.f, config.stop
     geom = _extract(surface)
-    f.value(geom.lam)                  # domain check up front
+    values = f.value(geom.lam)         # F of the current state; also the domain check up front
     measure0 = geom.measure
     trace = FlowTrace()
     t = dt = 0.0
     alpha = cumulative = 1.0
 
     while True:
-        mon = monitors(geom, f)
+        mon = monitors(geom, f, values)
         trace.rows.append(TraceRow(t, dt, alpha, mon.r_max, mon.aniso_max, mon.ahh_max,
                                    mon.umb_max, mon.soliton.tau_fit,
                                    mon.soliton.relative_residual, geom.measure))
@@ -261,7 +280,8 @@ def run(config, surface):
             return _finish(trace, surface, reason)
 
         lam = geom.lam
-        dt = config.dt_safety * _STEP_SCALE / float((f.gradient(lam) * lam * lam).sum(axis=1).max())
+        dfdlam = f.gradient(lam)
+        dt = config.dt_safety * _STEP_SCALE / float((dfdlam * lam * lam).sum(axis=1).max())
         lands = stop.t_max is not None and t + dt >= stop.t_max
         if lands:
             dt = stop.t_max - t        # the step that reaches t_max ends on it
@@ -277,7 +297,7 @@ def run(config, surface):
                 return _finish(trace, surface, f"dt underflow (dt = {dt:.3g} at t = {t:.6g})",
                                aborted=True)
             try:
-                surface, geom = _step(surface, geom, f, dt)
+                surface, geom, values = _step(surface, geom, f, dt, values, dfdlam)
                 break
             except (GeometryError, DomainError) as exc:
                 last_error = exc
@@ -288,6 +308,7 @@ def run(config, surface):
         t = stop.t_max if lands else t + dt
         if config.rescale_mode == "fixed-scale":
             surface, geom, alpha = _rescale(surface, geom, measure0)
+            values = f.value(geom.lam)
             cumulative *= alpha
 
 

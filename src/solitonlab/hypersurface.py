@@ -66,7 +66,7 @@ class PlaneCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 16:
             raise GeometryError(f"curve needs at least 16 plane points, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise GeometryError("curve has non-finite coordinates")
         object.__setattr__(self, "points", pts)
 
@@ -102,7 +102,7 @@ class PlaneCurve:
         cyclic tridiagonal matrix.  `dfdlam` (M, 1) is F' at the samples.
         """
         fwd = _segments(np.vstack([self.points, self.points[:1]]))   # sample i to i + 1
-        back = np.roll(fwd, 1)
+        back = np.concatenate((fwd[-1:], fwd[:-1]))
         a, b = _second_difference(back, fwd)
         g = c * dfdlam[:, 0]
         lower, upper = -g * a, -g * b
@@ -121,7 +121,7 @@ class RevolutionProfile:
         prof = np.asarray(self.profile, dtype=float)
         if prof.ndim != 2 or prof.shape[1] != 2 or prof.shape[0] < 16:
             raise GeometryError(f"profile needs at least 16 samples, got {prof.shape}")
-        if not np.all(np.isfinite(prof)):
+        if not np.isfinite(prof).all():
             raise GeometryError("profile has non-finite coordinates")
         scale = float(np.abs(prof).max())
         y = prof[:, 1].copy()
@@ -129,7 +129,7 @@ class RevolutionProfile:
             raise GeometryError("profile must start and end on the rotation axis (y = 0)")
         y[0] = y[-1] = 0.0
         interior = y[1:-1]
-        if np.any(interior <= 0.0):
+        if (interior <= 0.0).any():
             bad = 1 + int(np.nonzero(interior <= 0.0)[0][0])
             raise GeometryError(f"profile touches the axis in the interior at sample {bad}")
         prof = np.column_stack([prof[:, 0], y])
@@ -322,8 +322,14 @@ def _periodic_spline(knots, values, targets):
     return c[:, 0] + x * (c[:, 1] + x * (c[:, 2] + x * c[:, 3]))
 
 
+def _norms(v):
+    """Lengths of the rows of `v` (N, 2), with the bits of `np.linalg.norm(v, axis=1)`
+    at a fraction of its call cost."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+
+
 def _segments(points):
-    return np.linalg.norm(np.diff(points, axis=0), axis=1)
+    return _norms(points[1:] - points[:-1])
 
 
 def _arclength(points):
@@ -391,9 +397,9 @@ def _require_interior_base(support, what):
 
 
 def _curve_velocity(points):
-    """Grid step and 4th-order periodic derivatives (x', y') of a curve grid."""
+    """Grid step and the 4th-order periodic velocity (x', y'), (M, 2), of a curve grid."""
     h = 2.0 * np.pi / points.shape[0]
-    return h, _fd.periodic_d1(points[:, 0], h), _fd.periodic_d1(points[:, 1], h)
+    return h, _fd.periodic_d1(points, h)
 
 
 def curve_geometry(curve, base_point=None):
@@ -405,27 +411,31 @@ def curve_geometry(curve, base_point=None):
     pair (x, y), overrides it.
     """
     pts = curve.points
-    h, xp, yp = _curve_velocity(pts)
-    x, y = pts[:, 0], pts[:, 1]
+    h, vel = _curve_velocity(pts)
+    xp, yp = vel.T
+    x, y = pts.T
     w2 = xp * xp + yp * yp
-    if np.any(w2 <= 0.0):
+    if (w2 <= 0.0).any():
         raise GeometryError("degenerate parametrization (zero speed)")
     w = np.sqrt(w2)
 
-    area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.concatenate((pts[1:], pts[:1]))          # sample i + 1
+    area2 = float((x * nxt[:, 1] - nxt[:, 0] * y).sum())
     orient = 1.0 if area2 >= 0.0 else -1.0
     # curvature from the turning of the unit tangent: exact on circles and
     # other single-harmonic grids, O(h^4) in general
-    tx, ty = xp / w, yp / w
-    k = orient * (tx * _fd.periodic_d1(ty, h) - ty * _fd.periodic_d1(tx, h)) / w
-    normal = orient * np.column_stack([-ty, tx])
+    tangent = vel / w[:, None]
+    tx, ty = tangent.T
+    dtx, dty = _fd.periodic_d1(tangent, h).T
+    k = orient * (tx * dty - ty * dtx) / w
+    normal = tangent[:, ::-1] * (-orient, orient)      # orient * (-ty, tx)
 
-    nonconvex = np.nonzero(k <= 0.0)[0]
+    nonconvex = (k <= 0.0).nonzero()[0]
     if nonconvex.size:
         raise NonConvexSurfaceError("curve is not convex: curvature <= 0", int(nonconvex[0]))
 
     angles = np.arctan2(yp, xp)
-    turns = np.diff(np.concatenate([angles, angles[:1]]))
+    turns = np.concatenate((angles[1:], angles[:1])) - angles
     turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
     # +-1 for simple curves depending on traversal; normalize by orientation
     turning_number = orient * float(turns.sum() / (2.0 * np.pi))
@@ -434,8 +444,8 @@ def curve_geometry(curve, base_point=None):
 
     rel = pts - _plane_base(base_point)
     support = np.einsum("ij,ij->i", rel, normal)
-    rho = np.linalg.norm(rel, axis=1)
-    if np.any(rho < 1e-12 * max(1.0, float(np.abs(pts).max()))):
+    rho = _norms(rel)
+    if (rho < 1e-12 * max(1.0, float(np.abs(pts).max()))).any():
         raise GeometryError("base point lies on the curve; radial direction undefined")
 
     return ShapeData(dim=1, position=pts.copy(), normal=normal, lam=k[:, None],
@@ -484,22 +494,23 @@ def _meridian_from_profile(profile, base_point=None):
     du = 1.0 / (m - 1)
     x, y = prof[:, 0].copy(), prof[:, 1].copy()
 
-    xp = _fd.reflected_d1(x, du, +1)
-    yp = _fd.reflected_d1(y, du, -1)
+    vel = _fd.reflected_d1(prof, du, (+1, -1))      # x even through the poles, y odd
+    xp, yp = vel.T
     w2 = xp * xp + yp * yp
-    if np.any(w2 <= 0.0):
+    if (w2 <= 0.0).any():
         raise GeometryError("degenerate profile parametrization (zero speed)")
     w = np.sqrt(w2)
 
     # orient the planar normal inward: negative y-component at the equator
-    ie = int(np.argmax(y))
+    ie = int(y.argmax())
     orient = 1.0 if -xp[ie] / w[ie] < 0.0 else -1.0
     # meridian curvature from the turning of the unit tangent (tangent x-part
     # is odd through the poles, y-part even)
-    tx, ty = xp / w, yp / w
-    nu = orient * np.column_stack([ty, -tx])
-    lam_m = orient * (ty * _fd.reflected_d1(tx, du, -1)
-                      - tx * _fd.reflected_d1(ty, du, +1)) / w
+    tangent = vel / w[:, None]
+    tx, ty = tangent.T
+    nu = tangent[:, ::-1] * (orient, -orient)          # orient * (ty, -tx)
+    dtx, dty = _fd.reflected_d1(tangent, du, (-1, +1)).T
+    lam_m = orient * (ty * dtx - tx * dty) / w
 
     # pole-angle check: the one-sided slope of the axis coordinate must vanish
     # relative to the profile speed.  The base tolerance is floored by the
@@ -507,7 +518,8 @@ def _meridian_from_profile(profile, base_point=None):
     # (resampled flow states); the reference curvature is the robust bulk
     # median so an irregular pole cannot loosen its own check.
     h_arc = float(_segments(prof).mean())
-    kappa_ref = float(np.median(np.abs(lam_m[m // 4: 3 * m // 4]))) or 1.0
+    bulk = np.sort(np.abs(lam_m[m // 4: 3 * m // 4]))   # its median as np.median gives it
+    kappa_ref = float(0.5 * (bulk[(bulk.size - 1) // 2] + bulk[bulk.size // 2])) or 1.0
     pole_tol = max(_POLE_ANGLE_TOL, (2.0 * h_arc * kappa_ref) ** 3)
     for label, xsl, ysl in (("first", _fd.onesided_d1_start(x, du), _fd.onesided_d1_start(y, du)),
                             ("last", _fd.onesided_d1_end(x, du), _fd.onesided_d1_end(y, du))):
@@ -587,7 +599,7 @@ def revolution_geometry(profile, base_point=None):
     must lie on the rotation axis (a single x-coordinate).
     """
     f = _meridian_from_profile(profile, base_point)
-    bad = np.nonzero((f.lam_m <= 0.0) | (f.lam_p <= 0.0))[0]
+    bad = ((f.lam_m <= 0.0) | (f.lam_p <= 0.0)).nonzero()[0]
     if bad.size:
         raise NonConvexSurfaceError("rotation surface is not convex", int(bad[0]))
     return _meridian_shape_data(f)
@@ -661,7 +673,8 @@ def covariant_hessian(surface, phi, grid_size=None):
         m = surface.grid_size
         if phi.shape != (m,):
             raise GeometryError(f"field shape {phi.shape} does not match grid ({m},)")
-        h, xp, yp = _curve_velocity(surface.points)
+        h, vel = _curve_velocity(surface.points)
+        xp, yp = vel.T
         e = xp * xp + yp * yp
         ep = _fd.periodic_d1(e, h)
         pp = _fd.periodic_d1(phi, h)
@@ -728,7 +741,8 @@ def support_hessian_residual(surface, grid_size=None, base_point=None):
     if isinstance(surface, PlaneCurve):
         geom = curve_geometry(surface, base_point=base_point)
         _require_interior_base(geom.support, "support_hessian_residual")
-        h, xp, yp = _curve_velocity(surface.points)
+        h, vel = _curve_velocity(surface.points)
+        xp, yp = vel.T
         e = xp * xp + yp * yp
         ep = _fd.periodic_d1(e, h)
         z = geom.support
@@ -736,7 +750,7 @@ def support_hessian_residual(surface, grid_size=None, base_point=None):
         h11 = geom.lam[:, 0] * e
         nab_h = _fd.periodic_d1(h11, h) - (ep / e) * h11
         rel = geom.position - _plane_base(base_point)
-        tang = np.einsum("ij,ij->i", rel, np.column_stack([xp, yp])) / e
+        tang = np.einsum("ij,ij->i", rel, vel) / e
         res = hess_z + h11 + tang * nab_h + z * (geom.lam[:, 0] ** 2 * e)
         return float(np.abs(res).max())
 
@@ -789,9 +803,13 @@ def surface_from_document(doc):
 
 
 def save_surface(surface, path, metadata=None):
+    """Write the snapshot document as one line of JSON.
+
+    `json.dumps` without indent runs the C encoder; floats keep their repr,
+    so they load back bit-exact.
+    """
     with open(path, "w") as fh:
-        json.dump(surface_to_document(surface, metadata), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(surface_to_document(surface, metadata)) + "\n")
 
 
 def load_surface(path):

@@ -95,13 +95,14 @@ def solve_sphere_radius(f, tau, c=0.0, bracket=(1e-6, 50.0), max_iter=200, rtol=
                      f"in {max_iter} iterations")
 
 
-def _samples_arrays(samples, f):
+def _samples_arrays(samples, f, values=None):
     lam = np.asarray(samples.lam, dtype=float)
     support = np.asarray(samples.support, dtype=float)
     weights = np.asarray(samples.weights, dtype=float)
     if lam.shape[0] < 16:
         raise ValueError(f"need at least 16 samples, got {lam.shape[0]}")
-    values = f.value(lam)
+    if values is None:
+        values = f.value(lam)
     return values, support, weights
 
 
@@ -111,9 +112,12 @@ def residual_field(samples, f, tau):
     return values + tau * support
 
 
-def fit_tau(samples, f):
-    """Measure-weighted least-squares tau minimizing sum w (F + tau Z)^2."""
-    values, support, weights = _samples_arrays(samples, f)
+def fit_tau(samples, f, values=None):
+    """Measure-weighted least-squares tau minimizing sum w (F + tau Z)^2.
+
+    `values`, when given, are F at `samples.lam`, already evaluated.
+    """
+    values, support, weights = _samples_arrays(samples, f, values)
     denom = float(weights @ (support * support))
     if denom <= 0.0:
         raise ValueError("degenerate support: sum w Z^2 vanishes, tau is not identifiable")

@@ -302,6 +302,28 @@ def test_soliton_fit_refuses_a_meridian_grid_below_16(tmp_path, capsys, grid):
     assert not (tmp_path / "soliton_fit.json").exists()
 
 
+def _grid_cases(tmp_path):
+    curve = tmp_path / "curve.json"
+    hypersurface.save_surface(hypersurface.ellipse(2.0, 1.0, 64), curve)
+    flow = ["flow", "--f", "H", "--t-max", "0.001", "--surface"]
+    return {
+        "flow-ellipse": flow + ["ellipse 2 1"],
+        "flow-spheroid": flow + ["spheroid 1 1.3"],
+        "flow-profile": flow + [f"profile {curve}"],
+        "fit-curve": ["soliton-fit", "--snapshot", str(curve), "--f", "H"],
+    }
+
+
+@pytest.mark.parametrize("case", ["flow-ellipse", "flow-spheroid", "flow-profile", "fit-curve"])
+@pytest.mark.parametrize("grid", ["-5", "0", "15"])
+def test_grid_below_16_is_refused_whatever_the_surface(tmp_path, capsys, case, grid):
+    # a profile surface or a curve snapshot keeps its own grid; --grid is checked anyway
+    out = tmp_path / "out"
+    assert main(["--out", str(out)] + _grid_cases(tmp_path)[case] + ["--grid", grid]) == 2
+    assert f"--grid {grid} is below 16" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_soliton_fit_base_point_override(tmp_path):
     snap = tmp_path / "sphere.json"
     hypersurface.save_surface(hypersurface.sphere_profile(1.0, 128), snap)

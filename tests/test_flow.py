@@ -254,6 +254,33 @@ def test_two_extractions_per_fixed_scale_step(monkeypatch, surface, f):
     assert counts == {"extract": 2 * steps + 1, "spline": 0}   # the ROS2 stage, the candidate
 
 
+@pytest.mark.parametrize("surface,f", [(ellipse(2.0, 1.0, 64), H1),
+                                       (spheroid_profile(1.0, 1.3, 64), H2)],
+                         ids=["ellipse", "spheroid"])
+@pytest.mark.parametrize("rescale_mode", ["none", "fixed-scale"])
+def test_f_is_evaluated_once_per_state(monkeypatch, surface, f, rescale_mode):
+    counts = {"value": 0, "gradient": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key in counts:
+        monkeypatch.setattr(curvfun.CurvatureFunction, key,
+                            counting(getattr(curvfun.CurvatureFunction, key), key))
+    config = FlowConfig(f=f, stop=StopRule(t_max=0.1), rescale_mode=rescale_mode)
+    trace = run(config, surface)
+    steps = len(trace.rows) - 1
+    assert trace.stop_reason == "t_max" and trace.dt_halvings == 0 and steps > 5
+    # one value per state and one per ROS2 stage; under fixed scale the candidate
+    # is checked before the rescale and the rescaled state is evaluated again
+    fixed = rescale_mode == "fixed-scale"
+    assert counts == {"value": (steps + 1) + steps + (steps if fixed else 0),
+                      "gradient": steps}
+
+
 def test_circle_dilation_invariance():
     step_counts = set()
     for s in (1e-6, 1.0, 1e3):
@@ -298,6 +325,26 @@ def test_criterion_7_step_count_does_not_grow_with_the_grid(name):
         counts.append(len(trace.rows) - 1)
     assert abs(counts[0] - counts[1]) <= 2
     assert counts[1] <= bound
+
+
+# (steps, final r_max, tau_fit, aHH_max) recorded at commit bbadaf0; a change that
+# only removes overhead keeps the arithmetic, and so these values
+_CRITERION_7_AT_M64 = {
+    "ellipse": (198, 1.0196046134999863, 0.4205936008615681, 1.0),
+    "spheroid": (85, 1.2197298708407232, 1.6663042165170079, 0.5048994570227833),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CRITERION_7_AT_M64))
+def test_criterion_7_at_m64_keeps_its_recorded_values(name):
+    make, f, stop, _ = _CRITERION_7[name]
+    trace = run(FlowConfig(f=f, stop=stop, rescale_mode="fixed-scale"), make(64))
+    steps, r_max, tau_fit, ahh_max = _CRITERION_7_AT_M64[name]
+    last = trace.final
+    assert trace.stop_reason == "r_tol" and len(trace.rows) - 1 == steps
+    assert last.r_max == pytest.approx(r_max, rel=1e-12, abs=0.0)
+    assert last.tau_fit == pytest.approx(tau_fit, rel=1e-12, abs=0.0)
+    assert last.ahh_max == pytest.approx(ahh_max, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("make,f", [

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -323,17 +324,31 @@ def test_rotation_base_point_must_be_one_number():
 # ---------------------------------------------------------------------------
 # snapshots
 
+def _surface_bits(surface):
+    data = {PlaneCurve: "points", RevolutionProfile: "profile", Ellipsoid: "semi_axes"}
+    return np.asarray(getattr(surface, data[type(surface)]), dtype=float).tobytes()
+
+
 def test_snapshot_round_trip(tmp_path):
-    surfaces = [circle(1.0, 32), spheroid_profile(1.0, 1.3, 40), Ellipsoid((1.0, 1.0, 1.5))]
+    rng = np.random.default_rng(11)
+    wobbly = PlaneCurve(circle(1.0, 32).points * (1.0 + 0.01 * rng.random((32, 1))))
+    surfaces = [circle(1.0, 32), wobbly, spheroid_profile(1.0, 1.3, 40),
+                Ellipsoid((1.0, 1.0, 1.5)), Ellipsoid((math.pi, 1.0 / 3.0))]
+    metadata = {"note": "x", "seed": 3, "t_final": 0.1 + 0.2, "ratio": 1.0 / 3.0,
+                "tiny": 5e-324, "stop_reason": "aborted: dt underflow"}
     for surf in surfaces:
         doc = surface_to_document(surf, metadata={"note": "x"})
         assert doc["format_version"] == 1
         back = surface_from_document(doc)
         assert type(back) is type(surf)
         path = tmp_path / "snap.json"
-        hs.save_surface(surf, path)
+        hs.save_surface(surf, path, metadata=metadata)
         loaded = hs.load_surface(path)
         assert type(loaded) is type(surf)
+        assert _surface_bits(loaded) == _surface_bits(surf)       # every float bit-exact
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")      # one line of JSON
+        assert json.loads(text)["metadata"] == metadata
     with pytest.raises(GeometryError, match="format_version"):
         surface_from_document({"format_version": 2, "variant": "curve"})
     with pytest.raises(GeometryError, match="variant"):
