@@ -11,7 +11,9 @@ with one section per command plus a ``[config]`` section carrying
 
 import argparse
 import configparser
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -252,9 +254,17 @@ _REQUIRED = object()     # the default of an option that must be given
 _BASE_POINT_FORMS = "'x' on the axis for rotation surfaces, 'x y' for curves"
 
 
+def _finite_float(text):
+    """A float option's type: NaN and the infinities are refused, naming the flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 class _Option(NamedTuple):
     key: str            # config key; the flag is --key with '_' as '-'
-    type: type
+    type: object        # converts the text of a flag or config value: int, str or _finite_float
     default: object = None
     choices: tuple | None = None
     help: str | None = None
@@ -269,8 +279,8 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "sphere-check": _Command("closed-form tau and sphere residual", _cmd_sphere_check, (
         _Option("f", str, _REQUIRED),
-        _Option("R", float, _REQUIRED),
-        _Option("c", float, 0.0),
+        _Option("R", _finite_float, _REQUIRED),
+        _Option("c", _finite_float, 0.0),
         _Option("n", int, 2),
         _Option("samples", int, 256),
     )),
@@ -282,18 +292,18 @@ _COMMANDS = {
         _Option("surface", str, _REQUIRED),
         _Option("f", str, _REQUIRED),
         _Option("rescale", str, "none", choices=("none", "fixed-scale")),
-        _Option("dt_safety", float, 0.4),
+        _Option("dt_safety", _finite_float, 0.4),
         _Option("grid", int, 256),
-        _Option("t_max", float),
-        _Option("r_tol", float),
-        _Option("curvature_cap", float),
-        _Option("min_scale_fraction", float),
+        _Option("t_max", _finite_float),
+        _Option("r_tol", _finite_float),
+        _Option("curvature_cap", _finite_float),
+        _Option("min_scale_fraction", _finite_float),
         _Option("trace", str, "flow_trace.csv"),
         _Option("snapshot", str, "flow_final.json"),
     )),
     "sweep-pinching": _Command("pinching thresholds over a degree range", _cmd_sweep_pinching, (
-        _Option("m_start", float, _REQUIRED),
-        _Option("m_stop", float, _REQUIRED),
+        _Option("m_start", _finite_float, _REQUIRED),
+        _Option("m_stop", _finite_float, _REQUIRED),
         _Option("count", int, 50),
         _Option("n", int, 2),
         _Option("classification", str, "neither", choices=("convex", "concave", "neither")),
@@ -324,7 +334,7 @@ def _fill_options(args, cfg):
         if opt.key in section:
             try:
                 setattr(args, opt.key, opt.type(section[opt.key]))
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"bad config value {section[opt.key]!r} "
                                  f"for [{args.command}] {opt.key}") from exc
         elif opt.default is _REQUIRED:
@@ -337,7 +347,9 @@ def _fill_options(args, cfg):
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def _build_parser():
+    """The parser, built on its first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="solitonlab",
         description="Numerical laboratory for curvature functions, support geometry, "

@@ -74,6 +74,13 @@ class StopRule:
         if all(v is None for v in (self.t_max, self.r_tol, self.curvature_cap,
                                    self.min_scale_fraction)):
             raise ValueError("StopRule needs at least one criterion set")
+        for name in ("t_max", "r_tol", "curvature_cap"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:      # NaN is refused too
+                raise ValueError(f"StopRule {name} must be positive, got {value}")
+        fraction = self.min_scale_fraction
+        if fraction is not None and not 0.0 < fraction < 1.0:
+            raise ValueError(f"StopRule min_scale_fraction must lie in (0, 1), got {fraction}")
 
 
 @dataclass(frozen=True)

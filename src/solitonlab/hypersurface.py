@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from . import _fd
 
@@ -99,15 +99,15 @@ class PlaneCurve:
 
         J is the 3-point linearization of F under a normal displacement u,
         F'(k) (d_ss + k^2), with d_ss on the polygon's arclength spacings: a
-        cyclic tridiagonal matrix.  `dfdlam` (M, 1) is F' at the samples.
+        cyclic tridiagonal matrix, factored once for every right-hand side.
+        `dfdlam` (M, 1) is F' at the samples.
         """
         fwd = _segments(np.vstack([self.points, self.points[:1]]))   # sample i to i + 1
         back = np.concatenate((fwd[-1:], fwd[:-1]))
         a, b = _second_difference(back, fwd)
         g = c * dfdlam[:, 0]
-        lower, upper = -g * a, -g * b
         diag = 1.0 - g * (geom.lam[:, 0] ** 2 - a - b)
-        return lambda r: _cyclic_tridiagonal_solve(lower, diag, upper, r[:, None])[:, 0]
+        return _cyclic_tridiagonal_solver(-g * a, diag, -g * b)
 
 
 @dataclass(frozen=True)
@@ -254,32 +254,62 @@ def spheroid_profile(equatorial, polar, grid_size=256):
 
 
 # ---------------------------------------------------------------------------
-# uniform-arclength resampling
+# cyclic tridiagonal solves and uniform-arclength resampling
 
-def _cyclic_tridiagonal_solve(lower, diag, upper, rhs):
-    """Solve the cyclic tridiagonal system A x = rhs for the columns of `rhs` (n, k).
+def _corner_split(lower, diag, upper):
+    """Split the cyclic tridiagonal A into a tridiagonal B and a rank-one corner term.
 
     Row i of A is lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], indices
-    mod n, so lower[0] and upper[-1] are the two corner entries.  They are
-    handled by a Sherman-Morrison correction, so one `dgtsv` call takes every
-    column and the correction vector as right-hand sides.
+    mod n, so lower[0] and upper[-1] are the two corner entries.  Returns B's
+    diagonal, the Sherman-Morrison vector v and the ratio r: with y = B^-1 rhs
+    and z = B^-1 v, x = y - z (y[0] + r y[-1]) / (1 + z[0] + r z[-1]).
     """
-    n = diag.size
     corner_first, corner_last = lower[0], upper[-1]     # entries (0, n-1) and (n-1, 0)
     gamma = -diag[0]
     diag = diag.copy()
     diag[0] -= gamma
     diag[-1] -= corner_first * corner_last / gamma
-    b = np.zeros((n, rhs.shape[1] + 1))
+    v = np.zeros(diag.size)
+    v[0] = gamma
+    v[-1] = corner_last
+    return diag, v, corner_first / gamma
+
+
+def _cyclic_tridiagonal_solve(lower, diag, upper, rhs):
+    """Solve the cyclic tridiagonal system A x = rhs for the columns of `rhs` (n, k).
+
+    One `dgtsv` call takes every column and the Sherman-Morrison vector of
+    `_corner_split` as right-hand sides.
+    """
+    diag, v, ratio = _corner_split(lower, diag, upper)
+    b = np.empty((diag.size, rhs.shape[1] + 1))
     b[:, :-1] = rhs
-    b[0, -1] = gamma
-    b[-1, -1] = corner_last
+    b[:, -1] = v
     _, _, _, sol, info = dgtsv(lower[1:], diag, upper[:-1], b, overwrite_b=1)
     if info != 0:
         raise GeometryError("singular cyclic tridiagonal system")
-    ratio = corner_first / gamma
     correction = (sol[0] + ratio * sol[-1]) / (1.0 + sol[0, -1] + ratio * sol[-1, -1])
     return sol[:, :-1] - sol[:, -1:] * correction[:-1]
+
+
+def _cyclic_tridiagonal_solver(lower, diag, upper):
+    """Solver of the cyclic tridiagonal system A x = r, r (n,), over one factorization.
+
+    B of `_corner_split` is factored by `dgttrf` and its Sherman-Morrison
+    vector solved once, so each right-hand side costs one `dgttrs` and an axpy.
+    The solutions have the bits of `_cyclic_tridiagonal_solve`'s.
+    """
+    diag, v, ratio = _corner_split(lower, diag, upper)
+    dl, d, du, du2, ipiv, info = dgttrf(lower[1:], diag, upper[:-1])
+    if info != 0:
+        raise GeometryError("singular cyclic tridiagonal system")
+    z = dgttrs(dl, d, du, du2, ipiv, v)[0]
+    denominator = 1.0 + z[0] + ratio * z[-1]
+
+    def solve(r):
+        y = dgttrs(dl, d, du, du2, ipiv, r)[0]
+        return y - z * ((y[0] + ratio * y[-1]) / denominator)
+    return solve
 
 
 def _second_difference(back, fwd):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -262,6 +263,88 @@ def test_flow_bad_surface_spec_is_usage_error(tmp_path, capsys, spec, message):
     assert message in capsys.readouterr().err
 
 
+_NON_FINITE_CASES = [
+    (["sphere-check", "--f", "H", "--R", "nan"], "--R", "nan"),
+    (["sphere-check", "--f", "H", "--R", "1", "--c=-inf"], "--c", "-inf"),
+    (["flow", "--surface", "circle 1", "--f", "H", "--grid", "64", "--t-max", "nan"],
+     "--t-max", "nan"),
+    (["flow", "--surface", "circle 1", "--f", "H", "--grid", "64", "--t-max", "1",
+      "--dt-safety", "inf"], "--dt-safety", "inf"),
+    (["sweep-pinching", "--m-start", "nan", "--m-stop", "1", "--count", "3"],
+     "--m-start", "nan"),
+    (["sweep-pinching", "--m-start", "1", "--m-stop", "1e400", "--count", "3"],
+     "--m-stop", "1e400"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, text", _NON_FINITE_CASES,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in _NON_FINITE_CASES])
+def test_a_non_finite_float_option_is_refused_naming_its_flag(tmp_path, capsys, argv, flag,
+                                                              text):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {text!r} is not a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_finite_float_config_value_is_refused_naming_its_key(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT.replace("t_max: 0.05", "t_max: nan"))
+    assert main(["--config", str(path), "--out", str(tmp_path), "flow"]) == 2
+    assert "bad config value 'nan' for [flow] t_max" in capsys.readouterr().err
+    assert not (tmp_path / "flow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [("--t-max", "-1", "t_max"),
+                                                ("--r-tol", "-0.5", "r_tol"),
+                                                ("--curvature-cap", "-1", "curvature_cap"),
+                                                ("--min-scale-fraction", "2",
+                                                 "min_scale_fraction")])
+def test_flow_refuses_a_stop_criterion_outside_its_domain(tmp_path, capsys, flag, value,
+                                                          field):
+    assert main(["--out", str(tmp_path), "flow", "--surface", "circle 1", "--f", "H",
+                 "--grid", "64", flag, value]) == 2
+    assert f"StopRule {field} must" in capsys.readouterr().err
+    assert not (tmp_path / "flow_trace.csv").exists()
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+    flow_dir = tmp_path / "flow"
+    flow_argv = ["--out", str(flow_dir), "flow", "--surface", "ellipse 2 1", "--f", "H",
+                 "--rescale", "fixed-scale", "--grid", "64", "--t-max", "0.05"]
+    assert main(flow_argv) == 0
+    first = (capsys.readouterr().out,
+             {path.name: path.read_bytes() for path in flow_dir.iterdir()})
+    assert len(built) == 1 + len(cli._COMMANDS)       # the parser and its sub-commands
+    built.clear()
+
+    assert main(["--out", str(tmp_path / "sphere"), "sphere-check", "--f", "H",
+                 "--R", "2", "--samples", "16"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--grid", "many"])
+    assert exc.value.code == 2
+    config = tmp_path / "suite.ini"
+    config.write_text("[config]\nformat_version: 1\n\n[identity-suite]\nsamples: 5\n")
+    assert main(["--config", str(config), "--out", str(tmp_path / "suite"),
+                 "identity-suite"]) == 0
+    capsys.readouterr()
+    assert main(flow_argv) == 0
+    again = (capsys.readouterr().out,
+             {path.name: path.read_bytes() for path in flow_dir.iterdir()})
+    assert built == []
+    assert again == first
+
+
 def test_sweep_rejects_zero_in_range(tmp_path):
     assert main(["--out", str(tmp_path), "sweep-pinching", "--m-start", "-1",
                  "--m-stop", "1"]) == 2
@@ -414,7 +497,8 @@ def _sample_values(opt, pick):
     """A valid command-line text for an option; `pick` selects among variants."""
     if opt.choices:
         return opt.choices[pick % len(opt.choices)]
-    return {int: ("7", "9"), float: ("1.5", "2.25"), str: ("alpha beta", "gamma")}[opt.type][pick]
+    return {int: ("7", "9"), cli._finite_float: ("1.5", "2.25"),
+            str: ("alpha beta", "gamma")}[opt.type][pick]
 
 
 def _flags(name, pick):

@@ -26,6 +26,21 @@ def test_config_validation():
         StopRule()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_max", -1.0), ("t_max", 0.0), ("t_max", math.nan),
+    ("r_tol", -0.5), ("r_tol", 0.0),
+    ("curvature_cap", -1.0), ("curvature_cap", math.nan),
+    ("min_scale_fraction", 2.0), ("min_scale_fraction", 1.0), ("min_scale_fraction", 0.0),
+    ("min_scale_fraction", math.nan),
+])
+def test_stop_rule_refuses_a_criterion_outside_its_domain(field, value):
+    with pytest.raises(ValueError, match=f"StopRule {field} must"):
+        StopRule(**{field: value})
+    # alongside a valid criterion too: no criterion is left unchecked
+    with pytest.raises(ValueError, match=f"StopRule {field} must"):
+        StopRule(**{"r_tol" if field == "t_max" else "t_max": 1.0, field: value})
+
+
 def test_monitors_sphere():
     mon = monitors(sphere_profile(1.0, 256), H2)
     assert mon.r_max == pytest.approx(1.0, abs=1e-6)

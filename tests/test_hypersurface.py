@@ -376,6 +376,24 @@ def test_linearized_solver_matches_the_linearization_of_f(surface, f, u):
     assert np.abs(ju - ju_fd).max() < 1e-3 * np.abs(ju_fd).max()
 
 
+def test_cyclic_tridiagonal_solver_has_the_bits_of_the_one_shot_solve():
+    # one factorization serves every right-hand side; rows with a small diagonal
+    # make dgttrf pivot
+    rng = np.random.default_rng(5)
+    for n in (16, 64, 257):
+        lower, upper = rng.normal(size=n), rng.normal(size=n)
+        diag = rng.normal(size=n) * rng.uniform(0.0, 3.0, size=n)
+        dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        dense[0, -1], dense[-1, 0] = lower[0], upper[-1]
+        solve = hs._cyclic_tridiagonal_solver(lower, diag, upper)
+        for _ in range(3):
+            r = rng.normal(size=n)
+            x = solve(r)
+            assert np.array_equal(x, hs._cyclic_tridiagonal_solve(lower, diag, upper,
+                                                                  r[:, None])[:, 0])
+            assert np.abs(dense @ x - r).max() < 1e-8 * np.abs(x).max()
+
+
 def test_extract_geometry_dispatch():
     assert extract_geometry(circle(1.0, 64)).dim == 1
     assert extract_geometry(spheroid_profile(1.0, 1.2, 64)).dim == 2
