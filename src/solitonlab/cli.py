@@ -14,6 +14,7 @@ import configparser
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -347,10 +348,27 @@ def _fill_options(args, cfg):
 # ---------------------------------------------------------------------------
 # entry point
 
+# the negative numbers `float` reads; argparse's own pattern knows only the -1 and -.5
+# forms, so it takes -1e-3 or -inf for a flag and leaves the option before it without a value
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes any negative number after an option for its value.
+
+    `add_subparsers` builds the sub-parsers from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 @functools.cache
 def _build_parser():
     """The parser, built on its first use and shared by every later `main` call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solitonlab",
         description="Numerical laboratory for curvature functions, support geometry, "
                     "and self-similar solutions of convex curvature flows.")

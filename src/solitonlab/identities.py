@@ -1,5 +1,8 @@
 """The identity suite: one (name, residual, tolerance) row per identity check.
 
+The curvature-function checks draw their samples in bulk, one generator call per
+array, and evaluate each function once per pass: every eigenvalue row of a pass goes
+to one `value` call and every row that needs a gradient to one `gradient` call.
 The layers are called through their modules (`curvfun.pair_sign_gaps`, not a
 name imported from it), so a wrapper put on a module function sees each call.
 Worst residuals are numpy maxima, which keep a NaN where Python's `max` can drop it.
@@ -18,84 +21,110 @@ def _rotations(gauss):
     return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
-def _spd(gauss, eig):
-    """Symmetric matrices with eigenvalue rows `eig` in the frames `_rotations(gauss)`."""
-    q = _rotations(gauss)
+def _spd(q, eig):
+    """Symmetric matrices with eigenvalue rows `eig` in the frames `q`."""
     a = (q * eig[:, None, :]) @ q.transpose(0, 2, 1)
     return 0.5 * (a + a.transpose(0, 2, 1))
 
 
-def _central_differences(fn, lam, step=1e-5):
-    """Central differences of `fn` along each eigenvalue axis, stacked on axis 1."""
-    steps = step * np.eye(lam.shape[1])
-    return np.stack([(fn(lam + e) - fn(lam - e)) / (2.0 * step) for e in steps], axis=1)
+def _step_rows(lam, step):
+    """`lam` moved by +step and by -step along each eigenvalue axis: a (2, n, k, n) stack."""
+    steps = step * np.eye(lam.shape[1])[:, None, :]
+    return np.stack([lam + steps, lam - steps])
+
+
+def _central_differences(moved, step):
+    """Central differences from a function's results on `_step_rows(lam, step)`.
+
+    The axis of differentiation is axis 1, so values give (k, n) and gradients (k, n, n).
+    """
+    return np.moveaxis((moved[0] - moved[1]) / (2.0 * step), 0, 1)
+
+
+def _stacked(fn, blocks):
+    """`fn` of every block of (..., n) eigenvalue rows in one call, split back by block."""
+    flat = [block.reshape(-1, block.shape[-1]) for block in blocks]
+    out = fn(np.concatenate(flat))
+    parts = np.split(out, np.cumsum([len(rows) for rows in flat])[:-1])
+    return [part.reshape(block.shape[:-1] + part.shape[1:]) for part, block in zip(parts, blocks)]
+
+
+def _distinct_eigenvalues(rng, k, n, gap=1e-3):
+    """k sorted uniform(0.2, 3) rows; a row with two entries closer than `gap` is redrawn."""
+    eig = np.sort(rng.uniform(0.2, 3.0, (k, n)), axis=1)
+    redraw = np.diff(eig, axis=1).min(axis=1) < gap
+    while redraw.any():
+        eig[redraw] = np.sort(rng.uniform(0.2, 3.0, (int(redraw.sum()), n)), axis=1)
+        redraw = np.diff(eig, axis=1).min(axis=1) < gap
+    return eig
 
 
 def _eigenvalue_checks(rows, rng, sample_count, n, f):
     tag = f"{f.name}_n{n}"
-    lam = rng.uniform(0.2, 3.0, size=(sample_count, n))
-    values = f.value(lam)
-    scale = np.maximum(1.0, np.abs(values))
-
-    worst = 0.0
-    for perm in itertools.permutations(range(n)):
-        worst = np.maximum(worst, (np.abs(f.value(lam[:, perm]) - values) / scale).max())
-    rows.append((f"{tag}_permutation_symmetry", float(worst), 1e-14))
-
-    worst = 0.0
-    for t in (0.5, 2.0, 10.0):
-        expect = t ** f.degree * values
-        worst = np.maximum(worst, (np.abs(f.value(t * lam) - expect)
-                                   / np.maximum(1.0, np.abs(expect))).max())
-    rows.append((f"{tag}_homogeneity", float(worst), 1e-12))
-
     fd_n = min(sample_count, 50)
-    grad = f.gradient(lam[:fd_n])
-    gerr = np.abs(_central_differences(f.value, lam[:fd_n]) - grad)
+    lam = rng.uniform(0.2, 3.0, size=(sample_count, n))
+    eig = _distinct_eigenvalues(rng, fd_n, n)
+    form_gauss = rng.standard_normal((fd_n, n, n))
+    form_eig = rng.uniform(0.2, 3.0, (fd_n, n))
+    shift = rng.uniform(0.0, 1.0, (fd_n, n))
+    spd_gauss = rng.standard_normal((sample_count, n, n))
+    spd_eig = rng.uniform(0.2, 3.0, (sample_count, n))
+    rot_gauss = rng.standard_normal((sample_count, n, n))
+
+    q_form, q_spd, q = np.split(_rotations(np.concatenate([form_gauss, spd_gauss, rot_gauss])),
+                                [fd_n, fd_n + sample_count])
+    eye = np.eye(n)
+    a = eig[:, :, None] * eye
+    b = _spd(q_form, form_eig) - shift[:, :, None] * eye
+    s = 1e-4
+    spd = _spd(q_spd, spd_eig)
+    q_t = q.transpose(0, 2, 1)
+
+    # one f.value call for every eigenvalue row of the pass, one f.gradient call for every
+    # row that needs a gradient: a row's result does not depend on the rows batched with it
+    # (tests/test_curvfun.py pins this for the builtins)
+    dilations = (0.5, 2.0, 10.0)
+    step = 1e-5
+    moved = _step_rows(lam[:fd_n], step)
+    form_lam, spd_lam = np.split(
+        np.linalg.eigvalsh(np.concatenate([a + s * b, a, a - s * b, spd])), [3 * fd_n])
+    values, permuted, dilated, moved_values, form_values, spd_values = _stacked(f.value, [
+        lam,
+        lam[:, list(itertools.permutations(range(n)))].transpose(1, 0, 2),
+        np.array(dilations)[:, None, None] * lam,
+        moved,
+        form_lam.reshape(3, fd_n, n),
+        spd_lam])
+    grad, moved_grad = _stacked(f.gradient, [lam[:fd_n], moved])
+
+    scale = np.maximum(1.0, np.abs(values))
+    rows.append((f"{tag}_permutation_symmetry",
+                 float((np.abs(permuted - values) / scale).max()), 1e-14))
+    expect = np.array([t ** f.degree for t in dilations])[:, None] * values
+    rows.append((f"{tag}_homogeneity",
+                 float((np.abs(dilated - expect) / np.maximum(1.0, np.abs(expect))).max()), 1e-12))
+
+    gerr = np.abs(_central_differences(moved_values, step) - grad)
     rows.append((f"{tag}_gradient_fd", float((gerr / np.maximum(1.0, np.abs(grad))).max()), 1e-6))
     # differencing the analytic gradient rather than taking second differences
     # of the value keeps the rounding error near eps / step, not eps / step^2
-    fd_hess = _central_differences(f.gradient, lam[:fd_n])
+    fd_hess = _central_differences(moved_grad, step)
     hess = f.hessian(lam[:fd_n])
     herr = np.abs(0.5 * (fd_hess + fd_hess.transpose(0, 2, 1)) - hess)
     rows.append((f"{tag}_hessian_fd", float((herr / np.maximum(1.0, np.abs(hess))).max()), 1e-6))
 
-    # draw sample by sample, in the order of a per-sample loop, so the sampled
-    # matrices do not depend on the batching; the matrix work then runs once
-    eig, spd_gauss, spd_eig, shift = [], [], [], []
-    for _ in range(fd_n):
-        e = np.sort(rng.uniform(0.2, 3.0, n))
-        while np.diff(e).min() < 1e-3:
-            e = np.sort(rng.uniform(0.2, 3.0, n))
-        eig.append(e)
-        spd_gauss.append(rng.standard_normal((n, n)))
-        spd_eig.append(rng.uniform(0.2, 3.0, n))
-        shift.append(rng.uniform(0.0, 1.0, n))
-    eye = np.eye(n)
-    a = np.array(eig)[:, :, None] * eye
-    b = _spd(np.array(spd_gauss), np.array(spd_eig)) - np.array(shift)[:, :, None] * eye
     form = curvfun.matrix_second_form(f, a, b)
-    s = 1e-4
-    plus, mid, minus = f.value(np.linalg.eigvalsh(
-        np.stack([a + s * b, a, a - s * b])).reshape(-1, n)).reshape(3, fd_n)
+    plus, mid, minus = form_values
     fd = (plus - 2.0 * mid + minus) / s ** 2
     rows.append((f"{tag}_second_form_fd",
                  float((np.abs(form - fd) / np.maximum(1.0, np.abs(form))).max()), 1e-5))
 
-    spd_gauss, spd_eig, rot_gauss = [], [], []
-    for _ in range(sample_count):
-        spd_gauss.append(rng.standard_normal((n, n)))
-        spd_eig.append(rng.uniform(0.2, 3.0, n))
-        rot_gauss.append(rng.standard_normal((n, n)))
-    a = _spd(np.array(spd_gauss), np.array(spd_eig))
-    q = _rotations(np.array(rot_gauss))
-    q_t = q.transpose(0, 2, 1)
-    d_here = curvfun.matrix_first_derivative(f, a)
-    d_rot = curvfun.matrix_first_derivative(f, q @ a @ q_t)
+    d_here, d_rot = curvfun.matrix_first_derivative(
+        f, np.concatenate([spd, q @ spd @ q_t])).reshape(2, sample_count, n, n)
     basis = (np.abs(d_rot - q @ d_here @ q_t).max(axis=(1, 2))
              / np.maximum(1.0, np.abs(d_here).max(axis=(1, 2))))
-    fscale = np.maximum(1.0, np.abs(f.value(np.linalg.eigvalsh(a))))
-    r1, r2 = curvfun.euler_residuals(f, a)
+    fscale = np.maximum(1.0, np.abs(spd_values))
+    r1, r2 = curvfun.euler_residuals(f, spd)
     rows.append((f"{tag}_basis_invariance", float(basis.max()), 1e-10))
     rows.append((f"{tag}_euler_first", float((r1 / fscale).max()), 1e-10))
     rows.append((f"{tag}_euler_second", float((r2 / fscale).max()), 1e-10))
@@ -205,10 +234,10 @@ def _spaceform_checks(rows):
 def _soliton_checks(rows, rng):
     err = {0.0: [], -1.0: []}
     for n in (2, 3):
+        spheres = {c: spaceform.sample_geodesic_sphere(c, 1.3, n, 64, seed=0) for c in err}
         for f in curvfun.builtin_functions(n, include_anisotropy=False):
-            for c in err:
+            for c, samples in spheres.items():
                 tau = soliton.sphere_tau(f, 1.3, c)
-                samples = spaceform.sample_geodesic_sphere(c, 1.3, n, 64, seed=0)
                 err[c].append(np.abs(soliton.residual_field(samples, f, tau)).max())
     rows.append(("sphere_residual_builtins_c0", float(np.max(err[0.0])), 1e-10))
     rows.append(("sphere_residual_builtins_cm1", float(np.max(err[-1.0])), 1e-10))

@@ -1,7 +1,8 @@
 """Ambient space-form scalar kit.
 
 `shc`/`chc` generalize sin/cos and sinh/cosh across all sectional curvatures
-c, with a series branch near c = 0 so both functions are smooth in c.  The
+c, with a series branch near c = 0 so both functions are smooth in c; at
+c = 0 itself they return t and 1, the bits the series gives there.  The
 generalized support value of a hypersurface point is
 
     Z = shc(c, rho) * <d_rho, nu>,
@@ -29,6 +30,8 @@ def shc(c, t):
     """Generalized sine: sin(sqrt(c) t)/sqrt(c), t, or sinh(sqrt(-c) t)/sqrt(-c)."""
     c = float(c)
     t = float(t)
+    if c == 0.0:
+        return t
     u = c * t * t
     if abs(u) < _SERIES_CUTOFF:
         # odd series sum_k (-c)^k t^(2k+1) / (2k+1)!, five terms
@@ -48,6 +51,8 @@ def chc(c, t):
     """Generalized cosine: cos(sqrt(c) t), 1, or cosh(sqrt(-c) t)."""
     c = float(c)
     t = float(t)
+    if c == 0.0:
+        return 1.0
     u = c * t * t
     if abs(u) < _SERIES_CUTOFF:
         acc = 0.0

@@ -288,6 +288,37 @@ def test_a_non_finite_float_option_is_refused_naming_its_flag(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+_EXPONENT_CASES = [
+    (["sphere-check", "--f", "H", "--R", "1"], "--c", "-1e-3"),
+    (["sphere-check", "--f", "H", "--R", "1"], "--c", "-2.5E-1"),
+    (["sphere-check", "--f", "H", "--R", "1"], "--c", "-.5e+1"),
+    (["sweep-pinching", "--m-stop", "-7.5", "--count", "3"], "--m-start", "-1e2"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", _EXPONENT_CASES,
+                         ids=[f"{argv[0]}{flag}{value}" for argv, flag, value in _EXPONENT_CASES])
+def test_a_negative_number_in_exponent_form_is_read_as_the_value(tmp_path, capsys, argv, flag,
+                                                                  value):
+    # argparse alone takes "-1e-3" for a flag and leaves the option before it empty
+    runs = []
+    for form, option in (("split", [flag, value]), ("joined", [f"{flag}={value}"])):
+        out = tmp_path / form
+        assert main(["--out", str(out)] + argv + option) == 0
+        runs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                     {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("text", ["-inf", "-Infinity", "-nan"])
+def test_a_negative_non_finite_value_after_its_flag_is_refused_as_non_finite(tmp_path, capsys,
+                                                                            text):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--R", "1", "--c", text])
+    assert exc.value.code == 2
+    assert f"argument --c: {text!r} is not a finite number" in capsys.readouterr().err
+
+
 def test_a_non_finite_float_config_value_is_refused_naming_its_key(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT.replace("t_max: 0.05", "t_max: nan"))

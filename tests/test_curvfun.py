@@ -489,3 +489,15 @@ def test_stacked_calculus_names_the_bad_member(n, rng):
             matrix_second_form(f, np.zeros((0, n, n)), np.zeros((0, n, n)))
         with pytest.raises(ValueError, match="same shape"):
             matrix_second_form(f, diag, direction[:-1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_value_and_gradient_equal_separate_calls_bit_for_bit(n, rng):
+    # the identity suite evaluates each function once per pass on all its rows
+    # stacked, which is only sound while a row's result ignores its neighbours
+    blocks = [rng.uniform(0.2, 3.0, (k, n)) for k in (1, 2, 7, 30, 97)]
+    stacked = np.concatenate(blocks)
+    for f in builtin_functions(n):
+        for method in (f.value, f.gradient):
+            separate = np.concatenate([method(block) for block in blocks])
+            assert method(stacked).tobytes() == separate.tobytes(), (f.name, method.__name__)

@@ -154,6 +154,51 @@ def test_suite_rows_are_pinned():
     assert all(np.isfinite(res) and res <= tol for _, res, tol in rows)
 
 
+# 8, 86 and 205 are the seeds on which the hessian_fd rows once failed
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 86, 205])
+def test_every_row_passes_at_100_samples(seed):
+    failing = [row for row in identity_suite_checks(100, seed) if not row[1] <= row[2]]
+    assert failing == []
+
+
+_MATRIX_CALCULUS = ("matrix_first_derivative", "matrix_second_form", "euler_residuals")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigenvalue_checks_evaluate_each_function_once_per_pass(monkeypatch, n):
+    # calls made inside the matrix calculus are that layer's own, and not counted
+    inside = []
+    for name in _MATRIX_CALCULUS:
+        def nested(*args, _inner=getattr(curvfun, name)):
+            inside.append(True)
+            try:
+                return _inner(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(curvfun, name, nested)
+    calls = []
+    for method in ("value", "gradient"):
+        def counted(self, lam, _inner=getattr(curvfun.CurvatureFunction, method), _name=method):
+            if not inside:
+                calls.append(_name)
+            return _inner(self, lam)
+        monkeypatch.setattr(curvfun.CurvatureFunction, method, counted)
+    for f in curvfun.builtin_functions(n):
+        calls.clear()
+        identities._eigenvalue_checks([], np.random.default_rng(0), 30, n, f)
+        assert sorted(calls) == ["gradient", "value"], f.name
+
+
+def test_soliton_checks_sample_each_sphere_once(monkeypatch):
+    calls = []
+    sample = spaceform.sample_geodesic_sphere
+    monkeypatch.setattr(spaceform, "sample_geodesic_sphere",
+                        lambda *args, **kwargs: calls.append(args) or sample(*args, **kwargs))
+    identities._soliton_checks([], np.random.default_rng(0))
+    assert sorted(calls) == [(-1.0, 1.3, 2, 64), (-1.0, 1.3, 3, 64),
+                             (0.0, 1.3, 2, 64), (0.0, 1.3, 3, 64)]
+
+
 # ---------------------------------------------------------------------------
 # a NaN residual fails its row: Python's max(0.0, nan) is 0.0, so every fold
 # of a worst residual must keep the NaN

@@ -165,3 +165,30 @@ def test_support_refusals_fire_inside_a_batch(c, bad_position, bad_normal, messa
     expect = message if c > 0.0 else rf"{message}.*\(point 3\)"
     with pytest.raises(ValueError, match=expect):
         support_rows(c, positions, normals)
+
+
+def _shc_series(c, t):
+    """The five-term series that `shc` sums for small |c| t^2."""
+    u = c * t * t
+    acc, term = 0.0, t
+    for k in range(5):
+        acc += term
+        term *= -u / ((2 * k + 2) * (2 * k + 3))
+    return acc
+
+
+def _chc_series(c, t):
+    """The five-term series that `chc` sums for small |c| t^2."""
+    u = c * t * t
+    acc, term = 0.0, 1.0
+    for k in range(5):
+        acc += term
+        term *= -u / ((2 * k + 1) * (2 * k + 2))
+    return acc
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-300, -1e-300, 0.3, 1.3, 50.0])
+def test_flat_values_are_the_series_bits(t):
+    for c in (0.0, -0.0):
+        assert shc(c, t).hex() == _shc_series(c, t).hex()
+        assert chc(c, t).hex() == _chc_series(c, t).hex()
