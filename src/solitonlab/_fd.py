@@ -12,36 +12,52 @@ order, as a call on that column alone, so the results are bit-identical.
 
 import numpy as np
 
-# classic 5-point central stencils, O(h^4), as Python floats: a numpy scalar
-# times an array costs more than a float times it, for the same product
-_D1 = (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0).tolist()
-_D2 = (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0).tolist()
+def _terms(weights):
+    # the nonzero (offset, coefficient) terms of a 5-point stencil, coefficients as
+    # Python floats: a numpy scalar times an array costs more than a float times it,
+    # for the same product
+    return tuple((k, c) for k, c in enumerate((np.array(weights) / 12.0).tolist()) if c != 0.0)
+
+
+# classic 5-point central stencils, O(h^4)
+_D1 = _terms([1.0, -8.0, 0.0, 8.0, -1.0])
+_D2 = _terms([-1.0, 16.0, -30.0, 16.0, -1.0])
 
 # one-sided 5-point first derivative at the first node, O(h^4); used only for
 # raw boundary checks where a symmetric stencil would be vacuous
 _D1_ONESIDED = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
 
-def _apply(ext, coeffs, scale):
+def _apply(ext, terms, scale):
+    # the sum starts from its first term: 0 + x is x, so this adds what a sum onto
+    # zeros adds, without the zeros
     m = len(ext) - 4
-    out = np.zeros((m,) + ext.shape[1:])
-    for k, c in enumerate(coeffs):
-        if c != 0.0:
-            out += c * ext[k:k + m]
+    (k, c), *rest = terms
+    out = c * ext[k:k + m]
+    for k, c in rest:
+        out += c * ext[k:k + m]
     out /= scale
     return out
 
 
+def periodic_ghosts(f):
+    """`f` with two ghost samples on each end: its last two before it, its first two after."""
+    return np.concatenate([f[-2:], f, f[:2]])
+
+
+def ghost_d1(ext, h):
+    """First derivative at the interior nodes of a ghost-extended array (two ghosts a side)."""
+    return _apply(ext, _D1, h)
+
+
 def periodic_d1(f, h):
     """First derivative of a periodic sample array."""
-    ext = np.concatenate([f[-2:], f, f[:2]])
-    return _apply(ext, _D1, h)
+    return _apply(periodic_ghosts(f), _D1, h)
 
 
 def periodic_d2(f, h):
     """Second derivative of a periodic sample array."""
-    ext = np.concatenate([f[-2:], f, f[:2]])
-    return _apply(ext, _D2, h * h)
+    return _apply(periodic_ghosts(f), _D2, h * h)
 
 
 def _reflect(f, parity):

@@ -35,7 +35,7 @@ state's; under fixed scale the rescaled state is evaluated once more.  Each
 ROS2 stage evaluates F once.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -238,13 +238,10 @@ def _rescale(surface, geom, target_measure):
     d = geom.dim
     alpha = (target_measure / geom.measure) ** (1.0 / d)
     center = surface.centroid(geom.weights)
-    scaled_geom = replace(
-        geom,
-        position=center + alpha * (geom.position - center),
-        lam=geom.lam / alpha,
-        support=alpha * geom.support + (1.0 - alpha) * (geom.normal @ center),
-        weights=alpha ** d * geom.weights,
-    )
+    scaled_geom = ShapeData(d, position=center + alpha * (geom.position - center),
+                            normal=geom.normal, lam=geom.lam / alpha,
+                            support=alpha * geom.support + (1.0 - alpha) * (geom.normal @ center),
+                            weights=alpha ** d * geom.weights)
     return surface.scaled(alpha, center), scaled_geom, alpha
 
 

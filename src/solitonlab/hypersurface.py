@@ -420,6 +420,18 @@ def _axis_base(base_point):
     return float(base_point)
 
 
+def _first_nonpositive(values):
+    """Index of the first sample (row of `values`) with an entry <= 0, or None.
+
+    One `min()` decides when every entry is positive; the index is looked for
+    only when it is not.  NaN is not <= 0, so a NaN alone is not flagged.
+    """
+    if values.min() > 0.0:
+        return None
+    bad = (values <= 0.0).reshape(len(values), -1).any(axis=1).nonzero()[0]
+    return int(bad[0]) if bad.size else None
+
+
 def _require_interior_base(support, what):
     if np.any(support >= 0.0):
         raise GeometryError(f"{what}: base point is not strictly inside the surface "
@@ -441,15 +453,17 @@ def curve_geometry(curve, base_point=None):
     pair (x, y), overrides it.
     """
     pts = curve.points
-    h, vel = _curve_velocity(pts)
+    h = 2.0 * np.pi / pts.shape[0]
+    ext = _fd.periodic_ghosts(pts)
+    vel = _fd.ghost_d1(ext, h)
     xp, yp = vel.T
     x, y = pts.T
     w2 = xp * xp + yp * yp
-    if (w2 <= 0.0).any():
+    if _first_nonpositive(w2) is not None:
         raise GeometryError("degenerate parametrization (zero speed)")
     w = np.sqrt(w2)
 
-    nxt = np.concatenate((pts[1:], pts[:1]))          # sample i + 1
+    nxt = ext[3:-1]                                    # sample i + 1
     area2 = float((x * nxt[:, 1] - nxt[:, 0] * y).sum())
     orient = 1.0 if area2 >= 0.0 else -1.0
     # curvature from the turning of the unit tangent: exact on circles and
@@ -458,11 +472,13 @@ def curve_geometry(curve, base_point=None):
     tx, ty = tangent.T
     dtx, dty = _fd.periodic_d1(tangent, h).T
     k = orient * (tx * dty - ty * dtx) / w
-    normal = tangent[:, ::-1] * (-orient, orient)      # orient * (-ty, tx)
+    normal = np.empty_like(tangent)                    # orient * (-ty, tx)
+    normal[:, 0] = -orient * ty
+    normal[:, 1] = orient * tx
 
-    nonconvex = (k <= 0.0).nonzero()[0]
-    if nonconvex.size:
-        raise NonConvexSurfaceError("curve is not convex: curvature <= 0", int(nonconvex[0]))
+    nonconvex = _first_nonpositive(k)
+    if nonconvex is not None:
+        raise NonConvexSurfaceError("curve is not convex: curvature <= 0", nonconvex)
 
     angles = np.arctan2(yp, xp)
     turns = np.concatenate((angles[1:], angles[:1])) - angles
@@ -473,9 +489,10 @@ def curve_geometry(curve, base_point=None):
         raise GeometryError(f"curve is not simple: turning number {turning_number:.6f} != 1")
 
     rel = pts - _plane_base(base_point)
-    support = np.einsum("ij,ij->i", rel, normal)
+    support = rel[:, 0] * normal[:, 0] + rel[:, 1] * normal[:, 1]
     rho = _norms(rel)
-    if (rho < 1e-12 * max(1.0, float(np.abs(pts).max()))).any():
+    tol = 1e-12 * max(1.0, float(np.abs(pts).max()))
+    if not rho.min() >= tol and (rho < tol).any():
         raise GeometryError("base point lies on the curve; radial direction undefined")
 
     return ShapeData(dim=1, position=pts.copy(), normal=normal, lam=k[:, None],
@@ -522,12 +539,12 @@ def _meridian_from_profile(profile, base_point=None):
     prof = profile.profile
     m = prof.shape[0]
     du = 1.0 / (m - 1)
-    x, y = prof[:, 0].copy(), prof[:, 1].copy()
+    x, y = prof.T
 
     vel = _fd.reflected_d1(prof, du, (+1, -1))      # x even through the poles, y odd
     xp, yp = vel.T
     w2 = xp * xp + yp * yp
-    if (w2 <= 0.0).any():
+    if _first_nonpositive(w2) is not None:
         raise GeometryError("degenerate profile parametrization (zero speed)")
     w = np.sqrt(w2)
 
@@ -547,7 +564,7 @@ def _meridian_from_profile(profile, base_point=None):
     # estimator's own resolution, O((h kappa)^3), on interpolation-grade data
     # (resampled flow states); the reference curvature is the robust bulk
     # median so an irregular pole cannot loosen its own check.
-    h_arc = float(_segments(prof).mean())
+    h_arc = float(_segments(prof).sum() / (m - 1))     # the bits of .mean()
     bulk = np.sort(np.abs(lam_m[m // 4: 3 * m // 4]))   # its median as np.median gives it
     kappa_ref = float(0.5 * (bulk[(bulk.size - 1) // 2] + bulk[bulk.size // 2])) or 1.0
     pole_tol = max(_POLE_ANGLE_TOL, (2.0 * h_arc * kappa_ref) ** 3)
@@ -611,13 +628,19 @@ def _meridian_fields(surface, grid_size=None, base_point=None):
 
 def _meridian_shape_data(f):
     m = f.x.shape[0]
-    pos = np.column_stack([f.x, f.y, np.zeros(m)])
-    nrm = np.column_stack([f.nu, np.zeros(m)])
+    pos = np.zeros((m, 3))
+    pos[:, 0] = f.x
+    pos[:, 1] = f.y
+    nrm = np.zeros((m, 3))
+    nrm[:, :2] = f.nu
+    lam = np.empty((m, 2))
+    lam[:, 0] = f.lam_m
+    lam[:, 1] = f.lam_p
     weights = 2.0 * np.pi * f.y * f.w * f.du
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return ShapeData(dim=2, position=pos, normal=nrm, lam=np.column_stack([f.lam_m, f.lam_p]),
-                     support=f.support, weights=weights)
+    return ShapeData(dim=2, position=pos, normal=nrm, lam=lam, support=f.support,
+                     weights=weights)
 
 
 def revolution_geometry(profile, base_point=None):
@@ -628,11 +651,11 @@ def revolution_geometry(profile, base_point=None):
     (equal to the meridian value) at the two poles.  `base_point`, when given,
     must lie on the rotation axis (a single x-coordinate).
     """
-    f = _meridian_from_profile(profile, base_point)
-    bad = ((f.lam_m <= 0.0) | (f.lam_p <= 0.0)).nonzero()[0]
-    if bad.size:
-        raise NonConvexSurfaceError("rotation surface is not convex", int(bad[0]))
-    return _meridian_shape_data(f)
+    geom = _meridian_shape_data(_meridian_from_profile(profile, base_point))
+    bad = _first_nonpositive(geom.lam)
+    if bad is not None:
+        raise NonConvexSurfaceError("rotation surface is not convex", bad)
+    return geom
 
 
 def spheroid_meridian_geometry(equatorial, polar, grid_size=256, base_point=None):
