@@ -12,16 +12,11 @@ order, as a call on that column alone, so the results are bit-identical.
 
 import numpy as np
 
-def _terms(weights):
-    # the nonzero (offset, coefficient) terms of a 5-point stencil, coefficients as
-    # Python floats: a numpy scalar times an array costs more than a float times it,
-    # for the same product
-    return tuple((k, c) for k, c in enumerate((np.array(weights) / 12.0).tolist()) if c != 0.0)
-
-
-# classic 5-point central stencils, O(h^4)
-_D1 = _terms([1.0, -8.0, 0.0, 8.0, -1.0])
-_D2 = _terms([-1.0, 16.0, -30.0, 16.0, -1.0])
+# classic 5-point central stencils, O(h^4), as their nonzero (offset, coefficient)
+# terms; the coefficients are Python floats, since a numpy scalar times an array
+# costs more than a float times it, for the same product
+_D1 = tuple((k, c / 12.0) for k, c in ((0, 1.0), (1, -8.0), (3, 8.0), (4, -1.0)))
+_D2 = tuple((k, c / 12.0) for k, c in enumerate((-1.0, 16.0, -30.0, 16.0, -1.0)))
 
 # one-sided 5-point first derivative at the first node, O(h^4); used only for
 # raw boundary checks where a symmetric stencil would be vacuous
@@ -29,8 +24,7 @@ _D1_ONESIDED = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
 
 def _apply(ext, terms, scale):
-    # the sum starts from its first term: 0 + x is x, so this adds what a sum onto
-    # zeros adds, without the zeros
+    # the sum starts from its first term: 0 + x is x, so it adds what a sum onto zeros adds
     m = len(ext) - 4
     (k, c), *rest = terms
     out = c * ext[k:k + m]

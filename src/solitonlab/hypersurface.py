@@ -20,7 +20,9 @@ curvatures and negative support values about interior base points.
 
 The two grid types own every operation that depends on their layout, with
 the same members: `dim`, `geometry`, `moved`, `resampled`, `scaled`,
-`centroid` and `linearized_solver`.
+`centroid` and `linearized_solver`.  `resampled` moves the samples to
+uniform polygon arclength by a local cubic: each new sample comes from the
+cubic through the four old ones around it, O(h^4) with no system to solve.
 """
 
 import json
@@ -82,11 +84,11 @@ class PlaneCurve:
         return PlaneCurve(self.points + displacement)
 
     def resampled(self):
-        """Resampled to uniform arclength by the periodic C^2 cubic interpolant."""
+        """Resampled to uniform arclength by the periodic local cubic in arclength."""
         closed = np.vstack([self.points, self.points[:1]])
         s = _arclength(closed)
         m = self.grid_size
-        return PlaneCurve(_periodic_spline(s, closed, s[-1] * np.arange(m) / m))
+        return PlaneCurve(_local_cubic(s, closed, s[-1] * np.arange(m) / m))
 
     def scaled(self, alpha, center):
         return PlaneCurve(center + alpha * (self.points - center))
@@ -161,7 +163,7 @@ class RevolutionProfile:
         mirrored = np.column_stack([prof[-2:0:-1, 0], -prof[-2:0:-1, 1]])
         doubled = np.vstack([prof, mirrored, prof[:1]])
         s_ext = np.concatenate([s, 2.0 * length - s[-2::-1]])
-        new = _periodic_spline(s_ext, doubled, np.linspace(0.0, length, self.grid_size))
+        new = _local_cubic(s_ext, doubled, np.linspace(0.0, length, self.grid_size))
         new[0] = prof[0]
         new[-1] = prof[-1]
         new[:, 1] = np.abs(new[:, 1])      # guard rounding at the near-pole samples
@@ -256,13 +258,13 @@ def spheroid_profile(equatorial, polar, grid_size=256):
 # ---------------------------------------------------------------------------
 # cyclic tridiagonal solves and uniform-arclength resampling
 
-def _corner_split(lower, diag, upper):
-    """Split the cyclic tridiagonal A into a tridiagonal B and a rank-one corner term.
+def _cyclic_tridiagonal_solver(lower, diag, upper):
+    """Solver of the cyclic tridiagonal system A x = r, r (n,), over one factorization.
 
     Row i of A is lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], indices
-    mod n, so lower[0] and upper[-1] are the two corner entries.  Returns B's
-    diagonal, the Sherman-Morrison vector v and the ratio r: with y = B^-1 rhs
-    and z = B^-1 v, x = y - z (y[0] + r y[-1]) / (1 + z[0] + r z[-1]).
+    mod n.  A is a tridiagonal B plus a rank-one corner term: B is factored by
+    `dgttrf` and its Sherman-Morrison vector v solved once, z = B^-1 v, so
+    each right-hand side costs one `dgttrs` and an axpy.
     """
     corner_first, corner_last = lower[0], upper[-1]     # entries (0, n-1) and (n-1, 0)
     gamma = -diag[0]
@@ -270,36 +272,8 @@ def _corner_split(lower, diag, upper):
     diag[0] -= gamma
     diag[-1] -= corner_first * corner_last / gamma
     v = np.zeros(diag.size)
-    v[0] = gamma
-    v[-1] = corner_last
-    return diag, v, corner_first / gamma
-
-
-def _cyclic_tridiagonal_solve(lower, diag, upper, rhs):
-    """Solve the cyclic tridiagonal system A x = rhs for the columns of `rhs` (n, k).
-
-    One `dgtsv` call takes every column and the Sherman-Morrison vector of
-    `_corner_split` as right-hand sides.
-    """
-    diag, v, ratio = _corner_split(lower, diag, upper)
-    b = np.empty((diag.size, rhs.shape[1] + 1))
-    b[:, :-1] = rhs
-    b[:, -1] = v
-    _, _, _, sol, info = dgtsv(lower[1:], diag, upper[:-1], b, overwrite_b=1)
-    if info != 0:
-        raise GeometryError("singular cyclic tridiagonal system")
-    correction = (sol[0] + ratio * sol[-1]) / (1.0 + sol[0, -1] + ratio * sol[-1, -1])
-    return sol[:, :-1] - sol[:, -1:] * correction[:-1]
-
-
-def _cyclic_tridiagonal_solver(lower, diag, upper):
-    """Solver of the cyclic tridiagonal system A x = r, r (n,), over one factorization.
-
-    B of `_corner_split` is factored by `dgttrf` and its Sherman-Morrison
-    vector solved once, so each right-hand side costs one `dgttrs` and an axpy.
-    The solutions have the bits of `_cyclic_tridiagonal_solve`'s.
-    """
-    diag, v, ratio = _corner_split(lower, diag, upper)
+    v[[0, -1]] = gamma, corner_last
+    ratio = corner_first / gamma
     dl, d, du, du2, ipiv, info = dgttrf(lower[1:], diag, upper[:-1])
     if info != 0:
         raise GeometryError("singular cyclic tridiagonal system")
@@ -321,35 +295,28 @@ def _second_difference(back, fwd):
     return 2.0 / (back * span), 2.0 / (fwd * span)
 
 
-def _periodic_spline(knots, values, targets):
-    """Periodic C^2 cubic interpolant of `values` over `knots`, evaluated at `targets`.
+def _local_cubic(knots, values, targets):
+    """Periodic local cubic interpolant of `values` over `knots`, evaluated at `targets`.
 
     `knots` (N + 1,) increase strictly over one period and `values` (N + 1, k)
     repeat their first row at the end; `targets` lie in [knots[0], knots[-1]].
-    This is the interpolant of `CubicSpline(knots, values, bc_type="periodic")`:
-    the knot slopes solve the cyclic tridiagonal C^2 system.
+    A target in [knots[i], knots[i + 1]) takes the cubic through knots i - 1 to
+    i + 2, wrapped over the period (Lagrange interpolation, in Newton form).
     """
-    h = np.diff(knots)
-    if not h.min() > 0.0:
+    period = knots[-1] - knots[0]
+    s = np.concatenate(([knots[-2] - period], knots, [knots[1] + period]))
+    ds = (s[1:] - s[:-1])[:, None]
+    if not ds.min() > 0.0:
         raise GeometryError("coincident samples: arclength does not increase")
-    n = h.size
-    hc = h[:, None]
-    delta = np.diff(values, axis=0) / hc
-    h_prev = np.concatenate((h[-1:], h[:-1]))
-    delta_prev = np.concatenate((delta[-1:], delta[:-1]))
-    # knot slopes m, row i: h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1}
-    #                      = 3 (h_i delta_{i-1} + h_{i-1} delta_i), indices mod n
-    m0 = _cyclic_tridiagonal_solve(h, 2.0 * (h_prev + h), h_prev,
-                                   3.0 * (hc * delta_prev + h_prev[:, None] * delta))
-    m1 = np.concatenate((m0[1:], m0[:1]))
-
-    # per-interval power form, then one gather for the targets
-    t = (m0 + m1 - 2.0 * delta) / hc
-    coef = np.stack((values[:-1], m0, (delta - m0) / hc - t, t / hc), axis=1)
-    idx = np.minimum(np.searchsorted(knots, targets, side="right") - 1, n - 1)
-    c = coef[idx]
-    x = (targets - knots[idx])[:, None]
-    return c[:, 0] + x * (c[:, 1] + x * (c[:, 2] + x * c[:, 3]))
+    v = np.concatenate((values[-2:-1], values, values[1:2]))
+    # divided differences; row j of each starts at knot j - 1
+    d1 = (v[1:] - v[:-1]) / ds
+    d2 = (d1[1:] - d1[:-1]) / (s[2:] - s[:-2])[:, None]
+    d3 = (d2[1:] - d2[:-1]) / (s[3:] - s[:-3])[:, None]
+    i = np.minimum(np.searchsorted(knots, targets, side="right") - 1, knots.size - 2)
+    t = targets[:, None]
+    return v[i] + (t - s[i, None]) * (d1[i] + (t - s[1:][i, None])
+                                      * (d2[i] + (t - s[2:][i, None]) * d3[i]))
 
 
 def _norms(v):
@@ -421,11 +388,9 @@ def _axis_base(base_point):
 
 
 def _first_nonpositive(values):
-    """Index of the first sample (row of `values`) with an entry <= 0, or None.
+    """Index of the first row of `values` with an entry <= 0 (NaN is not), or None.
 
-    One `min()` decides when every entry is positive; the index is looked for
-    only when it is not.  NaN is not <= 0, so a NaN alone is not flagged.
-    """
+    One `min()` passes positive data; the index is looked for only on failure."""
     if values.min() > 0.0:
         return None
     bad = (values <= 0.0).reshape(len(values), -1).any(axis=1).nonzero()[0]
@@ -472,9 +437,8 @@ def curve_geometry(curve, base_point=None):
     tx, ty = tangent.T
     dtx, dty = _fd.periodic_d1(tangent, h).T
     k = orient * (tx * dty - ty * dtx) / w
-    normal = np.empty_like(tangent)                    # orient * (-ty, tx)
-    normal[:, 0] = -orient * ty
-    normal[:, 1] = orient * tx
+    normal = np.empty_like(tangent)
+    normal[:, 0], normal[:, 1] = -orient * ty, orient * tx
 
     nonconvex = _first_nonpositive(k)
     if nonconvex is not None:
@@ -577,8 +541,7 @@ def _meridian_from_profile(profile, base_point=None):
 
     lam_p = np.empty(m)
     lam_p[1:-1] = -nu[1:-1, 1] / y[1:-1]
-    lam_p[0] = lam_m[0]          # regular pole limit
-    lam_p[-1] = lam_m[-1]
+    lam_p[[0, -1]] = lam_m[[0, -1]]          # regular pole limit
 
     rel_x = x - _axis_base(base_point)
     support = rel_x * nu[:, 0] + y * nu[:, 1]
@@ -628,17 +591,12 @@ def _meridian_fields(surface, grid_size=None, base_point=None):
 
 def _meridian_shape_data(f):
     m = f.x.shape[0]
-    pos = np.zeros((m, 3))
-    pos[:, 0] = f.x
-    pos[:, 1] = f.y
-    nrm = np.zeros((m, 3))
+    pos, nrm, lam = np.zeros((m, 3)), np.zeros((m, 3)), np.empty((m, 2))
+    pos[:, 0], pos[:, 1] = f.x, f.y
     nrm[:, :2] = f.nu
-    lam = np.empty((m, 2))
-    lam[:, 0] = f.lam_m
-    lam[:, 1] = f.lam_p
+    lam[:, 0], lam[:, 1] = f.lam_m, f.lam_p
     weights = 2.0 * np.pi * f.y * f.w * f.du
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
+    weights[[0, -1]] *= 0.5
     return ShapeData(dim=2, position=pos, normal=nrm, lam=lam, support=f.support,
                      weights=weights)
 

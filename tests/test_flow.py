@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from solitonlab import curvfun, flow, hypersurface, soliton
 from solitonlab.flow import FlowConfig, StopRule, TRACE_HEADER, monitors, run, step
@@ -186,44 +185,65 @@ def test_revolution_flow_keeps_poles_on_axis():
     assert np.all(prof[1:-1, 1] > 0.0)
 
 
-def _redistribute_reference(surface):
-    """Uniform-arclength resampling with scipy's periodic CubicSpline."""
-    if isinstance(surface, hypersurface.PlaneCurve):
-        pts = surface.points
-        closed = np.vstack([pts, pts[:1]])
-        s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(closed, axis=0), axis=1))])
-        spline = CubicSpline(s, closed, bc_type="periodic", axis=0)
-        return spline(s[-1] * np.arange(pts.shape[0]) / pts.shape[0])
-    prof = surface.profile
-    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(prof, axis=0), axis=1))])
-    mirrored = np.column_stack([prof[-2:0:-1, 0], -prof[-2:0:-1, 1]])
-    doubled = np.vstack([prof, mirrored, prof[:1]])
-    s_ext = np.concatenate([s, 2.0 * s[-1] - s[-2::-1]])
-    spline = CubicSpline(s_ext, doubled, bc_type="periodic", axis=0)
-    return spline(np.linspace(0.0, s[-1], prof.shape[0]))
-
-
 @pytest.mark.parametrize("m", [16, 64, 256, 1024])
-def test_periodic_spline_matches_scipy(m):
+def test_local_cubic_reproduces_cubics_off_the_seam(m):
+    # a target in [knots[i], knots[i + 1]) reads knots i - 1 to i + 2; for i in 1 to
+    # m - 2 none of them wraps, so the interpolant is the cubic itself
     rng = np.random.default_rng(m)
     knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, m))])
-    values = rng.standard_normal((m + 1, 2))
-    values[-1] = values[0]
-    targets = np.concatenate([np.sort(rng.uniform(0.0, knots[-1], 3 * m)), knots])
-    expect = CubicSpline(knots, values, bc_type="periodic", axis=0)(targets)
-    got = hypersurface._periodic_spline(knots, values, targets)
-    assert np.abs(got - expect).max() < 1e-13 * np.abs(expect).max()
+    knots -= 0.5 * knots[-1]
+    coef = rng.standard_normal((4, 2))
 
-    # closed curve and doubled meridian on non-uniform parameter grids
-    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
-    curve = hypersurface.PlaneCurve(np.column_stack([2.0 * np.cos(th), np.sin(th)]))
-    u = np.concatenate([[0.0], np.sort(rng.uniform(0.0, np.pi, m - 2)), [np.pi]])
-    profile = hypersurface.RevolutionProfile(np.column_stack([-1.3 * np.cos(u), np.sin(u)]))
-    for surface, coords in ((curve, lambda s: s.points), (profile, lambda s: s.profile)):
-        expect = _redistribute_reference(surface)
-        got = coords(flow._redistribute(surface))
-        inner = slice(None) if surface is curve else slice(1, -1)   # poles are pinned
-        assert np.abs(got[inner] - expect[inner]).max() < 1e-13 * np.abs(expect).max()
+    def cubic(s):
+        s = s[:, None]
+        return coef[0] + s * (coef[1] + s * (coef[2] + s * coef[3]))
+
+    targets = np.concatenate([rng.uniform(knots[1], knots[-2], 3 * m), knots[1:-2]])
+    values = cubic(knots)
+    got = hypersurface._local_cubic(knots, values, targets)
+    assert np.abs(got - cubic(targets)).max() < 1e-12 * np.abs(values).max()
+
+
+def _resample_errors(m):
+    """Max errors at grid size m: the resampled ellipse and spheroid meridian off their
+    implicit curves, and the interpolant of a smooth periodic function off the function."""
+    j = np.arange(m)
+    th = 2.0 * np.pi * (j + 0.3 * np.sin(2.0 * np.pi * j / m + 0.4)) / m
+    pts = hypersurface.PlaneCurve(np.column_stack([2.0 * np.cos(th), np.sin(th)])).resampled()
+    x, y = pts.points.T
+    curve = np.abs(x * x / 4.0 + y * y - 1.0).max()
+    v = np.linspace(0.0, 1.0, m)
+    u = np.pi * (v + 0.05 * np.sin(2.0 * np.pi * v))
+    prof = hypersurface.RevolutionProfile(np.column_stack([-1.3 * np.cos(u), np.sin(u)]))
+    x, y = prof.resampled().profile.T
+    meridian = np.abs(x * x / 1.69 + y * y - 1.0).max()
+    period = 7.0
+    knots = period * (np.arange(m + 1) + 0.3 * np.sin(2.0 * np.pi * np.arange(m + 1) / m)) / m
+    targets = period * (np.arange(m) + 0.37) / m
+
+    def smooth(s):
+        return np.column_stack([np.cos(2.0 * np.pi * s / period),
+                                np.sin(4.0 * np.pi * s / period + 1.0)])
+
+    direct = np.abs(hypersurface._local_cubic(knots, smooth(knots), targets)
+                    - smooth(targets)).max()
+    return np.array([curve, meridian, direct])
+
+
+def test_local_cubic_resampling_converges_at_fourth_order():
+    # the closed curve wraps the period, the meridian is doubled through its poles
+    order = np.log2(_resample_errors(128) / _resample_errors(512)) / 2.0
+    assert (order >= 3.5).all(), order
+
+
+def test_redistribute_pins_the_poles_and_keeps_the_radius_nonnegative():
+    rng = np.random.default_rng(11)
+    for m in (16, 64, 257):
+        u = np.concatenate([[0.0], np.sort(rng.uniform(0.0, np.pi, m - 2)), [np.pi]])
+        prof = hypersurface.RevolutionProfile(np.column_stack([-1.3 * np.cos(u), np.sin(u)]))
+        new = flow._redistribute(prof).profile
+        assert new[[0, -1]].tobytes() == prof.profile[[0, -1]].tobytes()
+        assert (new[:, 1] >= 0.0).all()
 
 
 # The fresh extraction carries its own rounding, which grows like eps / du^2
@@ -342,11 +362,11 @@ def test_criterion_7_step_count_does_not_grow_with_the_grid(name):
     assert counts[1] <= bound
 
 
-# (steps, final r_max, tau_fit, aHH_max) recorded at commit bbadaf0; a change that
-# only removes overhead keeps the arithmetic, and so these values
+# (steps, final r_max, tau_fit, aHH_max) recorded with the local cubic resample; a
+# change that only removes overhead keeps the arithmetic, and so these values
 _CRITERION_7_AT_M64 = {
-    "ellipse": (198, 1.0196046134999863, 0.4205936008615681, 1.0),
-    "spheroid": (85, 1.2197298708407232, 1.6663042165170079, 0.5048994570227833),
+    "ellipse": (198, 1.0196177255201664, 0.4205936132785305, 1.0),
+    "spheroid": (85, 1.2197295212066697, 1.666304199330872, 0.5048994429742106),
 }
 
 
@@ -360,6 +380,36 @@ def test_criterion_7_at_m64_keeps_its_recorded_values(name):
     assert last.r_max == pytest.approx(r_max, rel=1e-12, abs=0.0)
     assert last.tau_fit == pytest.approx(tau_fit, rel=1e-12, abs=0.0)
     assert last.ahh_max == pytest.approx(ahh_max, rel=1e-12, abs=0.0)
+
+
+# Fixed-scale H flows to t_max at M = 256 and the default dt_safety 0.4, against fine
+# references: the same flows at M = 512 and dt_safety = 0.02, run with the periodic C^2
+# spline resample of commit 199729b.  Each value is (r_max, tau_fit, aHH_max): the
+# reference, then that commit's own at M = 256.
+_ACCURACY_PIN = {
+    "ellipse 2:1, t = 2": (
+        lambda: ellipse(2.0, 1.0, 256), H1, 2.0,
+        (1.4588980536885559, 0.4247320740786839, 1.0),
+        (1.4509093187573154, 0.42461317762212847, 1.0)),
+    "spheroid 1:1.3, t = 0.3": (
+        lambda: spheroid_profile(1.0, 1.3, 256), H2, 0.3,
+        (1.427287854979527, 1.6805106558605944, 0.5154941778315891),
+        (1.4245092925661946, 1.68030025494119, 0.5153283956333413)),
+    "oblate 3:1, t = 1": (
+        lambda: spheroid_profile(3.0, 1.0, 256), H2, 1.0,
+        (2.881890984137849, 0.4393896287110495, 0.617509305054855),
+        (2.8778488204947275, 0.4390384063825043, 0.6172490973306278)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACCURACY_PIN))
+def test_fixed_scale_errors_stay_within_5_percent_of_the_spline_resample(name):
+    make, f, t_max, reference, spline = _ACCURACY_PIN[name]
+    trace = run(FlowConfig(f=f, stop=StopRule(t_max=t_max), rescale_mode="fixed-scale"), make())
+    last = trace.final
+    assert trace.stop_reason == "t_max" and not trace.dt_halvings
+    for got, ref, old in zip((last.r_max, last.tau_fit, last.ahh_max), reference, spline):
+        assert abs(got - ref) <= 1.05 * abs(old - ref)
 
 
 @pytest.mark.parametrize("make,f", [
@@ -422,3 +472,29 @@ def test_tracer_sees_every_flow_phase(tracing, surface, f, t_max, geometry_span)
     assert spans["flow._min_spacing"][0] == 0          # dt no longer depends on the grid
     assert spans["flow.monitors"][0] == steps + 1      # the initial surface is monitored too
     assert spans[geometry_span][0] == 2 * steps + 1    # the ROS2 stage, the candidate, the start
+
+
+@pytest.mark.parametrize("make,kind,geometry_span", [
+    (lambda m: ellipse(2.0, 1.0, m), "curve", "hypersurface.curve_geometry"),
+    (lambda m: spheroid_profile(1.0, 1.3, m), "surface", "hypersurface.revolution_geometry"),
+])
+def test_per_call_sweep_reaches_every_layer_it_times(tracing, monkeypatch, make, kind,
+                                                     geometry_span):
+    # the sweep calls flow._advance, flow._redistribute and flow.monitors by name and
+    # signature; one call per layer on one small grid is enough to see them break
+    calls = []
+
+    def once(fn):
+        calls.append(fn())
+        return 1.0
+
+    monkeypatch.setattr(tracing, "SWEEP_GRIDS", (32,))
+    monkeypatch.setattr(tracing, "_us_per_call", once)
+    out = tracing.per_call_sweep(make)
+    expect = {f"{geometry_span}.us_per_call.M32"} | {
+        f"{span}.us_per_call.{kind}.M32" for span in tracing.SWEEP_SPANS}
+    assert set(out) == expect and set(out.values()) == {1.0}
+    assert len(calls) == 1 + len(tracing.SWEEP_SPANS)
+    assert isinstance(calls[0], hypersurface.ShapeData)              # the extraction
+    assert type(calls[2]) is type(make(32))                          # _redistribute
+    assert isinstance(calls[3], flow.FlowMonitors)                   # monitors
