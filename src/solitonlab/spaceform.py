@@ -115,6 +115,14 @@ def _minkowski_rows(u, v):
     return _row_dot(u[:, 1:], v[:, 1:]) - u[:, 0] * v[:, 0]
 
 
+def _pairing_misses(u, v, target, tol):
+    """Rows where <<u, v>> misses `target` by more than `tol` or 8 eps times the summed
+    magnitudes of its terms: a pairing far from the base point cancels terms of size
+    ~cosh(kappa rho)^2, and its rounding grows with them."""
+    tol = np.maximum(tol, 8.0 * np.finfo(float).eps * _row_dot(np.abs(u), np.abs(v)))
+    return np.abs(_minkowski_rows(u, v) - target) > tol
+
+
 def _refuse_rows(bad, problem, values=None):
     """Raise for the first flagged point, naming its row when there are several.
 
@@ -147,11 +155,11 @@ def support_rows(c, positions, normals):
         z_scale = rho                               # shc(0, rho) = rho
     else:
         kappa = math.sqrt(-c)
-        _refuse_rows(np.abs(_minkowski_rows(x, x) - 1.0 / c) > 1e-8 * max(1.0, abs(1.0 / c)),
+        _refuse_rows(_pairing_misses(x, x, 1.0 / c, 1e-8 * max(1.0, abs(1.0 / c))),
                      "position does not lie on the model hyperboloid <<x,x>> = 1/c")
-        _refuse_rows(np.abs(_minkowski_rows(nu, nu) - 1.0) > 1e-10,
+        _refuse_rows(_pairing_misses(nu, nu, 1.0, 1e-10),
                      "normal must be unit for the Minkowski pairing")
-        _refuse_rows(np.abs(_minkowski_rows(x, nu)) > 1e-8,
+        _refuse_rows(_pairing_misses(x, nu, 0.0, 1e-8),
                      "normal must be tangent to the hyperboloid")
         x_hat = kappa * x
         cosh_kr = x_hat[:, 0]                   # -<<x_hat, kappa * base point>>

@@ -37,6 +37,15 @@ def test_sphere_check_hyperbolic(tmp_path, capsys):
     assert f"tau = {expected:.10g}" in out
 
 
+@pytest.mark.parametrize("c,n", [("-49", 1), ("-49", 2), ("-64", 1)])
+def test_sphere_check_passes_far_from_the_base_point(tmp_path, capsys, c, n):
+    # kappa R = 7 and 8: the hyperboloid samples were refused as "normal must be unit"
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--R", "1",
+                 f"--c={c}", "--n", str(n)])
+    assert code == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
 def test_sphere_check_positive_c_locked(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sphere-check", "--f", "H",
                  "--R", "1", "--c", "0.5", "--n", "2"]) == 2

@@ -146,6 +146,24 @@ def test_support_rows_match_single_points():
         assert np.abs(rows.tangential[i] - data.tangential).max() <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("c", [-49.0, -64.0, -144.0])
+def test_far_geodesic_spheres_pass_their_own_model_checks(c, dim):
+    # kappa R = 7, 8 and 12: each pairing cancels terms of size cosh(kappa R)^2, whose
+    # rounding the absolute tolerances 1e-10 and 1e-8 no longer covered; the support
+    # keeps that rounding, relative to its size
+    sphere = sample_geodesic_sphere(c, 1.0, dim, 64, seed=3)
+    rounding = 16.0 * np.finfo(float).eps * math.cosh(math.sqrt(-c)) ** 2
+    np.testing.assert_allclose(sphere.support, -shc(c, 1.0), rtol=rounding)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-8, 1.0 - 1e-8])
+def test_a_normal_off_unit_by_1e_8_is_still_refused_at_kappa_r_7(scale):
+    sphere = sample_geodesic_sphere(-49.0, 1.0, 2, 8)
+    with pytest.raises(ValueError, match="normal must be unit"):
+        support_rows(-49.0, sphere.positions, scale * sphere.normals)
+
+
 @pytest.mark.parametrize("c, bad_position, bad_normal, message", [
     (0.0, [0.0, 0.0], [1.0, 0.0], "base point"),
     (0.0, [1.0, 0.0], [2.0, 0.0], "unit"),
