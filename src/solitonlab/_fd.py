@@ -34,24 +34,16 @@ def _apply(ext, terms, scale):
     return out
 
 
-def periodic_ghosts(f):
-    """`f` with two ghost samples on each end: its last two before it, its first two after."""
-    return np.concatenate([f[-2:], f, f[:2]])
-
-
-def ghost_d1(ext, h):
-    """First derivative at the interior nodes of a ghost-extended array (two ghosts a side)."""
-    return _apply(ext, _D1, h)
-
-
 def periodic_d1(f, h):
     """First derivative of a periodic sample array."""
-    return _apply(periodic_ghosts(f), _D1, h)
+    ext = np.concatenate([f[-2:], f, f[:2]])
+    return _apply(ext, _D1, h)
 
 
 def periodic_d2(f, h):
     """Second derivative of a periodic sample array."""
-    return _apply(periodic_ghosts(f), _D2, h * h)
+    ext = np.concatenate([f[-2:], f, f[:2]])
+    return _apply(ext, _D2, h * h)
 
 
 def _reflect(f, parity):

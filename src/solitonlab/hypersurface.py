@@ -418,9 +418,7 @@ def curve_geometry(curve, base_point=None):
     pair (x, y), overrides it.
     """
     pts = curve.points
-    h = 2.0 * np.pi / pts.shape[0]
-    ext = _fd.periodic_ghosts(pts)
-    vel = _fd.ghost_d1(ext, h)
+    h, vel = _curve_velocity(pts)
     xp, yp = vel.T
     x, y = pts.T
     w2 = xp * xp + yp * yp
@@ -428,7 +426,7 @@ def curve_geometry(curve, base_point=None):
         raise GeometryError("degenerate parametrization (zero speed)")
     w = np.sqrt(w2)
 
-    nxt = ext[3:-1]                                    # sample i + 1
+    nxt = np.concatenate((pts[1:], pts[:1]))          # sample i + 1
     area2 = float((x * nxt[:, 1] - nxt[:, 0] * y).sum())
     orient = 1.0 if area2 >= 0.0 else -1.0
     # curvature from the turning of the unit tangent: exact on circles and
