@@ -35,11 +35,13 @@ def test_sphere_check_hyperbolic(tmp_path, capsys):
     assert code == 0
     expected = 2.0 * math.cosh(1.0) / math.sinh(1.0) ** 2
     assert f"tau = {expected:.10g}" in out
+    assert "result: pass (tolerance 1e-08)" in out
 
 
-@pytest.mark.parametrize("c,n", [("-49", 1), ("-49", 2), ("-64", 1)])
+@pytest.mark.parametrize("c,n", [("-49", 1), ("-49", 2), ("-64", 1), ("-64", 2)])
 def test_sphere_check_passes_far_from_the_base_point(tmp_path, capsys, c, n):
-    # kappa R = 7 and 8: the hyperboloid samples were refused as "normal must be unit"
+    # kappa R = 7 and 8: the hyperboloid samples were refused as "normal must be unit",
+    # and at c = -64, n = 2 the residual's rounding (1.5e-8) exceeded a fixed 1e-8
     code = main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--R", "1",
                  f"--c={c}", "--n", str(n)])
     assert code == 0
