@@ -302,10 +302,11 @@ def _local_lagrange(knots, values, targets):
 
     The knots increase strictly, and the targets lie in [knots[3], knots[-4]]: a
     target in [knots[i], knots[i + 1]) takes the polynomial through knots i - 3 to
-    i + 4 (Lagrange interpolation in Newton form, one divided-difference order per
-    pass over the knots).  A 4-point cubic costs less, but its error adds up over a
-    flow's resamples: up to 3x a periodic C^2 spline's in the final r_max and tau_fit
-    at M = 64, dt_safety 0.1; degree 7's does not.
+    i + 4 (Lagrange interpolation in Newton form: one divided-difference order per
+    pass over the knots, then one product of the coefficients with the Newton basis).
+    A 4-point cubic costs less, but its error adds up over a flow's resamples: up to
+    3x a periodic C^2 spline's in the final r_max and tau_fit at M = 64, dt_safety
+    0.1; degree 7's does not.
     """
     # table[j, :, l]: divided difference of order j over knots l, ..., l + j
     table = np.empty((8, values.shape[1], knots.size))
@@ -318,12 +319,11 @@ def _local_lagrange(knots, values, targets):
         np.subtract(table[j - 1, :, 1:knots.size - j + 1], table[j - 1, :, :-j], out=order)
         order /= span
     start = np.minimum(np.searchsorted(knots, targets, side="right"), knots.size - 4) - 4
-    coef = table[:, :, start]
-    dist = targets - knots[start + np.arange(7)[:, None]]
-    out = coef[7]
-    for j in range(6, -1, -1):
-        out = coef[j] + dist[j] * out
-    return out.T
+    # Newton basis at each target: row j is the product of (t - knot) over its first j knots
+    basis = np.empty((8, targets.size))
+    basis[0] = 1.0
+    np.cumprod(targets - knots[start + np.arange(7)[:, None]], axis=0, out=basis[1:])
+    return np.einsum("jkm,jm->mk", table[:, :, start], basis)
 
 
 def _norms(v):
