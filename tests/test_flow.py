@@ -393,8 +393,8 @@ def test_criterion_7_at_m64_keeps_its_recorded_values(name):
 # grid size, dt_safety and that commit's own (r_max, tau_fit, aHH_max) there.  At
 # M = 64 and dt_safety 0.1 a flow resamples most often on its coarsest grid, which is
 # where a less accurate resample shows (a 4-point cubic missed the bound there by up
-# to 3x); the 5:1 ellipse there is under-resolved, and its tau_fit error moves by 3x
-# between resamples of degree 3 to 11.
+# to 3x).  The 5:1 ellipse is under-resolved at M = 64: its tau_fit error there ranged
+# from 0.17x to 3.1x the spline's over local resamples of degree 3, 5, 7 and 11.
 _ACCURACY_CASES = {
     "ellipse 2:1, t = 2": (lambda m: ellipse(2.0, 1.0, m), H1, 2.0,
                            (1.4588980536885559, 0.4247320740786839, 1.0)),
