@@ -35,7 +35,6 @@ def test_sphere_check_hyperbolic(tmp_path, capsys):
     assert code == 0
     expected = 2.0 * math.cosh(1.0) / math.sinh(1.0) ** 2
     assert f"tau = {expected:.10g}" in out
-    assert "result: pass (tolerance 1e-08)" in out
 
 
 @pytest.mark.parametrize("c,n", [("-49", 1), ("-49", 2), ("-64", 1), ("-64", 2)])
@@ -46,6 +45,14 @@ def test_sphere_check_passes_far_from_the_base_point(tmp_path, capsys, c, n):
                  f"--c={c}", "--n", str(n)])
     assert code == 0
     assert "result: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_sphere_check_tolerance_stays_1e_8_near_the_base_point(tmp_path, capsys, c):
+    # the rounding-scaled tolerance only grows where cosh(2 kappa R) makes it exceed 1e-8
+    assert main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--R", "1",
+                 f"--c={c}"]) == 0
+    assert "result: pass (tolerance 1e-08)" in capsys.readouterr().out
 
 
 def test_sphere_check_positive_c_locked(tmp_path, capsys):
