@@ -18,6 +18,12 @@ for uniform-arclength grids and for trigonometric meridians.
 Normals are inward everywhere, so convex surfaces have positive principal
 curvatures and negative support values about interior base points.
 
+One grid-fields layer serves both grid kinds.  `_grid_fields`, the only dispatch
+on surface kind for grid operations, takes a `PlaneCurve`, a `RevolutionProfile` or
+an axisymmetric `Ellipsoid` (on `grid_size` meridian samples); its builders refuse
+what extraction refuses, so `covariant_hessian` and `support_hessian_residual`
+refuse it too.  `codazzi_residual` takes rotation surfaces only.
+
 The two grid types own every operation that depends on their layout, with
 the same members: `dim`, `geometry`, `moved`, `resampled`, `scaled`,
 `centroid` and `linearized_solver`.  `resampled` moves the samples to
@@ -28,6 +34,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -374,26 +381,6 @@ class ShapeData:
         return float(self.weights.sum())
 
 
-def _plane_base(base_point):
-    """A plane curve's base point as an array of shape (2,); the origin by default."""
-    if base_point is None:
-        return np.zeros(2)
-    base = np.asarray(base_point, dtype=float)
-    if base.shape != (2,):
-        raise GeometryError(f"a plane curve's base point is a pair (x, y), got {base_point!r}")
-    return base
-
-
-def _axis_base(base_point):
-    """A rotation surface's base point as its x on the axis; 0 by default."""
-    if base_point is None:
-        return 0.0
-    if not isinstance(base_point, numbers.Real):
-        raise GeometryError(f"a rotation surface's base point is one real number (its x "
-                            f"on the axis), got {base_point!r}")
-    return float(base_point)
-
-
 def _first_nonpositive(values):
     """Index of the first row of `values` with an entry <= 0 (NaN is not), or None.
 
@@ -404,52 +391,88 @@ def _first_nonpositive(values):
     return int(bad[0]) if bad.size else None
 
 
-def _require_interior_base(support, what):
-    if np.any(support >= 0.0):
-        raise GeometryError(f"{what}: base point is not strictly inside the surface "
-                            "(support values must be negative with inward normals)")
+@dataclass
+class _GridFields:
+    """Sampled fields of a curve grid (n = 1) or a meridian grid, pole to pole (n = 2).
 
-
-def _curve_velocity(points):
-    """Grid step and the 4th-order periodic velocity (x', y'), (M, 2), of a curve grid."""
-    h = 2.0 * np.pi / points.shape[0]
-    return h, _fd.periodic_d1(points, h)
-
-
-def curve_geometry(curve, base_point=None):
-    """Extract `ShapeData` from a closed convex plane curve.
-
-    Tangent, normal, and curvature come from 4th-order periodic differences;
-    the normal is oriented inward and the signed curvature is positive for
-    convex curves.  The support value uses the origin unless `base_point`, a
-    pair (x, y), overrides it.
+    The samples lie in one plane: a curve's points, or a meridian's (x, y) with the
+    rotation axis along x.  `d1` and `d2` differentiate a scalar along the grid, of
+    step `du`: periodically on a curve, evenly through the poles on a meridian.
     """
-    pts = curve.points
-    h, vel = _curve_velocity(pts)
+
+    dim: int
+    du: float
+    xy: np.ndarray           # (M, 2) samples
+    vel: np.ndarray          # (M, 2) velocity d xy / du
+    E: np.ndarray            # metric g_ss = |vel|^2
+    w: np.ndarray            # speed |vel|
+    nu: np.ndarray           # (M, 2) inward planar normal
+    lam: np.ndarray          # (M, n) principal curvatures in frame order
+    base: np.ndarray         # (2,) base point in the plane of the samples
+    support: np.ndarray      # Z = <xy - base, nu>
+
+    def d1(self, f):
+        if self.dim == 1:
+            return _fd.periodic_d1(f, self.du)
+        return _fd.reflected_d1(f, self.du)
+
+    def d2(self, f):
+        if self.dim == 1:
+            return _fd.periodic_d2(f, self.du)
+        return _fd.reflected_d2(f, self.du)
+
+    @property
+    def G(self):
+        """Metric g_pp of the rotation angle on a meridian grid, y^2."""
+        y = self.xy[:, 1]
+        return y * y
+
+    # the metric derivatives, which every Christoffel symbol reads
+    @cached_property
+    def dE(self):
+        return self.d1(self.E)
+
+    @cached_property
+    def dG(self):
+        return self.d1(self.G)
+
+
+def _turning_frame(vel, tangent_d1, orient, what):
+    """Metric E = |vel|^2, speed, inward normal and curvature of a planar grid curve.
+
+    The curvature is the unit tangent's turning: exact on circles and other
+    single-harmonic grids, O(h^4) in general.  `orient` (+-1) turns the normal
+    orient * (-ty, tx) inward; `tangent_d1` differentiates the (M, 2) tangent.
+    """
     xp, yp = vel.T
-    x, y = pts.T
     w2 = xp * xp + yp * yp
     if _first_nonpositive(w2) is not None:
-        raise GeometryError("degenerate parametrization (zero speed)")
+        raise GeometryError(f"degenerate {what} (zero speed)")
     w = np.sqrt(w2)
+    tangent = vel / w[:, None]
+    tx, ty = tangent.T
+    dtx, dty = tangent_d1(tangent).T
+    normal = np.empty_like(tangent)
+    normal[:, 0], normal[:, 1] = -orient * ty, orient * tx
+    return w2, w, normal, orient * (tx * dty - ty * dtx) / w
 
+
+def _curve_fields(curve, base_point=None):
+    pts = curve.points
+    h = 2.0 * np.pi / pts.shape[0]
+    vel = _fd.periodic_d1(pts, h)
+    x, y = pts.T
     nxt = np.concatenate((pts[1:], pts[:1]))          # sample i + 1
     area2 = float((x * nxt[:, 1] - nxt[:, 0] * y).sum())
     orient = 1.0 if area2 >= 0.0 else -1.0
-    # curvature from the turning of the unit tangent: exact on circles and
-    # other single-harmonic grids, O(h^4) in general
-    tangent = vel / w[:, None]
-    tx, ty = tangent.T
-    dtx, dty = _fd.periodic_d1(tangent, h).T
-    k = orient * (tx * dty - ty * dtx) / w
-    normal = np.empty_like(tangent)
-    normal[:, 0], normal[:, 1] = -orient * ty, orient * tx
+    w2, w, normal, k = _turning_frame(vel, lambda t: _fd.periodic_d1(t, h), orient,
+                                      "parametrization")
 
     nonconvex = _first_nonpositive(k)
     if nonconvex is not None:
         raise NonConvexSurfaceError("curve is not convex: curvature <= 0", nonconvex)
 
-    angles = np.arctan2(yp, xp)
+    angles = np.arctan2(vel[:, 1], vel[:, 0])
     turns = np.concatenate((angles[1:], angles[:1])) - angles
     turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
     # +-1 for simple curves depending on traversal; normalize by orientation
@@ -457,76 +480,31 @@ def curve_geometry(curve, base_point=None):
     if abs(turning_number - 1.0) > 1e-6:
         raise GeometryError(f"curve is not simple: turning number {turning_number:.6f} != 1")
 
-    rel = pts - _plane_base(base_point)
-    support = rel[:, 0] * normal[:, 0] + rel[:, 1] * normal[:, 1]
-    rho = _norms(rel)
+    base = np.zeros(2) if base_point is None else np.asarray(base_point, dtype=float)
+    if base.shape != (2,):
+        raise GeometryError(f"a plane curve's base point is a pair (x, y), got {base_point!r}")
+    # offsets by columns: an (M, 2) - (2,) broadcast costs ~2.5x more at M = 1024
+    rx, ry = x - base[0], y - base[1]
+    rho = np.sqrt(rx * rx + ry * ry)
     tol = 1e-12 * max(1.0, float(np.abs(pts).max()))
     if not rho.min() >= tol and (rho < tol).any():
         raise GeometryError("base point lies on the curve; radial direction undefined")
-
-    return ShapeData(dim=1, position=pts.copy(), normal=normal, lam=k[:, None],
-                     support=support, weights=w * h)
-
-
-# ---------------------------------------------------------------------------
-# meridian field bundles (shared by discrete profiles and analytic spheroids)
-
-@dataclass
-class _MeridianFields:
-    """Sampled meridian fields of a rotation surface, pole to pole."""
-
-    du: float
-    x: np.ndarray
-    y: np.ndarray
-    xp: np.ndarray
-    yp: np.ndarray
-    w: np.ndarray
-    nu: np.ndarray           # (M, 2) inward planar normal
-    E: np.ndarray            # metric g_ss
-    G: np.ndarray            # metric g_phiphi
-    lam_m: np.ndarray        # meridian principal curvature
-    lam_p: np.ndarray        # parallel principal curvature
-    support: np.ndarray      # Z about the base point
-    rel_x: np.ndarray        # x minus the base point's x
-
-    def d1(self, f):
-        return _fd.reflected_d1(f, self.du, +1)
-
-    def d2(self, f):
-        return _fd.reflected_d2(f, self.du, +1)
-
-    @property
-    def h_ss(self):
-        return self.lam_m * self.E
-
-    @property
-    def h_pp(self):
-        return self.lam_p * self.G
+    return _GridFields(1, h, pts, vel, w2, w, normal, k[:, None], base,
+                       rx * normal[:, 0] + ry * normal[:, 1])
 
 
-def _meridian_from_profile(profile, base_point=None):
+def _profile_fields(profile, base_point=None):
     prof = profile.profile
     m = prof.shape[0]
     du = 1.0 / (m - 1)
     x, y = prof.T
 
     vel = _fd.reflected_d1(prof, du, (+1, -1))      # x even through the poles, y odd
-    xp, yp = vel.T
-    w2 = xp * xp + yp * yp
-    if _first_nonpositive(w2) is not None:
-        raise GeometryError("degenerate profile parametrization (zero speed)")
-    w = np.sqrt(w2)
-
-    # orient the planar normal inward: negative y-component at the equator
-    ie = int(y.argmax())
-    orient = 1.0 if -xp[ie] / w[ie] < 0.0 else -1.0
-    # meridian curvature from the turning of the unit tangent (tangent x-part
-    # is odd through the poles, y-part even)
-    tangent = vel / w[:, None]
-    tx, ty = tangent.T
-    nu = tangent[:, ::-1] * (orient, -orient)          # orient * (ty, -tx)
-    dtx, dty = _fd.reflected_d1(tangent, du, (-1, +1)).T
-    lam_m = orient * (ty * dtx - tx * dty) / w
+    # the inward normal orient * (-ty, tx) has a negative y-component at the equator;
+    # the tangent's x-part is odd through the poles, its y-part even
+    orient = -1.0 if vel[int(y.argmax()), 0] > 0.0 else 1.0
+    w2, w, nu, lam_m = _turning_frame(vel, lambda t: _fd.reflected_d1(t, du, (-1, +1)), orient,
+                                      "profile parametrization")
 
     # pole-angle check: the one-sided slope of the axis coordinate must vanish
     # relative to the profile speed.  The base tolerance is floored by the
@@ -544,45 +522,52 @@ def _meridian_from_profile(profile, base_point=None):
             raise GeometryError(f"profile does not meet the axis orthogonally at the "
                                 f"{label} sample (pole-angle violation)")
 
-    lam_p = np.empty(m)
-    lam_p[1:-1] = -nu[1:-1, 1] / y[1:-1]
-    lam_p[[0, -1]] = lam_m[[0, -1]]          # regular pole limit
+    lam = np.empty((m, 2))
+    lam[:, 0] = lam_m
+    lam[1:-1, 1] = -nu[1:-1, 1] / y[1:-1]
+    lam[[0, -1], 1] = lam_m[[0, -1]]          # regular pole limit
+    fields = _meridian_grid(du, prof, vel, w2, w, nu, lam, base_point)
+    bad = _first_nonpositive(lam)
+    if bad is not None:
+        raise NonConvexSurfaceError("rotation surface is not convex", bad)
+    return fields
 
-    rel_x = x - _axis_base(base_point)
-    support = rel_x * nu[:, 0] + y * nu[:, 1]
-    return _MeridianFields(du=du, x=x, y=y, xp=xp, yp=yp, w=w, nu=nu,
-                           E=w2, G=y * y, lam_m=lam_m, lam_p=lam_p,
-                           support=support, rel_x=rel_x)
 
-
-def _meridian_from_spheroid(equatorial, polar, grid_size, base_point=None):
+def _spheroid_fields(equatorial, polar, grid_size, base_point=None):
     a, c = float(equatorial), float(polar)
     m = int(grid_size)
     if m < 16:
         raise GeometryError("meridian grid needs at least 16 samples")
     u = np.linspace(0.0, np.pi, m)
-    du = float(u[1] - u[0])
-    x = -c * np.cos(u)
-    y = a * np.sin(u)
-    xp = c * np.sin(u)
-    yp = a * np.cos(u)
+    xy = np.column_stack([-c * np.cos(u), a * np.sin(u)])
+    vel = np.column_stack([c * np.sin(u), a * np.cos(u)])
+    xp, yp = vel.T
     w = np.sqrt(xp * xp + yp * yp)
     nu = np.column_stack([yp, -xp]) / w[:, None]
-    lam_m = a * c / w ** 3
-    lam_p = c / (a * w)
-    rel_x = x - _axis_base(base_point)
-    support = rel_x * nu[:, 0] + y * nu[:, 1]
-    return _MeridianFields(du=du, x=x, y=y, xp=xp, yp=yp, w=w, nu=nu,
-                           E=w * w, G=y * y, lam_m=lam_m, lam_p=lam_p,
-                           support=support, rel_x=rel_x)
+    lam = np.column_stack([a * c / w ** 3, c / (a * w)])
+    return _meridian_grid(float(u[1] - u[0]), xy, vel, w * w, w, nu, lam, base_point)
 
 
-def _meridian_fields(surface, grid_size=None, base_point=None):
+def _meridian_grid(du, xy, vel, E, w, nu, lam, base_point):
+    """Fields of a meridian grid; the base point is its x on the axis, 0 by default."""
+    if base_point is not None and not isinstance(base_point, numbers.Real):
+        raise GeometryError(f"a rotation surface's base point is one real number (its x "
+                            f"on the axis), got {base_point!r}")
+    bx = float(base_point or 0.0)
+    support = (xy[:, 0] - bx) * nu[:, 0] + xy[:, 1] * nu[:, 1]
+    return _GridFields(2, du, xy, vel, E, w, nu, lam, np.array([bx, 0.0]), support)
+
+
+def _grid_fields(surface, grid_size=None, base_point=None):
+    """The grid fields of `surface`: the one dispatch on its kind for grid operations."""
+    if isinstance(surface, PlaneCurve):
+        return _curve_fields(surface, base_point)
     if isinstance(surface, RevolutionProfile):
-        return _meridian_from_profile(surface, base_point)
+        return _profile_fields(surface, base_point)
     if isinstance(surface, Ellipsoid):
         if surface.dim != 2:
-            raise GeometryError("meridian grid operations need a 2-dimensional surface")
+            raise GeometryError("an analytic ellipse is evaluated pointwise with "
+                                "ellipsoid_geometry; grid operations take ellipse(a, b, M)")
         if not surface.axisymmetric:
             raise GeometryError("grid operations support axisymmetric ellipsoids only "
                                 "(equal first two semi-axes); triaxial surfaces are "
@@ -590,19 +575,31 @@ def _meridian_fields(surface, grid_size=None, base_point=None):
         if grid_size is None:
             raise GeometryError("analytic ellipsoid grid operations need grid_size")
         a, _, c = surface.semi_axes
-        return _meridian_from_spheroid(a, c, grid_size, base_point)
+        return _spheroid_fields(a, c, grid_size, base_point)
     raise GeometryError(f"unsupported surface type {type(surface).__name__} for grid operations")
 
 
+def curve_geometry(curve, base_point=None):
+    """Extract `ShapeData` from a closed convex plane curve.
+
+    Tangent, normal, and curvature come from 4th-order periodic differences;
+    the normal is oriented inward and the signed curvature is positive for
+    convex curves.  The support value uses the origin unless `base_point`, a
+    pair (x, y), overrides it.
+    """
+    f = _curve_fields(curve, base_point)
+    return ShapeData(dim=1, position=f.xy.copy(), normal=f.nu, lam=f.lam,
+                     support=f.support, weights=f.w * f.du)
+
+
 def _meridian_shape_data(f):
-    m = f.x.shape[0]
-    pos, nrm, lam = np.zeros((m, 3)), np.zeros((m, 3)), np.empty((m, 2))
-    pos[:, 0], pos[:, 1] = f.x, f.y
+    m = f.xy.shape[0]
+    pos, nrm = np.zeros((m, 3)), np.zeros((m, 3))
+    pos[:, :2] = f.xy
     nrm[:, :2] = f.nu
-    lam[:, 0], lam[:, 1] = f.lam_m, f.lam_p
-    weights = 2.0 * np.pi * f.y * f.w * f.du
+    weights = 2.0 * np.pi * f.xy[:, 1] * f.w * f.du
     weights[[0, -1]] *= 0.5
-    return ShapeData(dim=2, position=pos, normal=nrm, lam=lam, support=f.support,
+    return ShapeData(dim=2, position=pos, normal=nrm, lam=f.lam, support=f.support,
                      weights=weights)
 
 
@@ -614,16 +611,12 @@ def revolution_geometry(profile, base_point=None):
     (equal to the meridian value) at the two poles.  `base_point`, when given,
     must lie on the rotation axis (a single x-coordinate).
     """
-    geom = _meridian_shape_data(_meridian_from_profile(profile, base_point))
-    bad = _first_nonpositive(geom.lam)
-    if bad is not None:
-        raise NonConvexSurfaceError("rotation surface is not convex", bad)
-    return geom
+    return _meridian_shape_data(_profile_fields(profile, base_point))
 
 
 def spheroid_meridian_geometry(equatorial, polar, grid_size=256, base_point=None):
     """Closed-form `ShapeData` on a meridian grid of an axisymmetric ellipsoid."""
-    return _meridian_shape_data(_meridian_from_spheroid(equatorial, polar, grid_size, base_point))
+    return _meridian_shape_data(_spheroid_fields(equatorial, polar, grid_size, base_point))
 
 
 # ---------------------------------------------------------------------------
@@ -675,112 +668,89 @@ def ellipsoid_geometry(semi_axes, u, v=None):
 
 # ---------------------------------------------------------------------------
 # grid tensor calculus
+#
+# In the coordinates (s, phi) of a grid -- the grid parameter s, and on a rotation
+# surface the rotation angle phi -- the metric is diag(E, G) and h is diag(h_ss, h_pp),
+# with h_ss = lam_m E and h_pp = lam_p G.  Axisymmetric fields depend on s alone; so
+# do the Christoffel symbols, from 4th-order differences of E and G.
+
+def _hessian_terms(f, phi):
+    """Nonzero components of the covariant Hessian of `phi`: ss, and pp when n = 2."""
+    dphi = f.d1(phi)
+    terms = [f.d2(phi) - f.dE / (2.0 * f.E) * dphi]
+    if f.dim == 2:
+        terms.append(f.dG / (2.0 * f.E) * dphi)
+    return terms
+
+
+def _nabla_h_terms(f):
+    """nabla_s h_ss, and nabla_s h_pp when n = 2: the components of nabla h along s.
+
+    The parallel-fiber Christoffel contraction is evaluated in its pole-regular
+    form (G'/G) h_pp = G' lam_p.
+    """
+    h_ss = f.lam[:, 0] * f.E
+    terms = [f.d1(h_ss) - (f.dE / f.E) * h_ss]
+    if f.dim == 2:
+        terms.append(f.d1(f.lam[:, 1] * f.G) - f.dG * f.lam[:, 1])
+    return terms
+
 
 def covariant_hessian(surface, phi, grid_size=None):
-    """Covariant Hessian of a scalar sampled on the parameter grid.
+    """Covariant Hessian (M, n, n) of a scalar sampled on the parameter grid.
 
     Christoffel symbols come from 4th-order differences of the extracted
     metric fields, so the result is metric-compatible with them to rounding.
-    Curves use the one-dimensional reduction; meridian grids assume the field
-    is axisymmetric (a function of the profile parameter, even at the poles).
+    On a meridian grid the field is axisymmetric (a function of the profile
+    parameter, even at the poles).
     """
+    f = _grid_fields(surface, grid_size)
     phi = np.asarray(phi, dtype=float)
-    if isinstance(surface, PlaneCurve):
-        m = surface.grid_size
-        if phi.shape != (m,):
-            raise GeometryError(f"field shape {phi.shape} does not match grid ({m},)")
-        h, vel = _curve_velocity(surface.points)
-        xp, yp = vel.T
-        e = xp * xp + yp * yp
-        ep = _fd.periodic_d1(e, h)
-        pp = _fd.periodic_d1(phi, h)
-        ppp = _fd.periodic_d2(phi, h)
-        return (ppp - ep / (2.0 * e) * pp).reshape(m, 1, 1)
-
-    f = _meridian_fields(surface, grid_size)
-    m = f.x.shape[0]
+    m = f.E.shape[0]
     if phi.shape != (m,):
         raise GeometryError(f"field shape {phi.shape} does not match grid ({m},)")
-    pp = f.d1(phi)
-    ppp = f.d2(phi)
-    ep = f.d1(f.E)
-    gp = f.d1(f.G)
-    hess = np.zeros((m, 2, 2))
-    hess[:, 0, 0] = ppp - ep / (2.0 * f.E) * pp
-    hess[:, 1, 1] = gp / (2.0 * f.E) * pp
+    hess = np.zeros((m, f.dim, f.dim))
+    for i, term in enumerate(_hessian_terms(f, phi)):
+        hess[:, i, i] = term
     return hess
-
-
-def _meridian_nabla_h(f):
-    """Nonzero components of the covariant derivative of the second form.
-
-    On a rotation surface h is diagonal with s-dependent entries, which
-    reduces nabla_k h_ij to four fields; Christoffel terms use the same
-    4th-order metric derivatives as `covariant_hessian`.  The parallel-fiber
-    Christoffel contraction is evaluated in its pole-regular form
-    (G'/G) h_pp = G' * lam_p.
-    """
-    ep = f.d1(f.E)
-    gp = f.d1(f.G)
-    nab_s_ss = f.d1(f.h_ss) - (ep / f.E) * f.h_ss
-    nab_s_pp = f.d1(f.h_pp) - gp * f.lam_p
-    nab_p_sp = 0.5 * gp * (f.lam_m - f.lam_p)
-    return nab_s_ss, nab_s_pp, nab_p_sp, ep, gp
 
 
 def codazzi_residual(surface, grid_size=None):
     """Max defect of total symmetry of the covariant derivative of h.
 
-    Assembles nabla_k h_ij on the meridian grid and returns
-    max |nabla_k h_ij - nabla_j h_ik| over samples and index triples; the
-    residual converges to zero at 4th order under grid refinement.
+    Returns max |nabla_k h_ij - nabla_j h_ik| over the samples and index
+    triples of a rotation surface's meridian grid.  With h diagonal and
+    axisymmetric, the one triple whose symmetry is not built in is
+    nabla_s h_pp = nabla_p h_sp = (G'/2)(lam_m - lam_p); the residual converges
+    to zero at 4th order under grid refinement.
     """
-    f = _meridian_fields(surface, grid_size)
-    nab_s_ss, nab_s_pp, nab_p_sp, _, _ = _meridian_nabla_h(f)
-    m = f.x.shape[0]
-    nabla = np.zeros((m, 2, 2, 2))      # [sample, k, i, j]
-    nabla[:, 0, 0, 0] = nab_s_ss
-    nabla[:, 0, 1, 1] = nab_s_pp
-    nabla[:, 1, 0, 1] = nabla[:, 1, 1, 0] = nab_p_sp
-    defect = np.abs(nabla - nabla.transpose(0, 3, 2, 1))
-    return float(defect.max())
+    f = _grid_fields(surface, grid_size)
+    if f.dim != 2:
+        raise GeometryError(f"codazzi_residual needs a rotation surface (n = 2); on a "
+                            f"curve (n = {f.dim}) nabla h has one component")
+    nab_p_sp = 0.5 * f.dG * (f.lam[:, 0] - f.lam[:, 1])
+    return float(np.abs(_nabla_h_terms(f)[1] - nab_p_sp).max())
 
 
 def support_hessian_residual(surface, grid_size=None, base_point=None):
     """Max defect of the support-value Hessian identity (flat ambient).
 
     Checks nabla_i nabla_j Z = -h_ij - <X^T, nabla h_ij> - Z (A^2)_ij
-    pointwise on the grid, with the left side from `covariant_hessian` and
+    pointwise on the grid, with the left side as in `covariant_hessian` and
     nabla h from 4th-order differences.  The base point must be strictly
     inside the surface.
     """
-    if isinstance(surface, PlaneCurve):
-        geom = curve_geometry(surface, base_point=base_point)
-        _require_interior_base(geom.support, "support_hessian_residual")
-        h, vel = _curve_velocity(surface.points)
-        xp, yp = vel.T
-        e = xp * xp + yp * yp
-        ep = _fd.periodic_d1(e, h)
-        z = geom.support
-        hess_z = _fd.periodic_d2(z, h) - ep / (2.0 * e) * _fd.periodic_d1(z, h)
-        h11 = geom.lam[:, 0] * e
-        nab_h = _fd.periodic_d1(h11, h) - (ep / e) * h11
-        rel = geom.position - _plane_base(base_point)
-        tang = np.einsum("ij,ij->i", rel, vel) / e
-        res = hess_z + h11 + tang * nab_h + z * (geom.lam[:, 0] ** 2 * e)
-        return float(np.abs(res).max())
-
-    f = _meridian_fields(surface, grid_size, base_point)
-    _require_interior_base(f.support, "support_hessian_residual")
-    nab_s_ss, nab_s_pp, _, ep, gp = _meridian_nabla_h(f)
+    f = _grid_fields(surface, grid_size, base_point)
     z = f.support
-    zp = f.d1(z)
-    hess_ss = f.d2(z) - ep / (2.0 * f.E) * zp
-    hess_pp = gp / (2.0 * f.E) * zp
-    radial = (f.rel_x * f.xp + f.y * f.yp) / f.E      # shc(rho) * (d_rho^T)^s at c = 0
-    res_ss = hess_ss + f.h_ss + radial * nab_s_ss + z * f.lam_m ** 2 * f.E
-    res_pp = hess_pp + f.h_pp + radial * nab_s_pp + z * f.lam_p ** 2 * f.G
-    return float(max(np.abs(res_ss).max(), np.abs(res_pp).max()))
+    if np.any(z >= 0.0):
+        raise GeometryError("support_hessian_residual: base point is not strictly inside the "
+                            "surface (support values must be negative with inward normals)")
+    rel = f.xy - f.base
+    radial = (rel[:, 0] * f.vel[:, 0] + rel[:, 1] * f.vel[:, 1]) / f.E    # (X^T)^s
+    metric = (f.E, f.G) if f.dim == 2 else (f.E,)
+    res = [hess + lam * g + radial * nab_h + z * lam ** 2 * g
+           for hess, nab_h, lam, g in zip(_hessian_terms(f, z), _nabla_h_terms(f), f.lam.T, metric)]
+    return float(max(np.abs(r).max() for r in res))
 
 
 # ---------------------------------------------------------------------------
@@ -837,10 +807,4 @@ def extract_geometry(surface, base_point=None, grid_size=256):
     """Dispatch geometry extraction for any surface snapshot."""
     if isinstance(surface, (PlaneCurve, RevolutionProfile)):
         return surface.geometry(base_point)
-    if isinstance(surface, Ellipsoid):
-        if surface.dim == 2 and surface.axisymmetric:
-            a, _, c = surface.semi_axes
-            return spheroid_meridian_geometry(a, c, grid_size, base_point)
-        raise GeometryError("general ellipsoids are evaluated pointwise; "
-                            "use ellipsoid_geometry(semi_axes, u, v)")
-    raise GeometryError(f"unknown surface type {type(surface).__name__}")
+    return _meridian_shape_data(_grid_fields(surface, grid_size, base_point))

@@ -290,6 +290,74 @@ def test_covariant_hessian_shape_validation():
         covariant_hessian(Ellipsoid((1.0, 1.0, 1.3)), np.ones(64), 128)
 
 
+# grids whose metric E = |X_u|^2 is not constant, so the Christoffel term counts:
+# each returns, at M samples, max |nabla^2 <X, e> - h_ij <nu, e>| over the components
+# against the closed forms of h and nu (the Gauss formula with inward normals)
+def _ellipse_height_defect(m):
+    a, b = 2.0, 1.0
+    th = 2.0 * np.pi * np.arange(m) / m
+    e = np.array([0.6, 0.8])
+    curve = ellipse(a, b, m)
+    metric = a * a * np.sin(th) ** 2 + b * b * np.cos(th) ** 2
+    nu = -np.column_stack([b * np.cos(th), a * np.sin(th)]) / np.sqrt(metric)[:, None]
+    hess = covariant_hessian(curve, curve.points @ e)
+    return np.abs(hess[:, 0, 0] - a * b / np.sqrt(metric) * (nu @ e)).max()
+
+
+def _spheroid_height_defect(m, analytic):
+    # e is the axis; on spheroid_profile the grid parameter is u / pi, so h_ss = pi^2 h_uu
+    a, c = 1.0, 1.3
+    u = np.linspace(0.0, np.pi, m)
+    speed = np.sqrt((c * np.sin(u)) ** 2 + (a * np.cos(u)) ** 2)
+    nu_x = a * np.cos(u) / speed
+    h_uu, h_pp = a * c / speed, c / (a * speed) * (a * np.sin(u)) ** 2
+    if analytic:
+        hess, scale = covariant_hessian(Ellipsoid((a, a, c)), -c * np.cos(u), m), 1.0
+    else:
+        profile = spheroid_profile(a, c, m)
+        hess, scale = covariant_hessian(profile, profile.profile[:, 0]), np.pi ** 2
+    return max(np.abs(hess[:, 0, 0] - scale * h_uu * nu_x).max(),
+               np.abs(hess[:, 1, 1] - h_pp * nu_x).max())
+
+
+@pytest.mark.parametrize("defect", [
+    _ellipse_height_defect,
+    lambda m: _spheroid_height_defect(m, analytic=True),
+    lambda m: _spheroid_height_defect(m, analytic=False),
+], ids=["ellipse-2:1", "ellipsoid-1:1:1.3", "spheroid-profile-1:1.3"])
+def test_covariant_hessian_of_a_height_is_h_times_the_normal_height(defect):
+    assert defect(128) / defect(256) >= 10.0
+
+
+def _polar_points(r, theta):
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+def test_covariant_hessian_refuses_a_nonconvex_curve():
+    th = 2.0 * np.pi * np.arange(128) / 128
+    curve = PlaneCurve(_polar_points(1.0 + 0.6 * np.cos(2.0 * th), th))
+    with pytest.raises(NonConvexSurfaceError, match="curve is not convex"):
+        covariant_hessian(curve, np.ones(128))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: covariant_hessian(s, np.ones(s.grid_size)),
+    codazzi_residual,
+    support_hessian_residual,
+], ids=["covariant_hessian", "codazzi_residual", "support_hessian_residual"])
+def test_grid_functions_refuse_a_nonconvex_profile(call):
+    u = np.linspace(0.0, np.pi, 128)
+    r = 1.0 + 0.4 * np.cos(2.0 * u)
+    profile = RevolutionProfile(np.column_stack([-r * np.cos(u), r * np.sin(u)]))
+    with pytest.raises(NonConvexSurfaceError, match="rotation surface is not convex"):
+        call(profile)
+
+
+def test_codazzi_residual_refuses_a_curve_and_names_its_dimension():
+    with pytest.raises(GeometryError, match=r"n = 1"):
+        codazzi_residual(ellipse(2.0, 1.0, 64))
+
+
 def test_codazzi_sphere_exact():
     assert codazzi_residual(Ellipsoid((1.0, 1.0, 1.0)), 128) < 1e-10
 
