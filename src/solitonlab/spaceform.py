@@ -9,7 +9,10 @@ generalized support value of a hypersurface point is
 
 with rho the distance to a fixed base point.  For c = 0 this reduces exactly
 to the Euclidean support function <X, nu>; for c < 0 it is evaluated in the
-hyperboloid (Minkowski) model.  Flow-facing callers require c <= 0; positive c
+hyperboloid (Minkowski) model, where a unit normal tangent to the hyperboloid
+has <d_rho, nu> = nu_0 / sinh(sqrt(-c) rho): its time coordinate over sinh,
+exact to rounding however far the point is from the base point (the Minkowski
+pairing that defines it cancels terms of size cosh(sqrt(-c) rho)^2).  Flow-facing callers require c <= 0; positive c
 is accepted only by `shc`/`chc` themselves (periodic; callers mind the period).
 
 Minkowski convention: vectors carry the time coordinate first, and
@@ -169,7 +172,9 @@ def support_rows(c, positions, normals):
         d_rho = cosh_kr[:, None] * x_hat
         d_rho[:, 0] -= 1.0                      # minus kappa * base point
         d_rho /= sinh_kr[:, None]
-        nu_comp = _minkowski_rows(d_rho, nu)
+        # <<d_rho, nu>> = (cosh_kr <<x_hat, nu>> + nu_0) / sinh_kr, and <<x_hat, nu>> = 0
+        # is checked: the pairing itself cancels terms of size cosh_kr^2
+        nu_comp = nu[:, 0] / sinh_kr
         z_scale = sinh_kr / kappa               # shc(c, rho)
     tangential = d_rho - nu_comp[:, None] * nu
     return SupportData(rho, nu_comp, tangential, z_scale * nu_comp)

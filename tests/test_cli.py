@@ -55,6 +55,24 @@ def test_sphere_check_tolerance_stays_1e_8_near_the_base_point(tmp_path, capsys,
     assert "result: pass (tolerance 1e-08)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_check_passes_at_c_minus_400_with_a_fixed_tolerance(tmp_path, capsys, n):
+    # kappa R = 20: Z formed by the Minkowski pairing <<d_rho, nu>> read a residual of
+    # 1.0e3 at n = 2, passed only by a tolerance scaled with cosh(2 kappa R)
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--R", "1",
+                 "--c=-400", "--n", str(n)])
+    assert code == 0
+    assert "result: pass (tolerance 1e-08)" in capsys.readouterr().out
+
+
+def test_sphere_check_fails_a_tau_1_percent_off_at_c_minus_400(tmp_path, capsys, monkeypatch):
+    exact = cli.soliton.sphere_tau
+    monkeypatch.setattr(cli.soliton, "sphere_tau", lambda *a, **k: 1.01 * exact(*a, **k))
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--R", "1", "--c=-400"])
+    assert code == 1
+    assert "result: FAIL" in capsys.readouterr().out
+
+
 def test_sphere_check_positive_c_locked(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sphere-check", "--f", "H",
                  "--R", "1", "--c", "0.5", "--n", "2"]) == 2

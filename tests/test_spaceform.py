@@ -157,6 +157,15 @@ def test_far_geodesic_spheres_pass_their_own_model_checks(c, dim):
     np.testing.assert_allclose(sphere.support, -shc(c, 1.0), rtol=rounding)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("c", [-400.0, -1e4])
+def test_far_geodesic_sphere_supports_keep_their_digits(c, dim):
+    # kappa R = 20 and 100: <<d_rho, nu>> = nu_0 / sinh(kappa rho) cancels nothing, so
+    # Z = -shc(c, R) holds to rounding; the pairing lost every digit at kappa R = 20
+    sphere = sample_geodesic_sphere(c, 1.0, dim, 64, seed=3)
+    np.testing.assert_allclose(sphere.support, -shc(c, 1.0), rtol=1e-14)
+
+
 @pytest.mark.parametrize("scale", [1.0 + 1e-8, 1.0 - 1e-8])
 def test_a_normal_off_unit_by_1e_8_is_still_refused_at_kappa_r_7(scale):
     sphere = sample_geodesic_sphere(-49.0, 1.0, 2, 8)
