@@ -421,7 +421,7 @@ class _GridFields:
             return _fd.periodic_d2(f, self.du)
         return _fd.reflected_d2(f, self.du)
 
-    @property
+    @cached_property
     def G(self):
         """Metric g_pp of the rotation angle on a meridian grid, y^2."""
         y = self.xy[:, 1]
@@ -539,13 +539,13 @@ def _spheroid_fields(equatorial, polar, grid_size, base_point=None):
     if m < 16:
         raise GeometryError("meridian grid needs at least 16 samples")
     u = np.linspace(0.0, np.pi, m)
-    xy = np.column_stack([-c * np.cos(u), a * np.sin(u)])
-    vel = np.column_stack([c * np.sin(u), a * np.cos(u)])
-    xp, yp = vel.T
+    sin, cos = np.sin(u), np.cos(u)
+    xp, yp = c * sin, a * cos
     w = np.sqrt(xp * xp + yp * yp)
     nu = np.column_stack([yp, -xp]) / w[:, None]
     lam = np.column_stack([a * c / w ** 3, c / (a * w)])
-    return _meridian_grid(float(u[1] - u[0]), xy, vel, w * w, w, nu, lam, base_point)
+    return _meridian_grid(float(u[1] - u[0]), np.array([-c * cos, a * sin]).T,
+                          np.array([xp, yp]).T, w * w, w, nu, lam, base_point)
 
 
 def _meridian_grid(du, xy, vel, E, w, nu, lam, base_point):
@@ -745,8 +745,8 @@ def support_hessian_residual(surface, grid_size=None, base_point=None):
     if np.any(z >= 0.0):
         raise GeometryError("support_hessian_residual: base point is not strictly inside the "
                             "surface (support values must be negative with inward normals)")
-    rel = f.xy - f.base
-    radial = (rel[:, 0] * f.vel[:, 0] + rel[:, 1] * f.vel[:, 1]) / f.E    # (X^T)^s
+    (x, y), (xp, yp), (bx, by) = f.xy.T, f.vel.T, f.base
+    radial = ((x - bx) * xp + (y - by) * yp) / f.E      # (X^T)^s
     metric = (f.E, f.G) if f.dim == 2 else (f.E,)
     res = [hess + lam * g + radial * nab_h + z * lam ** 2 * g
            for hess, nab_h, lam, g in zip(_hessian_terms(f, z), _nabla_h_terms(f), f.lam.T, metric)]
