@@ -748,8 +748,8 @@ def support_hessian_residual(surface, grid_size=None, base_point=None):
     (x, y), (xp, yp), (bx, by) = f.xy.T, f.vel.T, f.base
     radial = ((x - bx) * xp + (y - by) * yp) / f.E      # (X^T)^s
     metric = (f.E, f.G) if f.dim == 2 else (f.E,)
-    res = [hess + lam * g + radial * nab_h + z * lam ** 2 * g
-           for hess, nab_h, lam, g in zip(_hessian_terms(f, z), _nabla_h_terms(f), f.lam.T, metric)]
+    terms = zip(_hessian_terms(f, z), _nabla_h_terms(f), f.lam.T, metric)
+    res = [hess + lam * g + radial * nab_h + z * lam ** 2 * g for hess, nab_h, lam, g in terms]
     return float(max(np.abs(r).max() for r in res))
 
 

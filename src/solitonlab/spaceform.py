@@ -12,8 +12,9 @@ to the Euclidean support function <X, nu>; for c < 0 it is evaluated in the
 hyperboloid (Minkowski) model, where a unit normal tangent to the hyperboloid
 has <d_rho, nu> = nu_0 / sinh(sqrt(-c) rho): its time coordinate over sinh,
 exact to rounding however far the point is from the base point (the Minkowski
-pairing that defines it cancels terms of size cosh(sqrt(-c) rho)^2).  Flow-facing callers require c <= 0; positive c
-is accepted only by `shc`/`chc` themselves (periodic; callers mind the period).
+pairing that defines it cancels terms of size cosh(sqrt(-c) rho)^2).
+Flow-facing callers require c <= 0; positive c is accepted only by
+`shc`/`chc` themselves (periodic; callers mind the period).
 
 Minkowski convention: vectors carry the time coordinate first, and
 <<u, v>> = -u0*v0 + u1*v1 + ... .  The hyperboloid of curvature c < 0 is
