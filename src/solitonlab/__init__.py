@@ -10,21 +10,19 @@ from .curvfun import (AnisotropyRatio, ConvexityVerdict, CurvatureFunction,
                       DegreeMismatchError, DomainError, ElementarySymmetric,
                       EuclideanNorm, GaussCurvature, GeometricMean, MeanCurvature,
                       Power, builtin_functions, convexity_classify, euler_residuals,
-                      in_positive_cone, matrix_first_derivative, matrix_second_form,
-                      pair_sign_gaps, parse_curvature_function)
+                      matrix_first_derivative, matrix_second_form, pair_sign_gaps,
+                      parse_curvature_function)
 from .flow import FlowConfig, FlowMonitors, FlowTrace, StopRule, monitors, run, step
 from .hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceError, PlaneCurve,
                            RevolutionProfile, ShapeData, circle, codazzi_residual,
                            covariant_hessian, curve_geometry, ellipse,
                            ellipsoid_geometry, extract_geometry, load_surface,
                            revolution_geometry, save_surface, sphere_profile,
-                           spheroid_meridian_geometry, spheroid_profile,
-                           support_hessian_residual, surface_from_document,
-                           surface_to_document)
+                           spheroid_profile, support_hessian_residual,
+                           surface_from_document, surface_to_document)
 from .soliton import (PinchingVerdict, SolitonReport, admissibility, fit_tau,
                       pinching_quadratics, residual_field, solve_sphere_radius,
                       sphere_tau, sweep_row, threshold_high, threshold_low)
-from .spaceform import (GeodesicSphereSamples, SupportData, chc, cotc, rho_hessian,
-                        sample_geodesic_sphere, shc, support_value)
+from .spaceform import GeodesicSphereSamples, chc, cotc, sample_geodesic_sphere, shc, support_rows
 
 __version__ = "0.1.0"

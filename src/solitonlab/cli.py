@@ -63,20 +63,6 @@ def parse_config_text(text):
     return out
 
 
-def serialize_config(cfg):
-    """Canonical text form of a parsed config (round-trips through parsing)."""
-    lines = ["[config]", f"format_version: {cfg['config']['format_version']}", ""]
-    for section, command in _COMMANDS.items():
-        if section not in cfg:
-            continue
-        lines.append(f"[{section}]")
-        for opt in command.options:
-            if opt.key in cfg[section]:
-                lines.append(f"{opt.key}: {cfg[section][opt.key]}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -212,7 +198,10 @@ def _cmd_soliton_fit(args, out_dir):
     surface = hypersurface.load_surface(args.snapshot)
     base_point = None
     if args.base_point is not None:
-        coords = [float(tok) for tok in args.base_point.split()]
+        try:
+            coords = [_finite_float(tok) for tok in args.base_point.split()]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"--base-point {args.base_point!r}: {exc}") from exc
         if not coords:
             raise UsageError(f"--base-point needs {_BASE_POINT_FORMS}")
         base_point = coords[0] if len(coords) == 1 else coords

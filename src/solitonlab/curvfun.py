@@ -21,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 SUPPORTED_DIMS = (1, 2, 3)
+_COINCIDENCE_GAP = 1e-8      # eigenvalues closer than this times max(1, |lam|) coincide
+_CONVEXITY_TOL = 1e-9        # convexity_classify's sign slack, relative to what it tests,
+_CONVEXITY_MIN_SAMPLES = 10  # and the fewest samples it gives a verdict on
 
 
 class DomainError(ValueError):
@@ -29,14 +32,6 @@ class DomainError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """Two curvature functions were paired that do not share a degree."""
-
-
-def in_positive_cone(lam, strict=True):
-    """Whether all entries are positive (the convexity cone)."""
-    lam = np.asarray(lam, dtype=float)
-    if strict:
-        return bool(np.all(lam > 0.0))
-    return bool(np.all(lam >= 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +413,7 @@ def matrix_first_derivative(f, a):
     return out[0] if single else out
 
 
-def matrix_second_form(f, a, b, coincidence_tol=1e-8):
+def matrix_second_form(f, a, b):
     """Second derivative of F at diagonal A in direction B: d^2/ds^2 F(A+sB)|0.
 
     Uses the eigenvalue Hessian on the diagonal part of B and gradient divided
@@ -439,7 +434,7 @@ def matrix_second_form(f, a, b, coincidence_tol=1e-8):
     hess = f.hessian(lam)
     bd = np.diagonal(b, axis1=1, axis2=2)
     total = _row_quadratic(bd, hess)
-    gap_tol = coincidence_tol * np.maximum(1.0, np.linalg.norm(lam, axis=1))
+    gap_tol = _COINCIDENCE_GAP * np.maximum(1.0, np.linalg.norm(lam, axis=1))
     n = lam.shape[1]
     for k in range(n):
         for l in range(k + 1, n):
@@ -480,7 +475,7 @@ class ConvexityVerdict:
     samples_used: int
 
 
-def convexity_classify(f, samples, tol=1e-9, min_samples=10):
+def convexity_classify(f, samples):
     """Classify f as convex/concave/neither from sampled second-order data.
 
     `samples` holds eigenvalue rows: a (k, n) array or a list of (n,) rows.
@@ -496,18 +491,19 @@ def convexity_classify(f, samples, tol=1e-9, min_samples=10):
     k = lam.shape[0]
     hess = f.hessian(lam)
     eigs = np.linalg.eigvalsh(hess)
-    eig_tol = tol * np.maximum(1.0, np.abs(hess).max(axis=(1, 2)))
+    eig_tol = _CONVEXITY_TOL * np.maximum(1.0, np.abs(hess).max(axis=(1, 2)))
     convex_ok = not np.any(eigs.min(axis=1) < -eig_tol)
     concave_ok = not np.any(eigs.max(axis=1) > eig_tol)
     g = f.gradient(lam)
     i, j = np.triu_indices(f.n, 1)
     gap = lam[:, i] - lam[:, j]
-    distinct = np.abs(gap) >= 1e-8 * np.maximum(1.0, np.linalg.norm(lam, axis=1))[:, None]
+    scale = np.maximum(1.0, np.linalg.norm(lam, axis=1))[:, None]
+    distinct = np.abs(gap) >= _COINCIDENCE_GAP * scale
     dd = (g[:, i] - g[:, j])[distinct] / gap[distinct]
-    bound = tol * np.maximum(1.0, np.abs(dd))
+    bound = _CONVEXITY_TOL * np.maximum(1.0, np.abs(dd))
     convex_ok = convex_ok and not np.any(dd < -bound)
     concave_ok = concave_ok and not np.any(dd > bound)
-    if k < min_samples or (f.n > 1 and not distinct.any()):
+    if k < _CONVEXITY_MIN_SAMPLES or (f.n > 1 and not distinct.any()):
         return ConvexityVerdict("indeterminate", False, False, k)
     label = "convex" if convex_ok else "concave" if concave_ok else "neither"
     return ConvexityVerdict(label, convex_ok, concave_ok, k)

@@ -44,7 +44,7 @@ from .curvfun import DomainError
 from .hypersurface import (GeometryError, PlaneCurve, RevolutionProfile, ShapeData,
                            curve_geometry, revolution_geometry)  # noqa: F401
 # the geometry names above and these placeholders are unused, but perfbench/tracing.py
-# patches them here (ROADMAP item 1 retires that); scipy.interpolate stays unloaded
+# patches them here (ROADMAP item 2 retires that); scipy.interpolate stays unloaded
 CubicSpline = _min_spacing = None
 
 _MAX_HALVINGS = 20
@@ -144,12 +144,11 @@ class FlowTrace:
         return self.rows[-1]
 
 
-def monitors(surface, f, values=None):
-    """Pinching, umbilicity, and soliton monitors of a surface snapshot.
+def monitors(geom, f, values=None):
+    """Pinching, umbilicity, and soliton monitors of a snapshot's `ShapeData`.
 
     `values`, when given, are F at the snapshot's principal curvatures.
     """
-    geom = surface if isinstance(surface, ShapeData) else _extract(surface)
     lam = geom.lam
     if geom.dim == 1:
         k = lam[:, 0]

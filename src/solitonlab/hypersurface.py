@@ -230,8 +230,9 @@ class Ellipsoid:
 
     def __post_init__(self):
         axes = tuple(float(a) for a in self.semi_axes)
-        if len(axes) not in (2, 3) or any(a <= 0.0 for a in axes):
-            raise GeometryError(f"semi-axes must be 2 or 3 positive reals, got {self.semi_axes}")
+        if len(axes) not in (2, 3) or not all(0.0 < a < math.inf for a in axes):
+            raise GeometryError(f"semi-axes must be 2 or 3 positive finite reals, "
+                                f"got {self.semi_axes}")
         object.__setattr__(self, "semi_axes", axes)
 
     @property
@@ -614,11 +615,6 @@ def revolution_geometry(profile, base_point=None):
     return _meridian_shape_data(_profile_fields(profile, base_point))
 
 
-def spheroid_meridian_geometry(equatorial, polar, grid_size=256, base_point=None):
-    """Closed-form `ShapeData` on a meridian grid of an axisymmetric ellipsoid."""
-    return _meridian_shape_data(_spheroid_fields(equatorial, polar, grid_size, base_point))
-
-
 # ---------------------------------------------------------------------------
 # pointwise analytic ellipsoid geometry
 
@@ -629,7 +625,7 @@ def ellipsoid_geometry(semi_axes, u, v=None):
     X = (a sin u cos v, b sin u sin v, c cos u); the point must keep away from
     the coordinate poles (u within 1e-3 of 0 or pi is rejected).
     """
-    surf = semi_axes if isinstance(semi_axes, Ellipsoid) else Ellipsoid(tuple(semi_axes))
+    surf = Ellipsoid(semi_axes)
     if surf.dim == 1:
         a, b = surf.semi_axes
         t = float(u)
@@ -775,17 +771,31 @@ def surface_to_document(surface, metadata=None):
     return doc
 
 
+# snapshot variant -> (the field holding its samples, that field's array rank, constructor)
+_SNAPSHOT_VARIANTS = {"curve": ("positions", 2, PlaneCurve),
+                      "revolution": ("profile", 2, RevolutionProfile),
+                      "ellipsoid": ("semi_axes", 1, Ellipsoid)}
+
+
 def surface_from_document(doc):
+    """The surface of a snapshot document; a missing or ill-typed field is refused by name."""
+    if not isinstance(doc, dict):
+        raise GeometryError(f"a snapshot document is a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise GeometryError(f"unsupported snapshot format_version {doc.get('format_version')!r}")
     variant = doc.get("variant")
-    if variant == "curve":
-        return PlaneCurve(np.asarray(doc["positions"], dtype=float))
-    if variant == "revolution":
-        return RevolutionProfile(np.asarray(doc["profile"], dtype=float))
-    if variant == "ellipsoid":
-        return Ellipsoid(tuple(doc["semi_axes"]))
-    raise GeometryError(f"unknown snapshot variant {variant!r}")
+    if variant not in _SNAPSHOT_VARIANTS:
+        raise GeometryError(f"unknown snapshot variant {variant!r}")
+    key, rank, build = _SNAPSHOT_VARIANTS[variant]
+    try:
+        data = np.asarray(doc[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GeometryError(f"{variant} snapshot needs {key!r}, an array of numbers "
+                            f"({type(exc).__name__}: {exc})") from exc
+    if data.ndim != rank:
+        raise GeometryError(f"{variant} snapshot: {key!r} must have rank {rank}, "
+                            f"got shape {data.shape}")
+    return build(data)
 
 
 def save_surface(surface, path, metadata=None):

@@ -182,7 +182,7 @@ def _geometry_checks(rows):
               / hypersurface.support_hessian_residual(spheroid, grid_size=256))
     rows.append(("support_hessian_spheroid_refinement_shortfall", _shortfall(8.0, factor), 0.0))
 
-    sph_geom = hypersurface.spheroid_meridian_geometry(1.0, 1.0, 256)
+    sph_geom = hypersurface.extract_geometry(sphere, grid_size=256)
     height, y = sph_geom.position[:, 0], sph_geom.position[:, 1]
     hess = hypersurface.covariant_hessian(sphere, height, 256)
     round_metric = np.column_stack([np.ones_like(y), y * y])[:, :, None] * np.eye(2)

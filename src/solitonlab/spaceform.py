@@ -76,39 +76,10 @@ def cotc(c, t):
     return chc(c, t) / shc(c, t)
 
 
-def rho_hessian(c, rho, slot):
-    """Coefficient of the ambient Hessian of the distance function.
-
-    Returns 0.0 for the radial slot and chc(rho)/shc(rho) for directions
-    orthogonal to d_rho.
-    """
-    if rho <= 0.0:
-        raise ValueError(f"rho_hessian requires rho > 0, got {rho}")
-    if slot == "radial":
-        return 0.0
-    if slot == "orthogonal":
-        return cotc(c, rho)
-    raise ValueError(f"unknown slot {slot!r}; expected 'radial' or 'orthogonal'")
-
-
 def require_nonpositive_curvature(c, allow_positive=False):
     if c > 0 and not allow_positive:
         raise ValueError(f"ambient curvature must be <= 0 (got c={c}); "
                          "positive c is only unlocked where explicitly documented")
-
-
-@dataclass(frozen=True)
-class SupportData:
-    """Decomposition of the radial direction at a hypersurface point.
-
-    `support_value` fills it with floats for one point; `support_rows` with
-    (k,) arrays, and a (k, d) `tangential`, for k points.
-    """
-
-    rho: float              # distance to the base point
-    nu_component: float     # <d_rho, nu>
-    tangential: np.ndarray  # d_rho^T, the part of d_rho tangent to the surface
-    support: float          # Z = shc(c, rho) * <d_rho, nu>
 
 
 def _row_dot(u, v):
@@ -139,9 +110,12 @@ def _refuse_rows(bad, problem, values=None):
 
 
 def support_rows(c, positions, normals):
-    """`support_value` for k points at once: a `SupportData` of (k,) and (k, d) arrays.
+    """Support values Z, a (k,) array, of k points with unit inward normals.
 
-    Every check runs per row, and a refusal names the first bad point.
+    The base point is the model origin.  c = 0: positions are Euclidean and
+    Z = <X, nu>.  c < 0: positions lie on the hyperboloid <<x, x>> = 1/c (time
+    coordinate first), with normals unit and tangent there.  Every check runs
+    per row, and a refusal names the first bad point.
     """
     require_nonpositive_curvature(c)
     x = np.asarray(positions, dtype=float)
@@ -154,8 +128,7 @@ def support_rows(c, positions, normals):
         _refuse_rows(np.abs(norm - 1.0) > 1e-10, "normal must be unit length, |nu| = {}", norm)
         rho = np.sqrt(_row_dot(x, x))
         _refuse_rows(rho == 0.0, "point coincides with the base point; d_rho undefined")
-        d_rho = x / rho[:, None]
-        nu_comp = _row_dot(d_rho, nu)
+        nu_comp = _row_dot(x / rho[:, None], nu)
         z_scale = rho                               # shc(0, rho) = rho
     else:
         kappa = math.sqrt(-c)
@@ -165,37 +138,16 @@ def support_rows(c, positions, normals):
                      "normal must be unit for the Minkowski pairing")
         _refuse_rows(_pairing_misses(x, nu, 0.0, 1e-8),
                      "normal must be tangent to the hyperboloid")
-        x_hat = kappa * x
-        cosh_kr = x_hat[:, 0]                   # -<<x_hat, kappa * base point>>
+        cosh_kr = kappa * x[:, 0]               # -<<kappa x, kappa * base point>>
         _refuse_rows(cosh_kr < 1.0 + 1e-14, "point coincides with the base point; d_rho undefined")
         rho = np.arccosh(cosh_kr) / kappa
         sinh_kr = np.sinh(kappa * rho)
-        d_rho = cosh_kr[:, None] * x_hat
-        d_rho[:, 0] -= 1.0                      # minus kappa * base point
-        d_rho /= sinh_kr[:, None]
-        # <<d_rho, nu>> = (cosh_kr <<x_hat, nu>> + nu_0) / sinh_kr, and <<x_hat, nu>> = 0
-        # is checked: the pairing itself cancels terms of size cosh_kr^2
+        # d_rho = (cosh_kr kappa x - kappa * base point) / sinh_kr, so <<d_rho, nu>> =
+        # (cosh_kr <<kappa x, nu>> + nu_0) / sinh_kr, and <<x, nu>> = 0 is checked: the
+        # pairing itself cancels terms of size cosh_kr^2
         nu_comp = nu[:, 0] / sinh_kr
         z_scale = sinh_kr / kappa               # shc(c, rho)
-    tangential = d_rho - nu_comp[:, None] * nu
-    return SupportData(rho, nu_comp, tangential, z_scale * nu_comp)
-
-
-def support_value(c, position, normal):
-    """Support data of a point with unit inward normal, base at the model origin.
-
-    c = 0: `position` is the Euclidean position vector, and Z = <X, nu>.
-    c < 0: `position` lies on the hyperboloid <<x, x>> = 1/c (time coordinate
-    first) and `normal` is unit and tangent there.  This is the one-row case of
-    `support_rows`.
-    """
-    x = np.asarray(position, dtype=float)
-    nu = np.asarray(normal, dtype=float)
-    if x.shape != nu.shape:
-        raise ValueError("position and normal must have matching shapes")
-    rows = support_rows(c, x[None, :], nu[None, :])
-    return SupportData(float(rows.rho[0]), float(rows.nu_component[0]), rows.tangential[0],
-                       float(rows.support[0]))
+    return z_scale * nu_comp
 
 
 @dataclass(frozen=True)
@@ -252,7 +204,7 @@ def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
         normals = np.empty_like(positions)
         normals[:, 0] = -math.sinh(kr)
         normals[:, 1:] = -math.cosh(kr) * dirs
-    support = support_rows(c, positions, normals).support
+    support = support_rows(c, positions, normals)
     lam = np.full((count, dim), cotc(c, radius))
     weights = np.ones(count)
     return GeodesicSphereSamples(c, radius, dim, positions, normals, lam, support, weights)

@@ -85,12 +85,6 @@ def test_domain_rejections():
         MeanCurvature(2).value([np.nan, 1.0])
 
 
-def test_positive_cone_predicate():
-    assert curvfun.in_positive_cone([0.1, 2.0])
-    assert not curvfun.in_positive_cone([0.0, 2.0])
-    assert curvfun.in_positive_cone([0.0, 2.0], strict=False)
-
-
 def test_dimension_validation():
     with pytest.raises(ValueError):
         MeanCurvature(4)

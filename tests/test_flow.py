@@ -41,7 +41,7 @@ def test_stop_rule_refuses_a_criterion_outside_its_domain(field, value):
 
 
 def test_monitors_sphere():
-    mon = monitors(sphere_profile(1.0, 256), H2)
+    mon = monitors(sphere_profile(1.0, 256).geometry(), H2)
     assert mon.r_max == pytest.approx(1.0, abs=1e-6)
     assert mon.aniso_max == pytest.approx(0.0, abs=1e-10)
     assert mon.ahh_max == pytest.approx(0.5, abs=1e-6)

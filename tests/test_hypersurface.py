@@ -12,8 +12,8 @@ from solitonlab.hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceE
                                      codazzi_residual, covariant_hessian,
                                      curve_geometry, ellipse, ellipsoid_geometry,
                                      extract_geometry, revolution_geometry,
-                                     sphere_profile, spheroid_meridian_geometry,
-                                     spheroid_profile, support_hessian_residual,
+                                     sphere_profile, spheroid_profile,
+                                     support_hessian_residual,
                                      surface_from_document, surface_to_document)
 
 
@@ -169,7 +169,7 @@ def test_principal_curvatures_keep_the_grid_frame_order():
     # (meridian, parallel) on both rotation paths, not sorted: (2, 1/2) at the
     # equator of the (2, 2, 1) spheroid
     for geom in (revolution_geometry(spheroid_profile(2.0, 1.0, 257)),
-                 spheroid_meridian_geometry(2.0, 1.0, 257)):
+                 extract_geometry(Ellipsoid((2.0, 2.0, 1.0)), grid_size=257)):
         np.testing.assert_allclose(geom.lam[128], [2.0, 0.5], rtol=1e-6)
         assert np.array_equal(geom.mean, geom.lam.sum(axis=1))
         assert np.array_equal(geom.norm_A2, (geom.lam ** 2).sum(axis=1))
@@ -177,7 +177,7 @@ def test_principal_curvatures_keep_the_grid_frame_order():
 
 def test_revolution_two_path_consistency():
     rev = revolution_geometry(spheroid_profile(1.0, 1.3, 256))
-    analytic = spheroid_meridian_geometry(1.0, 1.3, 256)
+    analytic = extract_geometry(Ellipsoid((1.0, 1.0, 1.3)), grid_size=256)
     assert np.abs(rev.lam - analytic.lam).max() < 1e-6
     # |A|^2 = H^2 - 2K
     assert np.abs(rev.mean ** 2 - 2.0 * rev.lam.prod(axis=1) - rev.norm_A2).max() < 1e-10
@@ -266,7 +266,7 @@ def test_covariant_hessian_constant_field():
 def test_covariant_hessian_sphere_height():
     # height along the axis restricted to the unit sphere: hess = -height * g,
     # with g = diag(1, y^2) the round metric in (arclength, rotation angle)
-    geom = spheroid_meridian_geometry(1.0, 1.0, 256)
+    geom = extract_geometry(Ellipsoid((1.0, 1.0, 1.0)), grid_size=256)
     height, y = geom.position[:, 0], geom.position[:, 1]
     hess = covariant_hessian(Ellipsoid((1.0, 1.0, 1.0)), height, 256)
     metric = np.zeros((256, 2, 2))
@@ -425,7 +425,7 @@ def test_rotation_base_point_must_be_one_number():
         with pytest.raises(GeometryError, match="one real number"):
             revolution_geometry(profile, base_point=bad)
         with pytest.raises(GeometryError, match="one real number"):
-            spheroid_meridian_geometry(1.0, 1.3, 64, base_point=bad)
+            extract_geometry(Ellipsoid((1.0, 1.0, 1.3)), base_point=bad, grid_size=64)
         with pytest.raises(GeometryError, match="one real number"):
             support_hessian_residual(profile, base_point=bad)
 
@@ -462,6 +462,18 @@ def test_snapshot_round_trip(tmp_path):
         surface_from_document({"format_version": 2, "variant": "curve"})
     with pytest.raises(GeometryError, match="variant"):
         surface_from_document({"format_version": 1, "variant": "blob"})
+    with pytest.raises(GeometryError, match="JSON object, got list"):
+        surface_from_document([1, 2])
+    with pytest.raises(GeometryError, match="curve snapshot needs 'positions'"):
+        surface_from_document({"format_version": 1, "variant": "curve"})
+    with pytest.raises(GeometryError, match=r"'semi_axes' must have rank 1, got shape \(\)"):
+        surface_from_document({"format_version": 1, "variant": "ellipsoid", "semi_axes": 3})
+    with pytest.raises(GeometryError, match="revolution snapshot needs 'profile', an array of numbers"):
+        surface_from_document({"format_version": 1, "variant": "revolution",
+                               "profile": [[0.0, "y"]]})
+    with pytest.raises(GeometryError, match="positive finite reals"):
+        surface_from_document({"format_version": 1, "variant": "ellipsoid",
+                               "semi_axes": [1.0, 1.0, math.nan]})
 
 
 @pytest.mark.parametrize("surface,f,u", [

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from solitonlab import spaceform
-from solitonlab.spaceform import (chc, cotc, rho_hessian, sample_geodesic_sphere,
-                                  shc, support_rows, support_value)
+from solitonlab.spaceform import chc, cotc, sample_geodesic_sphere, shc, support_rows
 
 
 def test_flat_values():
@@ -44,30 +43,15 @@ def test_derivative_identities():
             assert abs(ch * ch + c * sh * sh - 1.0) <= 1e-12 * max(1.0, ch * ch + abs(c) * sh * sh)
 
 
-def test_rho_hessian():
-    assert rho_hessian(0.0, 2.0, "orthogonal") == pytest.approx(0.5, rel=1e-15)
-    assert rho_hessian(-1.0, 1.0, "orthogonal") == pytest.approx(
-        math.cosh(1.0) / math.sinh(1.0), rel=1e-14)
-    assert rho_hessian(-3.0, 0.7, "radial") == 0.0
-    with pytest.raises(ValueError):
-        rho_hessian(0.0, 0.0, "radial")
-    with pytest.raises(ValueError):
-        rho_hessian(0.0, 1.0, "sideways")
-
-
 def test_support_flat_circle():
-    for th in np.linspace(0.0, 2.0 * np.pi, 13):
-        x = np.array([math.cos(th), math.sin(th)])
-        data = support_value(0.0, x, -x)
-        assert data.support == pytest.approx(-1.0, abs=1e-15)
-        assert data.rho == pytest.approx(1.0)
-        assert np.abs(data.tangential).max() < 1e-15
+    th = np.linspace(0.0, 2.0 * np.pi, 13)
+    x = np.column_stack([np.cos(th), np.sin(th)])
+    np.testing.assert_allclose(support_rows(0.0, x, -x), -1.0, rtol=0.0, atol=1e-15)
 
 
 def test_support_flat_sphere_radius():
     x = 3.5 * np.array([0.6, 0.0, 0.8])
-    data = support_value(0.0, x, -x / 3.5)
-    assert data.support == pytest.approx(-3.5, rel=1e-15)
+    assert support_rows(0.0, x[None, :], -x[None, :] / 3.5)[0] == pytest.approx(-3.5, rel=1e-15)
 
 
 def test_support_reduces_to_euclidean():
@@ -77,11 +61,8 @@ def test_support_reduces_to_euclidean():
         x /= np.linalg.norm(x) / rng.uniform(0.5, 3.0)
         nu = rng.standard_normal(3)
         nu /= np.linalg.norm(nu)
-        data = support_value(0.0, x, nu)
-        assert data.support == pytest.approx(float(x @ nu), abs=1e-13)
-        # unit decomposition of the radial direction
-        assert data.nu_component ** 2 + float(data.tangential @ data.tangential) == \
-            pytest.approx(1.0, abs=1e-12)
+        assert support_rows(0.0, x[None, :], nu[None, :])[0] == pytest.approx(float(x @ nu),
+                                                                             abs=1e-13)
 
 
 def test_support_hyperbolic_sphere():
@@ -95,21 +76,21 @@ def test_support_hyperbolic_sphere():
         nu = np.array([-math.sinh(kappa * rho0),
                        -math.cosh(kappa * rho0) * u[0],
                        -math.cosh(kappa * rho0) * u[1]])
-        data = support_value(c, x, nu)
-        assert data.rho == pytest.approx(rho0, rel=1e-12)
-        assert data.nu_component == pytest.approx(-1.0, abs=1e-12)
-        assert data.support == pytest.approx(-shc(c, rho0), rel=1e-12)
+        z = support_rows(c, x[None, :], nu[None, :])[0]
+        assert z == pytest.approx(-shc(c, rho0), rel=1e-12)
 
 
 def test_support_rejections():
     with pytest.raises(ValueError, match="base point"):
-        support_value(0.0, np.zeros(2), np.array([1.0, 0.0]))
+        support_rows(0.0, [[0.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ValueError, match="unit"):
-        support_value(0.0, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        support_rows(0.0, [[1.0, 0.0]], [[2.0, 0.0]])
     with pytest.raises(ValueError, match="<= 0"):
-        support_value(1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        support_rows(1.0, [[1.0, 0.0]], [[0.0, 1.0]])
     with pytest.raises(ValueError, match="hyperboloid"):
-        support_value(-1.0, np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
+        support_rows(-1.0, [[1.0, 0.5, 0.0]], [[0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"\(k, d\) arrays"):
+        support_rows(0.0, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_sample_geodesic_sphere():
@@ -125,25 +106,22 @@ def test_sample_geodesic_sphere():
         sample_geodesic_sphere(0.0, -1.0, 2)
 
 
-def test_sample_support_matches_single_points():
-    for c in (0.0, -1.0):
+def test_support_rows_match_single_points():
+    # each row of a batch gets the bits of a one-row call: random flat rows, and
+    # geodesic spheres at c = 0, -1 and -400
+    rng = np.random.default_rng(11)
+    nu = rng.standard_normal((30, 3))
+    batches = [(0.0, rng.standard_normal((30, 3)), nu / np.linalg.norm(nu, axis=1, keepdims=True))]
+    for c in (0.0, -1.0, -400.0):
         for dim in (1, 2, 3):
             s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
-            single = [support_value(c, p, nu).support for p, nu in zip(s.positions, s.normals)]
-            np.testing.assert_allclose(s.support, single, rtol=0.0, atol=1e-14)
-
-
-def test_support_rows_match_single_points():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((30, 3))
-    nu = rng.standard_normal((30, 3))
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    rows = support_rows(0.0, x, nu)
-    for i in range(30):
-        data = support_value(0.0, x[i], nu[i])
-        assert abs(rows.support[i] - data.support) <= 1e-14
-        assert abs(rows.rho[i] - data.rho) <= 1e-14
-        assert np.abs(rows.tangential[i] - data.tangential).max() <= 1e-14
+            assert np.array_equal(support_rows(c, s.positions, s.normals), s.support)
+            batches.append((c, s.positions, s.normals))
+    for c, x, nu in batches:
+        rows = support_rows(c, x, nu)
+        assert rows.shape == (len(x),)
+        for i in range(len(x)):
+            assert support_rows(c, x[i:i + 1], nu[i:i + 1]).tobytes() == rows[i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -184,7 +162,7 @@ def test_a_normal_off_unit_by_1e_8_is_still_refused_at_kappa_r_7(scale):
 ])
 def test_support_refusals_fire_inside_a_batch(c, bad_position, bad_normal, message):
     with pytest.raises(ValueError, match=message):
-        support_value(c, np.array(bad_position), np.array(bad_normal))
+        support_rows(c, [bad_position], [bad_normal])
     dim = len(bad_position) - (2 if c < 0.0 else 1)
     good = sample_geodesic_sphere(min(c, 0.0), 0.8, dim, 6)
     positions, normals = good.positions.copy(), good.normals.copy()
