@@ -216,33 +216,20 @@ def test_flow_refuses_an_ellipsoid_snapshot(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-# malformed snapshot documents, and what the refusal names
-MALFORMED_SNAPSHOTS = (([1, 2], "JSON object, got list"),
-                       ({"format_version": 1, "variant": "curve"}, "needs 'positions'"),
-                       ({"format_version": 1, "variant": "ellipsoid", "semi_axes": 3},
-                        "'semi_axes' must have rank 1"))
-
-
-def test_flow_refuses_a_malformed_snapshot(tmp_path, capsys):
+@pytest.mark.parametrize("command, output", [
+    (["flow", "--surface", "profile {snap}", "--f", "H", "--t-max", "0.01"], "flow_trace.csv"),
+    (["soliton-fit", "--snapshot", "{snap}", "--f", "H"], "soliton_fit.json"),
+], ids=["flow", "soliton-fit"])
+def test_a_malformed_snapshot_exits_2_and_names_its_field(tmp_path, capsys, command, output):
     snap = tmp_path / "bad.json"
-    for doc, message in MALFORMED_SNAPSHOTS:
+    for doc, message in (([1, 2], "JSON object, got list"),
+                         ({"format_version": 1, "variant": "curve"}, "needs 'positions'"),
+                         ({"format_version": 1, "variant": "ellipsoid", "semi_axes": 3},
+                          "'semi_axes' must have rank 1")):
         snap.write_text(json.dumps(doc))
-        code = main(["--out", str(tmp_path), "flow", "--surface", f"profile {snap}",
-                     "--f", "H", "--t-max", "0.01"])
-        assert code == 2
+        assert main(["--out", str(tmp_path)] + [arg.format(snap=snap) for arg in command]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "flow_trace.csv").exists()
-
-
-def test_soliton_fit_refuses_a_malformed_snapshot(tmp_path, capsys):
-    snap = tmp_path / "bad.json"
-    for doc, message in MALFORMED_SNAPSHOTS:
-        snap.write_text(json.dumps(doc))
-        code = main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
-                     "--f", "H"])
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "soliton_fit.json").exists()
+        assert not (tmp_path / output).exists()
 
 
 def test_flow_last_step_lands_on_t_max(tmp_path, capsys):
