@@ -106,6 +106,16 @@ def test_sample_geodesic_sphere():
         sample_geodesic_sphere(0.0, -1.0, 2)
 
 
+def test_sample_support_matches_single_points():
+    # the sampler's support is the bits of a one-row call at each sampled point
+    for c in (0.0, -1.0, -400.0):
+        for dim in (1, 2, 3):
+            s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
+            single = [support_rows(c, p[None, :], nu[None, :])[0]
+                      for p, nu in zip(s.positions, s.normals)]
+            assert np.array_equal(s.support, single)
+
+
 def test_support_rows_match_single_points():
     # each row of a batch gets the bits of a one-row call: random flat rows, and
     # geodesic spheres at c = 0, -1 and -400
@@ -115,7 +125,6 @@ def test_support_rows_match_single_points():
     for c in (0.0, -1.0, -400.0):
         for dim in (1, 2, 3):
             s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
-            assert np.array_equal(support_rows(c, s.positions, s.normals), s.support)
             batches.append((c, s.positions, s.normals))
     for c, x, nu in batches:
         rows = support_rows(c, x, nu)
