@@ -23,6 +23,6 @@ from .hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceError, Plan
 from .soliton import (PinchingVerdict, SolitonReport, admissibility, fit_tau,
                       pinching_quadratics, residual_field, solve_sphere_radius,
                       sphere_tau, sweep_row, threshold_high, threshold_low)
-from .spaceform import GeodesicSphereSamples, chc, cotc, sample_geodesic_sphere, shc, support_rows
+from .spaceform import chc, cotc, sample_geodesic_sphere, shc, support_rows
 
 __version__ = "0.1.0"

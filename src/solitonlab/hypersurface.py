@@ -355,13 +355,15 @@ def _arclength(points):
 class ShapeData:
     """Per-sample geometric state of a hypersurface.
 
+    `position` and `normal` are (M, n+1) in flat space, and (M, n+2) in hyperboloid
+    coordinates, time first, for the c < 0 samples of `spaceform.sample_geodesic_sphere`.
     `lam` keeps the grid's frame order: k on a curve, (lam_m, lam_p) (meridian,
     parallel) on a rotation surface; a pointwise ellipsoid sample is ascending.
     """
 
     dim: int                 # hypersurface dimension n
-    position: np.ndarray     # (M, n+1)
-    normal: np.ndarray       # (M, n+1) inward unit normals
+    position: np.ndarray     # (M, n+1) or, on the hyperboloid, (M, n+2)
+    normal: np.ndarray       # inward unit normals, shaped as `position`
     lam: np.ndarray          # (M, n) principal curvatures in the grid's frame order
     support: np.ndarray      # (M,) support value about the base point
     weights: np.ndarray      # (M,) measure weights (arclength / area elements)

@@ -22,9 +22,10 @@ Minkowski convention: vectors carry the time coordinate first, and
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .hypersurface import ShapeData
 
 # below this value of |c| * t^2 the closed forms are replaced by series
 _SERIES_CUTOFF = 1e-8
@@ -150,20 +151,6 @@ def support_rows(c, positions, normals):
     return z_scale * nu_comp
 
 
-@dataclass(frozen=True)
-class GeodesicSphereSamples:
-    """Point samples of a centered geodesic sphere, ready for soliton checks."""
-
-    c: float
-    radius: float
-    dim: int                # hypersurface dimension n
-    positions: np.ndarray
-    normals: np.ndarray     # inward unit normals
-    lam: np.ndarray         # (M, n) principal curvatures, all chc/shc
-    support: np.ndarray     # (M,) support values from `support_rows`
-    weights: np.ndarray     # (M,) uniform positive weights
-
-
 def _unit_directions(dim, count, seed):
     """Deterministic spread of unit vectors in R^(dim+1)."""
     if dim == 1:
@@ -182,11 +169,12 @@ def _unit_directions(dim, count, seed):
 
 
 def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
-    """Sample a geodesic sphere of given radius about the base point.
+    """Sample a geodesic sphere of given radius about the base point as `ShapeData`.
 
-    Principal curvatures are the exact chc(R)/shc(R); support values come from
-    one checked pass of `support_rows` over the points, exercising the model
-    geometry.
+    Positions and inward normals are Euclidean for c = 0 and in hyperboloid
+    coordinates, time first, for c < 0.  Principal curvatures are the exact
+    chc(R)/shc(R); support values come from one checked pass of `support_rows`
+    over the points, exercising the model geometry; the weights are uniform.
     """
     require_nonpositive_curvature(c)
     if radius <= 0.0:
@@ -206,5 +194,4 @@ def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
         normals[:, 1:] = -math.cosh(kr) * dirs
     support = support_rows(c, positions, normals)
     lam = np.full((count, dim), cotc(c, radius))
-    weights = np.ones(count)
-    return GeodesicSphereSamples(c, radius, dim, positions, normals, lam, support, weights)
+    return ShapeData(dim, positions, normals, lam, support, np.ones(count))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solitonlab import spaceform
+from solitonlab.hypersurface import ShapeData
 from solitonlab.spaceform import chc, cotc, sample_geodesic_sphere, shc, support_rows
 
 
@@ -106,13 +107,27 @@ def test_sample_geodesic_sphere():
         sample_geodesic_sphere(0.0, -1.0, 2)
 
 
+@pytest.mark.parametrize("c, ambient", [(0.0, 1), (-1.0, 2)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_sampler_returns_shape_data_in_its_model_coordinates(c, dim, ambient):
+    s = sample_geodesic_sphere(c, 1.3, dim, 64)
+    assert type(s) is ShapeData and s.dim == dim
+    assert s.position.shape == s.normal.shape == (64, dim + ambient)
+    assert np.array_equal(s.weights, np.ones(64)) and s.measure == 64.0
+    if c < 0.0:     # hyperboloid coordinates, time first: x0 = chc(c, R) / sqrt(-c)
+        np.testing.assert_allclose(s.position[:, 0], chc(c, 1.3), rtol=1e-15)
+    else:
+        np.testing.assert_allclose(np.linalg.norm(s.position, axis=1), 1.3, rtol=1e-15)
+    np.testing.assert_allclose(s.mean, dim * cotc(c, 1.3), rtol=1e-15)
+
+
 def test_sample_support_matches_single_points():
     # the sampler's support is the bits of a one-row call at each sampled point
     for c in (0.0, -1.0, -400.0):
         for dim in (1, 2, 3):
             s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
             single = [support_rows(c, p[None, :], nu[None, :])[0]
-                      for p, nu in zip(s.positions, s.normals)]
+                      for p, nu in zip(s.position, s.normal)]
             assert np.array_equal(s.support, single)
 
 
@@ -125,7 +140,7 @@ def test_support_rows_match_single_points():
     for c in (0.0, -1.0, -400.0):
         for dim in (1, 2, 3):
             s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
-            batches.append((c, s.positions, s.normals))
+            batches.append((c, s.position, s.normal))
     for c, x, nu in batches:
         rows = support_rows(c, x, nu)
         assert rows.shape == (len(x),)
@@ -157,7 +172,7 @@ def test_far_geodesic_sphere_supports_keep_their_digits(c, dim):
 def test_a_normal_off_unit_by_1e_8_is_still_refused_at_kappa_r_7(scale):
     sphere = sample_geodesic_sphere(-49.0, 1.0, 2, 8)
     with pytest.raises(ValueError, match="normal must be unit"):
-        support_rows(-49.0, sphere.positions, scale * sphere.normals)
+        support_rows(-49.0, sphere.position, scale * sphere.normal)
 
 
 @pytest.mark.parametrize("c, bad_position, bad_normal, message", [
@@ -174,7 +189,7 @@ def test_support_refusals_fire_inside_a_batch(c, bad_position, bad_normal, messa
         support_rows(c, [bad_position], [bad_normal])
     dim = len(bad_position) - (2 if c < 0.0 else 1)
     good = sample_geodesic_sphere(min(c, 0.0), 0.8, dim, 6)
-    positions, normals = good.positions.copy(), good.normals.copy()
+    positions, normals = good.position.copy(), good.normal.copy()
     positions[3], normals[3] = bad_position, bad_normal
     expect = message if c > 0.0 else rf"{message}.*\(point 3\)"
     with pytest.raises(ValueError, match=expect):
