@@ -38,11 +38,11 @@ class DegreeMismatchError(ValueError):
 # elementary symmetric sums on tiny eigenvalue tuples
 
 def _esym(lam2d, k, skip=()):
-    """sigma_k over the index set minus `skip`, batched over axis 0."""
+    """sigma_k over the index set minus `skip`, batched over axis 0; sigma_k = 0 for k < 0."""
     idx = [i for i in range(lam2d.shape[1]) if i not in skip]
     if k == 0:
         return np.ones(lam2d.shape[0])
-    if k > len(idx):
+    if k < 0:
         return np.zeros(lam2d.shape[0])
     total = np.zeros(lam2d.shape[0])
     for comb in itertools.combinations(idx, k):

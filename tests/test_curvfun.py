@@ -53,6 +53,18 @@ def test_sigma2_n3():
     assert f.degree == 2.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sigma1_has_zero_hessian_and_its_calculus_runs(n, rng):
+    f = ElementarySymmetric(n, 1)
+    lam = rng.uniform(0.2, 3.0, (50, n))
+    assert np.array_equal(f.hessian(lam), np.zeros((50, n, n)))
+    a = random_spd(rng, n)
+    r1, r2 = euler_residuals(f, a)
+    assert r1 < 1e-12 and r2 < 1e-12
+    assert matrix_second_form(f, np.diag(lam[0]), np.eye(n)) == 0.0
+    assert convexity_classify(f, lam).label == "convex"
+
+
 def test_batch_shapes():
     f = GeometricMean(2)
     lam = np.array([[1.0, 4.0], [2.0, 2.0]])
