@@ -289,14 +289,18 @@ def identity_suite_checks(sample_count, seed):
     """All identity/residual checks; returns (name, residual, tolerance) rows."""
     if sample_count <= 0:
         raise ValueError("identity-suite needs a positive --samples count")
-    rng = np.random.default_rng(seed)
+    # one stream per drawing layer, so that one layer's draws never move another's rows;
+    # default_rng(SeedSequence(seed)) draws the bits of default_rng(seed)
+    sequence = np.random.SeedSequence(seed)
+    eigen_rng = np.random.default_rng(sequence)
+    pair_rng, soliton_rng = (np.random.default_rng(s) for s in sequence.spawn(2))
     rows = []
     for n in (2, 3):
         for f in curvfun.builtin_functions(n):
-            _eigenvalue_checks(rows, rng, sample_count, n, f)
+            _eigenvalue_checks(rows, eigen_rng, sample_count, n, f)
     for n in (2, 3):
-        _pair_gap_checks(rows, rng, n)
+        _pair_gap_checks(rows, pair_rng, n)
     _geometry_checks(rows)
     _spaceform_checks(rows)
-    _soliton_checks(rows, rng)
+    _soliton_checks(rows, soliton_rng)
     return rows

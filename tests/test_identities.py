@@ -161,6 +161,21 @@ def test_every_row_passes_at_100_samples(seed):
     assert failing == []
 
 
+def test_extra_eigenvalue_draws_leave_every_later_row_bit_identical(monkeypatch):
+    rows = identity_suite_checks(30, 0)
+    distinct = identities._distinct_eigenvalues
+
+    def drawing_more(rng, *args, **kwargs):
+        rng.uniform(size=7)
+        return distinct(rng, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "_distinct_eigenvalues", drawing_more)
+    moved = identity_suite_checks(30, 0)
+    first_later = [name for name, _ in SUITE_ROWS].index("pair_gaps_convex_concave_n2")
+    assert moved[:first_later] != rows[:first_later]
+    assert moved[first_later:] == rows[first_later:]
+
+
 _MATRIX_CALCULUS = ("matrix_first_derivative", "matrix_second_form", "euler_residuals")
 
 
