@@ -60,12 +60,18 @@ def _sphere_tau(f, f_unit, radius, c):
     return f_unit * chc(c, radius) ** m / shc(c, radius) ** (m + 1.0)
 
 
-def solve_sphere_radius(f, tau, c=0.0, bracket=(1e-6, 50.0), max_iter=200, rtol=1e-12):
-    """Invert `sphere_tau` by bisection on the given radius bracket."""
+# the radius bracket of `solve_sphere_radius`, its step cap and its tolerance relative to |tau|
+_RADIUS_BRACKET = (1e-6, 50.0)
+_BISECTION_MAX_ITER = 200
+_BISECTION_RTOL = 1e-12
+
+
+def solve_sphere_radius(f, tau, c=0.0):
+    """Invert `sphere_tau` by bisection on the radius bracket `_RADIUS_BRACKET`."""
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
     require_nonpositive_curvature(c)
-    lo, hi = bracket
+    lo, hi = _RADIUS_BRACKET
     f_unit = f.unit_value()
 
     def defect(r):
@@ -82,17 +88,17 @@ def solve_sphere_radius(f, tau, c=0.0, bracket=(1e-6, 50.0), max_iter=200, rtol=
     if d_lo * d_hi > 0.0:
         raise ValueError(f"no sphere soliton in range [{lo:g}, {hi:g}] for tau={tau:g} "
                          f"(no sign change of the defect)")
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         d_mid = defect(mid)
-        if abs(d_mid) <= rtol * abs(tau):
+        if abs(d_mid) <= _BISECTION_RTOL * abs(tau):
             return mid
         if d_lo * d_mid <= 0.0:
             hi = mid
         else:
             lo, d_lo = mid, d_mid
-    raise ValueError(f"bisection did not reach |sphere_tau(R) - tau| <= {rtol:g}*|tau| "
-                     f"in {max_iter} iterations")
+    raise ValueError(f"bisection did not reach |sphere_tau(R) - tau| <= "
+                     f"{_BISECTION_RTOL:g}*|tau| in {_BISECTION_MAX_ITER} iterations")
 
 
 def _samples_arrays(samples, f, values=None):
