@@ -433,6 +433,25 @@ def test_sweep_rejects_zero_in_range(tmp_path):
                  "--m-stop", "1"]) == 2
 
 
+def test_sweep_refuses_a_reversed_range(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "sweep-pinching", "--m-start", "3",
+                 "--m-stop", "2"]) == 2
+    assert "m_start must not exceed m_stop" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--help"], 0, "stdout", "usage: solitonlab"),
+    (["sphere-check", "--f", "wobble", "--R", "1"], 2, "stderr", "error: "),
+], ids=["help", "usage-error"])
+def test_the_module_entry_point_exits_with_main_s_code(tmp_path, argv, code, stream, text):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "solitonlab.cli", "--out", str(tmp_path)] + argv,
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == code
+    assert text in getattr(run, stream)
+
+
 def test_sweep_deterministic(tmp_path):
     args = ["sweep-pinching", "--m-start", "1.5", "--m-stop", "40", "--count", "25"]
     for sub in ("a", "b"):
@@ -547,6 +566,11 @@ def test_config_rejections(tmp_path):
     bad_key = CONFIG_TEXT + "wobble: 3\n"
     with pytest.raises(cli.UsageError, match="unknown keys"):
         parse_config_text(bad_key)
+    with pytest.raises(cli.UsageError, match="malformed config"):
+        parse_config_text("format_version: 1\n")
+    with pytest.raises(cli.UsageError,
+                       match=r"exactly format_version, got \['format_version', 'seed'\]"):
+        parse_config_text("[config]\nformat_version: 1\nseed: 3\n")
     with pytest.raises(cli.UsageError, match="format_version"):
         parse_config_text("[flow]\nf: H\n")
     with pytest.raises(cli.UsageError, match="format_version"):

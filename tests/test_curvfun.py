@@ -104,6 +104,8 @@ def test_dimension_validation():
         AnisotropyRatio(3)
     with pytest.raises(ValueError):
         ElementarySymmetric(1, 2)
+    with pytest.raises(ValueError, match="anisotropy is not a valid power base"):
+        Power(AnisotropyRatio(), 2)
     with pytest.raises(ValueError):
         MeanCurvature(2).value([1.0, 2.0, 3.0])
 
@@ -337,6 +339,8 @@ def test_batch_refusals():
             convexity_classify(MeanCurvature(n), np.ones(n))
     with pytest.raises(ValueError):
         pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"A must be square .* got shape \(3, 2, 3\)"):
+        matrix_first_derivative(MeanCurvature(2), np.ones((3, 2, 3)))
     with pytest.raises(DomainError, match="nonnegative"):
         pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [[1.0, 2.0], [0.5, -1.0]])
 

@@ -209,6 +209,22 @@ def test_interior_axis_touch_rejected():
         RevolutionProfile(np.column_stack([-np.cos(u), y]))
 
 
+@pytest.mark.parametrize("profile, message", [
+    (spheroid_profile(1.0, 1.3, 16).profile[:15], r"at least 16 samples, got \(15, 2\)"),
+    (np.full((32, 2), np.nan), "non-finite"),
+], ids=["short", "non-finite"])
+def test_profile_validation(profile, message):
+    with pytest.raises(GeometryError, match=message):
+        RevolutionProfile(profile)
+
+
+def test_resampling_refuses_a_repeated_point():
+    points = circle(1.0, 64).points.copy()
+    points[6] = points[5]
+    with pytest.raises(GeometryError, match="coincident samples"):
+        PlaneCurve(points).resampled()
+
+
 def test_profile_must_end_on_axis():
     u = np.linspace(0.0, np.pi, 64)
     with pytest.raises(GeometryError, match="axis"):
@@ -474,6 +490,8 @@ def test_snapshot_round_trip(tmp_path):
     with pytest.raises(GeometryError, match="positive finite reals"):
         surface_from_document({"format_version": 1, "variant": "ellipsoid",
                                "semi_axes": [1.0, 1.0, math.nan]})
+    with pytest.raises(GeometryError, match="cannot serialize ShapeData"):
+        surface_to_document(curve_geometry(circle(1.0, 32)))
 
 
 @pytest.mark.parametrize("surface,f,u", [
@@ -519,3 +537,14 @@ def test_extract_geometry_dispatch():
     assert extract_geometry(Ellipsoid((1.0, 1.0, 1.2)), grid_size=64).dim == 2
     with pytest.raises(GeometryError, match="pointwise"):
         extract_geometry(Ellipsoid((1.0, 1.1, 1.2)))
+
+
+@pytest.mark.parametrize("surface, grid_size, message", [
+    (Ellipsoid((1.0, 1.0, 1.2)), 8, "meridian grid needs at least 16 samples"),
+    (Ellipsoid((2.0, 1.0)), 64, "grid operations take ellipse"),
+    (Ellipsoid((1.0, 1.0, 1.2)), None, "need grid_size"),
+    (np.zeros((64, 2)), 64, "unsupported surface type ndarray"),
+], ids=["ellipsoid-grid-8", "two-axis-ellipsoid", "no-grid-size", "unsupported-type"])
+def test_grid_operations_refuse_what_they_cannot_grid(surface, grid_size, message):
+    with pytest.raises(GeometryError, match=message):
+        covariant_hessian(surface, np.ones(64), grid_size)

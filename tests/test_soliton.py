@@ -116,6 +116,13 @@ def test_solve_sphere_radius_diagnostics():
         solve_sphere_radius(inverse, -0.7, 0.0)
 
 
+@pytest.mark.parametrize("end", [0, 1])
+def test_a_tau_solved_exactly_at_a_bracket_end_returns_that_end(end):
+    radius = soliton._RADIUS_BRACKET[end]
+    f = MeanCurvature(2)
+    assert solve_sphere_radius(f, sphere_tau(f, radius, 0.0), 0.0) == radius
+
+
 # ---------------------------------------------------------------------------
 # residual field and tau fitting
 
@@ -318,3 +325,5 @@ def test_sweep_row_branches():
     assert sweep_row(-9.0, n=3, classification="concave")["branch"] == "unconditional"
     with pytest.raises(ValueError):
         sweep_row(0.0)
+    with pytest.raises(ValueError, match="classification must be one of"):
+        sweep_row(2.0, classification="wobbly")
