@@ -69,6 +69,9 @@ def test_solve_sphere_radius_anchors():
     assert solve_sphere_radius(MeanCurvature(2), 1.0, 0.0) == pytest.approx(
         math.sqrt(2.0), abs=1e-10)
     assert solve_sphere_radius(GaussCurvature(2), 1.0, 0.0) == pytest.approx(1.0, abs=1e-10)
+    for radius in soliton._RADIUS_BRACKET:      # a tau solved exactly at an end returns it
+        assert solve_sphere_radius(MeanCurvature(2), sphere_tau(MeanCurvature(2), radius, 0.0),
+                                   0.0) == radius
 
 
 def _bisect_calling_sphere_tau(f, tau, c, lo=1e-6, hi=50.0):
@@ -114,13 +117,6 @@ def test_solve_sphere_radius_diagnostics():
         solve_sphere_radius(inverse, inverse.unit_value(), 0.0)
     with pytest.raises(ValueError, match="no sphere soliton"):
         solve_sphere_radius(inverse, -0.7, 0.0)
-
-
-@pytest.mark.parametrize("end", [0, 1])
-def test_a_tau_solved_exactly_at_a_bracket_end_returns_that_end(end):
-    radius = soliton._RADIUS_BRACKET[end]
-    f = MeanCurvature(2)
-    assert solve_sphere_radius(f, sphere_tau(f, radius, 0.0), 0.0) == radius
 
 
 # ---------------------------------------------------------------------------

@@ -99,26 +99,17 @@ def test_sample_geodesic_sphere():
         for dim in (1, 2, 3):
             s = sample_geodesic_sphere(c, 1.3, dim, 40)
             assert s.lam.shape == (40, dim)
+            # one record for sampled geometry; at c = -1 a row is (cosh R, sinh R u), time first
+            assert type(s) is ShapeData and s.dim == dim and s.measure == 40.0
+            assert s.position.shape == s.normal.shape == (40, dim + (2 if c < 0.0 else 1))
+            radius = np.arccosh(s.position[:, 0]) if c < 0.0 else np.linalg.norm(s.position, axis=1)
+            np.testing.assert_allclose(radius, 1.3, rtol=1e-14)
             np.testing.assert_allclose(s.lam, cotc(c, 1.3), rtol=1e-14)
             np.testing.assert_allclose(s.support, -shc(c, 1.3), atol=1e-12)
     with pytest.raises(ValueError):
         sample_geodesic_sphere(0.5, 1.0, 2)
     with pytest.raises(ValueError):
         sample_geodesic_sphere(0.0, -1.0, 2)
-
-
-@pytest.mark.parametrize("c, ambient", [(0.0, 1), (-1.0, 2)])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_the_sampler_returns_shape_data_in_its_model_coordinates(c, dim, ambient):
-    s = sample_geodesic_sphere(c, 1.3, dim, 64)
-    assert type(s) is ShapeData and s.dim == dim
-    assert s.position.shape == s.normal.shape == (64, dim + ambient)
-    assert np.array_equal(s.weights, np.ones(64)) and s.measure == 64.0
-    if c < 0.0:     # hyperboloid coordinates, time first: x0 = chc(c, R) / sqrt(-c)
-        np.testing.assert_allclose(s.position[:, 0], chc(c, 1.3), rtol=1e-15)
-    else:
-        np.testing.assert_allclose(np.linalg.norm(s.position, axis=1), 1.3, rtol=1e-15)
-    np.testing.assert_allclose(s.mean, dim * cotc(c, 1.3), rtol=1e-15)
 
 
 def test_sample_support_matches_single_points():
