@@ -1,14 +1,17 @@
 """The identity suite: one (name, residual, tolerance) row per identity check.
 
 The curvature-function checks draw their samples in bulk, one generator call per
-array, and evaluate each function once per pass: every eigenvalue row of a pass goes
-to one `value` call and every row that needs a gradient to one `gradient` call.
+array, once per dimension: the draw, its QR, its eigenvalues and every row stack are
+shared by that dimension's functions.  Each function is evaluated once per pass over
+them: every eigenvalue row goes to one `value` call and every row that needs a
+gradient to one `gradient` call.
 The layers are called through their modules (`curvfun.pair_sign_gaps`, not a
 name imported from it), so a wrapper put on a module function sees each call.
 Worst residuals are numpy maxima, which keep a NaN where Python's `max` can drop it.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +44,21 @@ def _central_differences(moved, step):
     return np.moveaxis((moved[0] - moved[1]) / (2.0 * step), 0, 1)
 
 
-def _stacked(fn, blocks):
-    """`fn` of every block of (..., n) eigenvalue rows in one call, split back by block."""
-    flat = [block.reshape(-1, block.shape[-1]) for block in blocks]
-    out = fn(np.concatenate(flat))
-    parts = np.split(out, np.cumsum([len(rows) for rows in flat])[:-1])
-    return [part.reshape(block.shape[:-1] + part.shape[1:]) for part, block in zip(parts, blocks)]
+class _Stack:
+    """Blocks of (..., n) eigenvalue rows joined once, for one call per function.
+
+    Calling it with a function gives that function's results split back by block.
+    """
+
+    def __init__(self, blocks):
+        flat = [block.reshape(-1, block.shape[-1]) for block in blocks]
+        self._rows = np.concatenate(flat)
+        self._ends = np.cumsum([len(rows) for rows in flat])[:-1]
+        self._shapes = [block.shape[:-1] for block in blocks]
+
+    def __call__(self, fn):
+        parts = np.split(fn(self._rows), self._ends)
+        return [part.reshape(shape + part.shape[1:]) for part, shape in zip(parts, self._shapes)]
 
 
 def _distinct_eigenvalues(rng, k, n, gap=1e-3):
@@ -59,8 +71,34 @@ def _distinct_eigenvalues(rng, k, n, gap=1e-3):
     return eig
 
 
-def _eigenvalue_checks(rows, rng, sample_count, n, f):
-    tag = f"{f.name}_n{n}"
+# the dilations of the homogeneity row, the gradient and Hessian difference step, and the
+# step along B of the second-form row
+_DILATIONS = (0.5, 2.0, 10.0)
+_FD_STEP = 1e-5
+_FORM_STEP = 1e-4
+
+
+@dataclass(frozen=True)
+class _EigenvalueSamples:
+    """One dimension's samples, and every array built from them that no function enters.
+
+    `values` stacks every row a pass evaluates (base, permuted, dilated, +-step, the
+    eigenvalues of A + sB, A, A - sB and of the SPD matrices) and `gradients` every row
+    whose gradient it needs (the first rows and their +-step rows).
+    """
+
+    lam_fd: np.ndarray      # (fd_n, n): the rows that are differenced
+    values: _Stack
+    gradients: _Stack
+    a: np.ndarray           # (fd_n, n, n) diagonal
+    b: np.ndarray           # (fd_n, n, n) symmetric direction
+    spd: np.ndarray         # (k, n, n)
+    spd_pair: np.ndarray    # (2k, n, n): spd, then q spd q^T
+    q: np.ndarray           # (k, n, n) rotations
+
+
+def _eigenvalue_samples(rng, sample_count, n):
+    """Draw one dimension's samples and decompose them, once for all of its functions."""
     fd_n = min(sample_count, 50)
     lam = rng.uniform(0.2, 3.0, size=(sample_count, n))
     eig = _distinct_eigenvalues(rng, fd_n, n)
@@ -76,55 +114,62 @@ def _eigenvalue_checks(rows, rng, sample_count, n, f):
     eye = np.eye(n)
     a = eig[:, :, None] * eye
     b = _spd(q_form, form_eig) - shift[:, :, None] * eye
-    s = 1e-4
     spd = _spd(q_spd, spd_eig)
     q_t = q.transpose(0, 2, 1)
 
-    # one f.value call for every eigenvalue row of the pass, one f.gradient call for every
+    # one f.value call for every eigenvalue row of a pass, one f.gradient call for every
     # row that needs a gradient: a row's result does not depend on the rows batched with it
     # (tests/test_curvfun.py pins this for the builtins)
-    dilations = (0.5, 2.0, 10.0)
-    step = 1e-5
-    moved = _step_rows(lam[:fd_n], step)
-    form_lam, spd_lam = np.split(
-        np.linalg.eigvalsh(np.concatenate([a + s * b, a, a - s * b, spd])), [3 * fd_n])
-    values, permuted, dilated, moved_values, form_values, spd_values = _stacked(f.value, [
+    moved = _step_rows(lam[:fd_n], _FD_STEP)
+    form_lam, spd_lam = np.split(np.linalg.eigvalsh(
+        np.concatenate([a + _FORM_STEP * b, a, a - _FORM_STEP * b, spd])), [3 * fd_n])
+    values = _Stack([
         lam,
         lam[:, list(itertools.permutations(range(n)))].transpose(1, 0, 2),
-        np.array(dilations)[:, None, None] * lam,
+        np.array(_DILATIONS)[:, None, None] * lam,
         moved,
         form_lam.reshape(3, fd_n, n),
         spd_lam])
-    grad, moved_grad = _stacked(f.gradient, [lam[:fd_n], moved])
+    gradients = _Stack([lam[:fd_n], moved])
+    return _EigenvalueSamples(lam[:fd_n], values, gradients, a, b, spd,
+                              np.concatenate([spd, q @ spd @ q_t]), q)
+
+
+def _eigenvalue_checks(rows, samples, f):
+    """One function's pass over its dimension's shared samples."""
+    tag = f"{f.name}_n{f.n}"
+    values, permuted, dilated, moved_values, form_values, spd_values = samples.values(f.value)
+    grad, moved_grad = samples.gradients(f.gradient)
 
     scale = np.maximum(1.0, np.abs(values))
     rows.append((f"{tag}_permutation_symmetry",
                  float((np.abs(permuted - values) / scale).max()), 1e-14))
-    expect = np.array([t ** f.degree for t in dilations])[:, None] * values
+    expect = np.array([t ** f.degree for t in _DILATIONS])[:, None] * values
     rows.append((f"{tag}_homogeneity",
                  float((np.abs(dilated - expect) / np.maximum(1.0, np.abs(expect))).max()), 1e-12))
 
-    gerr = np.abs(_central_differences(moved_values, step) - grad)
+    gerr = np.abs(_central_differences(moved_values, _FD_STEP) - grad)
     rows.append((f"{tag}_gradient_fd", float((gerr / np.maximum(1.0, np.abs(grad))).max()), 1e-6))
     # differencing the analytic gradient rather than taking second differences
     # of the value keeps the rounding error near eps / step, not eps / step^2
-    fd_hess = _central_differences(moved_grad, step)
-    hess = f.hessian(lam[:fd_n])
+    fd_hess = _central_differences(moved_grad, _FD_STEP)
+    hess = f.hessian(samples.lam_fd)
     herr = np.abs(0.5 * (fd_hess + fd_hess.transpose(0, 2, 1)) - hess)
     rows.append((f"{tag}_hessian_fd", float((herr / np.maximum(1.0, np.abs(hess))).max()), 1e-6))
 
-    form = curvfun.matrix_second_form(f, a, b)
+    form = curvfun.matrix_second_form(f, samples.a, samples.b)
     plus, mid, minus = form_values
-    fd = (plus - 2.0 * mid + minus) / s ** 2
+    fd = (plus - 2.0 * mid + minus) / _FORM_STEP ** 2
     rows.append((f"{tag}_second_form_fd",
                  float((np.abs(form - fd) / np.maximum(1.0, np.abs(form))).max()), 1e-5))
 
-    d_here, d_rot = curvfun.matrix_first_derivative(
-        f, np.concatenate([spd, q @ spd @ q_t])).reshape(2, sample_count, n, n)
+    d_here, d_rot = np.split(curvfun.matrix_first_derivative(f, samples.spd_pair), 2)
+    q = samples.q
+    q_t = q.transpose(0, 2, 1)
     basis = (np.abs(d_rot - q @ d_here @ q_t).max(axis=(1, 2))
              / np.maximum(1.0, np.abs(d_here).max(axis=(1, 2))))
     fscale = np.maximum(1.0, np.abs(spd_values))
-    r1, r2 = curvfun.euler_residuals(f, spd)
+    r1, r2 = curvfun.euler_residuals(f, samples.spd)
     rows.append((f"{tag}_basis_invariance", float(basis.max()), 1e-10))
     rows.append((f"{tag}_euler_first", float((r1 / fscale).max()), 1e-10))
     rows.append((f"{tag}_euler_second", float((r2 / fscale).max()), 1e-10))
@@ -296,8 +341,9 @@ def identity_suite_checks(sample_count, seed):
     pair_rng, soliton_rng = (np.random.default_rng(s) for s in sequence.spawn(2))
     rows = []
     for n in (2, 3):
+        samples = _eigenvalue_samples(eigen_rng, sample_count, n)
         for f in curvfun.builtin_functions(n):
-            _eigenvalue_checks(rows, eigen_rng, sample_count, n, f)
+            _eigenvalue_checks(rows, samples, f)
     for n in (2, 3):
         _pair_gap_checks(rows, pair_rng, n)
     _geometry_checks(rows)

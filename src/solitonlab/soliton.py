@@ -52,8 +52,8 @@ def sphere_tau(f, radius, c=0.0, allow_positive_c=False):
 
 def _sphere_tau(f, f_unit, radius, c):
     """`sphere_tau` with f(1, ..., 1) already evaluated as `f_unit`."""
-    if radius <= 0.0:
-        raise ValueError("sphere radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"sphere radius must be positive and finite (got radius={radius})")
     if f_unit == 0.0:
         raise ValueError(f"{f.name}(1,...,1) = 0: no nonzero tau exists for spheres")
     m = f.degree
@@ -68,8 +68,8 @@ _BISECTION_RTOL = 1e-12
 
 def solve_sphere_radius(f, tau, c=0.0):
     """Invert `sphere_tau` by bisection on the radius bracket `_RADIUS_BRACKET`."""
-    if tau == 0.0:
-        raise ValueError("tau must be nonzero")
+    if tau == 0.0 or not -math.inf < tau < math.inf:
+        raise ValueError(f"tau must be nonzero and finite (got tau={tau})")
     require_nonpositive_curvature(c)
     lo, hi = _RADIUS_BRACKET
     f_unit = f.unit_value()

@@ -78,6 +78,8 @@ def cotc(c, t):
 
 
 def require_nonpositive_curvature(c, allow_positive=False):
+    if not -math.inf < c < math.inf:
+        raise ValueError(f"ambient curvature must be finite (got c={c})")
     if c > 0 and not allow_positive:
         raise ValueError(f"ambient curvature must be <= 0 (got c={c}); "
                          "positive c is only unlocked where explicitly documented")
@@ -177,8 +179,8 @@ def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
     over the points, exercising the model geometry; the weights are uniform.
     """
     require_nonpositive_curvature(c)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite (got radius={radius})")
     dirs = _unit_directions(dim, count, seed)
     if c == 0.0:
         positions = radius * dirs

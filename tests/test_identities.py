@@ -198,10 +198,24 @@ def test_eigenvalue_checks_evaluate_each_function_once_per_pass(monkeypatch, n):
                 calls.append(_name)
             return _inner(self, lam)
         monkeypatch.setattr(curvfun.CurvatureFunction, method, counted)
+    samples = identities._eigenvalue_samples(np.random.default_rng(0), 30, n)
     for f in curvfun.builtin_functions(n):
         calls.clear()
-        identities._eigenvalue_checks([], np.random.default_rng(0), 30, n, f)
+        identities._eigenvalue_checks([], samples, f)
         assert sorted(calls) == ["gradient", "value"], f.name
+
+
+def test_each_dimension_draws_and_decomposes_its_samples_once(monkeypatch):
+    # every function of a dimension shares one stacked QR and one eigvalsh;
+    # a call is recorded with the dimension of the matrices it gets
+    calls = []
+    for name in ("qr", "eigvalsh"):
+        def counted(a, *args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)[-1]))
+            return _inner(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    identity_suite_checks(30, 0)
+    assert sorted(calls) == [("eigvalsh", 2), ("eigvalsh", 3), ("qr", 2), ("qr", 3)]
 
 
 def test_soliton_checks_sample_each_sphere_once(monkeypatch):
@@ -232,7 +246,8 @@ class _NaNFirstValue(curvfun.MeanCurvature):
 
 def test_a_nan_value_fails_the_eigenvalue_fold_rows():
     rows = []
-    identities._eigenvalue_checks(rows, np.random.default_rng(0), 10, 2, _NaNFirstValue(2))
+    samples = identities._eigenvalue_samples(np.random.default_rng(0), 10, 2)
+    identities._eigenvalue_checks(rows, samples, _NaNFirstValue(2))
     residual = {name: res for name, res, _ in rows}
     assert math.isnan(residual["H_n2_permutation_symmetry"])
     assert math.isnan(residual["H_n2_homogeneity"])

@@ -46,6 +46,27 @@ def test_sphere_tau_rejections():
     assert sphere_tau(MeanCurvature(2), 1.0, 0.5, allow_positive_c=True) > 0.0
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_sphere_tau_refuses_a_non_finite_curvature(c):
+    with pytest.raises(ValueError, match=f"got c={c}"):
+        sphere_tau(MeanCurvature(2), 1.0, c)
+    with pytest.raises(ValueError, match=f"got c={c}"):
+        sphere_tau(MeanCurvature(2), 1.0, c, allow_positive_c=True)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_sphere_tau_refuses_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match=f"got radius={radius}"):
+        sphere_tau(MeanCurvature(2), radius)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_solve_sphere_radius_refuses_a_non_finite_tau(tau):
+    # NaN once ran every bisection step and then blamed the bisection
+    with pytest.raises(ValueError, match=f"got tau={tau}"):
+        solve_sphere_radius(MeanCurvature(2), tau)
+
+
 def test_sphere_tau_scaling_covariance():
     for f in (MeanCurvature(2), GaussCurvature(2), parse_curvature_function("pow(H,-1)", 2)):
         base = sphere_tau(f, 1.7, 0.0)

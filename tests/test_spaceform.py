@@ -112,6 +112,23 @@ def test_sample_geodesic_sphere():
         sample_geodesic_sphere(0.0, -1.0, 2)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("allow_positive", [False, True])
+def test_a_non_finite_curvature_is_refused(c, allow_positive):
+    # nan > 0 is False, so a bare sign test let NaN through
+    with pytest.raises(ValueError, match=f"must be finite \\(got c={c}\\)"):
+        spaceform.require_nonpositive_curvature(c, allow_positive=allow_positive)
+
+
+@pytest.mark.parametrize("c,radius,named", [(math.nan, 1.0, "c=nan"),
+                                             (0.0, math.nan, "radius=nan"),
+                                             (-1.0, math.inf, "radius=inf")])
+def test_the_sampler_refuses_non_finite_input(c, radius, named):
+    # each once gave NaN rows
+    with pytest.raises(ValueError, match=f"got {named}"):
+        sample_geodesic_sphere(c, radius, 2, 16)
+
+
 def test_sample_support_matches_single_points():
     # the sampler's support is the bits of a one-row call at each sampled point
     for c in (0.0, -1.0, -400.0):
