@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import _fd
 
@@ -212,14 +212,7 @@ class RevolutionProfile:
         pole = 2.0 * (fm + fp)[[0, -1]] / seg[[0, -1]] ** 2      # d_ss with u_{-1} = u_1
         diag[[0, -1]] += pole
         upper[0], lower[-1] = -pole
-        lower, upper = lower[1:], upper[:-1]
-
-        def solve(r):
-            _, _, _, u, info = dgtsv(lower, diag, upper, r)
-            if info != 0:
-                raise GeometryError("singular linearized flow system")
-            return u
-        return solve
+        return _tridiagonal_solver(lower[1:], diag, upper[:-1])
 
 
 @dataclass(frozen=True)
@@ -266,15 +259,23 @@ def spheroid_profile(equatorial, polar, grid_size=256):
 
 
 # ---------------------------------------------------------------------------
-# cyclic tridiagonal solves and uniform-arclength resampling
+# tridiagonal solves and uniform-arclength resampling
+
+def _tridiagonal_solver(lower, diag, upper):
+    """Solver of A x = r for tridiagonal A: one `dgttrf`, then one `dgttrs` per r."""
+    dl, d, du, du2, ipiv, info = dgttrf(lower, diag, upper)
+    if info != 0:
+        raise GeometryError("singular linearized flow system")
+    return lambda r: dgttrs(dl, d, du, du2, ipiv, r)[0]
+
 
 def _cyclic_tridiagonal_solver(lower, diag, upper):
     """Solver of the cyclic tridiagonal system A x = r, r (n,), over one factorization.
 
     Row i of A is lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], indices
-    mod n.  A is a tridiagonal B plus a rank-one corner term: B is factored by
-    `dgttrf` and its Sherman-Morrison vector v solved once, z = B^-1 v, so
-    each right-hand side costs one `dgttrs` and an axpy.
+    mod n.  A is a tridiagonal B plus a rank-one corner term: B is factored
+    once and its Sherman-Morrison vector v solved once, z = B^-1 v, so each
+    right-hand side costs one tridiagonal solve and an axpy.
     """
     corner_first, corner_last = lower[0], upper[-1]     # entries (0, n-1) and (n-1, 0)
     gamma = -diag[0]
@@ -284,14 +285,12 @@ def _cyclic_tridiagonal_solver(lower, diag, upper):
     v = np.zeros(diag.size)
     v[[0, -1]] = gamma, corner_last
     ratio = corner_first / gamma
-    dl, d, du, du2, ipiv, info = dgttrf(lower[1:], diag, upper[:-1])
-    if info != 0:
-        raise GeometryError("singular cyclic tridiagonal system")
-    z = dgttrs(dl, d, du, du2, ipiv, v)[0]
+    solve_b = _tridiagonal_solver(lower[1:], diag, upper[:-1])
+    z = solve_b(v)
     denominator = 1.0 + z[0] + ratio * z[-1]
 
     def solve(r):
-        y = dgttrs(dl, d, du, du2, ipiv, r)[0]
+        y = solve_b(r)
         return y - z * ((y[0] + ratio * y[-1]) / denominator)
     return solve
 

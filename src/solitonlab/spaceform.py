@@ -1,8 +1,9 @@
 """Ambient space-form scalar kit.
 
-`shc`/`chc` generalize sin/cos and sinh/cosh across all sectional curvatures
-c, with a series branch near c = 0 so both functions are smooth in c; at
-c = 0 itself they return t and 1, the bits the series gives there.  The
+`shc`/`chc` generalize sin/cos and sinh/cosh to any finite sectional curvature
+c (a non-finite c is refused).  Where |c| t^2 < 1e-8 they return the two-term
+series t - c t^3 / 6 and 1 - c t^2 / 2, whose third term lies below half an ulp
+there; at c = 0 itself they return t and 1, the bits the series gives.  The
 generalized support value of a hypersurface point is
 
     Z = shc(c, rho) * <d_rho, nu>,
@@ -39,14 +40,11 @@ def shc(c, t):
         return t
     u = c * t * t
     if abs(u) < _SERIES_CUTOFF:
-        # odd series sum_k (-c)^k t^(2k+1) / (2k+1)!, five terms
-        acc = 0.0
-        term = t
-        for k in range(5):
-            acc += term
-            term *= -u / ((2 * k + 2) * (2 * k + 3))
-        return acc
+        # t - c t^3 / 6; the closed form loses digits once sqrt|c| t goes subnormal
+        return t + t * (-u / 6)
     r = math.sqrt(abs(c))
+    if not r < math.inf:                # also NaN, which no series branch lets through
+        _refuse_non_finite_curvature(c)
     if c > 0:
         return math.sin(r * t) / r
     return math.sinh(r * t) / r
@@ -60,13 +58,10 @@ def chc(c, t):
         return 1.0
     u = c * t * t
     if abs(u) < _SERIES_CUTOFF:
-        acc = 0.0
-        term = 1.0
-        for k in range(5):
-            acc += term
-            term *= -u / ((2 * k + 1) * (2 * k + 2))
-        return acc
+        return 1.0 + -u / 2
     r = math.sqrt(abs(c))
+    if not r < math.inf:
+        _refuse_non_finite_curvature(c)
     if c > 0:
         return math.cos(r * t)
     return math.cosh(r * t)
@@ -77,9 +72,13 @@ def cotc(c, t):
     return chc(c, t) / shc(c, t)
 
 
+def _refuse_non_finite_curvature(c):
+    raise ValueError(f"ambient curvature must be finite (got c={c})")
+
+
 def require_nonpositive_curvature(c, allow_positive=False):
     if not -math.inf < c < math.inf:
-        raise ValueError(f"ambient curvature must be finite (got c={c})")
+        _refuse_non_finite_curvature(c)
     if c > 0 and not allow_positive:
         raise ValueError(f"ambient curvature must be <= 0 (got c={c}); "
                          "positive c is only unlocked where explicitly documented")
@@ -117,8 +116,8 @@ def support_rows(c, positions, normals):
 
     The base point is the model origin.  c = 0: positions are Euclidean and
     Z = <X, nu>.  c < 0: positions lie on the hyperboloid <<x, x>> = 1/c (time
-    coordinate first), with normals unit and tangent there.  Every check runs
-    per row, and a refusal names the first bad point.
+    coordinate first), with normals unit and tangent there.  Every check, finite
+    entries first, runs per row, and a refusal names the first bad point.
     """
     require_nonpositive_curvature(c)
     x = np.asarray(positions, dtype=float)
@@ -126,6 +125,8 @@ def support_rows(c, positions, normals):
     if x.shape != nu.shape or x.ndim != 2:
         raise ValueError(f"positions and normals must both be (k, d) arrays, "
                          f"got {x.shape} and {nu.shape}")
+    _refuse_rows(~(np.isfinite(x).all(axis=1) & np.isfinite(nu).all(axis=1)),
+                 "position and normal must be finite")
     if c == 0.0:
         norm = np.sqrt(_row_dot(nu, nu))
         _refuse_rows(np.abs(norm - 1.0) > 1e-10, "normal must be unit length, |nu| = {}", norm)

@@ -531,6 +531,25 @@ def test_cyclic_tridiagonal_solver_has_the_bits_of_the_one_shot_solve():
             assert np.abs(dense @ x - r).max() < 1e-8 * np.abs(x).max()
 
 
+def test_each_linearized_solver_factors_once(monkeypatch):
+    # both grids: one dgttrf per solver and one dgttrs per solve, plus one for the
+    # curve's Sherman-Morrison vector
+    calls = {"dgttrf": 0, "dgttrs": 0}
+    for name in calls:
+        def counted(*args, name=name, lapack=getattr(hs, name)):
+            calls[name] += 1
+            return lapack(*args)
+        monkeypatch.setattr(hs, name, counted)
+    for surface, correction in ((ellipse(2.0, 1.0, 64), 1), (spheroid_profile(1.0, 1.3, 64), 0)):
+        f = curvfun.parse_curvature_function("H", surface.dim)
+        geom = surface.geometry()
+        calls.update(dgttrf=0, dgttrs=0)
+        solve = surface.linearized_solver(geom, f.gradient(geom.lam), 1e-3)
+        for _ in range(2):
+            solve(np.ones(surface.grid_size))
+        assert calls == {"dgttrf": 1, "dgttrs": 2 + correction}
+
+
 def test_extract_geometry_dispatch():
     assert extract_geometry(circle(1.0, 64)).dim == 1
     assert extract_geometry(spheroid_profile(1.0, 1.2, 64)).dim == 2

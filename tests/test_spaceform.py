@@ -11,6 +11,8 @@ from solitonlab.spaceform import chc, cotc, sample_geodesic_sphere, shc, support
 def test_flat_values():
     assert shc(0.0, 2.5) == 2.5
     assert chc(0.0, 7.0) == 1.0
+    # c = 0 takes its own path, so a non-finite t there is not a non-finite c
+    assert shc(0.0, math.inf) == math.inf
 
 
 def test_hyperbolic_values():
@@ -118,6 +120,10 @@ def test_a_non_finite_curvature_is_refused(c, allow_positive):
     # nan > 0 is False, so a bare sign test let NaN through
     with pytest.raises(ValueError, match=f"must be finite \\(got c={c}\\)"):
         spaceform.require_nonpositive_curvature(c, allow_positive=allow_positive)
+    # shc and chc gave NaN, or a bare "math domain error" from math.sin at c = inf
+    for function in (shc, chc, cotc):
+        with pytest.raises(ValueError, match=f"must be finite \\(got c={c}\\)"):
+            function(c, 1.0)
 
 
 @pytest.mark.parametrize("c,radius,named", [(math.nan, 1.0, "c=nan"),
@@ -191,6 +197,13 @@ def test_a_normal_off_unit_by_1e_8_is_still_refused_at_kappa_r_7(scale):
     (-1.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "base point"),
     (-1.0, [math.cosh(0.5), math.sinh(0.5), 0.0], [0.0, 0.0, 2.0], "unit"),
     (-1.0, [math.cosh(0.5), math.sinh(0.5), 0.0], [0.0, 1.0, 0.0], "tangent"),
+    # non-finite entries gave NaN, or at c = -1 a finite Z through NaN pairings
+    (0.0, [math.nan, 1.0], [0.0, -1.0], "finite"),
+    (0.0, [math.inf, 1.0], [0.0, -1.0], "finite"),
+    (0.0, [0.0, 1.0], [math.nan, -1.0], "finite"),
+    (-1.0, [math.cosh(0.5), math.nan, 0.0], [0.0, 0.0, 1.0], "finite"),
+    (-1.0, [math.cosh(0.5), math.inf, 0.0], [0.0, 0.0, 1.0], "finite"),
+    (-1.0, [math.cosh(0.5), math.sinh(0.5), 0.0], [0.0, 0.0, math.nan], "finite"),
 ])
 def test_support_refusals_fire_inside_a_batch(c, bad_position, bad_normal, message):
     with pytest.raises(ValueError, match=message):
@@ -205,7 +218,7 @@ def test_support_refusals_fire_inside_a_batch(c, bad_position, bad_normal, messa
 
 
 def _shc_series(c, t):
-    """The five-term series that `shc` sums for small |c| t^2."""
+    """Five terms of `shc`'s series, the reference for its two-term sum at small |c| t^2."""
     u = c * t * t
     acc, term = 0.0, t
     for k in range(5):
@@ -215,7 +228,7 @@ def _shc_series(c, t):
 
 
 def _chc_series(c, t):
-    """The five-term series that `chc` sums for small |c| t^2."""
+    """Five terms of `chc`'s series, the reference for its two-term sum at small |c| t^2."""
     u = c * t * t
     acc, term = 0.0, 1.0
     for k in range(5):
@@ -224,8 +237,15 @@ def _chc_series(c, t):
     return acc
 
 
-@pytest.mark.parametrize("t", [0.0, 1e-300, -1e-300, 0.3, 1.3, 50.0])
+@pytest.mark.parametrize("t", [0.0, 1e-300, -1e-300, 0.3, 1.3, 50.0,
+                               1e-150, -1e-150, 1e-40, -50.0, 1e40, 1e150, -1e150])
 def test_flat_values_are_the_series_bits(t):
-    for c in (0.0, -0.0):
+    # c = 0, and nonzero c of both signs with 0 < |c| t^2 < 1e-8, up to |u| = 9.99e-9:
+    # where the two-term series runs, the five-term one has its bits
+    curvatures = [0.0, -0.0]
+    if 1e-150 <= abs(t) <= 1e150:
+        curvatures += [sign * u / (t * t) for u in (9.99e-9, 3e-11, 1e-20) for sign in (1.0, -1.0)]
+    for c in curvatures:
+        assert abs(c * t * t) < spaceform._SERIES_CUTOFF
         assert shc(c, t).hex() == _shc_series(c, t).hex()
         assert chc(c, t).hex() == _chc_series(c, t).hex()
