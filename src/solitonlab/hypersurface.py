@@ -6,8 +6,8 @@ Three representations:
   parameter grid (hypersurface dimension n = 1);
 * `RevolutionProfile` -- a meridian profile (x along the rotation axis,
   y >= 0) rotated about the x-axis, closed by the two poles (n = 2);
-* `Ellipsoid` -- semi-axes (a, b) for a plane ellipse or (a, b, c) for an
-  ellipsoid, evaluated with closed-form fundamental forms.
+* `Ellipsoid` -- the three semi-axes (a, b, c) of an ellipsoid (n = 2), evaluated
+  with closed-form fundamental forms.
 
 All derivative extraction uses 4th-order stencils: periodic for curves,
 reflection-through-the-poles for meridian grids (scalar geometric fields
@@ -217,24 +217,16 @@ class RevolutionProfile:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Analytic ellipse (two semi-axes) or ellipsoid (three semi-axes)."""
+    """Analytic ellipsoid with semi-axes (a, b, c) along the coordinate axes."""
 
     semi_axes: tuple
+    dim = 2
 
     def __post_init__(self):
         axes = tuple(float(a) for a in self.semi_axes)
-        if len(axes) not in (2, 3) or not all(0.0 < a < math.inf for a in axes):
-            raise GeometryError(f"semi-axes must be 2 or 3 positive finite reals, "
-                                f"got {self.semi_axes}")
+        if len(axes) != 3 or not all(0.0 < a < math.inf for a in axes):
+            raise GeometryError(f"semi-axes must be 3 positive finite reals, got {self.semi_axes}")
         object.__setattr__(self, "semi_axes", axes)
-
-    @property
-    def dim(self):
-        return len(self.semi_axes) - 1
-
-    @property
-    def axisymmetric(self):
-        return self.dim == 2 and abs(self.semi_axes[0] - self.semi_axes[1]) < 1e-14
 
 
 def circle(radius, grid_size=256):
@@ -567,16 +559,13 @@ def _grid_fields(surface, grid_size=None, base_point=None):
     if isinstance(surface, RevolutionProfile):
         return _profile_fields(surface, base_point)
     if isinstance(surface, Ellipsoid):
-        if surface.dim != 2:
-            raise GeometryError("an analytic ellipse is evaluated pointwise with "
-                                "ellipsoid_geometry; grid operations take ellipse(a, b, M)")
-        if not surface.axisymmetric:
+        a, b, c = surface.semi_axes
+        if not abs(a - b) < 1e-14:
             raise GeometryError("grid operations support axisymmetric ellipsoids only "
                                 "(equal first two semi-axes); triaxial surfaces are "
                                 "evaluated pointwise with ellipsoid_geometry")
         if grid_size is None:
             raise GeometryError("analytic ellipsoid grid operations need grid_size")
-        a, _, c = surface.semi_axes
         return _spheroid_fields(a, c, grid_size, base_point)
     raise GeometryError(f"unsupported surface type {type(surface).__name__} for grid operations")
 
@@ -619,29 +608,15 @@ def revolution_geometry(profile, base_point=None):
 # ---------------------------------------------------------------------------
 # pointwise analytic ellipsoid geometry
 
-def ellipsoid_geometry(semi_axes, u, v=None):
-    """Closed-form `ShapeData` (single sample) of an ellipse or ellipsoid point.
+def ellipsoid_geometry(semi_axes, u, v=0.0):
+    """Closed-form `ShapeData` (single sample) of one point of an ellipsoid.
 
-    For three semi-axes the parametrization is
+    The three semi-axes (a, b, c) are parametrized as
     X = (a sin u cos v, b sin u sin v, c cos u); the point must keep away from
     the coordinate poles (u within 1e-3 of 0 or pi is rejected).
     """
-    surf = Ellipsoid(semi_axes)
-    if surf.dim == 1:
-        a, b = surf.semi_axes
-        t = float(u)
-        pos = np.array([a * math.cos(t), b * math.sin(t)])
-        tangent = np.array([-a * math.sin(t), b * math.cos(t)])
-        speed2 = float(tangent @ tangent)
-        nu = -np.array([b * math.cos(t), a * math.sin(t)])
-        nu /= np.linalg.norm(nu)
-        k = a * b / speed2 ** 1.5
-        support = float(pos @ nu)
-        return ShapeData(dim=1, position=pos[None, :], normal=nu[None, :], lam=np.array([[k]]),
-                         support=np.array([support]), weights=np.array([math.sqrt(speed2)]))
-
-    a, b, c = surf.semi_axes
-    uu, vv = float(u), float(v if v is not None else 0.0)
+    a, b, c = Ellipsoid(semi_axes).semi_axes
+    uu, vv = float(u), float(v)
     if min(uu, math.pi - uu) < _POLE_MARGIN:
         raise GeometryError(f"parameter point too close to a coordinate pole (u={uu:.4g})")
     su, cu = math.sin(uu), math.cos(uu)
@@ -693,16 +668,16 @@ def _nabla_h_terms(f):
     return terms
 
 
-def covariant_hessian(surface, phi, grid_size=None):
+def covariant_hessian(surface, phi):
     """Covariant Hessian (M, n, n) of a scalar sampled on the parameter grid.
 
     Christoffel symbols come from 4th-order differences of the extracted
     metric fields, so the result is metric-compatible with them to rounding.
     On a meridian grid the field is axisymmetric (a function of the profile
-    parameter, even at the poles).
+    parameter, even at the poles); an analytic ellipsoid is gridded at `phi.size`.
     """
-    f = _grid_fields(surface, grid_size)
     phi = np.asarray(phi, dtype=float)
+    f = _grid_fields(surface, phi.size)
     m = f.E.shape[0]
     if phi.shape != (m,):
         raise GeometryError(f"field shape {phi.shape} does not match grid ({m},)")
@@ -753,29 +728,25 @@ def support_hessian_residual(surface, grid_size=None, base_point=None):
 # ---------------------------------------------------------------------------
 # snapshot documents
 
+# snapshot variant -> (surface type, the attribute it is written from, the field holding
+# that attribute, the field's array rank: 2 for a grid, whose document also holds grid_size)
+_SNAPSHOT_VARIANTS = {"curve": (PlaneCurve, "points", "positions", 2),
+                      "revolution": (RevolutionProfile, "profile", "profile", 2),
+                      "ellipsoid": (Ellipsoid, "semi_axes", "semi_axes", 1)}
+
+
 def surface_to_document(surface, metadata=None):
     doc = {"format_version": FORMAT_VERSION, "kind": "surface_snapshot",
            "metadata": dict(metadata or {})}
-    if isinstance(surface, PlaneCurve):
-        doc["variant"] = "curve"
-        doc["grid_size"] = surface.grid_size
-        doc["positions"] = surface.points.tolist()
-    elif isinstance(surface, RevolutionProfile):
-        doc["variant"] = "revolution"
-        doc["grid_size"] = surface.grid_size
-        doc["profile"] = surface.profile.tolist()
-    elif isinstance(surface, Ellipsoid):
-        doc["variant"] = "ellipsoid"
-        doc["semi_axes"] = list(surface.semi_axes)
-    else:
-        raise GeometryError(f"cannot serialize {type(surface).__name__}")
-    return doc
-
-
-# snapshot variant -> (the field holding its samples, that field's array rank, constructor)
-_SNAPSHOT_VARIANTS = {"curve": ("positions", 2, PlaneCurve),
-                      "revolution": ("profile", 2, RevolutionProfile),
-                      "ellipsoid": ("semi_axes", 1, Ellipsoid)}
+    for variant, (kind, attr, key, rank) in _SNAPSHOT_VARIANTS.items():
+        if type(surface) is kind:
+            data = np.asarray(getattr(surface, attr))
+            doc["variant"] = variant
+            if rank == 2:
+                doc["grid_size"] = len(data)
+            doc[key] = data.tolist()
+            return doc
+    raise GeometryError(f"cannot serialize {type(surface).__name__}")
 
 
 def surface_from_document(doc):
@@ -787,7 +758,7 @@ def surface_from_document(doc):
     variant = doc.get("variant")
     if variant not in _SNAPSHOT_VARIANTS:
         raise GeometryError(f"unknown snapshot variant {variant!r}")
-    key, rank, build = _SNAPSHOT_VARIANTS[variant]
+    build, _, key, rank = _SNAPSHOT_VARIANTS[variant]
     try:
         data = np.asarray(doc[key], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -229,11 +229,11 @@ def _geometry_checks(rows):
 
     sph_geom = hypersurface.extract_geometry(sphere, grid_size=256)
     height, y = sph_geom.position[:, 0], sph_geom.position[:, 1]
-    hess = hypersurface.covariant_hessian(sphere, height, 256)
+    hess = hypersurface.covariant_hessian(sphere, height)
     round_metric = np.column_stack([np.ones_like(y), y * y])[:, :, None] * np.eye(2)
     defect = hess + height[:, None, None] * round_metric
     rows.append(("covariant_hessian_sphere_height_m256", float(np.abs(defect).max()), 1e-6))
-    const = hypersurface.covariant_hessian(sphere, np.ones(256), 256)
+    const = hypersurface.covariant_hessian(sphere, np.ones(256))
     rows.append(("covariant_hessian_constant", float(np.abs(const).max()), 1e-12))
 
     rev = hypersurface.revolution_geometry(hypersurface.spheroid_profile(2.0, 1.0, 257))

@@ -41,6 +41,8 @@ def shc(c, t):
     u = c * t * t
     if abs(u) < _SERIES_CUTOFF:
         # t - c t^3 / 6; the closed form loses digits once sqrt|c| t goes subnormal
+        if t == 0.0:
+            return t            # +-0.0 as given, which the sum would turn +0.0 at c > 0
         return t + t * (-u / 6)
     r = math.sqrt(abs(c))
     if not r < math.inf:                # also NaN, which no series branch lets through

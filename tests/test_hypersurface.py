@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from solitonlab import curvfun
 from solitonlab import hypersurface as hs
@@ -264,8 +265,6 @@ def test_ellipsoid_pole_proximity_rejected():
 
 
 def test_ellipse_point_matches_curve_path():
-    geom = ellipsoid_geometry((2.0, 1.0), 0.8)
-    assert geom.lam[0, 0] == pytest.approx(ellipse_curvature(2.0, 1.0, 0.8), rel=1e-12)
     curve_g = curve_geometry(ellipse(2.0, 1.0, 512))
     idx = int(round(0.8 / (2.0 * np.pi / 512)))
     assert abs(curve_g.lam[idx, 0] - ellipse_curvature(2.0, 1.0, 2.0 * np.pi * idx / 512)) < 1e-6
@@ -275,7 +274,7 @@ def test_ellipse_point_matches_curve_path():
 # covariant calculus on grids
 
 def test_covariant_hessian_constant_field():
-    out = covariant_hessian(Ellipsoid((1.0, 1.0, 1.3)), np.ones(128), 128)
+    out = covariant_hessian(Ellipsoid((1.0, 1.0, 1.3)), np.ones(128))
     assert np.abs(out).max() < 1e-12
 
 
@@ -284,7 +283,7 @@ def test_covariant_hessian_sphere_height():
     # with g = diag(1, y^2) the round metric in (arclength, rotation angle)
     geom = extract_geometry(Ellipsoid((1.0, 1.0, 1.0)), grid_size=256)
     height, y = geom.position[:, 0], geom.position[:, 1]
-    hess = covariant_hessian(Ellipsoid((1.0, 1.0, 1.0)), height, 256)
+    hess = covariant_hessian(Ellipsoid((1.0, 1.0, 1.0)), height)
     metric = np.zeros((256, 2, 2))
     metric[:, 0, 0], metric[:, 1, 1] = 1.0, y * y
     defect = hess + height[:, None, None] * metric
@@ -303,7 +302,7 @@ def test_covariant_hessian_curve_reduction():
 
 def test_covariant_hessian_shape_validation():
     with pytest.raises(GeometryError, match="does not match"):
-        covariant_hessian(Ellipsoid((1.0, 1.0, 1.3)), np.ones(64), 128)
+        covariant_hessian(circle(1.0, 128), np.ones(64))
 
 
 # grids whose metric E = |X_u|^2 is not constant, so the Christoffel term counts:
@@ -328,7 +327,7 @@ def _spheroid_height_defect(m, analytic):
     nu_x = a * np.cos(u) / speed
     h_uu, h_pp = a * c / speed, c / (a * speed) * (a * np.sin(u)) ** 2
     if analytic:
-        hess, scale = covariant_hessian(Ellipsoid((a, a, c)), -c * np.cos(u), m), 1.0
+        hess, scale = covariant_hessian(Ellipsoid((a, a, c)), -c * np.cos(u)), 1.0
     else:
         profile = spheroid_profile(a, c, m)
         hess, scale = covariant_hessian(profile, profile.profile[:, 0]), np.pi ** 2
@@ -458,7 +457,7 @@ def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     wobbly = PlaneCurve(circle(1.0, 32).points * (1.0 + 0.01 * rng.random((32, 1))))
     surfaces = [circle(1.0, 32), wobbly, spheroid_profile(1.0, 1.3, 40),
-                Ellipsoid((1.0, 1.0, 1.5)), Ellipsoid((math.pi, 1.0 / 3.0))]
+                Ellipsoid((1.0, 1.0, 1.5)), Ellipsoid((math.pi, 1.0 / 3.0, 0.1 + 0.2))]
     metadata = {"note": "x", "seed": 3, "t_final": 0.1 + 0.2, "ratio": 1.0 / 3.0,
                 "tiny": 5e-324, "stop_reason": "aborted: dt underflow"}
     for surf in surfaces:
@@ -474,6 +473,21 @@ def test_snapshot_round_trip(tmp_path):
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")      # one line of JSON
         assert json.loads(text)["metadata"] == metadata
+    # the exact text written: key order, grid_size on the grid variants only, float reprs
+    for surf, variant, field, data in (
+            (circle(1.0, 16), "curve", "positions", circle(1.0, 16).points),
+            (sphere_profile(1.0, 16), "revolution", "profile", sphere_profile(1.0, 16).profile),
+            (Ellipsoid((1.0, 1.0, 1.5)), "ellipsoid", "semi_axes", None)):
+        expected = {"format_version": 1, "kind": "surface_snapshot", "metadata": {"seed": 3},
+                    "variant": variant}
+        if data is None:
+            expected[field] = [1.0, 1.0, 1.5]
+        else:
+            expected["grid_size"] = 16
+            expected[field] = [[float(x), float(y)] for x, y in data]
+        path = tmp_path / f"{variant}.json"
+        hs.save_surface(surf, path, metadata={"seed": 3})
+        assert path.read_text() == json.dumps(expected) + "\n"
     with pytest.raises(GeometryError, match="format_version"):
         surface_from_document({"format_version": 2, "variant": "curve"})
     with pytest.raises(GeometryError, match="variant"):
@@ -490,6 +504,9 @@ def test_snapshot_round_trip(tmp_path):
     with pytest.raises(GeometryError, match="positive finite reals"):
         surface_from_document({"format_version": 1, "variant": "ellipsoid",
                                "semi_axes": [1.0, 1.0, math.nan]})
+    with pytest.raises(GeometryError, match=r"3 positive finite reals, got \[2\. 1\.\]"):
+        surface_from_document({"format_version": 1, "variant": "ellipsoid",
+                               "semi_axes": [2.0, 1.0]})
     with pytest.raises(GeometryError, match="cannot serialize ShapeData"):
         surface_to_document(curve_geometry(circle(1.0, 32)))
 
@@ -515,9 +532,30 @@ def test_linearized_solver_matches_the_linearization_of_f(surface, f, u):
     assert np.abs(ju - ju_fd).max() < 1e-3 * np.abs(ju_fd).max()
 
 
+def _dgtsv(lower, diag, upper, r):
+    """One-shot tridiagonal solve, `dgtsv` on copies of the bands."""
+    return dgtsv(lower.copy(), diag.copy(), upper.copy(), r.copy())[3]
+
+
+def _sherman_morrison_dgtsv(lower, diag, upper, r):
+    """The cyclic solve as two `dgtsv` solves of the tridiagonal part and their
+    Sherman-Morrison sum, built from the bands at every call."""
+    corner_first, corner_last = lower[0], upper[-1]
+    gamma = -diag[0]
+    b_diag = diag.copy()
+    b_diag[0] -= gamma
+    b_diag[-1] -= corner_first * corner_last / gamma
+    v = np.zeros(diag.size)
+    v[[0, -1]] = gamma, corner_last
+    ratio = corner_first / gamma
+    y = _dgtsv(lower[1:], b_diag, upper[:-1], r)
+    z = _dgtsv(lower[1:], b_diag, upper[:-1], v)
+    return y - z * ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]))
+
+
 def test_cyclic_tridiagonal_solver_has_the_bits_of_the_one_shot_solve():
     # one factorization serves every right-hand side; rows with a small diagonal
-    # make dgttrf pivot
+    # make dgttrf pivot.  Both solvers keep the bits of one-shot dgtsv solves.
     rng = np.random.default_rng(5)
     for n in (16, 64, 257):
         lower, upper = rng.normal(size=n), rng.normal(size=n)
@@ -525,10 +563,13 @@ def test_cyclic_tridiagonal_solver_has_the_bits_of_the_one_shot_solve():
         dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
         dense[0, -1], dense[-1, 0] = lower[0], upper[-1]
         solve = hs._cyclic_tridiagonal_solver(lower, diag, upper)
+        solve_open = hs._tridiagonal_solver(lower[1:], diag, upper[:-1])
         for _ in range(3):
             r = rng.normal(size=n)
             x = solve(r)
             assert np.abs(dense @ x - r).max() < 1e-8 * np.abs(x).max()
+            assert np.array_equal(x, _sherman_morrison_dgtsv(lower, diag, upper, r))
+            assert np.array_equal(solve_open(r), _dgtsv(lower[1:], diag, upper[:-1], r))
 
 
 def test_each_linearized_solver_factors_once(monkeypatch):
@@ -558,12 +599,13 @@ def test_extract_geometry_dispatch():
         extract_geometry(Ellipsoid((1.0, 1.1, 1.2)))
 
 
-@pytest.mark.parametrize("surface, grid_size, message", [
-    (Ellipsoid((1.0, 1.0, 1.2)), 8, "meridian grid needs at least 16 samples"),
-    (Ellipsoid((2.0, 1.0)), 64, "grid operations take ellipse"),
-    (Ellipsoid((1.0, 1.0, 1.2)), None, "need grid_size"),
-    (np.zeros((64, 2)), 64, "unsupported surface type ndarray"),
-], ids=["ellipsoid-grid-8", "two-axis-ellipsoid", "no-grid-size", "unsupported-type"])
-def test_grid_operations_refuse_what_they_cannot_grid(surface, grid_size, message):
+@pytest.mark.parametrize("call, message", [
+    (lambda: covariant_hessian(Ellipsoid((1.0, 1.0, 1.2)), np.ones(8)),
+     "meridian grid needs at least 16 samples"),
+    (lambda: codazzi_residual(Ellipsoid((1.0, 1.0, 1.2))), "need grid_size"),
+    (lambda: covariant_hessian(np.zeros((64, 2)), np.ones(64)),
+     "unsupported surface type ndarray"),
+], ids=["ellipsoid-grid-8", "no-grid-size", "unsupported-type"])
+def test_grid_operations_refuse_what_they_cannot_grid(call, message):
     with pytest.raises(GeometryError, match=message):
-        covariant_hessian(surface, np.ones(64), grid_size)
+        call()

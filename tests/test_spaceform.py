@@ -32,6 +32,9 @@ def test_continuity_across_zero():
     for c in (1e-6, -1e-6, 1e-9, -1e-9):
         for t in np.linspace(0.0, 10.0, 21):
             assert abs(shc(c, t) - shc(0.0, t)) <= 170.0 * abs(c)
+    # shc is odd on either side of c = 0, at the signed zero too
+    for c in (-1.0, -1e-3, 0.0, 1e-3, 1.0):
+        assert math.copysign(1.0, shc(c, -0.0)) == -1.0
 
 
 def test_derivative_identities():
