@@ -9,9 +9,9 @@ with pinching monitors.
 from .curvfun import (AnisotropyRatio, ConvexityVerdict, CurvatureFunction,
                       DegreeMismatchError, DomainError, ElementarySymmetric,
                       EuclideanNorm, GaussCurvature, GeometricMean, MeanCurvature,
-                      Power, builtin_functions, convexity_classify, euler_residuals,
-                      matrix_first_derivative, matrix_second_form, pair_sign_gaps,
-                      parse_curvature_function)
+                      Power, SymmetricStack, builtin_functions, convexity_classify,
+                      euler_residuals, matrix_first_derivative, matrix_second_form,
+                      pair_sign_gaps, parse_curvature_function, symmetric_stack)
 from .flow import FlowConfig, FlowMonitors, FlowTrace, StopRule, monitors, run, step
 from .hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceError, PlaneCurve,
                            RevolutionProfile, ShapeData, circle, codazzi_residual,

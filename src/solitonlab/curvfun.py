@@ -11,7 +11,9 @@ Supported dimensions are n in {1, 2, 3}.  Batch evaluation accepts arrays of
 shape (k, n) and is used heavily by the flow integrator.  The matrix calculus
 (`matrix_first_derivative`, `matrix_second_form`, `euler_residuals`) follows
 the same convention: one (n, n) matrix, or a (k, n, n) stack checked member by
-member, with one implementation for both.
+member, with one implementation for both.  `matrix_first_derivative` and
+`euler_residuals` also take a `symmetric_stack(A)`: the matrices checked and
+eigen-decomposed once, so that many functions share that work.
 """
 
 import itertools
@@ -399,18 +401,47 @@ def _check_symmetric(a, what):
     return 0.5 * (stack + transpose), single
 
 
+@dataclass(frozen=True)
+class SymmetricStack:
+    """A checked symmetric (k, n, n) stack and its eigen-decomposition U diag(lam) U^T.
+
+    Built by `symmetric_stack`; the matrix calculus takes it in place of the matrices,
+    so that many curvature functions share one check and one `eigh`.  The arrays are
+    read-only.
+    """
+
+    lam: np.ndarray   # (k, n) ascending eigenvalues
+    u: np.ndarray     # (k, n, n) orthonormal eigenvectors, one per column
+    single: bool      # built from one (n, n) matrix: results come back unbatched
+
+
+def symmetric_stack(a, what="A"):
+    """`a` checked (square, finite, symmetric, non-empty) and decomposed by one `eigh`.
+
+    A refusal names the bad member, e.g. `A[3] is not symmetric`.  A `SymmetricStack`
+    is returned as it is.
+    """
+    if isinstance(a, SymmetricStack):
+        return a
+    stack, single = _check_symmetric(a, what)
+    lam, u = np.linalg.eigh(stack)
+    lam.flags.writeable = False
+    u.flags.writeable = False
+    return SymmetricStack(lam, u, single)
+
+
 def matrix_first_derivative(f, a):
     """dF at A as a symmetric matrix: <dF, B> = d/ds F(A + sB) at s=0.
 
     Built from an eigen-decomposition A = U diag(lam) U^T as
     U diag(grad f(lam)) U^T, which also satisfies <dF, A> = m F(A).
     One (n, n) matrix gives an (n, n) matrix; a (k, n, n) stack gives a stack.
+    `a` may also be a `symmetric_stack`, decomposed once for many functions.
     """
-    a, single = _check_symmetric(a, "A")
-    lam, u = np.linalg.eigh(a)
-    g = f.gradient(lam)
-    out = (u * g[:, None, :]) @ u.transpose(0, 2, 1)
-    return out[0] if single else out
+    a = symmetric_stack(a)
+    g = f.gradient(a.lam)
+    out = (a.u * g[:, None, :]) @ a.u.transpose(0, 2, 1)
+    return out[0] if a.single else out
 
 
 def matrix_second_form(f, a, b):
@@ -451,10 +482,11 @@ def euler_residuals(f, a):
 
     Returns (|<dF, A> - m F|, |d2F(A, A) - (m - 1) <dF, A>|); both vanish for
     exactly homogeneous functions up to rounding.  One (n, n) matrix gives two
-    floats; a (k, n, n) stack gives two (k,) arrays.
+    floats; a (k, n, n) stack gives two (k,) arrays.  `a` may also be a
+    `symmetric_stack`.
     """
-    a, single = _check_symmetric(a, "A")
-    lam, _ = np.linalg.eigh(a)
+    a = symmetric_stack(a)
+    lam, single = a.lam, a.single
     value = f.value(lam)
     g = f.gradient(lam)
     hess = f.hessian(lam)

@@ -560,7 +560,7 @@ def _grid_fields(surface, grid_size=None, base_point=None):
         return _profile_fields(surface, base_point)
     if isinstance(surface, Ellipsoid):
         a, b, c = surface.semi_axes
-        if not abs(a - b) < 1e-14:
+        if not abs(a - b) <= 1e-14 * max(a, b):   # relative: a dilation keeps the verdict
             raise GeometryError("grid operations support axisymmetric ellipsoids only "
                                 "(equal first two semi-axes); triaxial surfaces are "
                                 "evaluated pointwise with ellipsoid_geometry")

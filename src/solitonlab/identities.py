@@ -1,8 +1,9 @@
 """The identity suite: one (name, residual, tolerance) row per identity check.
 
 The curvature-function checks draw their samples in bulk, one generator call per
-array, once per dimension: the draw, its QR, its eigenvalues and every row stack are
-shared by that dimension's functions.  Each function is evaluated once per pass over
+array, once per dimension: the draw, its QR, its eigenvalues, the checked
+eigen-decompositions of its SPD matrices and every row stack are shared by that
+dimension's functions.  Each function is evaluated once per pass over
 them: every eigenvalue row goes to one `value` call and every row that needs a
 gradient to one `gradient` call.
 The layers are called through their modules (`curvfun.pair_sign_gaps`, not a
@@ -92,8 +93,8 @@ class _EigenvalueSamples:
     gradients: _Stack
     a: np.ndarray           # (fd_n, n, n) diagonal
     b: np.ndarray           # (fd_n, n, n) symmetric direction
-    spd: np.ndarray         # (k, n, n)
-    spd_pair: np.ndarray    # (2k, n, n): spd, then q spd q^T
+    spd: curvfun.SymmetricStack       # (k, n, n), decomposed
+    spd_pair: curvfun.SymmetricStack  # (2k, n, n): spd, then q spd q^T, decomposed
     q: np.ndarray           # (k, n, n) rotations
 
 
@@ -131,8 +132,9 @@ def _eigenvalue_samples(rng, sample_count, n):
         form_lam.reshape(3, fd_n, n),
         spd_lam])
     gradients = _Stack([lam[:fd_n], moved])
-    return _EigenvalueSamples(lam[:fd_n], values, gradients, a, b, spd,
-                              np.concatenate([spd, q @ spd @ q_t]), q)
+    return _EigenvalueSamples(lam[:fd_n], values, gradients, a, b,
+                              curvfun.symmetric_stack(spd),
+                              curvfun.symmetric_stack(np.concatenate([spd, q @ spd @ q_t])), q)
 
 
 def _eigenvalue_checks(rows, samples, f):

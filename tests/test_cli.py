@@ -254,9 +254,11 @@ def test_flow_refuses_a_non_elliptic_speed(tmp_path, capsys):
     assert not (tmp_path / "flow_trace.csv").exists()
 
 
-def test_flow_missing_stop_is_usage_error(tmp_path):
+def test_flow_missing_stop_is_usage_error(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "flow", "--surface", "circle 1",
                  "--f", "H"]) == 2
+    err = capsys.readouterr().err
+    assert "--t-max" in err and "StopRule" not in err
 
 
 def test_sweep_pinching_anchors(tmp_path):

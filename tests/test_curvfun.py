@@ -10,7 +10,7 @@ from solitonlab.curvfun import (AnisotropyRatio, DegreeMismatchError, DomainErro
                                 GeometricMean, MeanCurvature, Power, builtin_functions,
                                 convexity_classify, euler_residuals,
                                 matrix_first_derivative, matrix_second_form,
-                                pair_sign_gaps, parse_curvature_function)
+                                pair_sign_gaps, parse_curvature_function, symmetric_stack)
 
 from conftest import fd_gradient, fd_hessian, random_rotation, random_spd
 
@@ -440,23 +440,36 @@ def _close(stacked, single):
     return np.abs(stacked - single).max() <= 1e-15 * max(1.0, np.abs(single).max())
 
 
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_calculus_matches_single_matrices(n, rng):
+    # a symmetric_stack record gives the bits of the matrices it decomposed
     spd, diag, direction = _calculus_stacks(rng, n)
+    decomposed = symmetric_stack(spd)
+    singles = [symmetric_stack(a) for a in spd]
     for f in builtin_functions(n):
         first = matrix_first_derivative(f, spd)
         form = matrix_second_form(f, diag, direction)
         r1, r2 = euler_residuals(f, spd)
         assert first.shape == (len(spd), n, n)
         assert form.shape == r1.shape == r2.shape == (len(spd),)
+        assert _same_bits(matrix_first_derivative(f, decomposed), first)
+        assert all(map(_same_bits, euler_residuals(f, decomposed), (r1, r2)))
         for i in range(len(spd)):
             single = matrix_first_derivative(f, spd[i])
             assert single.shape == (n, n) and _close(first[i], single)
+            assert _same_bits(matrix_first_derivative(f, singles[i]), single)
             single = matrix_second_form(f, diag[i], direction[i])
             assert isinstance(single, float) and _close(form[i], single)
             single = euler_residuals(f, spd[i])
             assert all(isinstance(r, float) for r in single)
             assert _close(r1[i], single[0]) and _close(r2[i], single[1])
+            from_record = euler_residuals(f, singles[i])
+            assert all(isinstance(r, float) for r in from_record)
+            assert all(map(_same_bits, from_record, single))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -469,6 +482,8 @@ def test_stacked_calculus_names_the_bad_member(n, rng):
             matrix_first_derivative(f, bad)
         with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
             euler_residuals(f, bad)
+        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
+            symmetric_stack(bad)
         bad = diag.copy()
         bad[4, 0, 0] = np.inf
         with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
@@ -484,6 +499,8 @@ def test_stacked_calculus_names_the_bad_member(n, rng):
                 matrix_first_derivative(f, bad)
             with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
                 euler_residuals(f, bad)
+            with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
+                symmetric_stack(bad)
             bad = direction.copy()
             bad[6, 1, 0] += 0.1
             with pytest.raises(ValueError, match=r"B\[6\] is not symmetric"):
@@ -495,6 +512,8 @@ def test_stacked_calculus_names_the_bad_member(n, rng):
         for calc in (matrix_first_derivative, euler_residuals):
             with pytest.raises(ValueError, match="empty"):
                 calc(f, np.zeros((0, n, n)))
+        with pytest.raises(ValueError, match="empty"):
+            symmetric_stack(np.zeros((0, n, n)))
         with pytest.raises(ValueError, match="empty"):
             matrix_second_form(f, np.zeros((0, n, n)), np.zeros((0, n, n)))
         with pytest.raises(ValueError, match="same shape"):

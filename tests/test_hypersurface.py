@@ -597,6 +597,14 @@ def test_extract_geometry_dispatch():
     assert extract_geometry(Ellipsoid((1.0, 1.0, 1.2)), grid_size=64).dim == 2
     with pytest.raises(GeometryError, match="pointwise"):
         extract_geometry(Ellipsoid((1.0, 1.1, 1.2)))
+    # the axisymmetry test is relative: a tiny triaxial surface is refused, and
+    # first semi-axes equal to 2.3e-16 relative grid as the spheroid
+    with pytest.raises(GeometryError, match="pointwise"):
+        extract_geometry(Ellipsoid((1e-15, 3e-15, 2e-15)), grid_size=64)
+    near = extract_geometry(Ellipsoid((1e3, 1e3 + 2.3e-13, 2e3)), grid_size=64)
+    exact = extract_geometry(Ellipsoid((1e3, 1e3, 2e3)), grid_size=64)
+    for field in ("position", "normal", "lam", "support", "weights"):
+        assert getattr(near, field).tobytes() == getattr(exact, field).tobytes()
 
 
 @pytest.mark.parametrize("call, message", [
