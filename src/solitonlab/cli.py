@@ -11,6 +11,7 @@ with one section per command plus a ``[config]`` section carrying
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -140,13 +141,12 @@ def _cmd_flow(args, out_dir):
     _require_grid(args.grid)
     surface = _build_surface(args.surface, args.grid)
     f = curvfun.parse_curvature_function(args.f, surface.dim)
-    criteria = ("t_max", "r_tol", "curvature_cap", "min_scale_fraction")
-    if all(getattr(args, key) is None for key in criteria):
+    criteria = {field.name: getattr(args, field.name)
+                for field in dataclasses.fields(flow.StopRule)}
+    if all(value is None for value in criteria.values()):
         raise UsageError(f"flow needs a stop criterion: set at least one of "
-                         f"{', '.join(_flag(key) for key in criteria)} "
-                         f"(or its [flow] key in the config)")
-    stop = flow.StopRule(t_max=args.t_max, r_tol=args.r_tol, curvature_cap=args.curvature_cap,
-                         min_scale_fraction=args.min_scale_fraction)
+                         f"{', '.join(map(_flag, criteria))} (or its [flow] key in the config)")
+    stop = flow.StopRule(**criteria)
     config = flow.FlowConfig(f=f, stop=stop, dt_safety=args.dt_safety,
                              rescale_mode=args.rescale)
 

@@ -405,9 +405,9 @@ def _check_symmetric(a, what):
 class SymmetricStack:
     """A checked symmetric (k, n, n) stack and its eigen-decomposition U diag(lam) U^T.
 
-    Built by `symmetric_stack`; the matrix calculus takes it in place of the matrices,
-    so that many curvature functions share one check and one `eigh`.  The arrays are
-    read-only.
+    Built by `symmetric_stack`, or sliced from one member by member; the matrix
+    calculus takes it in place of the matrices, so that many curvature functions
+    share one check and one `eigh`.  The arrays are read-only.
     """
 
     lam: np.ndarray   # (k, n) ascending eigenvalues
@@ -415,7 +415,7 @@ class SymmetricStack:
     single: bool      # built from one (n, n) matrix: results come back unbatched
 
 
-def symmetric_stack(a, what="A"):
+def symmetric_stack(a):
     """`a` checked (square, finite, symmetric, non-empty) and decomposed by one `eigh`.
 
     A refusal names the bad member, e.g. `A[3] is not symmetric`.  A `SymmetricStack`
@@ -423,7 +423,7 @@ def symmetric_stack(a, what="A"):
     """
     if isinstance(a, SymmetricStack):
         return a
-    stack, single = _check_symmetric(a, what)
+    stack, single = _check_symmetric(a, "A")
     lam, u = np.linalg.eigh(stack)
     lam.flags.writeable = False
     u.flags.writeable = False

@@ -93,7 +93,7 @@ class _EigenvalueSamples:
     gradients: _Stack
     a: np.ndarray           # (fd_n, n, n) diagonal
     b: np.ndarray           # (fd_n, n, n) symmetric direction
-    spd: curvfun.SymmetricStack       # (k, n, n), decomposed
+    spd: curvfun.SymmetricStack       # (k, n, n), the first half of spd_pair
     spd_pair: curvfun.SymmetricStack  # (2k, n, n): spd, then q spd q^T, decomposed
     q: np.ndarray           # (k, n, n) rotations
 
@@ -132,9 +132,11 @@ def _eigenvalue_samples(rng, sample_count, n):
         form_lam.reshape(3, fd_n, n),
         spd_lam])
     gradients = _Stack([lam[:fd_n], moved])
-    return _EigenvalueSamples(lam[:fd_n], values, gradients, a, b,
-                              curvfun.symmetric_stack(spd),
-                              curvfun.symmetric_stack(np.concatenate([spd, q @ spd @ q_t])), q)
+    # one eigh for both records: LAPACK decomposes each matrix of a stack on its own,
+    # so the first half of the pair's decomposition is that of spd, bit for bit
+    spd_pair = curvfun.symmetric_stack(np.concatenate([spd, q @ spd @ q_t]))
+    spd = curvfun.SymmetricStack(spd_pair.lam[:sample_count], spd_pair.u[:sample_count], False)
+    return _EigenvalueSamples(lam[:fd_n], values, gradients, a, b, spd, spd_pair, q)
 
 
 def _eigenvalue_checks(rows, samples, f):

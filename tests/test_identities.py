@@ -206,8 +206,8 @@ def test_eigenvalue_checks_evaluate_each_function_once_per_pass(monkeypatch, n):
 
 
 def test_each_dimension_draws_and_decomposes_its_samples_once(monkeypatch):
-    # every function of a dimension shares one stacked QR, one eigvalsh and the two
-    # eigh of its SPD records; a call is recorded with the dimension of its matrices
+    # every function of a dimension shares one stacked QR, one eigvalsh and one eigh
+    # (of its SPD records); a call is recorded with the dimension of its matrices
     calls = []
     for name in ("qr", "eigvalsh", "eigh"):
         def counted(a, *args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
@@ -215,8 +215,8 @@ def test_each_dimension_draws_and_decomposes_its_samples_once(monkeypatch):
             return _inner(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     identity_suite_checks(30, 0)
-    assert sorted(calls) == [("eigh", 2), ("eigh", 2), ("eigh", 3), ("eigh", 3),
-                             ("eigvalsh", 2), ("eigvalsh", 3), ("qr", 2), ("qr", 3)]
+    assert sorted(calls) == [("eigh", 2), ("eigh", 3), ("eigvalsh", 2), ("eigvalsh", 3),
+                             ("qr", 2), ("qr", 3)]
 
 
 def test_soliton_checks_sample_each_sphere_once(monkeypatch):
