@@ -68,6 +68,7 @@ def parse_config_text(text):
 # commands
 
 def _cmd_sphere_check(args, out_dir):
+    _require_at_least(args, "samples", 16, "F + tau Z is checked on at least 16 samples")
     f = curvfun.parse_curvature_function(args.f, args.n)
     tau = soliton.sphere_tau(f, args.R, args.c, allow_positive_c=args.allow_positive_c)
     print(f"sphere-check: f={f.name} n={args.n} R={args.R:g} c={args.c:g}")
@@ -129,16 +130,21 @@ def _build_surface(spec, grid):
         raise UsageError(f"bad surface spec {spec!r}: {exc}") from exc
 
 
-def _require_grid(grid):
+def _require_at_least(args, key, least, why):
+    """Refuse a count option below `least` by its flag, before the command prints anything."""
+    value = getattr(args, key)
+    if value < least:
+        raise UsageError(f"{_flag(key)} {value} is below {least}: {why}")
+
+
+def _require_grid(args):
     """Refuse `--grid` below 16 whatever the surface; a `profile` surface and a curve
     or rotation snapshot keep their own grid and do not read it."""
-    if grid < 16:
-        raise UsageError(f"--grid {grid} is below 16: a curve or meridian grid needs at "
-                         f"least 16 samples")
+    _require_at_least(args, "grid", 16, "a curve or meridian grid needs at least 16 samples")
 
 
 def _cmd_flow(args, out_dir):
-    _require_grid(args.grid)
+    _require_grid(args)
     surface = _build_surface(args.surface, args.grid)
     f = curvfun.parse_curvature_function(args.f, surface.dim)
     criteria = {field.name: getattr(args, field.name)
@@ -155,7 +161,8 @@ def _cmd_flow(args, out_dir):
     trace_path.write_text(trace.to_csv())
 
     last = trace.final
-    print(f"flow: surface='{args.surface}' f={f.name} rescale={args.rescale} grid={args.grid}")
+    print(f"flow: surface='{args.surface}' f={f.name} rescale={args.rescale} "
+          f"grid={surface.grid_size}")
     print(f"steps={len(trace.rows) - 1} t_final={last.t:.6g} stop={trace.stop_reason} "
           f"dt_halvings={trace.dt_halvings}")
     print(f"final r_max={last.r_max:.8g} F_aniso_max={last.aniso_max:.4e} "
@@ -199,18 +206,10 @@ def _cmd_sweep_pinching(args, out_dir):
 
 
 def _cmd_soliton_fit(args, out_dir):
-    _require_grid(args.grid)
+    _require_grid(args)
+    _require_at_least(args, "classify_samples", 1, "the convexity verdict needs a sample")
     surface = hypersurface.load_surface(args.snapshot)
-    base_point = None
-    if args.base_point is not None:
-        try:
-            coords = [_finite_float(tok) for tok in args.base_point.split()]
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"--base-point {args.base_point!r}: {exc}") from exc
-        if not coords:
-            raise UsageError(f"--base-point needs {_BASE_POINT_FORMS}")
-        base_point = coords[0] if len(coords) == 1 else coords
-    geom = hypersurface.extract_geometry(surface, base_point=base_point, grid_size=args.grid)
+    geom = hypersurface.extract_geometry(surface, grid_size=args.grid)
     f = curvfun.parse_curvature_function(args.f, geom.dim)
     mon = flow.monitors(geom, f)
     report = mon.soliton
@@ -223,6 +222,7 @@ def _cmd_soliton_fit(args, out_dir):
         "format_version": CONFIG_FORMAT_VERSION,
         "kind": "soliton_fit_report",
         "tau_fit": report.tau_fit,
+        "center": list(report.center),
         "rms_residual": report.rms_residual,
         "relative_residual": report.relative_residual,
         "max_residual": report.max_residual,
@@ -247,7 +247,6 @@ def _cmd_soliton_fit(args, out_dir):
 # the command table: parser, config allowlist and key order, defaults, dispatch
 
 _REQUIRED = object()     # the default of an option that must be given
-_BASE_POINT_FORMS = "'x' on the axis for rotation surfaces, 'x y' for curves"
 
 
 def _finite_float(text):
@@ -263,7 +262,6 @@ class _Option(NamedTuple):
     type: object        # converts the text of a flag or config value: int, str or _finite_float
     default: object = None
     choices: tuple | None = None
-    help: str | None = None
 
 
 class _Command(NamedTuple):
@@ -311,8 +309,6 @@ _COMMANDS = {
         _Option("grid", int, 256),
         _Option("classify_samples", int, 200),
         _Option("json", str, "soliton_fit.json"),
-        _Option("base_point", str,
-                help=f"override the support base point: {_BASE_POINT_FORMS}"),
     )),
 }
 
@@ -376,7 +372,7 @@ def _build_parser():
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for opt in command.options:
-            p.add_argument(_flag(opt.key), type=opt.type, choices=opt.choices, help=opt.help)
+            p.add_argument(_flag(opt.key), type=opt.type, choices=opt.choices)
     return parser
 
 

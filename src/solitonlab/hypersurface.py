@@ -16,7 +16,8 @@ assume the parametrization speed is symmetric about the poles, which holds
 for uniform-arclength grids and for trigonometric meridians.
 
 Normals are inward everywhere, so convex surfaces have positive principal
-curvatures and negative support values about interior base points.
+curvatures.  The support value Z = <X, nu> is taken about the origin, negative
+when the origin lies inside; `soliton.fit_tau` solves for the centre itself.
 
 One grid-fields layer serves both grid kinds.  `_grid_fields`, the only dispatch
 on surface kind for grid operations, takes a `PlaneCurve`, a `RevolutionProfile` or
@@ -32,7 +33,6 @@ uniform polygon arclength by a local degree-7 interpolant, with no system to sol
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,8 +82,8 @@ class PlaneCurve:
     def grid_size(self):
         return self.points.shape[0]
 
-    def geometry(self, base_point=None):
-        return curve_geometry(self, base_point)
+    def geometry(self):
+        return curve_geometry(self)
 
     def moved(self, displacement):
         """The curve with sample i displaced by row i of `displacement` (M, 2)."""
@@ -149,8 +149,8 @@ class RevolutionProfile:
     def grid_size(self):
         return self.profile.shape[0]
 
-    def geometry(self, base_point=None):
-        return revolution_geometry(self, base_point)
+    def geometry(self):
+        return revolution_geometry(self)
 
     def moved(self, displacement):
         """The profile moved by the meridian columns of `displacement` (M, 3).
@@ -356,7 +356,7 @@ class ShapeData:
     position: np.ndarray     # (M, n+1) or, on the hyperboloid, (M, n+2)
     normal: np.ndarray       # inward unit normals, shaped as `position`
     lam: np.ndarray          # (M, n) principal curvatures in the grid's frame order
-    support: np.ndarray      # (M,) support value about the base point
+    support: np.ndarray      # (M,) support value <X, nu> about the origin
     weights: np.ndarray      # (M,) measure weights (arclength / area elements)
 
     # the row sums add whole columns: numpy's axis-1 reduction costs ~5x more at n <= 2
@@ -402,8 +402,6 @@ class _GridFields:
     w: np.ndarray            # speed |vel|
     nu: np.ndarray           # (M, 2) inward planar normal
     lam: np.ndarray          # (M, n) principal curvatures in frame order
-    base: np.ndarray         # (2,) base point in the plane of the samples
-    support: np.ndarray      # Z = <xy - base, nu>
 
     def d1(self, f):
         if self.dim == 1:
@@ -414,6 +412,11 @@ class _GridFields:
         if self.dim == 1:
             return _fd.periodic_d2(f, self.du)
         return _fd.reflected_d2(f, self.du)
+
+    @cached_property
+    def support(self):
+        """Z = <xy, nu>, the support value about the origin."""
+        return self.xy[:, 0] * self.nu[:, 0] + self.xy[:, 1] * self.nu[:, 1]
 
     @cached_property
     def G(self):
@@ -451,7 +454,7 @@ def _turning_frame(vel, tangent_d1, orient, what):
     return w2, w, normal, orient * (tx * dty - ty * dtx) / w
 
 
-def _curve_fields(curve, base_point=None):
+def _curve_fields(curve):
     pts = curve.points
     h = 2.0 * np.pi / pts.shape[0]
     vel = _fd.periodic_d1(pts, h)
@@ -474,20 +477,10 @@ def _curve_fields(curve, base_point=None):
     if abs(turning_number - 1.0) > 1e-6:
         raise GeometryError(f"curve is not simple: turning number {turning_number:.6f} != 1")
 
-    base = np.zeros(2) if base_point is None else np.asarray(base_point, dtype=float)
-    if base.shape != (2,):
-        raise GeometryError(f"a plane curve's base point is a pair (x, y), got {base_point!r}")
-    # offsets by columns: an (M, 2) - (2,) broadcast costs ~2.5x more at M = 1024
-    rx, ry = x - base[0], y - base[1]
-    rho = np.sqrt(rx * rx + ry * ry)
-    tol = 1e-12 * max(1.0, float(np.abs(pts).max()))
-    if not rho.min() >= tol and (rho < tol).any():
-        raise GeometryError("base point lies on the curve; radial direction undefined")
-    return _GridFields(1, h, pts, vel, w2, w, normal, k[:, None], base,
-                       rx * normal[:, 0] + ry * normal[:, 1])
+    return _GridFields(1, h, pts, vel, w2, w, normal, k[:, None])
 
 
-def _profile_fields(profile, base_point=None):
+def _profile_fields(profile):
     prof = profile.profile
     m = prof.shape[0]
     du = 1.0 / (m - 1)
@@ -520,14 +513,14 @@ def _profile_fields(profile, base_point=None):
     lam[:, 0] = lam_m
     lam[1:-1, 1] = -nu[1:-1, 1] / y[1:-1]
     lam[[0, -1], 1] = lam_m[[0, -1]]          # regular pole limit
-    fields = _meridian_grid(du, prof, vel, w2, w, nu, lam, base_point)
+    fields = _GridFields(2, du, prof, vel, w2, w, nu, lam)
     bad = _first_nonpositive(lam)
     if bad is not None:
         raise NonConvexSurfaceError("rotation surface is not convex", bad)
     return fields
 
 
-def _spheroid_fields(equatorial, polar, grid_size, base_point=None):
+def _spheroid_fields(equatorial, polar, grid_size):
     a, c = float(equatorial), float(polar)
     m = int(grid_size)
     if m < 16:
@@ -538,26 +531,16 @@ def _spheroid_fields(equatorial, polar, grid_size, base_point=None):
     w = np.sqrt(xp * xp + yp * yp)
     nu = np.column_stack([yp, -xp]) / w[:, None]
     lam = np.column_stack([a * c / w ** 3, c / (a * w)])
-    return _meridian_grid(float(u[1] - u[0]), np.array([-c * cos, a * sin]).T,
-                          np.array([xp, yp]).T, w * w, w, nu, lam, base_point)
+    return _GridFields(2, float(u[1] - u[0]), np.array([-c * cos, a * sin]).T,
+                       np.array([xp, yp]).T, w * w, w, nu, lam)
 
 
-def _meridian_grid(du, xy, vel, E, w, nu, lam, base_point):
-    """Fields of a meridian grid; the base point is its x on the axis, 0 by default."""
-    if base_point is not None and not isinstance(base_point, numbers.Real):
-        raise GeometryError(f"a rotation surface's base point is one real number (its x "
-                            f"on the axis), got {base_point!r}")
-    bx = float(base_point or 0.0)
-    support = (xy[:, 0] - bx) * nu[:, 0] + xy[:, 1] * nu[:, 1]
-    return _GridFields(2, du, xy, vel, E, w, nu, lam, np.array([bx, 0.0]), support)
-
-
-def _grid_fields(surface, grid_size=None, base_point=None):
+def _grid_fields(surface, grid_size=None):
     """The grid fields of `surface`: the one dispatch on its kind for grid operations."""
     if isinstance(surface, PlaneCurve):
-        return _curve_fields(surface, base_point)
+        return _curve_fields(surface)
     if isinstance(surface, RevolutionProfile):
-        return _profile_fields(surface, base_point)
+        return _profile_fields(surface)
     if isinstance(surface, Ellipsoid):
         a, b, c = surface.semi_axes
         if not abs(a - b) <= 1e-14 * max(a, b):   # relative: a dilation keeps the verdict
@@ -566,19 +549,18 @@ def _grid_fields(surface, grid_size=None, base_point=None):
                                 "evaluated pointwise with ellipsoid_geometry")
         if grid_size is None:
             raise GeometryError("analytic ellipsoid grid operations need grid_size")
-        return _spheroid_fields(a, c, grid_size, base_point)
+        return _spheroid_fields(a, c, grid_size)
     raise GeometryError(f"unsupported surface type {type(surface).__name__} for grid operations")
 
 
-def curve_geometry(curve, base_point=None):
+def curve_geometry(curve):
     """Extract `ShapeData` from a closed convex plane curve.
 
     Tangent, normal, and curvature come from 4th-order periodic differences;
     the normal is oriented inward and the signed curvature is positive for
-    convex curves.  The support value uses the origin unless `base_point`, a
-    pair (x, y), overrides it.
+    convex curves.
     """
-    f = _curve_fields(curve, base_point)
+    f = _curve_fields(curve)
     return ShapeData(dim=1, position=f.xy.copy(), normal=f.nu, lam=f.lam,
                      support=f.support, weights=f.w * f.du)
 
@@ -594,15 +576,14 @@ def _meridian_shape_data(f):
                      weights=weights)
 
 
-def revolution_geometry(profile, base_point=None):
+def revolution_geometry(profile):
     """Extract `ShapeData` along the meridian of a convex rotation surface.
 
     The meridian principal curvature is the signed profile curvature; the
     parallel one comes from the normal's axial tilt, with the regular limit
-    (equal to the meridian value) at the two poles.  `base_point`, when given,
-    must lie on the rotation axis (a single x-coordinate).
+    (equal to the meridian value) at the two poles.
     """
-    return _meridian_shape_data(_profile_fields(profile, base_point))
+    return _meridian_shape_data(_profile_fields(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -704,21 +685,21 @@ def codazzi_residual(surface, grid_size=None):
     return float(np.abs(_nabla_h_terms(f)[1] - nab_p_sp).max())
 
 
-def support_hessian_residual(surface, grid_size=None, base_point=None):
+def support_hessian_residual(surface, grid_size=None):
     """Max defect of the support-value Hessian identity (flat ambient).
 
     Checks nabla_i nabla_j Z = -h_ij - <X^T, nabla h_ij> - Z (A^2)_ij
     pointwise on the grid, with the left side as in `covariant_hessian` and
-    nabla h from 4th-order differences.  The base point must be strictly
-    inside the surface.
+    nabla h from 4th-order differences.  The origin must be strictly inside
+    the surface.
     """
-    f = _grid_fields(surface, grid_size, base_point)
+    f = _grid_fields(surface, grid_size)
     z = f.support
     if np.any(z >= 0.0):
-        raise GeometryError("support_hessian_residual: base point is not strictly inside the "
+        raise GeometryError("support_hessian_residual: the origin is not strictly inside the "
                             "surface (support values must be negative with inward normals)")
-    (x, y), (xp, yp), (bx, by) = f.xy.T, f.vel.T, f.base
-    radial = ((x - bx) * xp + (y - by) * yp) / f.E      # (X^T)^s
+    (x, y), (xp, yp) = f.xy.T, f.vel.T
+    radial = (x * xp + y * yp) / f.E      # (X^T)^s
     metric = (f.E, f.G) if f.dim == 2 else (f.E,)
     terms = zip(_hessian_terms(f, z), _nabla_h_terms(f), f.lam.T, metric)
     res = [hess + lam * g + radial * nab_h + z * lam ** 2 * g for hess, nab_h, lam, g in terms]
@@ -785,8 +766,8 @@ def load_surface(path):
         return surface_from_document(json.load(fh))
 
 
-def extract_geometry(surface, base_point=None, grid_size=256):
+def extract_geometry(surface, grid_size=256):
     """Dispatch geometry extraction for any surface snapshot."""
     if isinstance(surface, (PlaneCurve, RevolutionProfile)):
-        return surface.geometry(base_point)
-    return _meridian_shape_data(_grid_fields(surface, grid_size, base_point))
+        return surface.geometry()
+    return _meridian_shape_data(_grid_fields(surface, grid_size))

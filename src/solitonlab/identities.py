@@ -319,12 +319,15 @@ def _soliton_checks(rows, rng):
         err.append(abs(q) / (2.0 * t * t + abs(m - 1.0) * (t + 1.0)))
     rows.append(("threshold_root_check_low", float(np.max(err)), 1e-12))
 
-    geom = hypersurface.curve_geometry(hypersurface.ellipse(2.0, 1.0, 256))
+    # the joint fit's normal equations, on an ellipse off the origin
+    moved = hypersurface.PlaneCurve(hypersurface.ellipse(2.0, 1.0, 256).points + [0.3, -0.2])
+    geom = hypersurface.curve_geometry(moved)
     report = soliton.fit_tau(geom, curvfun.MeanCurvature(1))
-    res = geom.mean + report.tau_fit * geom.support
-    normal_eq = abs(float(geom.weights @ (geom.support * res)))
-    rows.append(("fit_tau_normal_equation", normal_eq / max(1.0, float(
-        geom.weights @ (geom.support ** 2))), 1e-10))
+    z = geom.support - geom.normal @ report.center      # the support about the fitted centre
+    res = geom.mean + report.tau_fit * z
+    normal_eq = np.abs((geom.weights * res) @ np.column_stack((z, geom.normal))).max()
+    rows.append(("fit_tau_normal_equation", float(normal_eq / max(1.0, geom.weights @ z ** 2)),
+                 1e-10))
 
     sphere_geom = hypersurface.revolution_geometry(hypersurface.sphere_profile(1.4142135623730951, 256))
     rep = soliton.fit_tau(sphere_geom, curvfun.MeanCurvature(2))

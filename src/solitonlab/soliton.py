@@ -6,9 +6,9 @@ function, with the closed-form constant
     tau = f(1, ..., 1) * chc(R)^m / shc(R)^(m+1)
 
 (inward normals: every principal curvature is chc(R)/shc(R) and the support
-value is -shc(R)).  For general sampled surfaces, `fit_tau` finds the
-measure-weighted least-squares tau and reports residual statistics, and the
-admissibility calculator evaluates which branch of the umbilical-sphere
+value is -shc(R)).  For sampled flat grid surfaces, `fit_tau` finds the
+measure-weighted least-squares tau and centre and reports residual statistics,
+and the admissibility calculator evaluates which branch of the umbilical-sphere
 classification covers a given degree, convexity class, and pinching ratio.
 """
 
@@ -16,19 +16,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .spaceform import chc, shc, require_nonpositive_curvature
 
 
 @dataclass(frozen=True)
 class SolitonReport:
-    """Least-squares fit of tau and residual statistics of F + tau * Z."""
+    """Least-squares fit of tau and the centre, and residual statistics of F + tau * Z."""
 
     tau_fit: float
     rms_residual: float
     relative_residual: float    # rms(F + tau Z) / rms(F)
     max_residual: float
     sample_count: int
+    center: tuple               # Z's centre: (x, y) on a curve, (x,) on a rotation axis
 
 
 @dataclass(frozen=True)
@@ -119,23 +121,35 @@ def residual_field(samples, f, tau):
 
 
 def fit_tau(samples, f, values=None):
-    """Measure-weighted least-squares tau minimizing sum w (F + tau Z)^2.
+    """Measure-weighted least squares in (tau, b) of F + tau Z0 + <b, nu> = 0.
 
+    Z0 - <x0, nu> is the support about a centre x0, so tau and x0 = -b / tau solve one
+    linear system, unchanged by translations: b is in the plane on a curve, and on the
+    axis of a rotation surface.  For the flat grid samples of `hypersurface` only;
     `values`, when given, are F at `samples.lam`, already evaluated.
     """
     values, support, weights = _samples_arrays(samples, f, values)
-    denom = float(weights @ (support * support))
-    if denom <= 0.0:
-        raise ValueError("degenerate support: sum w Z^2 vanishes, tau is not identifiable")
-    tau = -float(weights @ (values * support)) / denom
-    res = values + tau * support
+    axes = samples.normal[:, :2 if samples.dim == 1 else 1].T
+    cols = np.empty((len(axes) + 1, support.size))      # the centre's free axes, then Z0
+    cols[:-1], cols[-1] = axes, support
+    wcols = cols * weights
+    gram = wcols @ cols.T
+    # gram = U^T U: U[-1, -1]^2 is sum w Z0^2 with Z0 projected off the normals' span
+    factor, solution, info = dposv(gram, wcols @ values)
+    if info != 0 or not factor[-1, -1] ** 2 > 1e-12 * gram[-1, -1]:
+        raise ValueError("degenerate support: sum w Z^2 off the normals vanishes, "
+                         "tau is not identifiable")
+    coef = -solution
+    tau = float(coef[-1])
+    res = values + coef @ cols
     total_w = float(weights.sum())
     rms = math.sqrt(float(weights @ (res * res)) / total_w)
     rms_f = math.sqrt(float(weights @ (values * values)) / total_w)
     relative = rms / rms_f if rms_f > 0.0 else (0.0 if rms == 0.0 else math.inf)
+    center = tuple((-coef[:-1] / tau).tolist()) if tau else (math.nan,) * (coef.size - 1)
     return SolitonReport(
         tau_fit=tau, rms_residual=rms, relative_residual=relative,
-        max_residual=float(np.abs(res).max()), sample_count=int(values.shape[0]),
+        max_residual=float(np.abs(res).max()), sample_count=int(values.shape[0]), center=center,
     )
 
 

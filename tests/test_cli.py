@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from solitonlab import cli, hypersurface, identities
@@ -469,7 +470,7 @@ def test_soliton_fit_report_fields(tmp_path):
                  "--f", "H"])
     assert code == 0
     doc = json.loads((tmp_path / "soliton_fit.json").read_text())
-    for key in ("tau_fit", "rms_residual", "relative_residual", "max_residual",
+    for key in ("tau_fit", "center", "rms_residual", "relative_residual", "max_residual",
                 "admissible", "covered_by", "threshold_2iii"):
         assert key in doc
     assert doc["tau_fit"] == pytest.approx(1.0, abs=1e-6)
@@ -511,17 +512,59 @@ def test_grid_below_16_is_refused_whatever_the_surface(tmp_path, capsys, case, g
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_soliton_fit_base_point_override(tmp_path):
+def test_soliton_fit_reports_the_centre_of_a_moved_snapshot(tmp_path):
+    docs = {}
+    for name, shift in (("centred", 0.0), ("shifted", 0.3)):
+        snap = tmp_path / f"{name}.json"
+        profile = hypersurface.spheroid_profile(1.0, 1.3, 128).profile + np.array([shift, 0.0])
+        hypersurface.save_surface(hypersurface.RevolutionProfile(profile), snap)
+        assert main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
+                     "--f", "H", "--json", f"{name}.fit.json"]) == 0
+        docs[name] = json.loads((tmp_path / f"{name}.fit.json").read_text())
+    assert docs["shifted"]["center"] == pytest.approx([0.3], abs=1e-12)
+    assert abs(docs["centred"]["center"][0]) < 1e-12
+    for key in ("tau_fit", "relative_residual"):
+        assert docs["shifted"][key] == pytest.approx(docs["centred"][key], rel=1e-10)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sphere-check", "--f", "H", "--R", "1", "--samples", "-3"], "--samples -3 is below 16"),
+    (["sphere-check", "--f", "H", "--R", "1", "--samples", "5"], "--samples 5 is below 16"),
+    (["sphere-check", "--f", "H", "--R", "1", "--c", "1", "--samples", "0"],
+     "--samples 0 is below 16"),
+    (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "-1"],
+     "--classify-samples -1 is below 1"),
+    (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "0"],
+     "--classify-samples 0 is below 1"),
+], ids=["samples-negative", "samples-5", "samples-0-positive-c", "classify-negative",
+        "classify-0"])
+def test_a_count_below_its_floor_is_refused_by_its_flag(tmp_path, capsys, argv, message):
     snap = tmp_path / "sphere.json"
-    hypersurface.save_surface(hypersurface.sphere_profile(1.0, 128), snap)
-    assert main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
-                 "--f", "H", "--base-point", "0.3", "--json", "shifted.json"]) == 0
-    shifted = json.loads((tmp_path / "shifted.json").read_text())
-    centered = main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
-                     "--f", "H", "--json", "centered.json"])
-    assert centered == 0
-    centered_doc = json.loads((tmp_path / "centered.json").read_text())
-    assert shifted["relative_residual"] > centered_doc["relative_residual"]
+    hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), snap)
+    out = tmp_path / "out"
+    argv = ["--allow-positive-c", "--out", str(out)] + [arg.format(snap=snap) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not any(out.iterdir())
+
+
+def test_flow_summary_prints_the_grid_of_a_profile_surface(tmp_path, capsys):
+    # a profile surface keeps its own grid; --grid (256 by default) is not read
+    snap = tmp_path / "curve.json"
+    hypersurface.save_surface(hypersurface.ellipse(2.0, 1.0, 64), snap)
+    assert main(["--out", str(tmp_path), "flow", "--surface", f"profile {snap}",
+                 "--f", "H", "--t-max", "0.001"]) == 0
+    assert " grid=64\n" in capsys.readouterr().out
+
+
+def test_a_base_point_config_key_is_refused(tmp_path, capsys):
+    config = tmp_path / "fit.ini"
+    config.write_text("[config]\nformat_version: 1\n\n[soliton-fit]\nbase_point: 0.3\n")
+    assert main(["--config", str(config), "--out", str(tmp_path), "soliton-fit",
+                 "--snapshot", "x.json", "--f", "H"]) == 2
+    assert "unknown keys in [soliton-fit]: base_point" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -582,24 +625,6 @@ def test_config_rejections(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(bad_key)
     assert main(["--config", str(path), "--out", str(tmp_path), "flow"]) == 2
-
-
-def test_soliton_fit_base_point_misuse_is_usage_error(tmp_path, capsys):
-    curve, rotation = tmp_path / "curve.json", tmp_path / "rotation.json"
-    hypersurface.save_surface(hypersurface.ellipse(2.0, 1.0, 64), curve)
-    hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), rotation)
-    cases = ((curve, "0.3", "pair (x, y)"), (rotation, "0.3 0.1", "one real number"),
-             (curve, "", "--base-point needs"), (rotation, " ", "--base-point needs"),
-             (curve, "0 nan", "--base-point '0 nan': 'nan' is not a finite number"),
-             (rotation, "nan", "--base-point 'nan': 'nan' is not a finite number"),
-             (rotation, "1e400", "--base-point '1e400': '1e400' is not a finite number"),
-             (curve, "0 x", "--base-point '0 x'"))
-    for snap, spec, message in cases:
-        code = main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
-                     "--f", "H", "--base-point", spec])
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "soliton_fit.json").exists()
 
 
 # ---------------------------------------------------------------------------

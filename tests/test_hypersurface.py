@@ -16,6 +16,7 @@ from solitonlab.hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceE
                                      sphere_profile, spheroid_profile,
                                      support_hessian_residual,
                                      surface_from_document, surface_to_document)
+from solitonlab.soliton import fit_tau
 
 
 def ellipse_curvature(a, b, th):
@@ -105,21 +106,31 @@ def test_nonconvex_meridian_names_its_first_offending_sample(m, index):
                                f"(first offending sample index {index})")
 
 
-_ON_CURVE = "base point lies on the curve; radial direction undefined"
-
-
-@pytest.mark.parametrize("points,base_point,message", [
-    (np.zeros((32, 2)), None, "degenerate parametrization (zero speed)"),
-    (circle(1.0, 64).points, (1.0, 0.0), _ON_CURVE),
-    (circle(3.0, 64).points, tuple(circle(3.0, 64).points[17]), _ON_CURVE),
+@pytest.mark.parametrize("points,message", [
+    (np.zeros((32, 2)), "degenerate parametrization (zero speed)"),
     (np.column_stack([np.cos(4.0 * np.pi * np.arange(64) / 64),
-                      np.sin(4.0 * np.pi * np.arange(64) / 64)]), None,
+                      np.sin(4.0 * np.pi * np.arange(64) / 64)]),
      "curve is not simple: turning number 2.000000 != 1"),
-], ids=["zero-speed", "base-on-curve", "base-on-sample-17", "doubly-wound"])
-def test_curve_refusals_keep_their_messages(points, base_point, message):
+], ids=["zero-speed", "doubly-wound"])
+def test_curve_refusals_keep_their_messages(points, message):
     with pytest.raises(GeometryError) as info:
-        curve_geometry(PlaneCurve(points), base_point)
+        curve_geometry(PlaneCurve(points))
     assert type(info.value) is GeometryError and str(info.value) == message
+
+
+@pytest.mark.parametrize("through", [0, 17], ids=["sample-0", "sample-17"])
+def test_circle_through_the_origin_extracts_and_fits_like_the_centred_one(through):
+    # nothing in flat space reads a direction from the origin: the origin may lie on the curve
+    centred = circle(3.0, 64)
+    moved = PlaneCurve(centred.points - centred.points[through])
+    geom, geom_moved = curve_geometry(centred), curve_geometry(moved)
+    H1 = curvfun.MeanCurvature(1)
+    assert geom_moved.support[through] == 0.0
+    assert np.abs(geom_moved.lam - geom.lam).max() < 1e-12
+    fit, fit_moved = fit_tau(geom, H1), fit_tau(geom_moved, H1)
+    assert fit_moved.tau_fit == pytest.approx(fit.tau_fit, rel=1e-12)
+    assert fit_moved.relative_residual < 1e-12
+    assert np.allclose(fit_moved.center, -centred.points[through], rtol=0.0, atol=1e-12)
 
 
 def test_curve_validation():
@@ -129,8 +140,8 @@ def test_curve_validation():
         PlaneCurve(np.full((32, 2), np.nan))
 
 
-def test_base_point_override():
-    geom = curve_geometry(circle(1.0, 128), base_point=(0.5, 0.0))
+def test_translated_circle_support_is_about_the_origin():
+    geom = curve_geometry(PlaneCurve(circle(1.0, 128).points - np.array([0.5, 0.0])))
     th = 2.0 * np.pi * np.arange(128) / 128
     expected = -(1.0 - 0.5 * np.cos(th))
     assert np.abs(geom.support - expected).max() < 1e-10
@@ -418,31 +429,9 @@ def test_support_hessian_ellipse_converges():
 
 
 def test_support_hessian_base_outside_rejected():
-    with pytest.raises(GeometryError, match="inside"):
-        support_hessian_residual(circle(1.0, 128), base_point=(5.0, 0.0))
-
-
-def test_curve_base_point_must_be_a_pair():
-    curve = ellipse(2.0, 1.0, 64)
-    assert curve_geometry(curve, base_point=(0.3, 0.1)).support.shape == (64,)
-    for bad in (0.3, [0.3], (0.3, 0.1, 0.0), [], [[0.3, 0.1]]):
-        with pytest.raises(GeometryError, match=r"pair \(x, y\)"):
-            curve_geometry(curve, base_point=bad)
-        with pytest.raises(GeometryError, match=r"pair \(x, y\)"):
-            support_hessian_residual(curve, base_point=bad)
-
-
-def test_rotation_base_point_must_be_one_number():
-    profile = spheroid_profile(1.0, 1.3, 64)
-    shifted = revolution_geometry(profile, base_point=np.float64(0.1))
-    assert np.array_equal(shifted.support, revolution_geometry(profile, base_point=0.1).support)
-    for bad in ((0.3, 0.1), [0.3], np.array(0.3), "0.3", 1j):
-        with pytest.raises(GeometryError, match="one real number"):
-            revolution_geometry(profile, base_point=bad)
-        with pytest.raises(GeometryError, match="one real number"):
-            extract_geometry(Ellipsoid((1.0, 1.0, 1.3)), base_point=bad, grid_size=64)
-        with pytest.raises(GeometryError, match="one real number"):
-            support_hessian_residual(profile, base_point=bad)
+    moved = PlaneCurve(circle(1.0, 128).points - np.array([5.0, 0.0]))
+    with pytest.raises(GeometryError, match="the origin is not strictly inside"):
+        support_hessian_residual(moved)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,7 @@ def test_fit_tau_ellipse_regression():
     assert rep.relative_residual > 0.1
     assert rep.relative_residual == pytest.approx(0.424388414233, rel=1e-6)
     assert rep.tau_fit == pytest.approx(0.561579772133, rel=1e-6)
+    assert np.abs(rep.center).max() < 1e-12       # the centred ellipse is its own centre
     # normal equation of the weighted least squares
     res = geom.mean + rep.tau_fit * geom.support
     normal_eq = abs(float(geom.weights @ (geom.support * res)))
@@ -213,15 +214,26 @@ class _FakeSamples:
     lam: np.ndarray
     support: np.ndarray
     weights: np.ndarray
+    normal: np.ndarray
+    dim: int = 2
+
+
+def _axial_normals(m):
+    """Unit normals whose axis components vary, as on a closed rotation surface."""
+    angle = np.linspace(0.0, np.pi, m)
+    return np.column_stack([np.cos(angle), -np.sin(angle), np.zeros(m)])
 
 
 def test_fit_tau_rejections():
     lam = np.full((8, 2), 1.0)
     with pytest.raises(ValueError, match="16"):
-        fit_tau(_FakeSamples(lam, -np.ones(8), np.ones(8)), MeanCurvature(2))
+        fit_tau(_FakeSamples(lam, -np.ones(8), np.ones(8), _axial_normals(8)), MeanCurvature(2))
     lam = np.full((32, 2), 1.0)
-    with pytest.raises(ValueError, match="degenerate support"):
-        fit_tau(_FakeSamples(lam, np.zeros(32), np.ones(32)), MeanCurvature(2))
+    normal = _axial_normals(32)
+    # Z vanishes, or lies along the normals' axis components: either way tau is not identifiable
+    for support in (np.zeros(32), 0.7 * normal[:, 0]):
+        with pytest.raises(ValueError, match="degenerate support"):
+            fit_tau(_FakeSamples(lam, support, np.ones(32), normal), MeanCurvature(2))
 
 
 # ---------------------------------------------------------------------------
