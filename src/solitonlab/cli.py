@@ -207,7 +207,8 @@ def _cmd_sweep_pinching(args, out_dir):
 
 def _cmd_soliton_fit(args, out_dir):
     _require_grid(args)
-    _require_at_least(args, "classify_samples", 1, "the convexity verdict needs a sample")
+    _require_at_least(args, "classify_samples", curvfun._CONVEXITY_MIN_SAMPLES,
+                      "fewer samples give no convexity verdict")
     surface = hypersurface.load_surface(args.snapshot)
     geom = hypersurface.extract_geometry(surface, grid_size=args.grid)
     f = curvfun.parse_curvature_function(args.f, geom.dim)

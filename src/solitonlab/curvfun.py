@@ -1,11 +1,15 @@
 """Symmetric curvature functions of principal curvatures.
 
 Every function here is a smooth symmetric ``f(lam_1, ..., lam_n)`` that is
-positively homogeneous of some exact degree ``m``.  Values, gradients, and
-Hessians are closed-form, and the induced matrix function ``F(A) = f(eig(A))``
-gets its first derivative and its second-order quadratic form through the
-eigenvalue calculus (divided differences of the gradient for off-diagonal
-directions, with the standard continuous extension at coincident eigenvalues).
+positively homogeneous of some exact nonzero degree ``m`` and elliptic
+(``df/dlam_i > 0``) on the positive cone, so each one is a speed of a parabolic
+flow ``dX/dt = F nu``.  The families a spec can name are one table,
+`_FAMILIES`, read by `parse_curvature_function` and listed by
+`builtin_functions`.  Values, gradients, and Hessians are closed-form, and the
+induced matrix function ``F(A) = f(eig(A))`` gets its first derivative and its
+second-order quadratic form through the eigenvalue calculus (divided
+differences of the gradient for off-diagonal directions, with the standard
+continuous extension at coincident eigenvalues).
 
 Supported dimensions are n in {1, 2, 3}.  Batch evaluation accepts arrays of
 shape (k, n) and is used heavily by the flow integrator.  The matrix calculus
@@ -17,6 +21,7 @@ eigen-decomposed once, so that many functions share that work.
 """
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -65,9 +70,6 @@ class CurvatureFunction:
     a `_domain_violation` hook returning a diagnostic string for the first
     offending row, or None.
     """
-
-    #: True when df/dlam_i > 0 holds throughout the positive cone.
-    elliptic_on_positive_cone = True
 
     def __init__(self, n):
         if n not in SUPPORTED_DIMS:
@@ -246,14 +248,15 @@ class Power(CurvatureFunction):
     def __init__(self, base, p):
         super().__init__(base.n)
         p = float(p)
-        if p == 0.0:
-            raise ValueError("power exponent must be nonzero")
-        if isinstance(base, AnisotropyRatio):
-            raise ValueError("anisotropy is not a valid power base (not positive)")
+        if p == 0.0 or not math.isfinite(p):
+            raise ValueError(f"power exponent must be finite and nonzero, got {p}")
         self.base = base
         self.p = p
         self.sign = -1.0 if p < 0 else 1.0
-        self.name = f"pow({base.name},{p:g})"
+        # the fewest significant digits, from :g's 6 up, that read back as p, so the name parses
+        # back to this function
+        digits = next(k for k in range(6, 18) if float(f"{p:.{k}g}") == p)
+        self.name = f"pow({base.name},{p:.{digits}g})"
         self.degree = p * base.degree
 
     def _domain_violation(self, arr):
@@ -277,91 +280,43 @@ class Power(CurvatureFunction):
         return self.sign * (term1 + term2)
 
 
-class AnisotropyRatio(CurvatureFunction):
-    """f = (2|A|^2 - H^2) / H^2 = ((lam1 - lam2) / (lam1 + lam2))^2, n = 2 only.
+# spec name -> constructor(n): every family a spec can name, and every BASE of pow(BASE,P)
+_FAMILIES = {
+    "H": MeanCurvature,
+    "K": GaussCurvature,
+    "sigma2": lambda n: ElementarySymmetric(n, 2),
+    "norm": EuclideanNorm,
+    "geomean": GeometricMean,
+}
 
-    Degree 0, vanishes exactly at umbilic points, and is not elliptic; it is
-    the quantity monitored along flows to measure distance from roundness.
+
+def builtin_functions(n):
+    """The canonical family list exercised by the identity suite: `_FAMILIES` and pow(H,-1).
+
+    sigma2 needs n >= 2.
     """
-
-    name = "anisotropy"
-    degree = 0.0
-    elliptic_on_positive_cone = False
-
-    def __init__(self, n=2):
-        if n != 2:
-            raise ValueError("anisotropy is defined for n=2 only")
-        super().__init__(2)
-
-    def _domain_violation(self, arr):
-        if np.any(arr.sum(axis=1) == 0.0):
-            return "requires lam1 + lam2 != 0 (vanishing trace)"
-        return None
-
-    def _value(self, arr):
-        s = arr.sum(axis=1)
-        d = arr[:, 0] - arr[:, 1]
-        return (d / s) ** 2
-
-    def _gradient(self, arr):
-        s = arr.sum(axis=1)
-        d = arr[:, 0] - arr[:, 1]
-        g1 = 4.0 * arr[:, 1] * d / s ** 3
-        g2 = -4.0 * arr[:, 0] * d / s ** 3
-        return np.stack([g1, g2], axis=1)
-
-    def _hessian(self, arr):
-        s = arr.sum(axis=1)
-        d = arr[:, 0] - arr[:, 1]
-        h11 = 2.0 / s ** 2 - 8.0 * d / s ** 3 + 6.0 * d ** 2 / s ** 4
-        h22 = 2.0 / s ** 2 + 8.0 * d / s ** 3 + 6.0 * d ** 2 / s ** 4
-        h12 = -2.0 / s ** 2 + 6.0 * d ** 2 / s ** 4
-        out = np.empty((arr.shape[0], 2, 2))
-        out[:, 0, 0] = h11
-        out[:, 1, 1] = h22
-        out[:, 0, 1] = out[:, 1, 0] = h12
-        return out
+    fams = [make(n) for name, make in _FAMILIES.items() if n >= 2 or name != "sigma2"]
+    return fams + [Power(MeanCurvature(n), -1.0)]
 
 
-def builtin_functions(n, include_anisotropy=True):
-    """The canonical family list exercised by the identity suite."""
-    fams = [MeanCurvature(n), GaussCurvature(n)]
-    if n >= 2:
-        fams.append(ElementarySymmetric(n, 2))
-    fams += [EuclideanNorm(n), GeometricMean(n), Power(MeanCurvature(n), -1.0)]
-    if n == 2 and include_anisotropy:
-        fams.append(AnisotropyRatio())
-    return fams
-
-
-_POW_RE = re.compile(r"^pow\((H|K|sigma2|norm|geomean),([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\)$")
+_POW_RE = re.compile(r"^pow\((\w+),([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\)$")
 
 
 def parse_curvature_function(spec, n):
     """Parse a curvature-function spec string (case-sensitive).
 
-    Grammar: ``H`` | ``K`` | ``sigma2`` | ``norm`` | ``geomean`` |
-    ``anisotropy`` | ``pow(BASE,P)`` with BASE one of the first five and P a
+    Grammar: ``NAME`` | ``pow(NAME,P)`` with NAME a key of `_FAMILIES` and P a
     nonzero real.  Negative powers are normalized with a leading minus sign
     (see `Power`).
     """
     spec = spec.strip()
-    simple = {
-        "H": lambda: MeanCurvature(n),
-        "K": lambda: GaussCurvature(n),
-        "sigma2": lambda: ElementarySymmetric(n, 2),
-        "norm": lambda: EuclideanNorm(n),
-        "geomean": lambda: GeometricMean(n),
-        "anisotropy": lambda: AnisotropyRatio(n),
-    }
-    if spec in simple:
-        return simple[spec]()
+    if spec in _FAMILIES:
+        return _FAMILIES[spec](n)
     m = _POW_RE.match(spec)
-    if m:
-        base = simple[m.group(1)]()
-        return Power(base, float(m.group(2)))
-    raise ValueError(f"unknown curvature function spec {spec!r}; expected H, K, sigma2, "
-                     f"norm, geomean, anisotropy, or pow(BASE,P)")
+    if m and m.group(1) in _FAMILIES:
+        return Power(_FAMILIES[m.group(1)](n), float(m.group(2)))
+    raise ValueError(f"unknown curvature function spec {spec!r}; expected "
+                     f"{', '.join(_FAMILIES)}, or pow(BASE,P) with BASE one of them")
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +518,6 @@ def pair_sign_gaps(f, g, lam):
     eigenvalues (and nonpositive with the roles swapped).  One (n,) row gives
     two floats; (k, n) rows give two (k,) arrays.
     """
-    if not (f.elliptic_on_positive_cone and g.elliptic_on_positive_cone):
-        raise ValueError("pair_sign_gaps requires two elliptic functions")
     if abs(f.degree - g.degree) > 1e-14:
         raise DegreeMismatchError(
             f"degree mismatch: {f.name} has degree {f.degree:g}, {g.name} has {g.degree:g}")

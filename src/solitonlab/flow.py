@@ -1,11 +1,13 @@
 """Linearly implicit integrator for the normal-speed curvature flow dX/dt = F * nu.
 
 The speed F is a symmetric curvature function of the principal curvatures and
-nu is the inward unit normal, so degree >= 1 families with positive F contract
-convex surfaces while the normalized negative-degree families (F < 0) expand
-them.  Each step is the 2-stage Rosenbrock method ROS2 (gamma = 1 + 1/sqrt(2);
-Verwer, Spee, Blom and Hundsdorfer, SIAM J. Sci. Comput. 20, 1999) in the
-normal displacement u along the normals of the current surface, u' = F:
+nu is the inward unit normal.  Every function of `curvfun` is elliptic on the
+positive cone, so the flow of a convex surface is parabolic: degree >= 1
+families with positive F contract it while the normalized negative-degree
+families (F < 0) expand it.  Each step is the 2-stage Rosenbrock method ROS2
+(gamma = 1 + 1/sqrt(2); Verwer, Spee, Blom and Hundsdorfer, SIAM J. Sci.
+Comput. 20, 1999) in the normal displacement u along the normals of the
+current surface, u' = F:
 
     W = I - gamma dt J,    k1 = W^-1 F(X),    k2 = W^-1 (F(X + dt k1 nu) - 2 k1),
     X_new = X + dt (3/2 k1 + 1/2 k2) nu,
@@ -91,9 +93,6 @@ class FlowConfig:
     rescale_mode: str = "none"        # none | fixed-scale
 
     def __post_init__(self):
-        if not self.f.elliptic_on_positive_cone:
-            raise ValueError(f"the flow speed must be elliptic (df/dlam_i > 0 on the positive "
-                             f"cone); f={self.f.name} is not")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
         if self.rescale_mode not in ("none", "fixed-scale"):

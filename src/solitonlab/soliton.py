@@ -56,8 +56,6 @@ def _sphere_tau(f, f_unit, radius, c):
     """`sphere_tau` with f(1, ..., 1) already evaluated as `f_unit`."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"sphere radius must be positive and finite (got radius={radius})")
-    if f_unit == 0.0:
-        raise ValueError(f"{f.name}(1,...,1) = 0: no nonzero tau exists for spheres")
     m = f.degree
     return f_unit * chc(c, radius) ** m / shc(c, radius) ** (m + 1.0)
 
@@ -191,6 +189,8 @@ def _coverage(n, m, label):
     2(i) m >= 1 and 2(ii) m < 0, each with convex or concave f; 2(iii) for n = 2
     at m = 1 or m in [-7, 0), and at m > 1 / m < -7 up to the returned threshold.
     """
+    if n < 1:
+        raise ValueError(f"hypersurface dimension n must be at least 1, got {n}")
     if m == 0.0:
         raise ValueError("degree m = 0 is outside the classification (m must be nonzero)")
     shaped = label in ("convex", "concave")

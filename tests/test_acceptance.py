@@ -109,7 +109,7 @@ def test_criterion_5_sphere_solitons():
     rng = np.random.default_rng(5)
     worst = 0.0
     for n in (1, 2, 3):
-        for f in builtin_functions(n, include_anisotropy=False):
+        for f in builtin_functions(n):
             for c in (0.0, -1.0):
                 tau = soliton.sphere_tau(f, 1.3, c)
                 sphere = spaceform.sample_geodesic_sphere(c, 1.3, n, 64)

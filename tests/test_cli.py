@@ -245,13 +245,11 @@ def test_flow_last_step_lands_on_t_max(tmp_path, capsys):
     assert snap["metadata"]["t_final"] == 1e9
 
 
-def test_flow_refuses_a_non_elliptic_speed(tmp_path, capsys):
-    # the dt denominator sum (dF/dlam) lam^2 of the anisotropy ratio is rounding noise on a
-    # sphere, so without the refusal the run takes a single step of the whole t_max
+def test_flow_refuses_an_unknown_speed_spec(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "flow", "--surface", "sphere 1", "--grid", "64",
                  "--f", "anisotropy", "--t-max", "0.1"])
     assert code == 2
-    assert "f=anisotropy is not" in capsys.readouterr().err
+    assert "unknown curvature function spec 'anisotropy'" in capsys.readouterr().err
     assert not (tmp_path / "flow_trace.csv").exists()
 
 
@@ -292,6 +290,16 @@ def test_sweep_pinching_count_below_one_is_usage_error(tmp_path, capsys, count):
     assert main(["--out", str(tmp_path), "sweep-pinching", "--m-start", "1",
                  "--m-stop", "2", "--count", count]) == 2
     assert "--count >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_pinching.csv").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sweep_pinching_dimension_below_one_is_usage_error(tmp_path, capsys, n):
+    assert main(["--out", str(tmp_path), "sweep-pinching", "--m-start", "1",
+                 "--m-stop", "2", "--count", "3", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dimension n must be at least 1, got {n}" in captured.err
     assert not (tmp_path / "sweep_pinching.csv").exists()
 
 
@@ -533,11 +541,13 @@ def test_soliton_fit_reports_the_centre_of_a_moved_snapshot(tmp_path):
     (["sphere-check", "--f", "H", "--R", "1", "--c", "1", "--samples", "0"],
      "--samples 0 is below 16"),
     (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "-1"],
-     "--classify-samples -1 is below 1"),
+     "--classify-samples -1 is below 10"),
     (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "0"],
-     "--classify-samples 0 is below 1"),
+     "--classify-samples 0 is below 10"),
+    (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "9"],
+     "--classify-samples 9 is below 10"),
 ], ids=["samples-negative", "samples-5", "samples-0-positive-c", "classify-negative",
-        "classify-0"])
+        "classify-0", "classify-9"])
 def test_a_count_below_its_floor_is_refused_by_its_flag(tmp_path, capsys, argv, message):
     snap = tmp_path / "sphere.json"
     hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), snap)
@@ -548,6 +558,15 @@ def test_a_count_below_its_floor_is_refused_by_its_flag(tmp_path, capsys, argv, 
     assert captured.out == ""
     assert message in captured.err
     assert not any(out.iterdir())
+
+
+def test_soliton_fit_gives_a_verdict_at_the_classify_samples_floor(tmp_path):
+    snap = tmp_path / "sphere.json"
+    hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), snap)
+    assert main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap), "--f", "H",
+                 "--classify-samples", "10"]) == 0
+    doc = json.loads((tmp_path / "soliton_fit.json").read_text())
+    assert doc["metadata"]["classification"] == "convex"
 
 
 def test_flow_summary_prints_the_grid_of_a_profile_surface(tmp_path, capsys):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from solitonlab import curvfun
-from solitonlab.curvfun import (AnisotropyRatio, DegreeMismatchError, DomainError,
-                                ElementarySymmetric, EuclideanNorm, GaussCurvature,
-                                GeometricMean, MeanCurvature, Power, builtin_functions,
+from solitonlab.curvfun import (DegreeMismatchError, DomainError, ElementarySymmetric,
+                                EuclideanNorm, GaussCurvature, GeometricMean,
+                                MeanCurvature, Power, builtin_functions,
                                 convexity_classify, euler_residuals,
                                 matrix_first_derivative, matrix_second_form,
                                 pair_sign_gaps, parse_curvature_function, symmetric_stack)
@@ -21,7 +21,6 @@ from conftest import fd_gradient, fd_hessian, random_rotation, random_spd
 def test_eval_examples():
     assert MeanCurvature(2).value([1.0, 1.0]) == 2.0
     assert GaussCurvature(2).value([2.0, 3.0]) == 6.0
-    assert AnisotropyRatio().value([1.0, 1.0]) == 0.0
 
 
 def test_grad_examples():
@@ -73,14 +72,6 @@ def test_batch_shapes():
     assert f.hessian(lam).shape == (2, 2, 2)
 
 
-def test_anisotropy_closed_form():
-    f = AnisotropyRatio()
-    lam = np.array([1.0, 2.0])
-    assert f.value(lam) == pytest.approx(1.0 / 9.0, rel=1e-14)
-    np.testing.assert_allclose(f.gradient(lam), fd_gradient(f, lam), atol=1e-9)
-    np.testing.assert_allclose(f.hessian(lam), fd_hessian(f, lam), atol=1e-7)
-
-
 # ---------------------------------------------------------------------------
 # domain handling
 
@@ -91,8 +82,6 @@ def test_domain_rejections():
         Power(MeanCurvature(2), -1.0).value([1.0, 0.0])
     with pytest.raises(DomainError):
         EuclideanNorm(2).value([0.0, 0.0])
-    with pytest.raises(DomainError, match="lam1 \\+ lam2"):
-        AnisotropyRatio().value([1.0, -1.0])
     with pytest.raises(DomainError, match="non-finite"):
         MeanCurvature(2).value([np.nan, 1.0])
 
@@ -101,11 +90,7 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         MeanCurvature(4)
     with pytest.raises(ValueError):
-        AnisotropyRatio(3)
-    with pytest.raises(ValueError):
         ElementarySymmetric(1, 2)
-    with pytest.raises(ValueError, match="anisotropy is not a valid power base"):
-        Power(AnisotropyRatio(), 2)
     with pytest.raises(ValueError):
         MeanCurvature(2).value([1.0, 2.0, 3.0])
 
@@ -119,21 +104,51 @@ def test_parse_grammar():
     assert parse_curvature_function("sigma2", 3).degree == 2.0
     assert parse_curvature_function("norm", 2).name == "norm"
     assert parse_curvature_function("geomean", 2).name == "geomean"
-    assert parse_curvature_function("anisotropy", 2).degree == 0.0
     p = parse_curvature_function("pow(H,-1)", 2)
     assert p.degree == -1.0
     assert parse_curvature_function("pow(K,0.5)", 2).degree == 1.0
 
 
 def test_parse_rejections():
-    with pytest.raises(ValueError, match="unknown curvature function"):
+    with pytest.raises(ValueError, match=r"expected H, K, sigma2, norm, geomean, or pow\("):
         parse_curvature_function("Q", 2)
     with pytest.raises(ValueError, match="unknown curvature function"):
         parse_curvature_function("h", 2)           # case-sensitive
-    with pytest.raises(ValueError, match="unknown curvature function"):
-        parse_curvature_function("pow(anisotropy,2)", 2)
-    with pytest.raises(ValueError):
+    for spec in ("anisotropy", "pow(anisotropy,2)", "pow(Q,2)"):
+        with pytest.raises(ValueError, match="unknown curvature function"):
+            parse_curvature_function(spec, 2)
+    with pytest.raises(ValueError, match="finite and nonzero"):
         parse_curvature_function("pow(H,0)", 2)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        parse_curvature_function("pow(H,1e999)", 2)
+
+
+def test_builtin_functions_keep_their_order_and_names():
+    names = ["H", "K", "sigma2", "norm", "geomean", "pow(H,-1)"]
+    assert [f.name for f in builtin_functions(1)] == [name for name in names if name != "sigma2"]
+    for n in (2, 3):
+        assert [f.name for f in builtin_functions(n)] == names
+
+
+# 0.3333333 and 0.33333333 were both named pow(H,0.333333), which reads back as neither
+_EXPONENTS = [1.0 / 3.0, 0.3333333, 0.33333333, 2.0, -1.0, 1e-5, 123456789.0]
+
+
+@pytest.mark.parametrize("p", _EXPONENTS)
+def test_power_names_read_back_as_their_exponent(p):
+    f = Power(MeanCurvature(2), p)
+    assert parse_curvature_function(f.name, 2).p == p
+
+
+def test_distinct_exponents_have_distinct_names():
+    assert len({Power(MeanCurvature(2), p).name for p in _EXPONENTS}) == len(_EXPONENTS)
+
+
+def test_power_names_keep_the_g_form_of_exact_exponents():
+    for p, text in ((-1.0, "-1"), (0.5, "0.5"), (2.0, "2"), (1e-5, "1e-05"), (1e6, "1e+06"),
+                    (0.3333333, "0.3333333")):
+        assert Power(GaussCurvature(2), p).name == f"pow(K,{text})"
+    assert Power(MeanCurvature(2), 1.0 / 3.0).name == "pow(H,0.3333333333333333)"
 
 
 def test_negative_power_normalization():
@@ -142,7 +157,6 @@ def test_negative_power_normalization():
     lam = np.array([1.0, 1.0])
     assert p.value(lam) == pytest.approx(-0.5)
     assert np.all(p.gradient(lam) > 0.0)
-    assert p.elliptic_on_positive_cone
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +300,6 @@ def test_pair_gaps_sign_property(rng):
 def test_pair_gaps_rejections():
     with pytest.raises(DegreeMismatchError):
         pair_sign_gaps(MeanCurvature(2), GaussCurvature(2), [1.0, 2.0])
-    with pytest.raises(ValueError, match="elliptic"):
-        pair_sign_gaps(AnisotropyRatio(), AnisotropyRatio(), [1.0, 2.0])
     with pytest.raises(DomainError, match="nonnegative"):
         pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [-1.0, 2.0])
 
@@ -320,7 +332,7 @@ def _classify_sets(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_classify_array_matches_list(n):
     labels = set()
-    for f in builtin_functions(n, include_anisotropy=False) + [Power(GaussCurvature(n), 0.3)]:
+    for f in builtin_functions(n) + [Power(GaussCurvature(n), 0.3)]:
         for samples in _classify_sets(n):
             verdict = convexity_classify(f, samples)
             assert verdict == convexity_classify(f, list(samples))
@@ -414,14 +426,11 @@ def test_euler_residuals_all_families(n, rng):
             assert r1 <= bound and r2 <= bound
 
 
-def test_ellipticity_flags(rng):
-    for n in (2, 3):
+def test_every_builtin_is_elliptic_on_the_positive_cone(rng):
+    for n in (1, 2, 3):
         for f in builtin_functions(n):
-            if not f.elliptic_on_positive_cone:
-                assert f.name == "anisotropy"
-                continue
             grads = f.gradient(rng.uniform(0.1, 4.0, (200, n)))
-            assert np.all(grads > 0.0)
+            assert np.all(grads > 0.0), f.name
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,6 @@ SUITE_ROWS = [
     ("pow(H,-1)_n2_basis_invariance", 1e-10),
     ("pow(H,-1)_n2_euler_first", 1e-10),
     ("pow(H,-1)_n2_euler_second", 1e-10),
-    ("anisotropy_n2_permutation_symmetry", 1e-14),
-    ("anisotropy_n2_homogeneity", 1e-12),
-    ("anisotropy_n2_gradient_fd", 1e-06),
-    ("anisotropy_n2_hessian_fd", 1e-06),
-    ("anisotropy_n2_second_form_fd", 1e-05),
-    ("anisotropy_n2_basis_invariance", 1e-10),
-    ("anisotropy_n2_euler_first", 1e-10),
-    ("anisotropy_n2_euler_second", 1e-10),
     ("H_n3_permutation_symmetry", 1e-14),
     ("H_n3_homogeneity", 1e-12),
     ("H_n3_gradient_fd", 1e-06),

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from solitonlab import curvfun, hypersurface, soliton, spaceform
-from solitonlab.curvfun import (AnisotropyRatio, CurvatureFunction, GaussCurvature,
-                                MeanCurvature, builtin_functions, parse_curvature_function)
+from solitonlab.curvfun import (CurvatureFunction, GaussCurvature, MeanCurvature,
+                                builtin_functions, parse_curvature_function)
 from solitonlab.soliton import (admissibility, fit_tau, pinching_quadratics,
                                 residual_field, solve_sphere_radius, sphere_tau,
                                 sweep_row, threshold_high, threshold_low)
@@ -37,8 +37,6 @@ def test_sphere_tau_hyperbolic():
 
 
 def test_sphere_tau_rejections():
-    with pytest.raises(ValueError, match="no nonzero tau"):
-        sphere_tau(AnisotropyRatio(), 1.0, 0.0)
     with pytest.raises(ValueError):
         sphere_tau(MeanCurvature(2), -1.0, 0.0)
     with pytest.raises(ValueError, match="<= 0"):
@@ -145,7 +143,7 @@ def test_solve_sphere_radius_diagnostics():
 
 def test_residual_field_sphere_families():
     for n in (1, 2, 3):
-        for f in builtin_functions(n, include_anisotropy=False):
+        for f in builtin_functions(n):
             for c in (0.0, -1.0):
                 tau = sphere_tau(f, 1.3, c)
                 sphere = spaceform.sample_geodesic_sphere(c, 1.3, n, 64)
@@ -288,12 +286,18 @@ def test_admissibility_threshold_presence_invariant():
 
 
 def test_admissibility_rejections():
-    with pytest.raises(ValueError, match="m must be nonzero"):
-        admissibility(2, AnisotropyRatio(), "neither", 1.5)
     with pytest.raises(ValueError, match="r_max"):
         admissibility(2, MeanCurvature(2), "convex", 0.5)
     with pytest.raises(ValueError, match="classification"):
         admissibility(2, MeanCurvature(2), "wobbly", 1.5)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_dimension_below_one_is_refused(n):
+    with pytest.raises(ValueError, match="dimension n must be at least 1"):
+        sweep_row(2.0, n=n)
+    with pytest.raises(ValueError, match="dimension n must be at least 1"):
+        admissibility(n, MeanCurvature(2), "convex", 1.5)
 
 
 def test_pinching_quadratics_anchors():
@@ -352,7 +356,7 @@ def test_sweep_row_branches():
     assert sweep_row(2.0, classification="convex")["branch"] == "unconditional"
     assert sweep_row(2.0, n=3)["branch"] == "uncovered"
     assert sweep_row(-9.0, n=3, classification="concave")["branch"] == "unconditional"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be nonzero"):
         sweep_row(0.0)
     with pytest.raises(ValueError, match="classification must be one of"):
         sweep_row(2.0, classification="wobbly")
