@@ -6,10 +6,9 @@ solution equation F + tau * Z = 0, and a linearly implicit flow integrator
 with pinching monitors.
 """
 
-from .curvfun import (ConvexityVerdict, CurvatureFunction, DegreeMismatchError,
-                      DomainError, ElementarySymmetric, EuclideanNorm, GaussCurvature,
-                      GeometricMean, MeanCurvature, Power, SymmetricStack,
-                      builtin_functions, convexity_classify, euler_residuals,
+from .curvfun import (CurvatureFunction, DegreeMismatchError, DomainError, ElementarySymmetric,
+                      EuclideanNorm, GaussCurvature, GeometricMean, MeanCurvature, Power,
+                      SymmetricStack, builtin_functions, convexity_classify, euler_residuals,
                       matrix_first_derivative, matrix_second_form, pair_sign_gaps,
                       parse_curvature_function, symmetric_stack)
 from .flow import FlowConfig, FlowMonitors, FlowTrace, StopRule, monitors, run, step

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import curvfun, flow, hypersurface, soliton, spaceform
+from .hypersurface import MIN_SAMPLES
 from .identities import identity_suite_checks  # called by this name, so it can be patched here
 
 CONFIG_FORMAT_VERSION = 1
@@ -68,20 +69,18 @@ def parse_config_text(text):
 # commands
 
 def _cmd_sphere_check(args, out_dir):
-    _require_at_least(args, "samples", 16, "F + tau Z is checked on at least 16 samples")
+    _require_at_least(args, "samples", MIN_SAMPLES,
+                      f"F + tau Z is checked on at least {MIN_SAMPLES} samples")
     f = curvfun.parse_curvature_function(args.f, args.n)
-    tau = soliton.sphere_tau(f, args.R, args.c, allow_positive_c=args.allow_positive_c)
+    tau = soliton.sphere_tau(f, args.R, args.c)
     print(f"sphere-check: f={f.name} n={args.n} R={args.R:g} c={args.c:g}")
     print(f"tau = {tau:.10g}")
-    if args.c > 0.0:
-        print("residual check skipped: positive ambient curvature is unlocked for "
-              "shc/chc and sphere_tau only")
-        return 0
     sphere = spaceform.sample_geodesic_sphere(args.c, args.R, args.n, args.samples, seed=args.seed)
-    residual = float(np.abs(soliton.residual_field(sphere, f, tau)).max())
+    values = f.value(sphere.lam)
+    residual = float(np.abs(values + tau * sphere.support).max() / max(1.0, np.abs(values).max()))
     tol = 1e-8
     ok = residual < tol
-    print(f"max |F + tau Z| over {args.samples} samples = {residual:.3e}")
+    print(f"max |F + tau Z| / max(1, max |F|) over {args.samples} samples = {residual:.3e}")
     print(f"result: {'pass' if ok else 'FAIL'} (tolerance {tol:.3g})")
     return 0 if ok else 1
 
@@ -138,9 +137,10 @@ def _require_at_least(args, key, least, why):
 
 
 def _require_grid(args):
-    """Refuse `--grid` below 16 whatever the surface; a `profile` surface and a curve
-    or rotation snapshot keep their own grid and do not read it."""
-    _require_at_least(args, "grid", 16, "a curve or meridian grid needs at least 16 samples")
+    """Refuse `--grid` below `MIN_SAMPLES` whatever the surface; a `profile` surface and a
+    curve or rotation snapshot keep their own grid and do not read it."""
+    _require_at_least(args, "grid", MIN_SAMPLES,
+                      f"a curve or meridian grid needs at least {MIN_SAMPLES} samples")
 
 
 def _cmd_flow(args, out_dir):
@@ -232,8 +232,7 @@ def _cmd_soliton_fit(args, out_dir):
         "threshold_2iii": verdict.threshold_2iii,
         "metadata": {"seed": args.seed, "f": f.name, "snapshot": str(args.snapshot),
                      "sample_count": report.sample_count,
-                     "classification": verdict.f_classification,
-                     "r_max_observed": verdict.r_max_observed},
+                     "classification": classification, "r_max_observed": mon.r_max},
     }
     path = out_dir / args.json
     path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -367,8 +366,6 @@ def _build_parser():
     parser.add_argument("--config", type=str, default=None, help="config file (INI)")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--allow-positive-c", action="store_true",
-                        help="unlock c > 0 for shc/chc and sphere_tau only")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)

@@ -452,30 +452,20 @@ def euler_residuals(f, a):
     return (float(r1[0]), float(r2[0])) if single else (r1, r2)
 
 
-@dataclass(frozen=True)
-class ConvexityVerdict:
-    """Sampled convexity classification of an eigenvalue function."""
-
-    label: str              # convex | concave | neither | indeterminate
-    is_convex: bool
-    is_concave: bool
-    samples_used: int
-
-
 def convexity_classify(f, samples):
-    """Classify f as convex/concave/neither from sampled second-order data.
+    """Label f "convex", "concave", "neither" or "indeterminate" from sampled data.
 
     `samples` holds eigenvalue rows: a (k, n) array or a list of (n,) rows.
     Convex requires, at every sample, a positive semidefinite eigenvalue
-    Hessian and nonnegative gradient divided differences (dually for concave).
-    Linear functions report both flags and the label "convex".
+    Hessian and nonnegative gradient divided differences (dually for concave);
+    a linear function, both, is "convex".  Fewer than `_CONVEXITY_MIN_SAMPLES`
+    rows, or for n > 1 no row with distinct eigenvalues, is "indeterminate".
     """
     lam = np.asarray(samples, dtype=float)
     if lam.size == 0:
         raise ValueError("convexity_classify: empty sample list")
     if lam.ndim != 2:
         raise ValueError(f"convexity_classify: expected (k, n) rows, got shape {lam.shape}")
-    k = lam.shape[0]
     hess = f.hessian(lam)
     eigs = np.linalg.eigvalsh(hess)
     eig_tol = _CONVEXITY_TOL * np.maximum(1.0, np.abs(hess).max(axis=(1, 2)))
@@ -490,10 +480,9 @@ def convexity_classify(f, samples):
     bound = _CONVEXITY_TOL * np.maximum(1.0, np.abs(dd))
     convex_ok = convex_ok and not np.any(dd < -bound)
     concave_ok = concave_ok and not np.any(dd > bound)
-    if k < _CONVEXITY_MIN_SAMPLES or (f.n > 1 and not distinct.any()):
-        return ConvexityVerdict("indeterminate", False, False, k)
-    label = "convex" if convex_ok else "concave" if concave_ok else "neither"
-    return ConvexityVerdict(label, convex_ok, concave_ok, k)
+    if lam.shape[0] < _CONVEXITY_MIN_SAMPLES or (f.n > 1 and not distinct.any()):
+        return "indeterminate"
+    return "convex" if convex_ok else "concave" if concave_ok else "neither"
 
 
 def _row_dot(a, b):

@@ -43,6 +43,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from . import _fd
 
 FORMAT_VERSION = 1
+MIN_SAMPLES = 16             # the fewest samples of a curve, a meridian grid or a residual check
 
 _POLE_MARGIN = 1e-3          # pointwise ellipsoid evaluation keeps away from poles
 _POLE_ANGLE_TOL = 1e-6       # profile must meet the axis orthogonally to this
@@ -72,8 +73,9 @@ class PlaneCurve:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 16:
-            raise GeometryError(f"curve needs at least 16 plane points, got {pts.shape}")
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < MIN_SAMPLES:
+            raise GeometryError(f"curve needs at least {MIN_SAMPLES} plane points, "
+                                f"got {pts.shape}")
         if not np.isfinite(pts).all():
             raise GeometryError("curve has non-finite coordinates")
         object.__setattr__(self, "points", pts)
@@ -129,8 +131,8 @@ class RevolutionProfile:
 
     def __post_init__(self):
         prof = np.asarray(self.profile, dtype=float)
-        if prof.ndim != 2 or prof.shape[1] != 2 or prof.shape[0] < 16:
-            raise GeometryError(f"profile needs at least 16 samples, got {prof.shape}")
+        if prof.ndim != 2 or prof.shape[1] != 2 or prof.shape[0] < MIN_SAMPLES:
+            raise GeometryError(f"profile needs at least {MIN_SAMPLES} samples, got {prof.shape}")
         if not np.isfinite(prof).all():
             raise GeometryError("profile has non-finite coordinates")
         scale = float(np.abs(prof).max())
@@ -523,8 +525,8 @@ def _profile_fields(profile):
 def _spheroid_fields(equatorial, polar, grid_size):
     a, c = float(equatorial), float(polar)
     m = int(grid_size)
-    if m < 16:
-        raise GeometryError("meridian grid needs at least 16 samples")
+    if m < MIN_SAMPLES:
+        raise GeometryError(f"meridian grid needs at least {MIN_SAMPLES} samples")
     u = np.linspace(0.0, np.pi, m)
     sin, cos = np.sin(u), np.cos(u)
     xp, yp = c * sin, a * cos

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv
 
+from .hypersurface import MIN_SAMPLES
 from .spaceform import chc, shc, require_nonpositive_curvature
 
 
@@ -37,18 +38,14 @@ class SolitonReport:
 class PinchingVerdict:
     """Which classification branches cover (n, m, convexity, pinching)."""
 
-    n: int
-    m: float
-    f_classification: str
-    r_max_observed: float
     covered_by: tuple           # subset of ("2(i)", "2(ii)", "2(iii)")
     threshold_2iii: float | None
     admissible: bool
 
 
-def sphere_tau(f, radius, c=0.0, allow_positive_c=False):
+def sphere_tau(f, radius, c=0.0):
     """The unique tau making the centered geodesic sphere of given radius a solution."""
-    require_nonpositive_curvature(c, allow_positive=allow_positive_c)
+    require_nonpositive_curvature(c)
     return _sphere_tau(f, f.unit_value(), radius, c)
 
 
@@ -57,7 +54,14 @@ def _sphere_tau(f, f_unit, radius, c):
     if not 0.0 < radius < math.inf:
         raise ValueError(f"sphere radius must be positive and finite (got radius={radius})")
     m = f.degree
-    return f_unit * chc(c, radius) ** m / shc(c, radius) ** (m + 1.0)
+    try:
+        tau = f_unit * chc(c, radius) ** m / shc(c, radius) ** (m + 1.0)
+    except (OverflowError, ZeroDivisionError):
+        tau = math.inf
+    if not 0.0 < abs(tau) < math.inf:
+        raise ValueError(f"sphere tau of f={f.name} (degree m={m:g}) at R={radius:g}, c={c:g} "
+                         "is zero or outside the float range")
+    return tau
 
 
 # the radius bracket of `solve_sphere_radius`, its step cap and its tolerance relative to |tau|
@@ -105,8 +109,8 @@ def _samples_arrays(samples, f, values=None):
     lam = np.asarray(samples.lam, dtype=float)
     support = np.asarray(samples.support, dtype=float)
     weights = np.asarray(samples.weights, dtype=float)
-    if lam.shape[0] < 16:
-        raise ValueError(f"need at least 16 samples, got {lam.shape[0]}")
+    if lam.shape[0] < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {lam.shape[0]}")
     if values is None:
         values = f.value(lam)
     return values, support, weights
@@ -189,6 +193,8 @@ def _coverage(n, m, label):
     2(i) m >= 1 and 2(ii) m < 0, each with convex or concave f; 2(iii) for n = 2
     at m = 1 or m in [-7, 0), and at m > 1 / m < -7 up to the returned threshold.
     """
+    if label not in _CLASSIFICATIONS:
+        raise ValueError(f"classification must be one of {_CLASSIFICATIONS}, got {label!r}")
     if n < 1:
         raise ValueError(f"hypersurface dimension n must be at least 1, got {n}")
     if m == 0.0:
@@ -211,21 +217,15 @@ def _coverage(n, m, label):
 
 
 def admissibility(n, f, classification, r_max):
-    """Evaluate the umbilical-sphere classification branches (see `_coverage`)."""
-    label = getattr(classification, "label", classification)
-    if label not in _CLASSIFICATIONS:
-        raise ValueError(f"classification must be one of {_CLASSIFICATIONS}, got {label!r}")
+    """Evaluate the umbilical-sphere classification branches (see `_coverage`) for a
+    `convexity_classify` label other than "indeterminate" and the pinching ratio r_max."""
     if r_max < 1.0:
         raise ValueError("r_max must be >= 1")
-    m = f.degree
-    covered, threshold = _coverage(n, m, label)
+    covered, threshold = _coverage(n, f.degree, classification)
     if threshold is not None and r_max <= threshold:
         covered.append("2(iii)")
-    return PinchingVerdict(
-        n=n, m=m, f_classification=label, r_max_observed=float(r_max),
-        covered_by=tuple(covered), threshold_2iii=threshold,
-        admissible=bool(covered),
-    )
+    return PinchingVerdict(covered_by=tuple(covered), threshold_2iii=threshold,
+                           admissible=bool(covered))
 
 
 def sweep_row(m, n=2, classification="neither"):
@@ -234,8 +234,6 @@ def sweep_row(m, n=2, classification="neither"):
     The `quad_residual` cross-validates the closed-form threshold against the
     binding quadratic: at the threshold ratio the gating quadratic must vanish.
     """
-    if classification not in _CLASSIFICATIONS:
-        raise ValueError(f"classification must be one of {_CLASSIFICATIONS}")
     covered, threshold = _coverage(n, m, classification)
     quad_residual = 0.0
     if threshold is not None:

@@ -14,8 +14,8 @@ hyperboloid (Minkowski) model, where a unit normal tangent to the hyperboloid
 has <d_rho, nu> = nu_0 / sinh(sqrt(-c) rho): its time coordinate over sinh,
 exact to rounding however far the point is from the base point (the Minkowski
 pairing that defines it cancels terms of size cosh(sqrt(-c) rho)^2).
-Flow-facing callers require c <= 0; positive c is accepted only by
-`shc`/`chc` themselves (periodic; callers mind the period).
+Positive c is accepted only by `shc`/`chc`/`cotc` themselves (periodic;
+callers mind the period); everything else requires c <= 0.
 
 Minkowski convention: vectors carry the time coordinate first, and
 <<u, v>> = -u0*v0 + u1*v1 + ... .  The hyperboloid of curvature c < 0 is
@@ -78,12 +78,12 @@ def _refuse_non_finite_curvature(c):
     raise ValueError(f"ambient curvature must be finite (got c={c})")
 
 
-def require_nonpositive_curvature(c, allow_positive=False):
+def require_nonpositive_curvature(c):
+    """Refuse a non-finite c, then any c > 0: the classification is for c <= 0."""
     if not -math.inf < c < math.inf:
         _refuse_non_finite_curvature(c)
-    if c > 0 and not allow_positive:
-        raise ValueError(f"ambient curvature must be <= 0 (got c={c}); "
-                         "positive c is only unlocked where explicitly documented")
+    if c > 0:
+        raise ValueError(f"ambient curvature must be <= 0 (got c={c})")
 
 
 def _row_dot(u, v):

@@ -77,10 +77,39 @@ def test_sphere_check_fails_a_tau_1_percent_off_at_c_minus_400(tmp_path, capsys,
 def test_sphere_check_positive_c_locked(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sphere-check", "--f", "H",
                  "--R", "1", "--c", "0.5", "--n", "2"]) == 2
-    code = main(["--out", str(tmp_path), "--allow-positive-c", "sphere-check",
-                 "--f", "H", "--R", "1", "--c", "0.5", "--n", "2"])
-    assert code == 0
-    assert "skipped" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ambient curvature must be <= 0 (got c=0.5)" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--allow-positive-c", "sphere-check",
+              "--f", "H", "--R", "1", "--c", "0.5", "--n", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-positive-c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "pow(H,300)", "--R", "0.01"],
+    ["--f", "pow(H,1e+06)", "--R", "1.3", "--n", "1"],
+    ["--f", "pow(H,-300)", "--R", "100", "--c", "-1"],
+    ["--f", "H", "--R", "800", "--c", "-1"],
+    ["--f", "K", "--n", "3", "--R", "1e-120"],
+], ids=["m-300-small-R", "m-1e6-n1", "m-minus-300-c-1", "cosh-overflow", "K-tiny-R"])
+def test_sphere_check_refuses_a_tau_outside_the_float_range(tmp_path, capsys, argv):
+    # each raised ZeroDivisionError or OverflowError out of the closed form
+    assert main(["--out", str(tmp_path), "sphere-check"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is zero or outside the float range" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "K", "--n", "3", "--R", "0.001"],
+    ["--f", "pow(H,400)", "--R", "0.5"],
+], ids=["K-F-1e9", "pow-H-400"])
+def test_sphere_check_judges_the_residual_relative_to_a_large_F(tmp_path, capsys, argv):
+    # F = 1e9 for K at R = 0.001: an absolute 1e-8 failed on a residual of 4.8e-7
+    assert main(["--out", str(tmp_path), "sphere-check"] + argv) == 0
+    assert "result: pass (tolerance 1e-08)" in capsys.readouterr().out
 
 
 def test_invalid_f_spec_is_usage_error(tmp_path, capsys):
@@ -552,7 +581,7 @@ def test_a_count_below_its_floor_is_refused_by_its_flag(tmp_path, capsys, argv, 
     snap = tmp_path / "sphere.json"
     hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), snap)
     out = tmp_path / "out"
-    argv = ["--allow-positive-c", "--out", str(out)] + [arg.format(snap=snap) for arg in argv]
+    argv = ["--out", str(out)] + [arg.format(snap=snap) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

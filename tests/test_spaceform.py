@@ -118,11 +118,10 @@ def test_sample_geodesic_sphere():
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("allow_positive", [False, True])
-def test_a_non_finite_curvature_is_refused(c, allow_positive):
+def test_a_non_finite_curvature_is_refused(c):
     # nan > 0 is False, so a bare sign test let NaN through
     with pytest.raises(ValueError, match=f"must be finite \\(got c={c}\\)"):
-        spaceform.require_nonpositive_curvature(c, allow_positive=allow_positive)
+        spaceform.require_nonpositive_curvature(c)
     # shc and chc gave NaN, or a bare "math domain error" from math.sin at c = inf
     for function in (shc, chc, cotc):
         with pytest.raises(ValueError, match=f"must be finite \\(got c={c}\\)"):
