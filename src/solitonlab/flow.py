@@ -157,9 +157,10 @@ def monitors(geom, f, values=None):
         ahh = 1.0
         umb = 0.0
     else:
-        lam_1, lam_2 = lam.T            # n = 2, in the grid's frame order
+        lam_1, lam_2 = lam[:, 0], lam[:, 1]     # n = 2, in the grid's frame order
         r_max = float((np.maximum(lam_1, lam_2) / np.minimum(lam_1, lam_2)).max())
-        h2, a2 = geom.mean ** 2, geom.norm_A2
+        h = lam_1 + lam_2                       # the bits of geom.mean and geom.norm_A2
+        h2, a2 = h * h, lam_1 * lam_1 + lam_2 * lam_2
         aniso = float(((2.0 * a2 - h2) / h2).max())
         ahh = float((a2 / h2).max())
         umb = float((geom.dim * a2 - h2).max())
@@ -184,10 +185,11 @@ def _advance(surface, geom, f, dt, values=None, dfdlam=None):
     if values is None:
         values = f.value(geom.lam)
     solve = surface.linearized_solver(geom, dfdlam, _GAMMA * dt)
+    normal = geom.normal
     k1 = solve(values)
-    stage = _extract(surface.moved(dt * k1[:, None] * geom.normal))
+    stage = _extract(surface.moved((dt * k1)[:, None] * normal))
     k2 = solve(f.value(stage.lam) - 2.0 * k1)
-    return surface.moved(dt * (1.5 * k1 + 0.5 * k2)[:, None] * geom.normal)
+    return surface.moved((dt * (1.5 * k1 + 0.5 * k2))[:, None] * normal)
 
 
 def _redistribute(surface):
@@ -273,10 +275,11 @@ def run(config, surface):
 
     while True:
         mon = monitors(geom, f, values)
+        measure = geom.measure
         trace.rows.append(TraceRow(t, dt, alpha, mon.r_max, mon.aniso_max, mon.ahh_max,
                                    mon.umb_max, mon.soliton.tau_fit,
-                                   mon.soliton.relative_residual, geom.measure))
-        physical = geom.measure / cumulative ** geom.dim / measure0
+                                   mon.soliton.relative_residual, measure))
+        physical = measure / cumulative ** geom.dim / measure0
         reason = _stop_reason(stop, t, mon, geom, physical)
         if reason is not None:
             return _finish(trace, surface, reason)

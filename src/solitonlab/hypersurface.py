@@ -95,10 +95,11 @@ class PlaneCurve:
         """Resampled to uniform arclength by the local interpolant in arclength, which
         reads three samples before the first and four after the last across the seam."""
         pts, m = self.points, self.grid_size
-        s = _arclength(np.vstack([pts, pts[:1]]))
-        knots = np.concatenate((s[-4:-1] - s[-1], s, s[1:4] + s[-1]))
-        ext = np.vstack([pts[-3:], pts, pts[:4]])
-        return PlaneCurve(_local_lagrange(knots, ext, s[-1] * np.arange(m) / m))
+        s = _arclength(np.concatenate((pts, pts[:1])))
+        length = s[-1]
+        knots = np.concatenate((s[-4:-1] - length, s, s[1:4] + length))
+        ext = np.concatenate((pts[-3:], pts, pts[:4]))
+        return PlaneCurve(_local_lagrange(knots, ext, length * np.arange(m) / m))
 
     def scaled(self, alpha, center):
         return PlaneCurve(center + alpha * (self.points - center))
@@ -114,7 +115,7 @@ class PlaneCurve:
         cyclic tridiagonal matrix, factored once for every right-hand side.
         `dfdlam` (M, 1) is F' at the samples.
         """
-        fwd = _segments(np.vstack([self.points, self.points[:1]]))   # sample i to i + 1
+        fwd = _segments(np.concatenate((self.points, self.points[:1])))   # sample i to i + 1
         back = np.concatenate((fwd[-1:], fwd[:-1]))
         a, b = _second_difference(back, fwd)
         g = c * dfdlam[:, 0]
@@ -130,21 +131,22 @@ class RevolutionProfile:
     dim = 2
 
     def __post_init__(self):
-        prof = np.asarray(self.profile, dtype=float)
+        # a C-ordered copy of its own, whose pole radii are snapped below
+        prof = np.array(self.profile, dtype=float, order="C")
         if prof.ndim != 2 or prof.shape[1] != 2 or prof.shape[0] < MIN_SAMPLES:
             raise GeometryError(f"profile needs at least {MIN_SAMPLES} samples, got {prof.shape}")
         if not np.isfinite(prof).all():
             raise GeometryError("profile has non-finite coordinates")
-        scale = float(np.abs(prof).max())
-        y = prof[:, 1].copy()
-        if abs(y[0]) > 1e-9 * scale or abs(y[-1]) > 1e-9 * scale:
-            raise GeometryError("profile must start and end on the rotation axis (y = 0)")
+        y = prof[:, 1]
+        if y[0] or y[-1]:           # ends exactly on the axis pass at any scale
+            scale = float(np.abs(prof).max())
+            if abs(y[0]) > 1e-9 * scale or abs(y[-1]) > 1e-9 * scale:
+                raise GeometryError("profile must start and end on the rotation axis (y = 0)")
         y[0] = y[-1] = 0.0
         interior = y[1:-1]
-        if (interior <= 0.0).any():
+        if not interior.min() > 0.0:
             bad = 1 + int(np.nonzero(interior <= 0.0)[0][0])
             raise GeometryError(f"profile touches the axis in the interior at sample {bad}")
-        prof = np.column_stack([prof[:, 0], y])
         object.__setattr__(self, "profile", prof)
 
     @property
@@ -168,16 +170,17 @@ class RevolutionProfile:
         mirrored through the pole (axis coordinate even, radius odd), so the resampled
         data keeps the reflection symmetry of the pole stencils.
         """
-        prof = self.profile
+        prof, m = self.profile, self.grid_size
         s = _arclength(prof)
         length = s[-1]
         knots = np.concatenate((-s[3:0:-1], s, 2.0 * length - s[-2:-5:-1]))
-        ext = np.vstack([prof[3:0:-1], prof, prof[-2:-5:-1]])
-        ext[[0, 1, 2, -3, -2, -1], 1] *= -1.0
-        new = _local_lagrange(knots, ext, np.linspace(0.0, length, self.grid_size))
-        new[0] = prof[0]
-        new[-1] = prof[-1]
-        new[:, 1] = np.abs(new[:, 1])      # guard rounding at the near-pole samples
+        ext = np.concatenate((prof[3:0:-1], prof, prof[-2:-5:-1]))
+        ext[:3, 1] *= -1.0
+        ext[-3:, 1] *= -1.0
+        new = _local_lagrange(knots, ext, np.linspace(0.0, length, m))
+        new[::m - 1] = prof[::m - 1]       # the two poles
+        y = new[:, 1]
+        np.abs(y, out=y)                   # guard rounding at the near-pole samples
         return RevolutionProfile(new)
 
     def scaled(self, alpha, center):
@@ -207,13 +210,17 @@ class RevolutionProfile:
         fm, fp = c * dfdlam[:, 0], c * dfdlam[:, 1]
         lam2 = fm * geom.lam[:, 0] ** 2 + fp * geom.lam[:, 1] ** 2
         lower, upper = np.empty(self.grid_size), np.empty(self.grid_size)
-        lower[1:-1] = -fm[1:-1] * a + fp[1:-1] * q
-        upper[1:-1] = -fm[1:-1] * b - fp[1:-1] * q
+        minus_fm, fp_q = -fm[1:-1], fp[1:-1] * q
+        np.add(minus_fm * a, fp_q, lower[1:-1])
+        np.subtract(minus_fm * b, fp_q, upper[1:-1])
         diag = 1.0 - lam2
         diag[1:-1] += fm[1:-1] * (a + b)
-        pole = 2.0 * (fm + fp)[[0, -1]] / seg[[0, -1]] ** 2      # d_ss with u_{-1} = u_1
-        diag[[0, -1]] += pole
-        upper[0], lower[-1] = -pole
+        # d_ss with u_{-1} = u_1 at each pole
+        first = 2.0 * (fm[0] + fp[0]) / (seg[0] * seg[0])
+        last = 2.0 * (fm[-1] + fp[-1]) / (seg[-1] * seg[-1])
+        diag[0] += first
+        diag[-1] += last
+        upper[0], lower[-1] = -first, -last
         return _tridiagonal_solver(lower[1:], diag, upper[:-1])
 
 
@@ -277,7 +284,8 @@ def _cyclic_tridiagonal_solver(lower, diag, upper):
     diag[0] -= gamma
     diag[-1] -= corner_first * corner_last / gamma
     v = np.zeros(diag.size)
-    v[[0, -1]] = gamma, corner_last
+    v[0] = gamma
+    v[-1] = corner_last
     ratio = corner_first / gamma
     solve_b = _tridiagonal_solver(lower[1:], diag, upper[:-1])
     z = solve_b(v)
@@ -298,6 +306,9 @@ def _second_difference(back, fwd):
     return 2.0 / (back * span), 2.0 / (fwd * span)
 
 
+_WINDOW = np.arange(7)[:, None]     # a target's first seven window knots, from its start
+
+
 def _local_lagrange(knots, values, targets):
     """Local degree-7 interpolant of `values` (N, k) over `knots` (N,), at `targets`.
 
@@ -309,22 +320,37 @@ def _local_lagrange(knots, values, targets):
     3x a periodic C^2 spline's in the final r_max and tau_fit at M = 64, dt_safety
     0.1; degree 7's does not.
     """
-    # table[j, :, l]: divided difference of order j over knots l, ..., l + j
-    table = np.empty((8, values.shape[1], knots.size))
-    table[0] = values.T
+    # table[j, c * n + l]: divided difference of order j of column c over knots l, ...,
+    # l + j, for l < n - j.  The k columns share one row per order, so that each pass is
+    # one subtraction and one division on a flat row.  The j entries of a row that
+    # straddle two columns are never read; their knots are distinct, so they divide by
+    # no zero.
+    n, k = values.shape
+    table = np.empty((8, k * n))
+    table[0].reshape(k, n)[:] = values.T
+    if not (knots[1:] - knots[:-1]).min() > 0.0:
+        raise GeometryError("coincident samples: arclength does not increase")
+    tiled = np.concatenate((knots,) * k)
+    lower = table[0]
     for j in range(1, 8):
-        span = knots[j:] - knots[:-j]
-        if j == 1 and not span.min() > 0.0:
-            raise GeometryError("coincident samples: arclength does not increase")
-        order = table[j, :, :-j]
-        np.subtract(table[j - 1, :, 1:knots.size - j + 1], table[j - 1, :, :-j], out=order)
-        order /= span
-    start = np.minimum(np.searchsorted(knots, targets, side="right"), knots.size - 4) - 4
-    # Newton basis at each target: row j is the product of (t - knot) over its first j knots
+        order = table[j, :-j]
+        np.subtract(lower[1:], lower[:-1], order)
+        order /= tiled[j:] - tiled[:-j]
+        lower = order
+    # the start of each target's window; a target on knots[-4] takes the last window
+    start = knots[:-4].searchsorted(targets, "right") - 4
+    # Newton basis at each target: row j is the product of (t - knot) over its first j
+    # knots, multiplied up row by row as np.cumprod does along axis 0
+    gaps = targets - knots[start + _WINDOW]
     basis = np.empty((8, targets.size))
     basis[0] = 1.0
-    np.cumprod(targets - knots[start + np.arange(7)[:, None]], axis=0, out=basis[1:])
-    return np.einsum("jkm,jm->mk", table[:, :, start], basis)
+    row = basis[1] = gaps[0]
+    for j in range(1, 7):
+        row = np.multiply(row, gaps[j], basis[j + 1])
+    coefficients = table[:, start + n * np.arange(k)[:, None]]        # (8, k, M)
+    # C order: the gathered coefficients are not, and a sample array's layout can change
+    # the bits of a BLAS product with it (the centroid's weights @ points)
+    return np.einsum("jkm,jm->mk", coefficients, basis, order="C")
 
 
 def _norms(v):
@@ -338,7 +364,10 @@ def _segments(points):
 
 
 def _arclength(points):
-    return np.concatenate([[0.0], np.cumsum(_segments(points))])
+    s = np.empty(len(points))
+    s[0] = 0.0
+    np.add.accumulate(_segments(points), out=s[1:])
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +444,9 @@ class _GridFields:
             return _fd.periodic_d2(f, self.du)
         return _fd.reflected_d2(f, self.du)
 
-    @cached_property
+    @property
     def support(self):
-        """Z = <xy, nu>, the support value about the origin."""
+        """Z = <xy, nu>, the support value about the origin; each extraction reads it once."""
         return self.xy[:, 0] * self.nu[:, 0] + self.xy[:, 1] * self.nu[:, 1]
 
     @cached_property
@@ -436,63 +465,76 @@ class _GridFields:
         return self.d1(self.G)
 
 
-def _turning_frame(vel, tangent_d1, orient, what):
+# parities through a pole: the profile's x is even and y odd, the tangent's the reverse
+_PROFILE_PARITY, _TANGENT_PARITY = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
+
+
+def _turning_frame(vel, d1, du, orient, what):
     """Metric E = |vel|^2, speed, inward normal and curvature of a planar grid curve.
 
     The curvature is the unit tangent's turning: exact on circles and other
     single-harmonic grids, O(h^4) in general.  `orient` (+-1) turns the normal
-    orient * (-ty, tx) inward; `tangent_d1` differentiates the (M, 2) tangent.
+    orient * (-ty, tx) inward; `d1(f, du)` is the grid's stencil, applied to the
+    (M, 2) tangent.  The tangent is divided by the signed speed orient * w, which
+    flips only signs, so the quarter turn (-ty, tx) of orient * t and the turning
+    (t x dt) / (orient * w) carry the bits of the normal and curvature built from t.
     """
-    xp, yp = vel.T
+    xp, yp = vel[:, 0], vel[:, 1]
     w2 = xp * xp + yp * yp
     if _first_nonpositive(w2) is not None:
         raise GeometryError(f"degenerate {what} (zero speed)")
     w = np.sqrt(w2)
-    tangent = vel / w[:, None]
-    tx, ty = tangent.T
-    dtx, dty = tangent_d1(tangent).T
+    signed = w if orient > 0.0 else -w
+    tangent = vel / signed[:, None]
+    tx, ty = tangent[:, 0], tangent[:, 1]
+    dt = d1(tangent, du)
     normal = np.empty_like(tangent)
-    normal[:, 0], normal[:, 1] = -orient * ty, orient * tx
-    return w2, w, normal, orient * (tx * dty - ty * dtx) / w
+    np.negative(ty, normal[:, 0])
+    normal[:, 1] = tx
+    return w2, w, normal, (tx * dt[:, 1] - ty * dt[:, 0]) / signed
 
 
 def _curve_fields(curve):
     pts = curve.points
     h = 2.0 * np.pi / pts.shape[0]
     vel = _fd.periodic_d1(pts, h)
-    x, y = pts.T
-    nxt = np.concatenate((pts[1:], pts[:1]))          # sample i + 1
-    area2 = float((x * nxt[:, 1] - nxt[:, 0] * y).sum())
-    orient = 1.0 if area2 >= 0.0 else -1.0
-    w2, w, normal, k = _turning_frame(vel, lambda t: _fd.periodic_d1(t, h), orient,
-                                      "parametrization")
+    # the tangent's turns, each wrapped to [-pi, pi): their sum is 2 pi times the
+    # signed turning number, +-1 on a simple curve, whose sign is the traversal's
+    angles = np.arctan2(vel[:, 1], vel[:, 0])
+    turns = np.concatenate((angles[1:], angles[:1]))
+    turns -= angles
+    turns += np.pi
+    turns %= 2.0 * np.pi
+    turns -= np.pi
+    winding = float(np.add.reduce(turns)) / (2.0 * np.pi)
+    orient = 1.0 if winding >= 0.0 else -1.0
+    w2, w, normal, k = _turning_frame(vel, _fd.periodic_d1, h, orient, "parametrization")
 
     nonconvex = _first_nonpositive(k)
     if nonconvex is not None:
         raise NonConvexSurfaceError("curve is not convex: curvature <= 0", nonconvex)
 
-    angles = np.arctan2(vel[:, 1], vel[:, 0])
-    turns = np.concatenate((angles[1:], angles[:1])) - angles
-    turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
-    # +-1 for simple curves depending on traversal; normalize by orientation
-    turning_number = orient * float(turns.sum() / (2.0 * np.pi))
+    turning_number = orient * winding
     if abs(turning_number - 1.0) > 1e-6:
         raise GeometryError(f"curve is not simple: turning number {turning_number:.6f} != 1")
 
     return _GridFields(1, h, pts, vel, w2, w, normal, k[:, None])
 
 
+def _tangent_d1_through_poles(tangent, du):
+    return _fd.reflected_d1(tangent, du, _TANGENT_PARITY)
+
+
 def _profile_fields(profile):
     prof = profile.profile
     m = prof.shape[0]
     du = 1.0 / (m - 1)
-    x, y = prof.T
+    x, y = prof[:, 0], prof[:, 1]
 
-    vel = _fd.reflected_d1(prof, du, (+1, -1))      # x even through the poles, y odd
-    # the inward normal orient * (-ty, tx) has a negative y-component at the equator;
-    # the tangent's x-part is odd through the poles, its y-part even
+    vel = _fd.reflected_d1(prof, du, _PROFILE_PARITY)
+    # the inward normal orient * (-ty, tx) has a negative y-component at the equator
     orient = -1.0 if vel[int(y.argmax()), 0] > 0.0 else 1.0
-    w2, w, nu, lam_m = _turning_frame(vel, lambda t: _fd.reflected_d1(t, du, (-1, +1)), orient,
+    w2, w, nu, lam_m = _turning_frame(vel, _tangent_d1_through_poles, du, orient,
                                       "profile parametrization")
 
     # pole-angle check: the one-sided slope of the axis coordinate must vanish
@@ -514,7 +556,7 @@ def _profile_fields(profile):
     lam = np.empty((m, 2))
     lam[:, 0] = lam_m
     lam[1:-1, 1] = -nu[1:-1, 1] / y[1:-1]
-    lam[[0, -1], 1] = lam_m[[0, -1]]          # regular pole limit
+    lam[::m - 1, 1] = lam_m[::m - 1]          # regular pole limit
     fields = _GridFields(2, du, prof, vel, w2, w, nu, lam)
     bad = _first_nonpositive(lam)
     if bad is not None:
@@ -573,7 +615,7 @@ def _meridian_shape_data(f):
     pos[:, :2] = f.xy
     nrm[:, :2] = f.nu
     weights = 2.0 * np.pi * f.xy[:, 1] * f.w * f.du
-    weights[[0, -1]] *= 0.5
+    weights[::m - 1] *= 0.5
     return ShapeData(dim=2, position=pos, normal=nrm, lam=f.lam, support=f.support,
                      weights=weights)
 

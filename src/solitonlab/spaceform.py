@@ -30,6 +30,7 @@ from .hypersurface import ShapeData
 
 # below this value of |c| * t^2 the closed forms are replaced by series
 _SERIES_CUTOFF = 1e-8
+_TINY = np.finfo(float).tiny        # the least normal float
 
 
 def shc(c, t):
@@ -97,9 +98,36 @@ def _minkowski_rows(u, v):
 def _pairing_misses(u, v, target, tol):
     """Rows where <<u, v>> misses `target` by more than `tol` or 8 eps times the summed
     magnitudes of its terms: a pairing far from the base point cancels terms of size
-    ~cosh(kappa rho)^2, and its rounding grows with them."""
-    tol = np.maximum(tol, 8.0 * np.finfo(float).eps * _row_dot(np.abs(u), np.abs(v)))
-    return np.abs(_minkowski_rows(u, v) - target) > tol
+    ~cosh(kappa rho)^2, and its rounding grows with them.
+
+    Beyond kappa rho of about 355 those terms overflow, and the pairing checks nothing:
+    such a row is refused.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = _row_dot(np.abs(u), np.abs(v))
+        pairing = _minkowski_rows(u, v)
+    _refuse_rows(~np.isfinite(size), "Minkowski pairing overflows the float range: the point "
+                                     "is too far from the base point to be checked")
+    tol = np.maximum(tol, 8.0 * np.finfo(float).eps * size)
+    return np.abs(pairing - target) > tol
+
+
+def _row_lengths(x):
+    """Euclidean lengths of the rows of `x`.
+
+    A row whose <x, x> is a normal float gets sqrt(<x, x>).  A row whose squares
+    underflow (|x| under about 1e-154) is divided by its largest |entry|, or by the least
+    normal float if that is larger, and its length scaled back; a zero row keeps 0.
+    """
+    squares = _row_dot(x, x)
+    rho = np.sqrt(squares)
+    small = squares < _TINY
+    if small.any():
+        rows = x[small]
+        scale = np.maximum(np.abs(rows).max(axis=1), _TINY)
+        unit = rows / scale[:, None]
+        rho[small] = scale * np.sqrt(_row_dot(unit, unit))
+    return rho
 
 
 def _refuse_rows(bad, problem, values=None):
@@ -132,7 +160,7 @@ def support_rows(c, positions, normals):
     if c == 0.0:
         norm = np.sqrt(_row_dot(nu, nu))
         _refuse_rows(np.abs(norm - 1.0) > 1e-10, "normal must be unit length, |nu| = {}", norm)
-        rho = np.sqrt(_row_dot(x, x))
+        rho = _row_lengths(x)
         _refuse_rows(rho == 0.0, "point coincides with the base point; d_rho undefined")
         nu_comp = _row_dot(x / rho[:, None], nu)
         z_scale = rho                               # shc(0, rho) = rho

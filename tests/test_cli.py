@@ -738,3 +738,20 @@ def test_parse_config_reads_every_key():
     cfg = parse_config_text(text)
     assert sum(len(cfg[name]) for name in cli._COMMANDS) == sum(
         len(command.options) for command in cli._COMMANDS.values())
+
+
+def test_sphere_check_refuses_a_sphere_whose_pairings_overflow(tmp_path, capsys):
+    # kappa R = 600: the pairings overflowed to NaN, three RuntimeWarnings went by, and
+    # the check reported a pass on points it never checked
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,-1)", "--R", "600",
+                 "--c=-1"])
+    assert code == 2
+    assert "overflows the float range" in capsys.readouterr().err
+
+
+def test_sphere_check_passes_a_tiny_flat_sphere(tmp_path, capsys):
+    # R = 1e-200 was refused as "point coincides with the base point", while 1e-160 passed
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,-2)", "--R", "1e-200",
+                 "--n", "1"])
+    assert code == 0
+    assert "result: pass" in capsys.readouterr().out

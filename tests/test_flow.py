@@ -521,3 +521,26 @@ def test_per_call_sweep_reaches_every_layer_it_times(tracing, monkeypatch, make,
     assert isinstance(calls[0], hypersurface.ShapeData)              # the extraction
     assert type(calls[2]) is type(make(32))                          # _redistribute
     assert isinstance(calls[3], flow.FlowMonitors)                   # monitors
+
+
+def test_the_isoperimetric_ratio_never_rises_along_the_ellipse_under_h():
+    # Gage (Duke Math. J. 50, 1983): under the curve-shortening flow L^2 / (4 pi A) does
+    # not increase.  L is the polygon's length and A its shoelace area; over 272 steps the
+    # ratio falls from 1.17 to within 4e-8 of the regular 64-gon's, by at least 3e-9 a
+    # step, far above its rounding
+    def ratio(pts):
+        nxt = np.roll(pts, -1, axis=0)
+        length = np.sqrt(((nxt - pts) ** 2).sum(axis=1)).sum()
+        area = 0.5 * (pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]).sum()
+        return length * length / (4.0 * math.pi * area)
+
+    dt_safety = FlowConfig(f=H1, stop=StopRule(t_max=1.0)).dt_safety     # the default
+    surface = ellipse(2.0, 1.0, 64)
+    ratios = [ratio(surface.points)]
+    for _ in range(272):
+        lam = flow._extract(surface).lam          # run's dt rule
+        dt = dt_safety * flow._STEP_SCALE / float((H1.gradient(lam) * lam * lam).sum(axis=1).max())
+        surface = step(surface, H1, dt)
+        ratios.append(ratio(surface.points))
+    assert ratios[0] > 1.17 and ratios[-1] < 1.0009
+    assert (np.diff(ratios) <= 0.0).all()

@@ -82,6 +82,27 @@ def test_doubly_wound_circle_rejected():
         curve_geometry(PlaneCurve(pts))
 
 
+# clockwise traversal: the orientation comes from the sign of the turning sum, and
+# these refusals keep the type and message they had when the shoelace area set it
+def test_nonconvex_curve_rejected_clockwise():
+    th = 2.0 * np.pi * np.arange(256) / 256
+    r = 1.0 + 0.5 * np.cos(3.0 * th)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])[::-1]
+    with pytest.raises(NonConvexSurfaceError) as info:
+        curve_geometry(PlaneCurve(pts))
+    assert str(info.value) == ("curve is not convex: curvature <= 0 "
+                               "(first offending sample index 33)")
+
+
+def test_doubly_wound_circle_rejected_clockwise():
+    th = 4.0 * np.pi * np.arange(256) / 256
+    pts = np.column_stack([np.cos(th), -np.sin(th)])
+    with pytest.raises(GeometryError) as info:
+        curve_geometry(PlaneCurve(pts))
+    assert type(info.value) is GeometryError
+    assert str(info.value) == "curve is not simple: turning number 2.000000 != 1"
+
+
 # first offending samples as the full `(lam <= 0).nonzero()` scan found them: each
 # dent spans several samples, so the first one is not where the curvature is least
 @pytest.mark.parametrize("m,index", [(64, 9), (256, 34)])

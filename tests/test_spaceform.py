@@ -251,3 +251,42 @@ def test_flat_values_are_the_series_bits(t):
         assert abs(c * t * t) < spaceform._SERIES_CUTOFF
         assert shc(c, t).hex() == _shc_series(c, t).hex()
         assert chc(c, t).hex() == _chc_series(c, t).hex()
+
+
+def test_a_point_whose_pairing_overflows_is_refused_without_a_warning():
+    # kappa rho = 600, the spatial part scaled by 1.5: <<x, x>> overflowed to NaN, which
+    # no tolerance test flags, and the point passed with Z = -1.9e260
+    x = [[math.cosh(600.0), 1.5 * math.sinh(600.0), 0.0]]
+    nu = [[-math.sinh(600.0), -math.cosh(600.0), 0.0]]
+    with pytest.raises(ValueError, match="overflows the float range"):
+        support_rows(-1.0, x, nu)          # the suite turns any warning into an error
+
+
+def test_a_geodesic_sphere_beyond_the_float_range_is_refused():
+    assert np.isfinite(sample_geodesic_sphere(-1.0, 350.0, 2, 8).support).all()
+    with pytest.raises(ValueError, match=r"overflows the float range.*\(point 0\)"):
+        sample_geodesic_sphere(-1.0, 600.0, 2, 8)
+
+
+@pytest.mark.parametrize("radius", [1e-200, 1e-300])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tiny_flat_spheres_keep_their_support(radius, dim):
+    # sqrt(<x, x>) underflowed to 0 below |x| ~ 1e-162, and the sphere was refused as
+    # sitting on the base point
+    sphere = sample_geodesic_sphere(0.0, radius, dim, 16)
+    np.testing.assert_allclose(sphere.support, -radius, rtol=1e-14)
+
+
+def test_the_origin_is_still_the_base_point_at_c_0():
+    with pytest.raises(ValueError, match="base point"):
+        support_rows(0.0, [[1e-200, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]])
+
+
+def test_a_normal_sum_of_squares_keeps_the_bits_of_its_square_root():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-150, 150, (50, 1))
+    nu = rng.standard_normal((50, 3))
+    nu /= np.sqrt((nu * nu).sum(axis=1))[:, None]
+    rho = np.sqrt((x * x).sum(axis=1))
+    expected = rho * ((x / rho[:, None]) * nu).sum(axis=1)
+    assert support_rows(0.0, x, nu).tobytes() == expected.tobytes()
