@@ -12,11 +12,10 @@ from .curvfun import (CurvatureFunction, DegreeMismatchError, DomainError, Eleme
                       matrix_first_derivative, matrix_second_form, pair_sign_gaps,
                       parse_curvature_function, symmetric_stack)
 from .flow import FlowConfig, FlowMonitors, FlowTrace, StopRule, monitors, run, step
-from .hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceError, PlaneCurve,
-                           RevolutionProfile, ShapeData, circle, codazzi_residual,
-                           covariant_hessian, curve_geometry, ellipse,
-                           ellipsoid_geometry, extract_geometry, load_surface,
-                           revolution_geometry, save_surface, sphere_profile,
+from .hypersurface import (AnalyticSpheroid, GeometryError, NonConvexSurfaceError,
+                           PlaneCurve, RevolutionProfile, ShapeData, circle, codazzi_residual,
+                           covariant_hessian, curve_geometry, ellipse, ellipsoid_geometry,
+                           load_surface, revolution_geometry, save_surface, sphere_profile,
                            spheroid_profile, support_hessian_residual,
                            surface_from_document, surface_to_document)
 from .soliton import (PinchingVerdict, SolitonReport, admissibility, fit_tau,

@@ -136,15 +136,10 @@ def _require_at_least(args, key, least, why):
         raise UsageError(f"{_flag(key)} {value} is below {least}: {why}")
 
 
-def _require_grid(args):
-    """Refuse `--grid` below `MIN_SAMPLES` whatever the surface; a `profile` surface and a
-    curve or rotation snapshot keep their own grid and do not read it."""
+def _cmd_flow(args, out_dir):
+    # refused whatever the surface, though a `profile` surface keeps its own grid
     _require_at_least(args, "grid", MIN_SAMPLES,
                       f"a curve or meridian grid needs at least {MIN_SAMPLES} samples")
-
-
-def _cmd_flow(args, out_dir):
-    _require_grid(args)
     surface = _build_surface(args.surface, args.grid)
     f = curvfun.parse_curvature_function(args.f, surface.dim)
     criteria = {field.name: getattr(args, field.name)
@@ -206,11 +201,9 @@ def _cmd_sweep_pinching(args, out_dir):
 
 
 def _cmd_soliton_fit(args, out_dir):
-    _require_grid(args)
     _require_at_least(args, "classify_samples", curvfun._CONVEXITY_MIN_SAMPLES,
                       "fewer samples give no convexity verdict")
-    surface = hypersurface.load_surface(args.snapshot)
-    geom = hypersurface.extract_geometry(surface, grid_size=args.grid)
+    geom = hypersurface.load_surface(args.snapshot).geometry()
     f = curvfun.parse_curvature_function(args.f, geom.dim)
     mon = flow.monitors(geom, f)
     report = mon.soliton
@@ -306,7 +299,6 @@ _COMMANDS = {
     "soliton-fit": _Command("fit tau on a surface snapshot", _cmd_soliton_fit, (
         _Option("snapshot", str, _REQUIRED),
         _Option("f", str, _REQUIRED),
-        _Option("grid", int, 256),
         _Option("classify_samples", int, 200),
         _Option("json", str, "soliton_fit.json"),
     )),

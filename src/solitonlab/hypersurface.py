@@ -6,8 +6,10 @@ Three representations:
   parameter grid (hypersurface dimension n = 1);
 * `RevolutionProfile` -- a meridian profile (x along the rotation axis,
   y >= 0) rotated about the x-axis, closed by the two poles (n = 2);
-* `Ellipsoid` -- the three semi-axes (a, b, c) of an ellipsoid (n = 2), evaluated
-  with closed-form fundamental forms.
+* `AnalyticSpheroid` -- the spheroid with semi-axes (equatorial, equatorial, polar)
+  on a meridian grid, from closed-form fields (n = 2).
+
+`ellipsoid_geometry` evaluates one point of a three-axis ellipsoid in closed form.
 
 All derivative extraction uses 4th-order stencils: periodic for curves,
 reflection-through-the-poles for meridian grids (scalar geometric fields
@@ -19,16 +21,15 @@ Normals are inward everywhere, so convex surfaces have positive principal
 curvatures.  The support value Z = <X, nu> is taken about the origin, negative
 when the origin lies inside; `soliton.fit_tau` solves for the centre itself.
 
-One grid-fields layer serves both grid kinds.  `_grid_fields`, the only dispatch
-on surface kind for grid operations, takes a `PlaneCurve`, a `RevolutionProfile` or
-an axisymmetric `Ellipsoid` (on `grid_size` meridian samples); its builders refuse
-what extraction refuses, so `covariant_hessian` and `support_hessian_residual`
-refuse it too.  `codazzi_residual` takes rotation surfaces only.
+One grid-fields layer serves the three grid kinds: each has `dim`, `grid_size`,
+`geometry()` and `grid_fields()`, which `covariant_hessian`, `codazzi_residual` and
+`support_hessian_residual` call, so they refuse what extraction refuses.
+`codazzi_residual` takes rotation surfaces only.
 
-The two grid types own every operation that depends on their layout, with
-the same members: `dim`, `geometry`, `moved`, `resampled`, `scaled`,
-`centroid` and `linearized_solver`.  `resampled` moves the samples to
-uniform polygon arclength by a local degree-7 interpolant, with no system to solve.
+The two sampled grid types own every operation that depends on their layout, with
+the same members: `moved`, `resampled`, `scaled`, `centroid` and `linearized_solver`.
+`resampled` moves the samples to uniform polygon arclength by a local degree-7
+interpolant, with no system to solve.
 """
 
 import json
@@ -86,6 +87,9 @@ class PlaneCurve:
 
     def geometry(self):
         return curve_geometry(self)
+
+    def grid_fields(self):
+        return _curve_fields(self)
 
     def moved(self, displacement):
         """The curve with sample i displaced by row i of `displacement` (M, 2)."""
@@ -156,6 +160,9 @@ class RevolutionProfile:
     def geometry(self):
         return revolution_geometry(self)
 
+    def grid_fields(self):
+        return _profile_fields(self)
+
     def moved(self, displacement):
         """The profile moved by the meridian columns of `displacement` (M, 3).
 
@@ -225,17 +232,31 @@ class RevolutionProfile:
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
-    """Analytic ellipsoid with semi-axes (a, b, c) along the coordinate axes."""
+class AnalyticSpheroid:
+    """The spheroid with semi-axes (equatorial, equatorial, polar), rotated about the
+    x-axis, on `grid_size` meridian samples pole to pole: closed-form fields, uniform
+    in the meridian angle."""
 
-    semi_axes: tuple
+    equatorial: float
+    polar: float
+    grid_size: int
     dim = 2
 
     def __post_init__(self):
-        axes = tuple(float(a) for a in self.semi_axes)
-        if len(axes) != 3 or not all(0.0 < a < math.inf for a in axes):
-            raise GeometryError(f"semi-axes must be 3 positive finite reals, got {self.semi_axes}")
-        object.__setattr__(self, "semi_axes", axes)
+        axes = (float(self.equatorial), float(self.polar))
+        if not all(0.0 < a < math.inf for a in axes):
+            raise GeometryError(f"semi-axes must be positive finite reals, got {axes}")
+        if self.grid_size < MIN_SAMPLES:
+            raise GeometryError(f"meridian grid needs at least {MIN_SAMPLES} samples")
+        object.__setattr__(self, "equatorial", axes[0])
+        object.__setattr__(self, "polar", axes[1])
+        object.__setattr__(self, "grid_size", int(self.grid_size))
+
+    def geometry(self):
+        return _meridian_shape_data(self.grid_fields())
+
+    def grid_fields(self):
+        return _spheroid_fields(self.equatorial, self.polar, self.grid_size)
 
 
 def circle(radius, grid_size=256):
@@ -564,11 +585,7 @@ def _profile_fields(profile):
     return fields
 
 
-def _spheroid_fields(equatorial, polar, grid_size):
-    a, c = float(equatorial), float(polar)
-    m = int(grid_size)
-    if m < MIN_SAMPLES:
-        raise GeometryError(f"meridian grid needs at least {MIN_SAMPLES} samples")
+def _spheroid_fields(a, c, m):
     u = np.linspace(0.0, np.pi, m)
     sin, cos = np.sin(u), np.cos(u)
     xp, yp = c * sin, a * cos
@@ -577,24 +594,6 @@ def _spheroid_fields(equatorial, polar, grid_size):
     lam = np.column_stack([a * c / w ** 3, c / (a * w)])
     return _GridFields(2, float(u[1] - u[0]), np.array([-c * cos, a * sin]).T,
                        np.array([xp, yp]).T, w * w, w, nu, lam)
-
-
-def _grid_fields(surface, grid_size=None):
-    """The grid fields of `surface`: the one dispatch on its kind for grid operations."""
-    if isinstance(surface, PlaneCurve):
-        return _curve_fields(surface)
-    if isinstance(surface, RevolutionProfile):
-        return _profile_fields(surface)
-    if isinstance(surface, Ellipsoid):
-        a, b, c = surface.semi_axes
-        if not abs(a - b) <= 1e-14 * max(a, b):   # relative: a dilation keeps the verdict
-            raise GeometryError("grid operations support axisymmetric ellipsoids only "
-                                "(equal first two semi-axes); triaxial surfaces are "
-                                "evaluated pointwise with ellipsoid_geometry")
-        if grid_size is None:
-            raise GeometryError("analytic ellipsoid grid operations need grid_size")
-        return _spheroid_fields(a, c, grid_size)
-    raise GeometryError(f"unsupported surface type {type(surface).__name__} for grid operations")
 
 
 def curve_geometry(curve):
@@ -640,7 +639,10 @@ def ellipsoid_geometry(semi_axes, u, v=0.0):
     X = (a sin u cos v, b sin u sin v, c cos u); the point must keep away from
     the coordinate poles (u within 1e-3 of 0 or pi is rejected).
     """
-    a, b, c = Ellipsoid(semi_axes).semi_axes
+    axes = tuple(float(a) for a in semi_axes)
+    if len(axes) != 3 or not all(0.0 < a < math.inf for a in axes):
+        raise GeometryError(f"semi-axes must be 3 positive finite reals, got {semi_axes}")
+    a, b, c = axes
     uu, vv = float(u), float(v)
     if min(uu, math.pi - uu) < _POLE_MARGIN:
         raise GeometryError(f"parameter point too close to a coordinate pole (u={uu:.4g})")
@@ -699,10 +701,10 @@ def covariant_hessian(surface, phi):
     Christoffel symbols come from 4th-order differences of the extracted
     metric fields, so the result is metric-compatible with them to rounding.
     On a meridian grid the field is axisymmetric (a function of the profile
-    parameter, even at the poles); an analytic ellipsoid is gridded at `phi.size`.
+    parameter, even at the poles).
     """
     phi = np.asarray(phi, dtype=float)
-    f = _grid_fields(surface, phi.size)
+    f = surface.grid_fields()
     m = f.E.shape[0]
     if phi.shape != (m,):
         raise GeometryError(f"field shape {phi.shape} does not match grid ({m},)")
@@ -712,7 +714,7 @@ def covariant_hessian(surface, phi):
     return hess
 
 
-def codazzi_residual(surface, grid_size=None):
+def codazzi_residual(surface):
     """Max defect of total symmetry of the covariant derivative of h.
 
     Returns max |nabla_k h_ij - nabla_j h_ik| over the samples and index
@@ -721,7 +723,7 @@ def codazzi_residual(surface, grid_size=None):
     nabla_s h_pp = nabla_p h_sp = (G'/2)(lam_m - lam_p); the residual converges
     to zero at 4th order under grid refinement.
     """
-    f = _grid_fields(surface, grid_size)
+    f = surface.grid_fields()
     if f.dim != 2:
         raise GeometryError(f"codazzi_residual needs a rotation surface (n = 2); on a "
                             f"curve (n = {f.dim}) nabla h has one component")
@@ -729,7 +731,7 @@ def codazzi_residual(surface, grid_size=None):
     return float(np.abs(_nabla_h_terms(f)[1] - nab_p_sp).max())
 
 
-def support_hessian_residual(surface, grid_size=None):
+def support_hessian_residual(surface):
     """Max defect of the support-value Hessian identity (flat ambient).
 
     Checks nabla_i nabla_j Z = -h_ij - <X^T, nabla h_ij> - Z (A^2)_ij
@@ -737,7 +739,7 @@ def support_hessian_residual(surface, grid_size=None):
     nabla h from 4th-order differences.  The origin must be strictly inside
     the surface.
     """
-    f = _grid_fields(surface, grid_size)
+    f = surface.grid_fields()
     z = f.support
     if np.any(z >= 0.0):
         raise GeometryError("support_hessian_residual: the origin is not strictly inside the "
@@ -753,22 +755,20 @@ def support_hessian_residual(surface, grid_size=None):
 # ---------------------------------------------------------------------------
 # snapshot documents
 
-# snapshot variant -> (surface type, the attribute it is written from, the field holding
-# that attribute, the field's array rank: 2 for a grid, whose document also holds grid_size)
-_SNAPSHOT_VARIANTS = {"curve": (PlaneCurve, "points", "positions", 2),
-                      "revolution": (RevolutionProfile, "profile", "profile", 2),
-                      "ellipsoid": (Ellipsoid, "semi_axes", "semi_axes", 1)}
+# snapshot variant -> (surface type, the (M, 2) array it is written from, the field
+# holding that array); the document also holds its length M as grid_size
+_SNAPSHOT_VARIANTS = {"curve": (PlaneCurve, "points", "positions"),
+                      "revolution": (RevolutionProfile, "profile", "profile")}
 
 
 def surface_to_document(surface, metadata=None):
     doc = {"format_version": FORMAT_VERSION, "kind": "surface_snapshot",
            "metadata": dict(metadata or {})}
-    for variant, (kind, attr, key, rank) in _SNAPSHOT_VARIANTS.items():
+    for variant, (kind, attr, key) in _SNAPSHOT_VARIANTS.items():
         if type(surface) is kind:
-            data = np.asarray(getattr(surface, attr))
+            data = getattr(surface, attr)
             doc["variant"] = variant
-            if rank == 2:
-                doc["grid_size"] = len(data)
+            doc["grid_size"] = len(data)
             doc[key] = data.tolist()
             return doc
     raise GeometryError(f"cannot serialize {type(surface).__name__}")
@@ -783,15 +783,18 @@ def surface_from_document(doc):
     variant = doc.get("variant")
     if variant not in _SNAPSHOT_VARIANTS:
         raise GeometryError(f"unknown snapshot variant {variant!r}")
-    build, _, key, rank = _SNAPSHOT_VARIANTS[variant]
+    build, _, key = _SNAPSHOT_VARIANTS[variant]
     try:
         data = np.asarray(doc[key], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"{variant} snapshot needs {key!r}, an array of numbers "
                             f"({type(exc).__name__}: {exc})") from exc
-    if data.ndim != rank:
-        raise GeometryError(f"{variant} snapshot: {key!r} must have rank {rank}, "
+    if data.ndim != 2:
+        raise GeometryError(f"{variant} snapshot: {key!r} must have rank 2, "
                             f"got shape {data.shape}")
+    if doc.get("grid_size") != len(data):
+        raise GeometryError(f"{variant} snapshot: 'grid_size' must be {len(data)}, the length "
+                            f"of {key!r}, got {doc.get('grid_size')!r}")
     return build(data)
 
 
@@ -809,9 +812,3 @@ def load_surface(path):
     with open(path) as fh:
         return surface_from_document(json.load(fh))
 
-
-def extract_geometry(surface, grid_size=256):
-    """Dispatch geometry extraction for any surface snapshot."""
-    if isinstance(surface, (PlaneCurve, RevolutionProfile)):
-        return surface.geometry()
-    return _meridian_shape_data(_grid_fields(surface, grid_size))

@@ -219,25 +219,25 @@ def _geometry_checks(rows):
     factor = _ellipse_curvature_error(2.0, 1.0, 128) / _ellipse_curvature_error(2.0, 1.0, 256)
     rows.append(("ellipse_curvature_refinement_shortfall", _shortfall(10.0, factor), 0.0))
 
-    sphere = hypersurface.Ellipsoid((1.0, 1.0, 1.0))
-    spheroid = hypersurface.Ellipsoid((1.0, 1.0, 1.3))
-    rows.append(("codazzi_sphere_m128", hypersurface.codazzi_residual(sphere, 128), 1e-10))
-    factor = (hypersurface.codazzi_residual(spheroid, 128)
-              / hypersurface.codazzi_residual(spheroid, 256))
+    sphere, sphere_256 = (hypersurface.AnalyticSpheroid(1.0, 1.0, m) for m in (128, 256))
+    spheroid, spheroid_256 = (hypersurface.AnalyticSpheroid(1.0, 1.3, m) for m in (128, 256))
+    rows.append(("codazzi_sphere_m128", hypersurface.codazzi_residual(sphere), 1e-10))
+    factor = (hypersurface.codazzi_residual(spheroid)
+              / hypersurface.codazzi_residual(spheroid_256))
     rows.append(("codazzi_spheroid_refinement_shortfall", _shortfall(8.0, factor), 0.0))
     rows.append(("support_hessian_sphere_m128",
-                 hypersurface.support_hessian_residual(sphere, grid_size=128), 1e-8))
-    factor = (hypersurface.support_hessian_residual(spheroid, grid_size=128)
-              / hypersurface.support_hessian_residual(spheroid, grid_size=256))
+                 hypersurface.support_hessian_residual(sphere), 1e-8))
+    factor = (hypersurface.support_hessian_residual(spheroid)
+              / hypersurface.support_hessian_residual(spheroid_256))
     rows.append(("support_hessian_spheroid_refinement_shortfall", _shortfall(8.0, factor), 0.0))
 
-    sph_geom = hypersurface.extract_geometry(sphere, grid_size=256)
+    sph_geom = sphere_256.geometry()
     height, y = sph_geom.position[:, 0], sph_geom.position[:, 1]
-    hess = hypersurface.covariant_hessian(sphere, height)
+    hess = hypersurface.covariant_hessian(sphere_256, height)
     round_metric = np.column_stack([np.ones_like(y), y * y])[:, :, None] * np.eye(2)
     defect = hess + height[:, None, None] * round_metric
     rows.append(("covariant_hessian_sphere_height_m256", float(np.abs(defect).max()), 1e-6))
-    const = hypersurface.covariant_hessian(sphere, np.ones(256))
+    const = hypersurface.covariant_hessian(sphere_256, np.ones(256))
     rows.append(("covariant_hessian_constant", float(np.abs(const).max()), 1e-12))
 
     rev = hypersurface.revolution_geometry(hypersurface.spheroid_profile(2.0, 1.0, 257))

@@ -212,6 +212,10 @@ def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
     require_nonpositive_curvature(c)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite (got radius={radius})")
+    curvature = cotc(c, radius)
+    if not curvature < math.inf:        # 1 / R overflows below about 5.6e-309
+        raise ValueError(f"radius too small: its principal curvature cotc(c, R) is not "
+                         f"finite (got radius={radius})")
     dirs = _unit_directions(dim, count, seed)
     if c == 0.0:
         positions = radius * dirs
@@ -226,5 +230,5 @@ def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
         normals[:, 0] = -math.sinh(kr)
         normals[:, 1:] = -math.cosh(kr) * dirs
     support = support_rows(c, positions, normals)
-    lam = np.full((count, dim), cotc(c, radius))
+    lam = np.full((count, dim), curvature)
     return ShapeData(dim, positions, normals, lam, support, np.ones(count))

@@ -13,7 +13,7 @@ from solitonlab import curvfun, flow, hypersurface, soliton, spaceform
 from solitonlab.cli import main
 from solitonlab.curvfun import builtin_functions, matrix_second_form
 from solitonlab.flow import FlowConfig, StopRule
-from solitonlab.hypersurface import Ellipsoid, circle, ellipse, spheroid_profile
+from solitonlab.hypersurface import AnalyticSpheroid, circle, ellipse, spheroid_profile
 
 from conftest import random_spd
 
@@ -92,12 +92,12 @@ def test_criterion_3_pair_sign_property():
 
 
 def test_criterion_4_codazzi_and_support_hessian():
-    spheroid = Ellipsoid((1.0, 1.0, 1.3))
-    sphere = Ellipsoid((1.0, 1.0, 1.0))
-    cod = [hypersurface.codazzi_residual(spheroid, m) for m in (128, 256)]
-    sup = [hypersurface.support_hessian_residual(spheroid, grid_size=m) for m in (128, 256)]
-    cod_sphere = hypersurface.codazzi_residual(sphere, 128)
-    sup_sphere = hypersurface.support_hessian_residual(sphere, grid_size=128)
+    spheroids = [AnalyticSpheroid(1.0, 1.3, m) for m in (128, 256)]
+    sphere = AnalyticSpheroid(1.0, 1.0, 128)
+    cod = [hypersurface.codazzi_residual(spheroid) for spheroid in spheroids]
+    sup = [hypersurface.support_hessian_residual(spheroid) for spheroid in spheroids]
+    cod_sphere = hypersurface.codazzi_residual(sphere)
+    sup_sphere = hypersurface.support_hessian_residual(sphere)
     ok = (cod[0] / cod[1] >= 8.0 and sup[0] / sup[1] >= 8.0
           and cod_sphere < 1e-8 and sup_sphere < 1e-8)
     _report(4, "Codazzi and support-Hessian residuals", ok,

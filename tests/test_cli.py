@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solitonlab import cli, hypersurface, identities
+from solitonlab import cli, curvfun, flow, hypersurface, identities
 from solitonlab.cli import main, parse_config_text
 
 
@@ -237,13 +237,20 @@ def test_flow_reports_its_dt_halvings(tmp_path, capsys):
 
 
 def test_flow_refuses_an_ellipsoid_snapshot(tmp_path, capsys):
+    # no snapshot variant holds an analytic surface
     snap = tmp_path / "ellipsoid.json"
-    hypersurface.save_surface(hypersurface.Ellipsoid((1.0, 1.0, 1.3)), snap)
+    snap.write_text(json.dumps({"format_version": 1, "variant": "ellipsoid",
+                                "semi_axes": [1.0, 1.0, 1.3]}))
     code = main(["--out", str(tmp_path), "flow", "--surface", f"profile {snap}",
                  "--f", "H", "--t-max", "0.01"])
     assert code == 2
-    assert ("flows run on PlaneCurve or RevolutionProfile snapshots, got Ellipsoid"
-            in capsys.readouterr().err)
+    assert "unknown snapshot variant 'ellipsoid'" in capsys.readouterr().err
+    # and the flow itself runs on the two sampled grid kinds only
+    config = flow.FlowConfig(f=curvfun.parse_curvature_function("H", 2),
+                             stop=flow.StopRule(t_max=0.01))
+    with pytest.raises(hypersurface.GeometryError, match="flows run on PlaneCurve or "
+                       "RevolutionProfile snapshots, got AnalyticSpheroid"):
+        flow.run(config, hypersurface.AnalyticSpheroid(1.0, 1.3, 64))
 
 
 @pytest.mark.parametrize("command, output", [
@@ -254,8 +261,11 @@ def test_a_malformed_snapshot_exits_2_and_names_its_field(tmp_path, capsys, comm
     snap = tmp_path / "bad.json"
     for doc, message in (([1, 2], "JSON object, got list"),
                          ({"format_version": 1, "variant": "curve"}, "needs 'positions'"),
-                         ({"format_version": 1, "variant": "ellipsoid", "semi_axes": 3},
-                          "'semi_axes' must have rank 1")):
+                         ({"format_version": 1, "variant": "curve", "positions": 3},
+                          "'positions' must have rank 2"),
+                         ({"format_version": 1, "variant": "curve", "grid_size": 999,
+                           "positions": hypersurface.circle(1.0, 64).points.tolist()},
+                          "'grid_size' must be 64, the length of 'positions', got 999")):
         snap.write_text(json.dumps(doc))
         assert main(["--out", str(tmp_path)] + [arg.format(snap=snap) for arg in command]) == 2
         assert message in capsys.readouterr().err
@@ -517,32 +527,21 @@ def test_soliton_fit_report_fields(tmp_path):
     assert doc["metadata"]["classification"] == "convex"
 
 
-@pytest.mark.parametrize("grid", ["0", "8", "-5"])
-def test_soliton_fit_refuses_a_meridian_grid_below_16(tmp_path, capsys, grid):
-    snap = tmp_path / "spheroid.json"
-    hypersurface.save_surface(hypersurface.Ellipsoid((1.0, 1.0, 1.3)), snap)
-    assert main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap),
-                 "--f", "H", "--grid", grid]) == 2
-    assert "meridian grid needs at least 16 samples" in capsys.readouterr().err
-    assert not (tmp_path / "soliton_fit.json").exists()
-
-
 def _grid_cases(tmp_path):
     curve = tmp_path / "curve.json"
     hypersurface.save_surface(hypersurface.ellipse(2.0, 1.0, 64), curve)
-    flow = ["flow", "--f", "H", "--t-max", "0.001", "--surface"]
+    run_flow = ["flow", "--f", "H", "--t-max", "0.001", "--surface"]
     return {
-        "flow-ellipse": flow + ["ellipse 2 1"],
-        "flow-spheroid": flow + ["spheroid 1 1.3"],
-        "flow-profile": flow + [f"profile {curve}"],
-        "fit-curve": ["soliton-fit", "--snapshot", str(curve), "--f", "H"],
+        "flow-ellipse": run_flow + ["ellipse 2 1"],
+        "flow-spheroid": run_flow + ["spheroid 1 1.3"],
+        "flow-profile": run_flow + [f"profile {curve}"],
     }
 
 
-@pytest.mark.parametrize("case", ["flow-ellipse", "flow-spheroid", "flow-profile", "fit-curve"])
+@pytest.mark.parametrize("case", ["flow-ellipse", "flow-spheroid", "flow-profile"])
 @pytest.mark.parametrize("grid", ["-5", "0", "15"])
 def test_grid_below_16_is_refused_whatever_the_surface(tmp_path, capsys, case, grid):
-    # a profile surface or a curve snapshot keeps its own grid; --grid is checked anyway
+    # a profile surface keeps its own grid; --grid is checked anyway
     out = tmp_path / "out"
     assert main(["--out", str(out)] + _grid_cases(tmp_path)[case] + ["--grid", grid]) == 2
     assert f"--grid {grid} is below 16" in capsys.readouterr().err
@@ -605,6 +604,19 @@ def test_flow_summary_prints_the_grid_of_a_profile_surface(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "flow", "--surface", f"profile {snap}",
                  "--f", "H", "--t-max", "0.001"]) == 0
     assert " grid=64\n" in capsys.readouterr().out
+
+
+def test_soliton_fit_has_no_grid_option(tmp_path, capsys):
+    # a snapshot carries its own grid, so neither the flag nor the config key exists
+    fit = ["soliton-fit", "--snapshot", "x.json", "--f", "H"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path)] + fit + ["--grid", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 64" in capsys.readouterr().err
+    config = tmp_path / "fit.ini"
+    config.write_text("[config]\nformat_version: 1\n\n[soliton-fit]\ngrid: 64\n")
+    assert main(["--config", str(config), "--out", str(tmp_path)] + fit) == 2
+    assert "unknown keys in [soliton-fit]: grid" in capsys.readouterr().err
 
 
 def test_a_base_point_config_key_is_refused(tmp_path, capsys):

@@ -8,11 +8,11 @@ from scipy.linalg.lapack import dgtsv
 
 from solitonlab import curvfun
 from solitonlab import hypersurface as hs
-from solitonlab.hypersurface import (Ellipsoid, GeometryError, NonConvexSurfaceError,
+from solitonlab.hypersurface import (AnalyticSpheroid, GeometryError, NonConvexSurfaceError,
                                      PlaneCurve, RevolutionProfile, circle,
                                      codazzi_residual, covariant_hessian,
                                      curve_geometry, ellipse, ellipsoid_geometry,
-                                     extract_geometry, revolution_geometry,
+                                     revolution_geometry,
                                      sphere_profile, spheroid_profile,
                                      support_hessian_residual,
                                      surface_from_document, surface_to_document)
@@ -202,7 +202,7 @@ def test_principal_curvatures_keep_the_grid_frame_order():
     # (meridian, parallel) on both rotation paths, not sorted: (2, 1/2) at the
     # equator of the (2, 2, 1) spheroid
     for geom in (revolution_geometry(spheroid_profile(2.0, 1.0, 257)),
-                 extract_geometry(Ellipsoid((2.0, 2.0, 1.0)), grid_size=257)):
+                 AnalyticSpheroid(2.0, 1.0, 257).geometry()):
         np.testing.assert_allclose(geom.lam[128], [2.0, 0.5], rtol=1e-6)
         assert np.array_equal(geom.mean, geom.lam.sum(axis=1))
         assert np.array_equal(geom.norm_A2, (geom.lam ** 2).sum(axis=1))
@@ -210,7 +210,7 @@ def test_principal_curvatures_keep_the_grid_frame_order():
 
 def test_revolution_two_path_consistency():
     rev = revolution_geometry(spheroid_profile(1.0, 1.3, 256))
-    analytic = extract_geometry(Ellipsoid((1.0, 1.0, 1.3)), grid_size=256)
+    analytic = AnalyticSpheroid(1.0, 1.3, 256).geometry()
     assert np.abs(rev.lam - analytic.lam).max() < 1e-6
     # |A|^2 = H^2 - 2K
     assert np.abs(rev.mean ** 2 - 2.0 * rev.lam.prod(axis=1) - rev.norm_A2).max() < 1e-10
@@ -296,6 +296,13 @@ def test_ellipsoid_pole_proximity_rejected():
         ellipsoid_geometry((1.0, 1.0, 1.5), 1e-4, 0.0)
 
 
+@pytest.mark.parametrize("axes", [(1.0, 1.0), (1.0, 0.0, 1.0), (1.0, math.nan, 1.0),
+                                  (1.0, 1.0, math.inf)])
+def test_ellipsoid_geometry_refuses_bad_semi_axes(axes):
+    with pytest.raises(GeometryError, match="semi-axes must be 3 positive finite reals"):
+        ellipsoid_geometry(axes, 1.0)
+
+
 def test_ellipse_point_matches_curve_path():
     curve_g = curve_geometry(ellipse(2.0, 1.0, 512))
     idx = int(round(0.8 / (2.0 * np.pi / 512)))
@@ -306,16 +313,17 @@ def test_ellipse_point_matches_curve_path():
 # covariant calculus on grids
 
 def test_covariant_hessian_constant_field():
-    out = covariant_hessian(Ellipsoid((1.0, 1.0, 1.3)), np.ones(128))
+    out = covariant_hessian(AnalyticSpheroid(1.0, 1.3, 128), np.ones(128))
     assert np.abs(out).max() < 1e-12
 
 
 def test_covariant_hessian_sphere_height():
     # height along the axis restricted to the unit sphere: hess = -height * g,
     # with g = diag(1, y^2) the round metric in (arclength, rotation angle)
-    geom = extract_geometry(Ellipsoid((1.0, 1.0, 1.0)), grid_size=256)
+    sphere = AnalyticSpheroid(1.0, 1.0, 256)
+    geom = sphere.geometry()
     height, y = geom.position[:, 0], geom.position[:, 1]
-    hess = covariant_hessian(Ellipsoid((1.0, 1.0, 1.0)), height)
+    hess = covariant_hessian(sphere, height)
     metric = np.zeros((256, 2, 2))
     metric[:, 0, 0], metric[:, 1, 1] = 1.0, y * y
     defect = hess + height[:, None, None] * metric
@@ -359,7 +367,7 @@ def _spheroid_height_defect(m, analytic):
     nu_x = a * np.cos(u) / speed
     h_uu, h_pp = a * c / speed, c / (a * speed) * (a * np.sin(u)) ** 2
     if analytic:
-        hess, scale = covariant_hessian(Ellipsoid((a, a, c)), -c * np.cos(u)), 1.0
+        hess, scale = covariant_hessian(AnalyticSpheroid(a, c, m), -c * np.cos(u)), 1.0
     else:
         profile = spheroid_profile(a, c, m)
         hess, scale = covariant_hessian(profile, profile.profile[:, 0]), np.pi ** 2
@@ -406,13 +414,12 @@ def test_codazzi_residual_refuses_a_curve_and_names_its_dimension():
 
 
 def test_codazzi_sphere_exact():
-    assert codazzi_residual(Ellipsoid((1.0, 1.0, 1.0)), 128) < 1e-10
+    assert codazzi_residual(AnalyticSpheroid(1.0, 1.0, 128)) < 1e-10
 
 
 def test_codazzi_spheroid_refinement():
-    spheroid = Ellipsoid((1.0, 1.0, 1.3))
-    r128 = codazzi_residual(spheroid, 128)
-    r256 = codazzi_residual(spheroid, 256)
+    r128 = codazzi_residual(AnalyticSpheroid(1.0, 1.3, 128))
+    r256 = codazzi_residual(AnalyticSpheroid(1.0, 1.3, 256))
     assert r128 / r256 >= 8.0
     assert r256 < 1e-7
 
@@ -423,23 +430,17 @@ def test_codazzi_discrete_profile():
     assert r128 / r256 >= 8.0
 
 
-def test_codazzi_triaxial_rejected():
-    with pytest.raises(GeometryError, match="axisymmetric"):
-        codazzi_residual(Ellipsoid((1.0, 1.2, 1.5)), 128)
-
-
 def test_support_hessian_circle():
     assert support_hessian_residual(circle(1.0, 256)) < 1e-10
 
 
 def test_support_hessian_sphere():
-    assert support_hessian_residual(Ellipsoid((1.0, 1.0, 1.0)), grid_size=128) < 1e-8
+    assert support_hessian_residual(AnalyticSpheroid(1.0, 1.0, 128)) < 1e-8
 
 
 def test_support_hessian_spheroid_refinement():
-    spheroid = Ellipsoid((1.0, 1.0, 1.3))
-    r128 = support_hessian_residual(spheroid, grid_size=128)
-    r256 = support_hessian_residual(spheroid, grid_size=256)
+    r128 = support_hessian_residual(AnalyticSpheroid(1.0, 1.3, 128))
+    r256 = support_hessian_residual(AnalyticSpheroid(1.0, 1.3, 256))
     assert r128 / r256 >= 8.0
 
 
@@ -459,15 +460,14 @@ def test_support_hessian_base_outside_rejected():
 # snapshots
 
 def _surface_bits(surface):
-    data = {PlaneCurve: "points", RevolutionProfile: "profile", Ellipsoid: "semi_axes"}
-    return np.asarray(getattr(surface, data[type(surface)]), dtype=float).tobytes()
+    data = {PlaneCurve: "points", RevolutionProfile: "profile"}
+    return getattr(surface, data[type(surface)]).tobytes()
 
 
 def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     wobbly = PlaneCurve(circle(1.0, 32).points * (1.0 + 0.01 * rng.random((32, 1))))
-    surfaces = [circle(1.0, 32), wobbly, spheroid_profile(1.0, 1.3, 40),
-                Ellipsoid((1.0, 1.0, 1.5)), Ellipsoid((math.pi, 1.0 / 3.0, 0.1 + 0.2))]
+    surfaces = [circle(1.0, 32), wobbly, spheroid_profile(1.0, 1.3, 40)]
     metadata = {"note": "x", "seed": 3, "t_final": 0.1 + 0.2, "ratio": 1.0 / 3.0,
                 "tiny": 5e-324, "stop_reason": "aborted: dt underflow"}
     for surf in surfaces:
@@ -483,40 +483,37 @@ def test_snapshot_round_trip(tmp_path):
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")      # one line of JSON
         assert json.loads(text)["metadata"] == metadata
-    # the exact text written: key order, grid_size on the grid variants only, float reprs
+    # the exact text written: key order, float reprs
     for surf, variant, field, data in (
             (circle(1.0, 16), "curve", "positions", circle(1.0, 16).points),
-            (sphere_profile(1.0, 16), "revolution", "profile", sphere_profile(1.0, 16).profile),
-            (Ellipsoid((1.0, 1.0, 1.5)), "ellipsoid", "semi_axes", None)):
+            (sphere_profile(1.0, 16), "revolution", "profile", sphere_profile(1.0, 16).profile)):
         expected = {"format_version": 1, "kind": "surface_snapshot", "metadata": {"seed": 3},
-                    "variant": variant}
-        if data is None:
-            expected[field] = [1.0, 1.0, 1.5]
-        else:
-            expected["grid_size"] = 16
-            expected[field] = [[float(x), float(y)] for x, y in data]
+                    "variant": variant, "grid_size": 16,
+                    field: [[float(x), float(y)] for x, y in data]}
         path = tmp_path / f"{variant}.json"
         hs.save_surface(surf, path, metadata={"seed": 3})
         assert path.read_text() == json.dumps(expected) + "\n"
     with pytest.raises(GeometryError, match="format_version"):
         surface_from_document({"format_version": 2, "variant": "curve"})
-    with pytest.raises(GeometryError, match="variant"):
-        surface_from_document({"format_version": 1, "variant": "blob"})
+    for variant in ("blob", "ellipsoid"):
+        with pytest.raises(GeometryError, match=f"unknown snapshot variant '{variant}'"):
+            surface_from_document({"format_version": 1, "variant": variant})
     with pytest.raises(GeometryError, match="JSON object, got list"):
         surface_from_document([1, 2])
     with pytest.raises(GeometryError, match="curve snapshot needs 'positions'"):
         surface_from_document({"format_version": 1, "variant": "curve"})
-    with pytest.raises(GeometryError, match=r"'semi_axes' must have rank 1, got shape \(\)"):
-        surface_from_document({"format_version": 1, "variant": "ellipsoid", "semi_axes": 3})
+    with pytest.raises(GeometryError, match=r"'positions' must have rank 2, got shape \(\)"):
+        surface_from_document({"format_version": 1, "variant": "curve", "positions": 3})
     with pytest.raises(GeometryError, match="revolution snapshot needs 'profile', an array of numbers"):
         surface_from_document({"format_version": 1, "variant": "revolution",
                                "profile": [[0.0, "y"]]})
-    with pytest.raises(GeometryError, match="positive finite reals"):
-        surface_from_document({"format_version": 1, "variant": "ellipsoid",
-                               "semi_axes": [1.0, 1.0, math.nan]})
-    with pytest.raises(GeometryError, match=r"3 positive finite reals, got \[2\. 1\.\]"):
-        surface_from_document({"format_version": 1, "variant": "ellipsoid",
-                               "semi_axes": [2.0, 1.0]})
+    points = circle(1.0, 64).points.tolist()
+    for grid_size in (999, None, 64.5, "64"):
+        doc = {"format_version": 1, "variant": "curve", "grid_size": grid_size,
+               "positions": points}
+        with pytest.raises(GeometryError, match=f"'grid_size' must be 64, the length of "
+                                                f"'positions', got {grid_size!r}"):
+            surface_from_document(doc)
     with pytest.raises(GeometryError, match="cannot serialize ShapeData"):
         surface_to_document(curve_geometry(circle(1.0, 32)))
 
@@ -601,29 +598,31 @@ def test_each_linearized_solver_factors_once(monkeypatch):
         assert calls == {"dgttrf": 1, "dgttrs": 2 + correction}
 
 
-def test_extract_geometry_dispatch():
-    assert extract_geometry(circle(1.0, 64)).dim == 1
-    assert extract_geometry(spheroid_profile(1.0, 1.2, 64)).dim == 2
-    assert extract_geometry(Ellipsoid((1.0, 1.0, 1.2)), grid_size=64).dim == 2
-    with pytest.raises(GeometryError, match="pointwise"):
-        extract_geometry(Ellipsoid((1.0, 1.1, 1.2)))
-    # the axisymmetry test is relative: a tiny triaxial surface is refused, and
-    # first semi-axes equal to 2.3e-16 relative grid as the spheroid
-    with pytest.raises(GeometryError, match="pointwise"):
-        extract_geometry(Ellipsoid((1e-15, 3e-15, 2e-15)), grid_size=64)
-    near = extract_geometry(Ellipsoid((1e3, 1e3 + 2.3e-13, 2e3)), grid_size=64)
-    exact = extract_geometry(Ellipsoid((1e3, 1e3, 2e3)), grid_size=64)
-    for field in ("position", "normal", "lam", "support", "weights"):
-        assert getattr(near, field).tobytes() == getattr(exact, field).tobytes()
+@pytest.mark.parametrize("surface", [circle(1.0, 64), sphere_profile(1.0, 64),
+                                     AnalyticSpheroid(1.0, 1.0, 64)],
+                         ids=["curve", "profile", "analytic-spheroid"])
+def test_each_grid_kind_serves_every_grid_operation(surface):
+    # the unit circle or sphere: each operation reads the surface's own grid fields
+    m, n = surface.grid_size, surface.dim
+    geom = surface.geometry()
+    assert geom.dim == n and geom.lam.shape == (m, n)
+    assert np.abs(geom.lam - 1.0).max() < 1e-8
+    hess = covariant_hessian(surface, np.ones(m))
+    assert hess.shape == (m, n, n) and np.abs(hess).max() < 1e-11
+    with pytest.raises(GeometryError, match=f"does not match grid \\({m},\\)"):
+        covariant_hessian(surface, np.ones(2 * m))
+    assert support_hessian_residual(surface) < 1e-10
+    if n == 2:
+        assert codazzi_residual(surface) < 1e-12
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: covariant_hessian(Ellipsoid((1.0, 1.0, 1.2)), np.ones(8)),
-     "meridian grid needs at least 16 samples"),
-    (lambda: codazzi_residual(Ellipsoid((1.0, 1.0, 1.2))), "need grid_size"),
-    (lambda: covariant_hessian(np.zeros((64, 2)), np.ones(64)),
-     "unsupported surface type ndarray"),
-], ids=["ellipsoid-grid-8", "no-grid-size", "unsupported-type"])
+    (lambda: AnalyticSpheroid(1.0, 1.2, 8), "meridian grid needs at least 16 samples"),
+    (lambda: AnalyticSpheroid(0.0, 1.2, 64), r"positive finite reals, got \(0\.0, 1\.2\)"),
+    (lambda: AnalyticSpheroid(1.0, -1.2, 64), r"positive finite reals, got \(1\.0, -1\.2\)"),
+    (lambda: AnalyticSpheroid(math.nan, 1.2, 64), r"positive finite reals, got \(nan, 1\.2\)"),
+    (lambda: AnalyticSpheroid(1.0, math.inf, 64), r"positive finite reals, got \(1\.0, inf\)"),
+], ids=["ellipsoid-grid-8", "zero-axis", "negative-axis", "nan-axis", "inf-axis"])
 def test_grid_operations_refuse_what_they_cannot_grid(call, message):
     with pytest.raises(GeometryError, match=message):
         call()

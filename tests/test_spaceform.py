@@ -277,6 +277,20 @@ def test_tiny_flat_spheres_keep_their_support(radius, dim):
     np.testing.assert_allclose(sphere.support, -radius, rtol=1e-14)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_a_radius_whose_curvature_overflows_is_refused(c):
+    # cotc(c, 1e-310) = 1 / 1e-310 overflowed, and every principal curvature read inf
+    with pytest.raises(ValueError, match=r"cotc\(c, R\) is not finite \(got radius=1e-310\)"):
+        sample_geodesic_sphere(c, 1e-310, 2, 16)
+
+
+def test_a_radius_of_1e_300_still_samples():
+    sphere = sample_geodesic_sphere(0.0, 1e-300, 2, 16)
+    # 1 / 1e-300 is the double one ulp below 1e300
+    assert np.all(sphere.lam == 1.0 / 1e-300)
+    np.testing.assert_allclose(sphere.lam, 1e300, rtol=1e-15)
+
+
 def test_the_origin_is_still_the_base_point_at_c_0():
     with pytest.raises(ValueError, match="base point"):
         support_rows(0.0, [[1e-200, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]])
