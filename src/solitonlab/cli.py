@@ -76,7 +76,13 @@ def _cmd_sphere_check(args, out_dir):
     print(f"sphere-check: f={f.name} n={args.n} R={args.R:g} c={args.c:g}")
     print(f"tau = {tau:.10g}")
     sphere = spaceform.sample_geodesic_sphere(args.c, args.R, args.n, args.samples, seed=args.seed)
-    values = f.value(sphere.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f.value(sphere.lam)
+    if not np.isfinite(values).all():
+        # F may be in range while an intermediate, such as K in pow(K, 1/4), is not
+        raise ValueError(f"F of f={f.name} at the principal curvature {sphere.lam[0, 0]:g} "
+                         f"(R={args.R:g}, c={args.c:g}) overflows the float range in its "
+                         "evaluation")
     residual = float(np.abs(values + tau * sphere.support).max() / max(1.0, np.abs(values).max()))
     tol = 1e-8
     ok = residual < tol

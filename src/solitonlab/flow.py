@@ -19,9 +19,13 @@ is not limited by the grid: it is set by accuracy,
     dt = dt_safety * 0.05 / max_M sum_i (df/dlam_i) lam_i^2,
 
 which scales with the surface as the flow's clock does.  After every step the
-surface is redistributed to uniform arclength, optionally rescaled to a fixed
-measure about the centroid, and monitored for the pinching ratio, the
-umbilicity defects and the soliton residual fit.  Flat ambient space only.
+surface is redistributed to uniform arclength once its chords have spread (see
+`hypersurface._RESAMPLE_SPREAD`), optionally rescaled to a fixed measure about
+the centroid, and monitored for the pinching ratio, the umbilicity defects and
+the soliton residual fit.  Flat ambient space only.  The extraction
+differentiates in the grid parameter and the linearized solve reads the actual
+chords, so neither needs uniform chords, and a resample's interpolation error is
+paid only when the spacing has drifted.
 
 The surfaces (`PlaneCurve`, `RevolutionProfile`) own every operation that
 depends on their grid layout, the linearized solve included, so nothing here
@@ -210,11 +214,13 @@ def _step(surface, geom, f, dt, values, dfdlam):
 
 
 def step(surface, f, dt):
-    """One linearly implicit ROS2 step, then redistribution to uniform arclength.
+    """One linearly implicit ROS2 step, then redistribution to uniform arclength
+    if the chords have spread.
 
     Both stages move the samples along the normals of `surface`, the second
     one after the geometry of the first stage's surface is extracted, and
-    the result is resampled and extracted again.  Returns the stepped
+    the result is resampled, once its longest chord exceeds its shortest by
+    more than `hypersurface._RESAMPLE_SPREAD`, and extracted again.  Returns the stepped
     surface.  Raises `GeometryError` when either stage loses convexity or
     validity and `DomainError` when it leaves the domain of f; callers retry
     with a smaller dt.
@@ -236,13 +242,14 @@ def _rescale(surface, geom, target_measure):
     extracted or validated again.
     """
     d = geom.dim
-    alpha = (target_measure / geom.measure) ** (1.0 / d)
-    center = surface.centroid(geom.weights)
-    scaled_geom = ShapeData(d, position=center + alpha * (geom.position - center),
-                            normal=geom.normal, lam=geom.lam / alpha,
+    measure = geom.measure
+    alpha = (target_measure / measure) ** (1.0 / d)
+    center = surface.centroid(geom.weights, measure)
+    position = center + alpha * (geom.position - center)
+    scaled_geom = ShapeData(d, position=position, normal=geom.normal, lam=geom.lam / alpha,
                             support=alpha * geom.support + (1.0 - alpha) * (geom.normal @ center),
                             weights=alpha ** d * geom.weights)
-    return surface.scaled(alpha, center), scaled_geom, alpha
+    return surface.placed(position), scaled_geom, alpha
 
 
 def _stop_reason(stop, t, mon, geom, physical_fraction):

@@ -13,7 +13,8 @@ to the Euclidean support function <X, nu>; for c < 0 it is evaluated in the
 hyperboloid (Minkowski) model, where a unit normal tangent to the hyperboloid
 has <d_rho, nu> = nu_0 / sinh(sqrt(-c) rho): its time coordinate over sinh,
 exact to rounding however far the point is from the base point (the Minkowski
-pairing that defines it cancels terms of size cosh(sqrt(-c) rho)^2).
+pairing that defines it cancels terms of size cosh(sqrt(-c) rho)^2).  The sinh
+cancels against shc(c, rho), so Z = nu_0 / sqrt(-c), with no rho to recover.
 Positive c is accepted only by `shc`/`chc`/`cotc` themselves (periodic;
 callers mind the period); everything else requires c <= 0.
 
@@ -162,26 +163,22 @@ def support_rows(c, positions, normals):
         _refuse_rows(np.abs(norm - 1.0) > 1e-10, "normal must be unit length, |nu| = {}", norm)
         rho = _row_lengths(x)
         _refuse_rows(rho == 0.0, "point coincides with the base point; d_rho undefined")
-        nu_comp = _row_dot(x / rho[:, None], nu)
-        z_scale = rho                               # shc(0, rho) = rho
-    else:
-        kappa = math.sqrt(-c)
-        _refuse_rows(_pairing_misses(x, x, 1.0 / c, 1e-8 * max(1.0, abs(1.0 / c))),
-                     "position does not lie on the model hyperboloid <<x,x>> = 1/c")
-        _refuse_rows(_pairing_misses(nu, nu, 1.0, 1e-10),
-                     "normal must be unit for the Minkowski pairing")
-        _refuse_rows(_pairing_misses(x, nu, 0.0, 1e-8),
-                     "normal must be tangent to the hyperboloid")
-        cosh_kr = kappa * x[:, 0]               # -<<kappa x, kappa * base point>>
-        _refuse_rows(cosh_kr < 1.0 + 1e-14, "point coincides with the base point; d_rho undefined")
-        rho = np.arccosh(cosh_kr) / kappa
-        sinh_kr = np.sinh(kappa * rho)
-        # d_rho = (cosh_kr kappa x - kappa * base point) / sinh_kr, so <<d_rho, nu>> =
-        # (cosh_kr <<kappa x, nu>> + nu_0) / sinh_kr, and <<x, nu>> = 0 is checked: the
-        # pairing itself cancels terms of size cosh_kr^2
-        nu_comp = nu[:, 0] / sinh_kr
-        z_scale = sinh_kr / kappa               # shc(c, rho)
-    return z_scale * nu_comp
+        return rho * _row_dot(x / rho[:, None], nu)         # shc(0, rho) = rho
+    kappa = math.sqrt(-c)
+    _refuse_rows(_pairing_misses(x, x, 1.0 / c, 1e-8 * max(1.0, abs(1.0 / c)))
+                 | ~(x[:, 0] > 0.0),
+                 "position does not lie on the model hyperboloid <<x,x>> = 1/c, x_0 > 0")
+    _refuse_rows(_pairing_misses(nu, nu, 1.0, 1e-10),
+                 "normal must be unit for the Minkowski pairing")
+    _refuse_rows(_pairing_misses(x, nu, 0.0, 1e-8),
+                 "normal must be tangent to the hyperboloid")
+    # the base point is the one point of the sheet whose spatial part is zero
+    _refuse_rows(_row_lengths(x[:, 1:]) == 0.0,
+                 "point coincides with the base point; d_rho undefined")
+    # d_rho = (cosh(kappa rho) kappa x - kappa * base point) / sinh(kappa rho), so with
+    # <<x, nu>> = 0 checked, <<d_rho, nu>> = nu_0 / sinh(kappa rho); shc(c, rho) =
+    # sinh(kappa rho) / kappa cancels that sinh, at any rho
+    return nu[:, 0] / kappa
 
 
 def _unit_directions(dim, count, seed):

@@ -761,6 +761,26 @@ def test_sphere_check_refuses_a_sphere_whose_pairings_overflow(tmp_path, capsys)
     assert "overflows the float range" in capsys.readouterr().err
 
 
+def test_sphere_check_passes_a_tiny_hyperbolic_sphere(tmp_path, capsys):
+    # rho recovered from arccosh(kappa x_0) lost its digits below kappa rho ~ 1.4e-7, and
+    # the sphere was refused as sitting on the base point
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--R", "1e-7", "--c=-1"])
+    assert code == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+def test_sphere_check_refuses_an_f_whose_evaluation_overflows(tmp_path, capsys):
+    # F = K^(1/4) = 1e100 is in range but K = 1e400 is not: the residual read nan, with
+    # RuntimeWarnings, and the exact sphere soliton was reported as a FAIL
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(K,0.25)", "--n", "2",
+                 "--R", "1e-200"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out + err
+    assert "F of f=pow(K,0.25) at the principal curvature 1e+200" in err
+    assert "overflows the float range" in err
+
+
 def test_sphere_check_passes_a_tiny_flat_sphere(tmp_path, capsys):
     # R = 1e-200 was refused as "point coincides with the base point", while 1e-160 passed
     code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,-2)", "--R", "1e-200",

@@ -207,18 +207,26 @@ def test_local_lagrange_reproduces_degree_7_polynomials(m):
     assert np.abs(got - poly(targets)).max() < 1e-12 * np.abs(values).max()
 
 
+def _uneven_ellipse(m):
+    """The 2:1 ellipse on an angle grid bunched on one side: chords spread about 2x."""
+    j = np.arange(m)
+    th = 2.0 * np.pi * (j + 0.3 * np.sin(2.0 * np.pi * j / m + 0.4)) / m
+    return hypersurface.PlaneCurve(np.column_stack([2.0 * np.cos(th), np.sin(th)]))
+
+
+def _uneven_meridian(m):
+    """The 1:1.3 spheroid meridian on an angle grid bunched toward one pole."""
+    v = np.linspace(0.0, 1.0, m)
+    u = np.pi * (v + 0.05 * np.sin(2.0 * np.pi * v))
+    return hypersurface.RevolutionProfile(np.column_stack([-1.3 * np.cos(u), np.sin(u)]))
+
+
 def _resample_errors(m):
     """Max errors at grid size m: the resampled ellipse and spheroid meridian off their
     implicit curves, and the interpolant of a smooth periodic function off the function."""
-    j = np.arange(m)
-    th = 2.0 * np.pi * (j + 0.3 * np.sin(2.0 * np.pi * j / m + 0.4)) / m
-    pts = hypersurface.PlaneCurve(np.column_stack([2.0 * np.cos(th), np.sin(th)])).resampled()
-    x, y = pts.points.T
+    x, y = _uneven_ellipse(m).resampled().points.T
     curve = np.abs(x * x / 4.0 + y * y - 1.0).max()
-    v = np.linspace(0.0, 1.0, m)
-    u = np.pi * (v + 0.05 * np.sin(2.0 * np.pi * v))
-    prof = hypersurface.RevolutionProfile(np.column_stack([-1.3 * np.cos(u), np.sin(u)]))
-    x, y = prof.resampled().profile.T
+    x, y = _uneven_meridian(m).resampled().profile.T
     meridian = np.abs(x * x / 1.69 + y * y - 1.0).max()
     period = 7.0
     j = np.arange(-3, m + 4)
@@ -249,6 +257,60 @@ def test_redistribute_pins_the_poles_and_keeps_the_radius_nonnegative():
         new = flow._redistribute(prof).profile
         assert new[[0, -1]].tobytes() == prof.profile[[0, -1]].tobytes()
         assert (new[:, 1] >= 0.0).all()
+
+
+def _chord_spread(surface):
+    """Longest over shortest chord of a closed curve or of a meridian, pole to pole."""
+    if surface.dim == 1:
+        pts = np.concatenate((surface.points, surface.points[:1]))
+    else:
+        pts = surface.profile
+    chords = np.hypot(*np.diff(pts, axis=0).T)
+    return chords.max() / chords.min()
+
+
+def _counting_redistribute(monkeypatch):
+    """Patch flow._redistribute to count its calls and the ones that resample."""
+    counts = {"calls": 0, "resampled": 0}
+    redistribute = flow._redistribute
+
+    def wrapper(surface):
+        out = redistribute(surface)
+        counts["calls"] += 1
+        counts["resampled"] += out is not surface
+        return out
+    monkeypatch.setattr(flow, "_redistribute", wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("rescale_mode", ["none", "fixed-scale"])
+def test_a_uniform_circle_is_never_resampled(monkeypatch, rescale_mode):
+    # every sample moves by the same normal speed, so the chords stay equal
+    counts = _counting_redistribute(monkeypatch)
+    config = FlowConfig(f=H1, stop=StopRule(t_max=0.1), rescale_mode=rescale_mode)
+    trace = run(config, circle(1.0, 64))
+    assert trace.stop_reason == "t_max" and counts["calls"] == len(trace.rows) - 1 > 5
+    assert counts["resampled"] == 0
+    assert _chord_spread(trace.final_surface) < 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("make", [_uneven_ellipse, _uneven_meridian], ids=["curve", "profile"])
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_a_grid_whose_chords_spread_is_resampled_within_the_bound(make, m):
+    surface = make(m)
+    assert _chord_spread(surface) > hypersurface._RESAMPLE_SPREAD
+    new = flow._redistribute(surface)
+    assert new is not surface
+    assert _chord_spread(new) <= hypersurface._RESAMPLE_SPREAD
+
+
+def test_the_criterion_7_ellipse_resamples_fewer_times_than_it_steps(monkeypatch):
+    counts = _counting_redistribute(monkeypatch)
+    make, f, stop, _ = _CRITERION_7["ellipse"]
+    trace = run(FlowConfig(f=f, stop=stop, rescale_mode="fixed-scale"), make(64))
+    steps = len(trace.rows) - 1
+    assert trace.stop_reason == "r_tol" and counts["calls"] == steps
+    assert 0 < counts["resampled"] < steps
 
 
 # The fresh extraction carries its own rounding, which grows like eps / du^2
@@ -367,11 +429,12 @@ def test_criterion_7_step_count_does_not_grow_with_the_grid(name):
     assert counts[1] <= bound
 
 
-# (steps, final r_max, tau_fit, aHH_max) recorded with the local degree-7 resample; a
-# change that only removes overhead keeps the arithmetic, and so these values
+# (steps, final r_max, tau_fit, aHH_max) recorded with the local degree-7 resample, run
+# once the chords spread past hypersurface._RESAMPLE_SPREAD; a change that only removes
+# overhead keeps the arithmetic, and so these values
 _CRITERION_7_AT_M64 = {
-    "ellipse": (198, 1.0196051361032579, 0.4205936012100993, 1.0),
-    "spheroid": (85, 1.219730609478496, 1.6663042512372699, 0.5048994867018842),
+    "ellipse": (198, 1.0195894638777054, 0.42059358370599, 1.0),
+    "spheroid": (85, 1.219726405989957, 1.666316947395721, 0.5048993178030352),
 }
 
 

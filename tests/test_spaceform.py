@@ -206,6 +206,8 @@ def test_a_normal_off_unit_by_1e_8_is_still_refused_at_kappa_r_7(scale):
     (-1.0, [math.cosh(0.5), math.nan, 0.0], [0.0, 0.0, 1.0], "finite"),
     (-1.0, [math.cosh(0.5), math.inf, 0.0], [0.0, 0.0, 1.0], "finite"),
     (-1.0, [math.cosh(0.5), math.sinh(0.5), 0.0], [0.0, 0.0, math.nan], "finite"),
+    # the lower sheet, which the base-point test on kappa x_0 used to refuse
+    (-1.0, [-math.cosh(0.5), math.sinh(0.5), 0.0], [0.0, 0.0, 1.0], "hyperboloid"),
 ])
 def test_support_refusals_fire_inside_a_batch(c, bad_position, bad_normal, message):
     with pytest.raises(ValueError, match=message):
