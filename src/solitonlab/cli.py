@@ -207,16 +207,11 @@ def _cmd_sweep_pinching(args, out_dir):
 
 
 def _cmd_soliton_fit(args, out_dir):
-    _require_at_least(args, "classify_samples", curvfun._CONVEXITY_MIN_SAMPLES,
-                      "fewer samples give no convexity verdict")
     geom = hypersurface.load_surface(args.snapshot).geometry()
     f = curvfun.parse_curvature_function(args.f, geom.dim)
     mon = flow.monitors(geom, f)
     report = mon.soliton
-    rng = np.random.default_rng(args.seed)
-    verdict_samples = rng.uniform(0.2, 3.0, size=(args.classify_samples, geom.dim))
-    classification = curvfun.convexity_classify(f, verdict_samples)
-    verdict = soliton.admissibility(geom.dim, f, classification, mon.r_max)
+    verdict = soliton.admissibility(f, mon.r_max)
 
     doc = {
         "format_version": CONFIG_FORMAT_VERSION,
@@ -231,7 +226,7 @@ def _cmd_soliton_fit(args, out_dir):
         "threshold_2iii": verdict.threshold_2iii,
         "metadata": {"seed": args.seed, "f": f.name, "snapshot": str(args.snapshot),
                      "sample_count": report.sample_count,
-                     "classification": classification, "r_max_observed": mon.r_max},
+                     "classification": f.convexity, "r_max_observed": mon.r_max},
     }
     path = out_dir / args.json
     path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -305,7 +300,6 @@ _COMMANDS = {
     "soliton-fit": _Command("fit tau on a surface snapshot", _cmd_soliton_fit, (
         _Option("snapshot", str, _REQUIRED),
         _Option("f", str, _REQUIRED),
-        _Option("classify_samples", int, 200),
         _Option("json", str, "soliton_fit.json"),
     )),
 }

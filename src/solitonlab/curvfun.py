@@ -66,9 +66,9 @@ def _esym(lam2d, k, skip=()):
 class CurvatureFunction:
     """Base class: a symmetric, positively homogeneous eigenvalue function.
 
-    Subclasses provide `_value`, `_gradient`, `_hessian` on (k, n) batches and
-    a `_domain_violation` hook returning a diagnostic string for the first
-    offending row, or None.
+    Subclasses provide `_value`, `_gradient`, `_hessian` on (k, n) batches, a `_domain_violation`
+    hook returning a diagnostic string for the first offending row, or None, and a `power_range`
+    (a, b): for n > 1, on the positive cone, `Power(f, p)` is convex at p >= a, concave at p <= b.
     """
 
     def __init__(self, n):
@@ -96,6 +96,14 @@ class CurvatureFunction:
     def unit_value(self):
         """f(1, ..., 1); fixes the geodesic-sphere normalization."""
         return self.value(np.ones(self.n))
+
+    def _power_convexity(self, p=1.0):
+        """`Power(f, p)` "convex", "concave" or "neither", exact from `power_range`:
+        at n = 1 every family is lam, so a = b = 1, and a linear power is "convex"."""
+        a, b = self.power_range if self.n > 1 else (1.0, 1.0)
+        return "convex" if p >= a else "concave" if p <= b else "neither"
+
+    convexity = property(_power_convexity)
 
     # -- helpers ------------------------------------------------------------
 
@@ -134,6 +142,7 @@ class MeanCurvature(CurvatureFunction):
 
     name = "H"
     degree = 1.0
+    power_range = (1.0, 1.0)
 
     def _value(self, arr):
         return arr.sum(axis=1)
@@ -156,6 +165,7 @@ class ElementarySymmetric(CurvatureFunction):
         self.k = k
         self.name = f"sigma{k}"
         self.degree = float(k)
+        self.power_range = (1.0 if k == 1 else math.inf, 1.0 / k)   # sigma_k^(1/k) is concave
 
     def _value(self, arr):
         return _esym(arr, self.k)
@@ -186,6 +196,7 @@ class EuclideanNorm(CurvatureFunction):
 
     name = "norm"
     degree = 1.0
+    power_range = (1.0, -math.inf)
 
     def _domain_violation(self, arr):
         if np.any(np.all(arr == 0.0, axis=1)):
@@ -212,6 +223,7 @@ class GeometricMean(CurvatureFunction):
 
     name = "geomean"
     degree = 1.0
+    power_range = (math.inf, 1.0)
 
     def _domain_violation(self, arr):
         return self._positive_cone_violation(arr)
@@ -258,6 +270,8 @@ class Power(CurvatureFunction):
         digits = next(k for k in range(6, 18) if float(f"{p:.{k}g}") == p)
         self.name = f"pow({base.name},{p:.{digits}g})"
         self.degree = p * base.degree
+
+    convexity = property(lambda self: self.base._power_convexity(self.p))
 
     def _domain_violation(self, arr):
         return self._positive_cone_violation(arr)

@@ -9,7 +9,7 @@ function, with the closed-form constant
 value is -shc(R)).  For sampled flat grid surfaces, `fit_tau` finds the
 measure-weighted least-squares tau and centre and reports residual statistics,
 and the admissibility calculator evaluates which branch of the umbilical-sphere
-classification covers a given degree, convexity class, and pinching ratio.
+classification covers a curvature function (its n, degree and convexity) at a pinching ratio.
 """
 
 import math
@@ -216,12 +216,12 @@ def _coverage(n, m, label):
     return covered, threshold
 
 
-def admissibility(n, f, classification, r_max):
-    """Evaluate the umbilical-sphere classification branches (see `_coverage`) for a
-    `convexity_classify` label other than "indeterminate" and the pinching ratio r_max."""
+def admissibility(f, r_max):
+    """Evaluate the umbilical-sphere classification branches (see `_coverage`) for f, at
+    its dimension, degree and `convexity`, and the pinching ratio r_max."""
     if r_max < 1.0:
         raise ValueError("r_max must be >= 1")
-    covered, threshold = _coverage(n, f.degree, classification)
+    covered, threshold = _coverage(f.n, f.degree, f.convexity)
     if threshold is not None and r_max <= threshold:
         covered.append("2(iii)")
     return PinchingVerdict(covered_by=tuple(covered), threshold_2iii=threshold,

@@ -568,33 +568,45 @@ def test_soliton_fit_reports_the_centre_of_a_moved_snapshot(tmp_path):
     (["sphere-check", "--f", "H", "--R", "1", "--samples", "5"], "--samples 5 is below 16"),
     (["sphere-check", "--f", "H", "--R", "1", "--c", "1", "--samples", "0"],
      "--samples 0 is below 16"),
-    (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "-1"],
-     "--classify-samples -1 is below 10"),
-    (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "0"],
-     "--classify-samples 0 is below 10"),
-    (["soliton-fit", "--snapshot", "{snap}", "--f", "H", "--classify-samples", "9"],
-     "--classify-samples 9 is below 10"),
-], ids=["samples-negative", "samples-5", "samples-0-positive-c", "classify-negative",
-        "classify-0", "classify-9"])
+], ids=["samples-negative", "samples-5", "samples-0-positive-c"])
 def test_a_count_below_its_floor_is_refused_by_its_flag(tmp_path, capsys, argv, message):
-    snap = tmp_path / "sphere.json"
-    hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), snap)
     out = tmp_path / "out"
-    argv = ["--out", str(out)] + [arg.format(snap=snap) for arg in argv]
-    assert main(argv) == 2
+    assert main(["--out", str(out)] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
     assert not any(out.iterdir())
 
 
-def test_soliton_fit_gives_a_verdict_at_the_classify_samples_floor(tmp_path):
-    snap = tmp_path / "sphere.json"
-    hypersurface.save_surface(hypersurface.sphere_profile(1.0, 64), snap)
-    assert main(["--out", str(tmp_path), "soliton-fit", "--snapshot", str(snap), "--f", "H",
-                 "--classify-samples", "10"]) == 0
-    doc = json.loads((tmp_path / "soliton_fit.json").read_text())
-    assert doc["metadata"]["classification"] == "convex"
+def test_soliton_fit_has_no_classify_samples_option(tmp_path, capsys):
+    # the convexity label is exact, from the family table, so no samples are drawn for it
+    fit = ["soliton-fit", "--snapshot", "x.json", "--f", "H"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path)] + fit + ["--classify-samples", "200"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --classify-samples 200" in capsys.readouterr().err
+    config = tmp_path / "fit.ini"
+    config.write_text("[config]\nformat_version: 1\n\n[soliton-fit]\nclassify_samples: 200\n")
+    assert main(["--config", str(config), "--out", str(tmp_path)] + fit) == 2
+    assert "unknown keys in [soliton-fit]: classify_samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("surface, labels", [
+    (hypersurface.ellipse(2.0, 1.0, 64), ("convex", "concave", "convex")),
+    (hypersurface.spheroid_profile(1.0, 1.3, 64), ("convex", "concave", "neither")),
+], ids=["curve", "meridian"])
+def test_soliton_fit_does_not_depend_on_the_seed(tmp_path, surface, labels):
+    snap = tmp_path / "snap.json"
+    hypersurface.save_surface(surface, snap)
+    for spec, label in zip(("H", "pow(K,0.3)", "K"), labels):
+        docs = []
+        for seed in ("0", "7"):
+            assert main(["--seed", seed, "--out", str(tmp_path), "soliton-fit",
+                         "--snapshot", str(snap), "--f", spec]) == 0
+            docs.append(json.loads((tmp_path / "soliton_fit.json").read_text()))
+        assert [doc["metadata"].pop("seed") for doc in docs] == [0, 7]
+        assert docs[0] == docs[1]
+        assert docs[0]["metadata"]["classification"] == label
 
 
 def test_flow_summary_prints_the_grid_of_a_profile_surface(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_sigma1_has_zero_hessian_and_its_calculus_runs(n, rng):
     r1, r2 = euler_residuals(f, a)
     assert r1 < 1e-12 and r2 < 1e-12
     assert matrix_second_form(f, np.diag(lam[0]), np.eye(n)) == 0.0
-    assert convexity_classify(f, lam) == "convex"
+    assert convexity_classify(f, lam) == "convex" == f.convexity
 
 
 def test_batch_shapes():
@@ -260,6 +260,24 @@ def test_classify_edge_cases(rng):
         convexity_classify(MeanCurvature(2), [])
     few = list(rng.uniform(0.5, 2.0, (5, 2)))
     assert convexity_classify(MeanCurvature(2), few) == "indeterminate"
+
+
+# the exponents the exact label is checked at: a spread of powers, and both sides of every
+# range bound a family can have for n <= 3 (1/k for sigma_k and K, 1 for the others)
+_LABEL_EXPONENTS = sorted({-2.0, -0.5, 0.25, 1 / 3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0}
+                          | {b + d for b in (1.0, 0.5, 1 / 3) for d in (-1e-5, 1e-5)})
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in curvfun._FAMILIES for n in (1, 2, 3)
+                                     if n >= 2 or name != "sigma2"])
+def test_exact_convexity_agrees_with_the_sampled_classifier(name, n):
+    # every row of the family table, so a new row with no `power_range` fails here
+    make = curvfun._FAMILIES[name]
+    functions = [make(n)] + [Power(make(n), p) for p in _LABEL_EXPONENTS if p != 1.0]
+    for seed in range(5):
+        rows = np.random.default_rng(seed).uniform(0.2, 3.0, (200, n))
+        for f in functions:
+            assert f.convexity == convexity_classify(f, rows), (f.name, seed)
 
 
 # ---------------------------------------------------------------------------

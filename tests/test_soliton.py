@@ -235,65 +235,71 @@ def test_fit_tau_rejections():
 # admissibility and pinching thresholds
 
 def test_admissibility_gauss_threshold():
-    verdict = admissibility(2, GaussCurvature(2), "neither", 1.9)
+    assert GaussCurvature(2).convexity == "neither"
+    verdict = admissibility(GaussCurvature(2), 1.9)
     assert verdict.admissible
     assert verdict.covered_by == ("2(iii)",)
     assert verdict.threshold_2iii == pytest.approx(2.0, abs=1e-14)
-    blocked = admissibility(2, GaussCurvature(2), "neither", 2.1)
+    blocked = admissibility(GaussCurvature(2), 2.1)
     assert not blocked.admissible
 
 
 def test_admissibility_threshold_anchor_m3():
     f = parse_curvature_function("pow(K,1.5)", 2)
     assert f.degree == 3.0
-    verdict = admissibility(2, f, "neither", 1.0)
+    verdict = admissibility(f, 1.0)
     assert verdict.threshold_2iii == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
 
 
 def test_admissibility_unconditional_negative_band():
     f = parse_curvature_function("pow(H,-5)", 2)
-    verdict = admissibility(2, f, "neither", 1e6)
+    verdict = admissibility(f, 1e6)
     assert verdict.admissible
-    assert "2(iii)" in verdict.covered_by
+    assert verdict.covered_by == ("2(ii)", "2(iii)")
     assert verdict.threshold_2iii is None
 
 
 def test_admissibility_uncovered_fractional_degree():
-    f = parse_curvature_function("pow(H,0.5)", 3)
-    for label in ("convex", "concave", "neither"):
-        verdict = admissibility(3, f, label, 1.0)
+    # no power of degree 1/2 is convex; a convex label at m = 1/2 is checked by sweep_row
+    for spec, label in (("pow(H,0.5)", "concave"), ("pow(norm,0.5)", "neither")):
+        f = parse_curvature_function(spec, 3)
+        assert f.convexity == label
+        verdict = admissibility(f, 1.0)
         assert not verdict.admissible
         assert verdict.covered_by == ()
 
 
 def test_admissibility_shape_branches():
-    assert admissibility(3, MeanCurvature(3), "convex", 5.0).covered_by == ("2(i)",)
+    assert admissibility(MeanCurvature(3), 5.0).covered_by == ("2(i)",)
     f = parse_curvature_function("pow(H,-1)", 3)
-    assert admissibility(3, f, "concave", 5.0).covered_by == ("2(ii)",)
-    assert admissibility(2, MeanCurvature(2), "convex", 5.0).covered_by == ("2(i)", "2(iii)")
+    assert admissibility(f, 5.0).covered_by == ("2(ii)",)
+    assert admissibility(MeanCurvature(2), 5.0).covered_by == ("2(i)", "2(iii)")
+    # negative powers of norm are neither convex nor concave: only 2(iii) at n = 2 is left
+    for n, covered in ((3, ()), (2, ("2(iii)",))):
+        f = parse_curvature_function("pow(norm,-1)", n)
+        assert admissibility(f, 5.0).covered_by == covered
 
 
 def test_admissibility_threshold_presence_invariant():
     for m, present in ((2.0, True), (1.0, False), (0.5, False), (-3.0, False),
                        (-7.0, False), (-8.0, True)):
         f = parse_curvature_function(f"pow(H,{m:g})", 2)
-        verdict = admissibility(2, f, "neither", 1.0)
+        verdict = admissibility(f, 1.0)
         assert (verdict.threshold_2iii is not None) == present
 
 
 def test_admissibility_rejections():
+    # the label and n come from f, so only r_max is left to refuse; a bad label is sweep_row's
     with pytest.raises(ValueError, match="r_max"):
-        admissibility(2, MeanCurvature(2), "convex", 0.5)
-    with pytest.raises(ValueError, match="classification"):
-        admissibility(2, MeanCurvature(2), "wobbly", 1.5)
+        admissibility(MeanCurvature(2), 0.5)
+    with pytest.raises(TypeError):
+        admissibility(2, MeanCurvature(2), "convex", 1.5)
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_a_dimension_below_one_is_refused(n):
     with pytest.raises(ValueError, match="dimension n must be at least 1"):
         sweep_row(2.0, n=n)
-    with pytest.raises(ValueError, match="dimension n must be at least 1"):
-        admissibility(n, MeanCurvature(2), "convex", 1.5)
 
 
 def test_pinching_quadratics_anchors():
