@@ -17,7 +17,8 @@ shape (k, n) and is used heavily by the flow integrator.  The matrix calculus
 the same convention: one (n, n) matrix, or a (k, n, n) stack checked member by
 member, with one implementation for both.  `matrix_first_derivative` and
 `euler_residuals` also take a `symmetric_stack(A)`: the matrices checked and
-eigen-decomposed once, so that many functions share that work.
+eigen-decomposed once, so that many functions share that work; `matrix_second_form`
+likewise takes a `second_form_pair(A, B)`.
 """
 
 import itertools
@@ -126,12 +127,11 @@ class CurvatureFunction:
         return None
 
     def _positive_cone_violation(self, arr):
-        bad = np.nonzero(~np.all(arr > 0.0, axis=1))[0]
-        if bad.size:
-            row = arr[bad[0]]
-            return (f"requires eigenvalues in the positive cone (all entries > 0); "
-                    f"got {row.tolist()}")
-        return None
+        # one reduction passes the common case; the bad row is searched for only on failure
+        if not arr.size or arr.min() > 0.0:
+            return None
+        row = arr[np.nonzero(~np.all(arr > 0.0, axis=1))[0][0]]
+        return f"requires eigenvalues in the positive cone (all entries > 0); got {row.tolist()}"
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} n={self.n} degree={self.degree:g}>"
@@ -199,7 +199,7 @@ class EuclideanNorm(CurvatureFunction):
     power_range = (1.0, -math.inf)
 
     def _domain_violation(self, arr):
-        if np.any(np.all(arr == 0.0, axis=1)):
+        if not arr.all() and np.any(np.all(arr == 0.0, axis=1)):
             return "undefined (not differentiable) at the zero vector"
         return None
 
@@ -413,23 +413,43 @@ def matrix_first_derivative(f, a):
     return out[0] if a.single else out
 
 
-def matrix_second_form(f, a, b):
+@dataclass(frozen=True)
+class SecondFormPair:
+    """A checked pair for `matrix_second_form`: diagonal A as its (k, n) diagonal, and the
+    symmetrized direction B.  Built by `second_form_pair`; the arrays are read-only."""
+
+    lam: np.ndarray   # (k, n) the diagonal of A
+    b: np.ndarray     # (k, n, n) B, symmetrized
+    single: bool      # built from one pair of (n, n) matrices: the form comes back a float
+
+
+def second_form_pair(a, b):
+    """A and B checked once (matching shapes, finite, A diagonal, B symmetric), so that many
+    functions share the check.  A refusal names the bad member, e.g. `B[3] is not symmetric`."""
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"A and B must have the same shape, got {np.shape(a)} and {np.shape(b)}")
+    a, single = _finite_stack(a, "A")
+    lam = np.diagonal(a, axis1=1, axis2=2).copy()
+    offdiag = np.abs(a - lam[:, :, None] * np.eye(a.shape[1])).max(axis=(1, 2))
+    _refuse_member(offdiag > 1e-12 * _scale(a), "A", single,
+                   "must be diagonal for the second-derivative form")
+    b, _ = _check_symmetric(b, "B")
+    lam.flags.writeable = b.flags.writeable = False
+    return SecondFormPair(lam, b, single)
+
+
+def matrix_second_form(f, a, b=None):
     """Second derivative of F at diagonal A in direction B: d^2/ds^2 F(A+sB)|0.
 
     Uses the eigenvalue Hessian on the diagonal part of B and gradient divided
     differences on the off-diagonal part; divided differences switch to their
     continuous limit (hess_kk - hess_kl) when eigenvalues nearly coincide,
     decided per member.  One pair of (n, n) matrices gives a float; (k, n, n)
-    stacks of matching shape give a (k,) array.
+    stacks of matching shape give a (k,) array.  `a` may also be a
+    `second_form_pair(A, B)`, checked once for many functions, with `b` left out.
     """
-    if np.shape(a) != np.shape(b):
-        raise ValueError(f"A and B must have the same shape, got {np.shape(a)} and {np.shape(b)}")
-    a, single = _finite_stack(a, "A")
-    lam = np.diagonal(a, axis1=1, axis2=2)
-    offdiag = np.abs(a - lam[:, :, None] * np.eye(a.shape[1])).max(axis=(1, 2))
-    _refuse_member(offdiag > 1e-12 * _scale(a), "A", single,
-                   "must be diagonal for the second-derivative form")
-    b, _ = _check_symmetric(b, "B")
+    pair = a if isinstance(a, SecondFormPair) and b is None else second_form_pair(a, b)
+    lam, b, single = pair.lam, pair.b, pair.single
     g = f.gradient(lam)
     hess = f.hessian(lam)
     bd = np.diagonal(b, axis1=1, axis2=2)

@@ -7,7 +7,7 @@ Three representations:
 * `RevolutionProfile` -- a meridian profile (x along the rotation axis,
   y >= 0) rotated about the x-axis, closed by the two poles (n = 2);
 * `AnalyticSpheroid` -- the spheroid with semi-axes (equatorial, equatorial, polar)
-  on a meridian grid, from closed-form fields (n = 2).
+  on a meridian grid, from closed-form fields, computed once and read-only (n = 2).
 
 `ellipsoid_geometry` evaluates one point of a three-axis ellipsoid in closed form.
 
@@ -273,6 +273,12 @@ class AnalyticSpheroid:
         return _meridian_shape_data(self.grid_fields())
 
     def grid_fields(self):
+        return self._fields
+
+    @cached_property
+    def _fields(self):
+        """The closed-form fields, computed once and shared, with their cached metric
+        derivatives, by every grid operation; read-only, as `geometry()` hands out `lam`."""
         return _spheroid_fields(self.equatorial, self.polar, self.grid_size)
 
 
@@ -460,6 +466,11 @@ def _first_nonpositive(values):
     return int(bad[0]) if bad.size else None
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass
 class _GridFields:
     """Sampled fields of a curve grid (n = 1) or a meridian grid, pole to pole (n = 2).
@@ -497,16 +508,16 @@ class _GridFields:
     def G(self):
         """Metric g_pp of the rotation angle on a meridian grid, y^2."""
         y = self.xy[:, 1]
-        return y * y
+        return _read_only(y * y)
 
-    # the metric derivatives, which every Christoffel symbol reads
+    # the metric derivatives, which every Christoffel symbol reads; cached, so read-only
     @cached_property
     def dE(self):
-        return self.d1(self.E)
+        return _read_only(self.d1(self.E))
 
     @cached_property
     def dG(self):
-        return self.d1(self.G)
+        return _read_only(self.d1(self.G))
 
 
 # parities through a pole: the profile's x is even and y odd, the tangent's the reverse
@@ -615,8 +626,8 @@ def _spheroid_fields(a, c, m):
     w = np.sqrt(xp * xp + yp * yp)
     nu = np.column_stack([yp, -xp]) / w[:, None]
     lam = np.column_stack([a * c / w ** 3, c / (a * w)])
-    return _GridFields(2, float(u[1] - u[0]), np.array([-c * cos, a * sin]).T,
-                       np.array([xp, yp]).T, w * w, w, nu, lam)
+    arrays = (np.array([-c * cos, a * sin]).T, np.array([xp, yp]).T, w * w, w, nu, lam)
+    return _GridFields(2, float(u[1] - u[0]), *map(_read_only, arrays))
 
 
 def curve_geometry(curve):

@@ -1,9 +1,9 @@
 """The identity suite: one (name, residual, tolerance) row per identity check.
 
 The curvature-function checks draw their samples in bulk, one generator call per
-array, once per dimension: the draw, its QR, its eigenvalues, the checked
-eigen-decompositions of its SPD matrices and every row stack are shared by that
-dimension's functions.  Each function is evaluated once per pass over
+array, once per dimension: the draw, its QR, its eigenvalues, its checked second-form
+pair, the checked eigen-decompositions of its SPD matrices and every row stack are shared
+by that dimension's functions.  Each function is evaluated once per pass over
 them: every eigenvalue row goes to one `value` call and every row that needs a
 gradient to one `gradient` call.
 The layers are called through their modules (`curvfun.pair_sign_gaps`, not a
@@ -91,8 +91,7 @@ class _EigenvalueSamples:
     lam_fd: np.ndarray      # (fd_n, n): the rows that are differenced
     values: _Stack
     gradients: _Stack
-    a: np.ndarray           # (fd_n, n, n) diagonal
-    b: np.ndarray           # (fd_n, n, n) symmetric direction
+    form: curvfun.SecondFormPair      # (fd_n, n, n) diagonal A, symmetric direction B
     spd: curvfun.SymmetricStack       # (k, n, n), the first half of spd_pair
     spd_pair: curvfun.SymmetricStack  # (2k, n, n): spd, then q spd q^T, decomposed
     q: np.ndarray           # (k, n, n) rotations
@@ -136,7 +135,8 @@ def _eigenvalue_samples(rng, sample_count, n):
     # so the first half of the pair's decomposition is that of spd, bit for bit
     spd_pair = curvfun.symmetric_stack(np.concatenate([spd, q @ spd @ q_t]))
     spd = curvfun.SymmetricStack(spd_pair.lam[:sample_count], spd_pair.u[:sample_count], False)
-    return _EigenvalueSamples(lam[:fd_n], values, gradients, a, b, spd, spd_pair, q)
+    return _EigenvalueSamples(lam[:fd_n], values, gradients, curvfun.second_form_pair(a, b),
+                              spd, spd_pair, q)
 
 
 def _eigenvalue_checks(rows, samples, f):
@@ -161,7 +161,7 @@ def _eigenvalue_checks(rows, samples, f):
     herr = np.abs(0.5 * (fd_hess + fd_hess.transpose(0, 2, 1)) - hess)
     rows.append((f"{tag}_hessian_fd", float((herr / np.maximum(1.0, np.abs(hess))).max()), 1e-6))
 
-    form = curvfun.matrix_second_form(f, samples.a, samples.b)
+    form = curvfun.matrix_second_form(f, samples.form)
     plus, mid, minus = form_values
     fd = (plus - 2.0 * mid + minus) / _FORM_STEP ** 2
     rows.append((f"{tag}_second_form_fd",

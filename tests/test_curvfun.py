@@ -10,7 +10,8 @@ from solitonlab.curvfun import (DegreeMismatchError, DomainError, ElementarySymm
                                 MeanCurvature, Power, builtin_functions,
                                 convexity_classify, euler_residuals,
                                 matrix_first_derivative, matrix_second_form,
-                                pair_sign_gaps, parse_curvature_function, symmetric_stack)
+                                pair_sign_gaps, parse_curvature_function, second_form_pair,
+                                symmetric_stack)
 
 from conftest import fd_gradient, fd_hessian, random_rotation, random_spd
 
@@ -84,6 +85,70 @@ def test_domain_rejections():
         EuclideanNorm(2).value([0.0, 0.0])
     with pytest.raises(DomainError, match="non-finite"):
         MeanCurvature(2).value([np.nan, 1.0])
+
+
+def _cone_message(name, row):
+    return (f"{name}: requires eigenvalues in the positive cone (all entries > 0); "
+            f"got {row.tolist()}")
+
+
+# the functions with a domain check, and the message that refuses a row of each
+_DOMAIN_CHECKED = [
+    (GeometricMean, _cone_message),
+    (lambda n: Power(MeanCurvature(n), -1.0), _cone_message),
+    (lambda n: Power(EuclideanNorm(n), 0.5), _cone_message),
+    (EuclideanNorm, lambda name, row: f"{name}: undefined (not differentiable) at the zero vector"),
+]
+
+
+@pytest.mark.parametrize("make, message", _DOMAIN_CHECKED,
+                         ids=["geomean", "pow(H,-1)", "pow(norm,0.5)", "norm"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("where", [0, 23, 49], ids=["first", "mid", "last"])
+@pytest.mark.parametrize("entry", [0.0, -0.0, -0.7], ids=["zero", "minus-zero", "negative"])
+def test_entry_checks_name_the_first_bad_row(make, message, n, where, entry, rng):
+    # the cone is refused by any entry <= 0 in a row; norm only by a row of zeros, so its
+    # "negative" case is a row of zeros of both signs
+    f = make(n)
+    lam = rng.uniform(0.2, 3.0, (50, n))
+    bad = lam[where]
+    if f.name != "norm":
+        bad[n // 2] = entry
+    else:
+        bad[:] = entry if entry == 0.0 else [0.0, -0.0, 0.0][:n]
+    if where < 49:
+        lam[where + 1] = 0.0                  # a second bad row, which is not the one named
+    for method in (f.value, f.gradient, f.hessian):
+        with pytest.raises(DomainError) as refused:
+            method(lam)
+        assert str(refused.value) == message(f.name, bad)
+        with pytest.raises(DomainError) as refused:
+            method(bad)
+        assert str(refused.value) == message(f.name, bad)
+
+
+@pytest.mark.parametrize("make", [m for m, _ in _DOMAIN_CHECKED] + [MeanCurvature, GaussCurvature],
+                         ids=["geomean", "pow(H,-1)", "pow(norm,0.5)", "norm", "H", "K"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_are_refused_before_the_domain(make, n, entry, rng):
+    f = make(n)
+    lam = rng.uniform(0.2, 3.0, (50, n))
+    lam[3] = 0.0                              # outside every domain, ahead of the non-finite row
+    lam[30, n - 1] = entry
+    for method in (f.value, f.gradient, f.hessian):
+        with pytest.raises(DomainError) as refused:
+            method(lam)
+        assert str(refused.value) == f"{f.name}: non-finite eigenvalue entries"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_empty_batch_gives_empty_results(n):
+    for f in builtin_functions(n) + [Power(EuclideanNorm(n), 0.5)]:
+        empty = np.zeros((0, n))
+        assert f.value(empty).shape == (0,)
+        assert f.gradient(empty).shape == (0, n)
+        assert f.hessian(empty).shape == (0, n, n)
 
 
 def test_dimension_validation():
@@ -542,6 +607,52 @@ def test_stacked_calculus_names_the_bad_member(n, rng):
             matrix_second_form(f, np.zeros((0, n, n)), np.zeros((0, n, n)))
         with pytest.raises(ValueError, match="same shape"):
             matrix_second_form(f, diag, direction[:-1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_second_form_pair_gives_the_bits_of_its_matrices(n, rng):
+    _, diag, direction = _calculus_stacks(rng, n)
+    pair = second_form_pair(diag, direction)
+    singles = [second_form_pair(a, b) for a, b in zip(diag, direction)]
+    for f in builtin_functions(n):
+        assert _same_bits(matrix_second_form(f, pair), matrix_second_form(f, diag, direction))
+        for i, single in enumerate(singles):
+            form = matrix_second_form(f, single)
+            assert isinstance(form, float)
+            assert _same_bits(form, matrix_second_form(f, diag[i], direction[i]))
+    for arr in (pair.lam, pair.b):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_second_form_pair_refuses_as_the_two_matrix_call(n, rng):
+    _, diag, direction = _calculus_stacks(rng, n)
+    f = GaussCurvature(n)
+    refusals = []
+    bad = diag.copy()
+    bad[4, 0, 0] = np.inf
+    refusals.append(((bad, direction), DomainError, "A[4] has non-finite entries"))
+    bad = direction.copy()
+    bad[5, n - 1, 0] = np.nan
+    refusals.append(((diag, bad), DomainError, "B[5] has non-finite entries"))
+    bad = diag.copy()
+    bad[1, 0, 1] = bad[1, 1, 0] = 0.3
+    refusals.append(((bad, direction), ValueError,
+                     "A[1] must be diagonal for the second-derivative form"))
+    refusals.append(((bad[1], direction[1]), ValueError,
+                     "A must be diagonal for the second-derivative form"))
+    bad = direction.copy()
+    bad[6, 1, 0] += 0.1
+    refusals.append(((diag, bad), ValueError, "B[6] is not symmetric"))
+    refusals.append(((diag, direction[:-1]), ValueError,
+                     f"A and B must have the same shape, got {diag.shape} and "
+                     f"{direction[:-1].shape}"))
+    for (a, b), error, message in refusals:
+        for call in (lambda: matrix_second_form(f, a, b), lambda: second_form_pair(a, b)):
+            with pytest.raises(error) as refused:
+                call()
+            assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -521,6 +521,37 @@ def test_dilation_invariance_in_both_clocks(make, f, rescale_mode, t_max, rel):
         assert measure == pytest.approx(measure_ref, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("make,n,attr", [
+    (lambda s: hypersurface.PlaneCurve(s * ellipse(2.0, 1.0, 64).points), 1, "points"),
+    (lambda s: hypersurface.RevolutionProfile(s * spheroid_profile(1.0, 1.3, 64).profile), 2,
+     "profile"),
+], ids=["ellipse", "spheroid"])
+@pytest.mark.parametrize("spec", ["H", "K", "pow(H,2)"])
+@pytest.mark.parametrize("rescale_mode", ["none", "fixed-scale"])
+def test_dilation_by_a_power_of_two_is_bit_exact(make, n, attr, spec, rescale_mode):
+    # X -> s X takes lam to lam / s, F to s^-m F, Z to s Z and time to s^(m+1) t; with s = 2^k
+    # every one of these scalings is exact in floating point, so each run is the unscaled run
+    # with its columns scaled, bit for bit
+    f = curvfun.parse_curvature_function(spec, n)
+    runs = {}
+    for s in (2.0 ** -40, 1.0, 2.0 ** 40):
+        config = FlowConfig(f=f, stop=StopRule(t_max=0.02 * s ** (f.degree + 1.0)),
+                            rescale_mode=rescale_mode)
+        runs[s] = run(config, make(s))
+    ref = runs.pop(1.0)
+    assert ref.stop_reason == "t_max" and len(ref.rows) > 4
+    for s, trace in runs.items():
+        assert trace.stop_reason == ref.stop_reason
+        assert np.array_equal(getattr(trace.final_surface, attr),
+                              s * getattr(ref.final_surface, attr))
+        lift = s ** (f.degree + 1.0)
+        unscaled = [dataclasses.replace(row, t=row.t / lift, dt=row.dt / lift,
+                                        tau_fit=row.tau_fit * lift, umb_max=row.umb_max * s * s,
+                                        measure=row.measure / s ** n)
+                    for row in trace.rows]
+        assert unscaled == ref.rows
+
+
 def test_dt_underflow_stops_a_run_past_extinction():
     config = FlowConfig(f=H1, stop=StopRule(t_max=1.0))
     trace = run(config, circle(1.0, 16))

@@ -221,6 +221,26 @@ def test_soliton_checks_sample_each_sphere_once(monkeypatch):
                              (0.0, 1.3, 2, 64), (0.0, 1.3, 3, 64)]
 
 
+def test_geometry_checks_compute_each_spheroid_grid_once(monkeypatch):
+    # four spheroids serve nine grid operations; each computes its closed-form fields once
+    calls = []
+    fields = hypersurface._spheroid_fields
+    monkeypatch.setattr(hypersurface, "_spheroid_fields",
+                        lambda *args: calls.append(args) or fields(*args))
+    identities._geometry_checks([])
+    assert sorted(calls) == [(1.0, 1.0, 128), (1.0, 1.0, 256), (1.0, 1.3, 128), (1.0, 1.3, 256)]
+
+
+def test_a_spheroid_grid_refuses_writes_into_its_cached_fields():
+    spheroid = hypersurface.AnalyticSpheroid(1.0, 1.3, 64)
+    hypersurface.codazzi_residual(spheroid)            # caches the metric derivatives
+    f = spheroid.grid_fields()
+    assert spheroid.grid_fields() is f
+    for arr in (f.xy, f.vel, f.E, f.w, f.nu, f.lam, f.G, f.dE, f.dG, spheroid.geometry().lam):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # a NaN residual fails its row: Python's max(0.0, nan) is 0.0, so every fold
 # of a worst residual must keep the NaN
