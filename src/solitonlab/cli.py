@@ -75,8 +75,8 @@ def _cmd_sphere_check(args, out_dir):
     tau = soliton.sphere_tau(f, args.R, args.c)
     print(f"sphere-check: f={f.name} n={args.n} R={args.R:g} c={args.c:g}")
     print(f"tau = {tau:.10g}")
-    sphere = spaceform.sample_geodesic_sphere(args.c, args.R, args.n, args.samples, seed=args.seed)
-    with np.errstate(over="ignore", invalid="ignore"):
+    sphere = spaceform.sample_geodesic_sphere(args.c, args.R, args.n, args.samples)
+    with np.errstate(all="ignore"):
         values = f.value(sphere.lam)
     if not np.isfinite(values).all():
         # F may be in range while an intermediate, such as K in pow(K, 1/4), is not

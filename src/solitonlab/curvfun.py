@@ -21,6 +21,7 @@ eigen-decomposed once, so that many functions share that work; `matrix_second_fo
 likewise takes a `second_form_pair(A, B)`.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -94,8 +95,9 @@ class CurvatureFunction:
         out = self._hessian(arr)
         return out[0] if single else out
 
+    @functools.cached_property
     def unit_value(self):
-        """f(1, ..., 1); fixes the geodesic-sphere normalization."""
+        """f(1, ..., 1), a constant of f; fixes the geodesic-sphere normalization."""
         return self.value(np.ones(self.n))
 
     def _power_convexity(self, p=1.0):

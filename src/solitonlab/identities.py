@@ -283,7 +283,7 @@ def _spaceform_checks(rows):
 def _soliton_checks(rows, rng):
     err = {0.0: [], -1.0: []}
     for n in (2, 3):
-        spheres = {c: spaceform.sample_geodesic_sphere(c, 1.3, n, 64, seed=0) for c in err}
+        spheres = {c: spaceform.sample_geodesic_sphere(c, 1.3, n, 64) for c in err}
         for f in curvfun.builtin_functions(n):
             for c, samples in spheres.items():
                 tau = soliton.sphere_tau(f, 1.3, c)

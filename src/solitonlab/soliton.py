@@ -46,16 +46,11 @@ class PinchingVerdict:
 def sphere_tau(f, radius, c=0.0):
     """The unique tau making the centered geodesic sphere of given radius a solution."""
     require_nonpositive_curvature(c)
-    return _sphere_tau(f, f.unit_value(), radius, c)
-
-
-def _sphere_tau(f, f_unit, radius, c):
-    """`sphere_tau` with f(1, ..., 1) already evaluated as `f_unit`."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"sphere radius must be positive and finite (got radius={radius})")
     m = f.degree
     try:
-        tau = f_unit * chc(c, radius) ** m / shc(c, radius) ** (m + 1.0)
+        tau = f.unit_value * chc(c, radius) ** m / shc(c, radius) ** (m + 1.0)
     except (OverflowError, ZeroDivisionError):
         tau = math.inf
     if not 0.0 < abs(tau) < math.inf:
@@ -76,10 +71,9 @@ def solve_sphere_radius(f, tau, c=0.0):
         raise ValueError(f"tau must be nonzero and finite (got tau={tau})")
     require_nonpositive_curvature(c)
     lo, hi = _RADIUS_BRACKET
-    f_unit = f.unit_value()
 
     def defect(r):
-        return _sphere_tau(f, f_unit, r, c) - tau
+        return sphere_tau(f, r, c) - tau
 
     d_lo, d_hi = defect(lo), defect(hi)
     if d_lo == 0.0 and d_hi == 0.0:

@@ -31,7 +31,6 @@ from .hypersurface import ShapeData
 
 # below this value of |c| * t^2 the closed forms are replaced by series
 _SERIES_CUTOFF = 1e-8
-_TINY = np.finfo(float).tiny        # the least normal float
 
 
 def shc(c, t):
@@ -113,24 +112,6 @@ def _pairing_misses(u, v, target, tol):
     return np.abs(pairing - target) > tol
 
 
-def _row_lengths(x):
-    """Euclidean lengths of the rows of `x`.
-
-    A row whose <x, x> is a normal float gets sqrt(<x, x>).  A row whose squares
-    underflow (|x| under about 1e-154) is divided by its largest |entry|, or by the least
-    normal float if that is larger, and its length scaled back; a zero row keeps 0.
-    """
-    squares = _row_dot(x, x)
-    rho = np.sqrt(squares)
-    small = squares < _TINY
-    if small.any():
-        rows = x[small]
-        scale = np.maximum(np.abs(rows).max(axis=1), _TINY)
-        unit = rows / scale[:, None]
-        rho[small] = scale * np.sqrt(_row_dot(unit, unit))
-    return rho
-
-
 def _refuse_rows(bad, problem, values=None):
     """Raise for the first flagged point, naming its row when there are several.
 
@@ -161,9 +142,12 @@ def support_rows(c, positions, normals):
     if c == 0.0:
         norm = np.sqrt(_row_dot(nu, nu))
         _refuse_rows(np.abs(norm - 1.0) > 1e-10, "normal must be unit length, |nu| = {}", norm)
-        rho = _row_lengths(x)
-        _refuse_rows(rho == 0.0, "point coincides with the base point; d_rho undefined")
-        return rho * _row_dot(x / rho[:, None], nu)         # shc(0, rho) = rho
+        _refuse_rows(~x.any(axis=1), "point coincides with the base point; d_rho undefined")
+        with np.errstate(over="ignore"):
+            support = _row_dot(x, nu)           # shc(0, rho) <d_rho, nu> = <X, nu>
+        _refuse_rows(~np.isfinite(support), "support value <X, nu> overflows the float range: "
+                                            "the point is too far from the base point")
+        return support
     kappa = math.sqrt(-c)
     _refuse_rows(_pairing_misses(x, x, 1.0 / c, 1e-8 * max(1.0, abs(1.0 / c)))
                  | ~(x[:, 0] > 0.0),
@@ -173,16 +157,15 @@ def support_rows(c, positions, normals):
     _refuse_rows(_pairing_misses(x, nu, 0.0, 1e-8),
                  "normal must be tangent to the hyperboloid")
     # the base point is the one point of the sheet whose spatial part is zero
-    _refuse_rows(_row_lengths(x[:, 1:]) == 0.0,
-                 "point coincides with the base point; d_rho undefined")
+    _refuse_rows(~x[:, 1:].any(axis=1), "point coincides with the base point; d_rho undefined")
     # d_rho = (cosh(kappa rho) kappa x - kappa * base point) / sinh(kappa rho), so with
     # <<x, nu>> = 0 checked, <<d_rho, nu>> = nu_0 / sinh(kappa rho); shc(c, rho) =
     # sinh(kappa rho) / kappa cancels that sinh, at any rho
     return nu[:, 0] / kappa
 
 
-def _unit_directions(dim, count, seed):
-    """Deterministic spread of unit vectors in R^(dim+1)."""
+def _unit_directions(dim, count):
+    """Fixed spread of unit vectors in R^(dim+1): the same for every call."""
     if dim == 1:
         th = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -193,12 +176,12 @@ def _unit_directions(dim, count, seed):
         z = 1.0 - 2.0 * i / count
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal((count, dim + 1))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
+def sample_geodesic_sphere(c, radius, dim, count=256):
     """Sample a geodesic sphere of given radius about the base point as `ShapeData`.
 
     Positions and inward normals are Euclidean for c = 0 and in hyperboloid
@@ -209,11 +192,15 @@ def sample_geodesic_sphere(c, radius, dim, count=256, seed=0):
     require_nonpositive_curvature(c)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite (got radius={radius})")
-    curvature = cotc(c, radius)
+    try:
+        curvature = cotc(c, radius)
+    except OverflowError:               # cosh(sqrt(-c) R) overflows above about 710
+        raise ValueError(f"radius too large: cosh(sqrt(-c) R) overflows the float range "
+                         f"(got radius={radius})") from None
     if not curvature < math.inf:        # 1 / R overflows below about 5.6e-309
         raise ValueError(f"radius too small: its principal curvature cotc(c, R) is not "
                          f"finite (got radius={radius})")
-    dirs = _unit_directions(dim, count, seed)
+    dirs = _unit_directions(dim, count)
     if c == 0.0:
         positions = radius * dirs
         normals = -dirs

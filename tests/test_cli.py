@@ -1,13 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solitonlab import cli, curvfun, flow, hypersurface, identities
 from solitonlab.cli import main, parse_config_text
@@ -799,3 +804,56 @@ def test_sphere_check_passes_a_tiny_flat_sphere(tmp_path, capsys):
                  "--n", "1"])
     assert code == 0
     assert "result: pass" in capsys.readouterr().out
+
+
+def test_sphere_check_passes_a_huge_flat_sphere(tmp_path, capsys):
+    # rho = sqrt(<x, x>) overflowed above R ~ 1.3e154: the residual read nan, with two
+    # RuntimeWarnings, and the exact sphere soliton was reported as a FAIL
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,-1)", "--n", "2",
+                 "--R", "1e200"])
+    assert code == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+def test_sphere_check_refuses_an_f_whose_base_underflows_without_a_warning(tmp_path, capsys):
+    # norm = 1e-200 * sqrt(2) squares to 0, and F = norm^-2 warned "divide by zero"
+    # before the refusal; the suite turns that warning into an error
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(norm,-2)", "--n", "2",
+                 "--R", "1e200"])
+    assert code == 2
+    assert "F of f=pow(norm,-2) at the principal curvature 1e-200" in capsys.readouterr().err
+
+
+def test_sphere_check_does_not_depend_on_the_seed(tmp_path, capsys):
+    # the n = 3 sphere was drawn from --seed, and its residual read 6.2e-16 at seed 0 and
+    # 4.1e-16 at seed 7
+    outputs = []
+    for seed in ("0", "7"):
+        assert main(["--seed", seed, "--out", str(tmp_path), "sphere-check", "--f", "H",
+                     "--n", "3", "--R", "0.7"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+_BUILTIN_SPECS = [(n, f.name) for n in (1, 2, 3) for f in curvfun.builtin_functions(n)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(_BUILTIN_SPECS), c=st.sampled_from(["0", "-1"]),
+       exponent=st.floats(-300.0, 300.0))
+@example(spec=(2, "pow(H,-1)"), c="0", exponent=200.0)
+@example(spec=(3, "pow(H,-1)"), c="0", exponent=160.0)
+def test_sphere_check_passes_or_refuses_over_the_float_range(tmp_path_factory, spec, c,
+                                                            exponent):
+    # every builtin family, R log-uniform in [1e-300, 1e300]: a pass, or a refusal by
+    # name, never a nan or a warning; the examples read nan at c = 0 once <x, x> overflowed
+    n, name = spec
+    argv = ["--out", str(tmp_path_factory.getbasetemp()), "sphere-check", "--f", name,
+            "--n", str(n), "--R", repr(10.0 ** exponent), f"--c={c}", "--samples", "32"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2), out.getvalue() + err.getvalue()
+    assert "nan" not in out.getvalue() + err.getvalue()

@@ -579,6 +579,11 @@ def test_cyclic_tridiagonal_solver_has_the_bits_of_the_one_shot_solve():
             assert np.array_equal(solve_open(r), _dgtsv(lower[1:], diag, upper[:-1], r))
 
 
+def test_a_singular_linearized_system_is_refused():
+    with pytest.raises(GeometryError, match="singular linearized flow system"):
+        hs._tridiagonal_solver(np.zeros(7), np.zeros(8), np.zeros(7))
+
+
 def test_each_linearized_solver_factors_once(monkeypatch):
     # both grids: one dgttrf per solver and one dgttrs per solve, plus one for the
     # curve's Sherman-Morrison vector

@@ -106,21 +106,22 @@ def _bisect_calling_sphere_tau(f, tau, c, lo=1e-6, hi=50.0):
 
 
 def test_solve_sphere_radius_round_trip(rng, monkeypatch):
-    # f(1,...,1) is evaluated once per solve, and the radius is bit for bit the one a
-    # bisection evaluating `sphere_tau` on every step finds
+    # f(1,...,1) is evaluated once per function, however many solves use it, and the
+    # radius is bit for bit the one a bisection evaluating `sphere_tau` on every step finds
     calls = []
-    unit_value = CurvatureFunction.unit_value
-    monkeypatch.setattr(CurvatureFunction, "unit_value",
-                        lambda self: calls.append(self.name) or unit_value(self))
+    value = CurvatureFunction.value
+    monkeypatch.setattr(CurvatureFunction, "value",
+                        lambda self, lam: calls.append(self.name) or value(self, lam))
     for f in (MeanCurvature(2), GaussCurvature(3), parse_curvature_function("pow(H,-1)", 2)):
+        calls.clear()
         for radius in rng.uniform(0.1, 10.0, 20):
             c = -1.0 if f.degree < 0 else 0.0   # m = -1 at c = 0 is degenerate
             tau = sphere_tau(f, radius, c)
             expect = _bisect_calling_sphere_tau(f, tau, c)
-            calls.clear()
             found = solve_sphere_radius(f, tau, c)
             assert abs(found - radius) < 1e-10
-            assert found == expect and calls == [f.name]
+            assert found == expect
+        assert calls == [f.name]
 
 
 def test_solve_sphere_radius_diagnostics():
@@ -130,9 +131,15 @@ def test_solve_sphere_radius_diagnostics():
         solve_sphere_radius(MeanCurvature(2), 0.0, 0.0)
     inverse = parse_curvature_function("pow(H,-1)", 2)
     with pytest.raises(ValueError, match="degenerate"):
-        solve_sphere_radius(inverse, inverse.unit_value(), 0.0)
+        solve_sphere_radius(inverse, inverse.unit_value, 0.0)
     with pytest.raises(ValueError, match="no sphere soliton"):
         solve_sphere_radius(inverse, -0.7, 0.0)
+
+
+def test_solve_sphere_radius_refuses_a_bisection_out_of_steps(monkeypatch):
+    monkeypatch.setattr(soliton, "_BISECTION_MAX_ITER", 2)
+    with pytest.raises(ValueError, match=r"bisection did not reach .* in 2 iterations"):
+        solve_sphere_radius(MeanCurvature(2), 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_sample_support_matches_single_points():
     # the sampler's support is the bits of a one-row call at each sampled point
     for c in (0.0, -1.0, -400.0):
         for dim in (1, 2, 3):
-            s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
+            s = sample_geodesic_sphere(c, 1.3, dim, 40)
             single = [support_rows(c, p[None, :], nu[None, :])[0]
                       for p, nu in zip(s.position, s.normal)]
             assert np.array_equal(s.support, single)
@@ -155,7 +155,7 @@ def test_support_rows_match_single_points():
     batches = [(0.0, rng.standard_normal((30, 3)), nu / np.linalg.norm(nu, axis=1, keepdims=True))]
     for c in (0.0, -1.0, -400.0):
         for dim in (1, 2, 3):
-            s = sample_geodesic_sphere(c, 1.3, dim, 40, seed=5)
+            s = sample_geodesic_sphere(c, 1.3, dim, 40)
             batches.append((c, s.position, s.normal))
     for c, x, nu in batches:
         rows = support_rows(c, x, nu)
@@ -170,7 +170,7 @@ def test_far_geodesic_spheres_pass_their_own_model_checks(c, dim):
     # kappa R = 7, 8 and 12: each pairing cancels terms of size cosh(kappa R)^2, whose
     # rounding the absolute tolerances 1e-10 and 1e-8 no longer covered; the support
     # keeps that rounding, relative to its size
-    sphere = sample_geodesic_sphere(c, 1.0, dim, 64, seed=3)
+    sphere = sample_geodesic_sphere(c, 1.0, dim, 64)
     rounding = 16.0 * np.finfo(float).eps * math.cosh(math.sqrt(-c)) ** 2
     np.testing.assert_allclose(sphere.support, -shc(c, 1.0), rtol=rounding)
 
@@ -180,7 +180,7 @@ def test_far_geodesic_spheres_pass_their_own_model_checks(c, dim):
 def test_far_geodesic_sphere_supports_keep_their_digits(c, dim):
     # kappa R = 20 and 100: <<d_rho, nu>> = nu_0 / sinh(kappa rho) cancels nothing, so
     # Z = -shc(c, R) holds to rounding; the pairing lost every digit at kappa R = 20
-    sphere = sample_geodesic_sphere(c, 1.0, dim, 64, seed=3)
+    sphere = sample_geodesic_sphere(c, 1.0, dim, 64)
     np.testing.assert_allclose(sphere.support, -shc(c, 1.0), rtol=1e-14)
 
 
@@ -298,11 +298,34 @@ def test_the_origin_is_still_the_base_point_at_c_0():
         support_rows(0.0, [[1e-200, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]])
 
 
-def test_a_normal_sum_of_squares_keeps_the_bits_of_its_square_root():
+def test_the_flat_support_is_the_bits_of_x_dot_nu():
+    # rho <x / rho, nu> with rho = sqrt(<x, x>) gave NaN once <x, x> overflowed, above
+    # |x| ~ 1.3e154; <x, nu> is the support at every scale
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-150, 150, (50, 1))
+    x = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-300, 300, (50, 1))
     nu = rng.standard_normal((50, 3))
     nu /= np.sqrt((nu * nu).sum(axis=1))[:, None]
-    rho = np.sqrt((x * x).sum(axis=1))
-    expected = rho * ((x / rho[:, None]) * nu).sum(axis=1)
-    assert support_rows(0.0, x, nu).tobytes() == expected.tobytes()
+    assert support_rows(0.0, x, nu).tobytes() == (x * nu).sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_huge_flat_spheres_keep_their_support(dim):
+    sphere = sample_geodesic_sphere(0.0, 1e300, dim, 16)
+    np.testing.assert_allclose(sphere.support, -1e300, rtol=1e-14)
+
+
+def test_a_flat_support_that_overflows_is_refused_without_a_warning():
+    # <x, nu> = 2.1e308 read inf, with a RuntimeWarning
+    with pytest.raises(ValueError, match=r"<X, nu> overflows the float range"):
+        support_rows(0.0, [[1.5e308, 1.5e308]], [[0.7071067811865476, 0.7071067811865476]])
+    with pytest.raises(ValueError, match=r"overflows the float range.*\(point 1\)"):
+        support_rows(0.0, [[1.0, 0.0], [1.5e308, 1.5e308]],
+                     [[1.0, 0.0], [0.7071067811865476, 0.7071067811865476]])
+
+
+@pytest.mark.parametrize("radius", [720.0, 1e300])
+def test_a_sphere_whose_cosh_overflows_is_refused_by_its_radius(radius):
+    # math.cosh raised a bare OverflowError('math range error') above kappa R ~ 710
+    with pytest.raises(ValueError, match="radius too large") as refusal:
+        sample_geodesic_sphere(-1.0, radius, 2, 8)
+    assert str(refusal.value).endswith(f"(got radius={radius})")
