@@ -29,15 +29,15 @@ paid only when the spacing has drifted.
 
 The surfaces (`PlaneCurve`, `RevolutionProfile`) own every operation that
 depends on their grid layout, the linearized solve included, so nothing here
-branches on the surface type.  `run` loops over the step that `step` takes:
-each accepted step extracts the geometry twice, for the second stage and to
-validate the candidate; the fixed-scale rescale updates that geometry by
-similarity instead of extracting it again.
+branches on the surface type; a step moves one only by its `placed`, at its
+`ShapeData` rows plus a normal displacement.  `run` loops over the step that
+`step` takes: each accepted step extracts the geometry twice, for the second
+stage and to validate the candidate; the fixed-scale rescale updates that
+geometry by similarity instead of extracting it again.
 
 `run` evaluates F and its gradient once per state: the gradient sets dt and
-builds J, and the values give k1 and the monitors' tau fit.  The candidate's
-values, computed to check that it lies in the domain of F, are the next
-state's; under fixed scale the rescaled state is evaluated once more.  Each
+builds J, and the values give k1 and the monitors' tau fit.  F is evaluated on
+the accepted state, after any rescale, and that is its domain check.  Each
 ROS2 stage evaluates F once.
 """
 
@@ -189,11 +189,11 @@ def _advance(surface, geom, f, dt, values=None, dfdlam=None):
     if values is None:
         values = f.value(geom.lam)
     solve = surface.linearized_solver(geom, dfdlam, _GAMMA * dt)
-    normal = geom.normal
+    position, normal = geom.position, geom.normal
     k1 = solve(values)
-    stage = _extract(surface.moved((dt * k1)[:, None] * normal))
+    stage = _extract(surface.placed(position + (dt * k1)[:, None] * normal))
     k2 = solve(f.value(stage.lam) - 2.0 * k1)
-    return surface.moved((dt * (1.5 * k1 + 0.5 * k2))[:, None] * normal)
+    return surface.placed(position + (dt * (1.5 * k1 + 0.5 * k2))[:, None] * normal)
 
 
 def _redistribute(surface):
@@ -201,16 +201,14 @@ def _redistribute(surface):
 
 
 def _step(surface, geom, f, dt, values, dfdlam):
-    """Advance, redistribute and validate; returns the stepped surface, its geometry
-    and F at its principal curvatures.
+    """Advance, redistribute and validate; returns the stepped surface and its geometry.
 
     `values` and `dfdlam` are F and its gradient at `geom.lam`.  Raises
-    `GeometryError` (convexity, simplicity) or `DomainError` (domain of f),
-    from either stage.
+    `GeometryError` (convexity, simplicity) from either stage, or `DomainError`
+    when the first leaves the domain of f; the caller checks the candidate's.
     """
     candidate = _redistribute(_advance(surface, geom, f, dt, values, dfdlam))
-    candidate_geom = _extract(candidate)
-    return candidate, candidate_geom, f.value(candidate_geom.lam)
+    return candidate, _extract(candidate)
 
 
 def step(surface, f, dt):
@@ -228,7 +226,9 @@ def step(surface, f, dt):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     geom = _extract(surface)
-    return _step(surface, geom, f, dt, f.value(geom.lam), f.gradient(geom.lam))[0]
+    new, new_geom = _step(surface, geom, f, dt, f.value(geom.lam), f.gradient(geom.lam))
+    f.value(new_geom.lam)              # the domain check
+    return new
 
 
 def _rescale(surface, geom, target_measure):
@@ -309,7 +309,10 @@ def run(config, surface):
                 return _finish(trace, surface, f"dt underflow (dt = {dt:.3g} at t = {t:.6g})",
                                aborted=True)
             try:
-                surface, geom, values = _step(surface, geom, f, dt, values, dfdlam)
+                new, new_geom = _step(surface, geom, f, dt, values, dfdlam)
+                if config.rescale_mode == "fixed-scale":
+                    new, new_geom, alpha = _rescale(new, new_geom, measure0)
+                values = f.value(new_geom.lam)     # the accepted state's domain check
                 break
             except (GeometryError, DomainError) as exc:
                 last_error = exc
@@ -317,11 +320,9 @@ def run(config, surface):
             return _finish(trace, surface, f"convexity or validity lost after {_MAX_HALVINGS} "
                                            f"dt halvings (last: {last_error})", aborted=True)
 
+        surface, geom = new, new_geom
         t = stop.t_max if lands else t + dt
-        if config.rescale_mode == "fixed-scale":
-            surface, geom, alpha = _rescale(surface, geom, measure0)
-            values = f.value(geom.lam)
-            cumulative *= alpha
+        cumulative *= alpha
 
 
 def _finish(trace, surface, reason, aborted=False):

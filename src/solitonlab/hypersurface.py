@@ -28,11 +28,12 @@ One grid-fields layer serves the three grid kinds: each has `dim`, `grid_size`,
 `codazzi_residual` takes rotation surfaces only.
 
 The two sampled grid types own every operation that depends on their layout, with
-the same members: `moved`, `resampled`, `placed`, `centroid` and `linearized_solver`.
+the same members: `placed`, `resampled`, `centroid` and `linearized_solver`.  A grid's
+`ShapeData` holds the grid's own (M, 2) plane rows, a copy of its samples, and `placed`
+builds the grid from such rows: a flow moves a grid by `placed(geom.position + d)`.
 `resampled` moves the samples to uniform polygon arclength by a local degree-7
 interpolant, with no system to solve, once the grid's longest chord exceeds its
 shortest by more than `_RESAMPLE_SPREAD`; below that it returns the grid itself.
-`placed` builds the grid from the positions of its `ShapeData`.
 """
 
 import json
@@ -96,10 +97,6 @@ class PlaneCurve:
 
     def grid_fields(self):
         return _curve_fields(self)
-
-    def moved(self, displacement):
-        """The curve with sample i displaced by row i of `displacement` (M, 2)."""
-        return PlaneCurve(self.points + displacement)
 
     def resampled(self):
         """Resampled to uniform arclength by the local interpolant in arclength, which
@@ -175,13 +172,6 @@ class RevolutionProfile:
     def grid_fields(self):
         return _profile_fields(self)
 
-    def moved(self, displacement):
-        """The profile moved by the meridian columns of `displacement` (M, 3).
-
-        The normal at a pole lies along the axis; the constructor snaps pole rounding to y = 0.
-        """
-        return RevolutionProfile(self.profile + displacement[:, :2])
-
     def resampled(self):
         """Resampled to uniform arclength with the poles kept in place; the profile
         itself while its chords are within `_RESAMPLE_SPREAD` of each other.
@@ -207,14 +197,14 @@ class RevolutionProfile:
         return RevolutionProfile(new)
 
     def placed(self, position):
-        """The profile with its samples at `position` (M, 3), as its `ShapeData` holds them:
-        the meridian plane's columns, with the poles on the axis."""
-        return RevolutionProfile(position[:, :2])
+        """The profile with its samples at `position` (M, 2), as its `ShapeData` holds them.
+        A pole's normal lies along the axis; the constructor snaps pole rounding to y = 0."""
+        return RevolutionProfile(position)
 
     def centroid(self, weights, measure):
-        """Centroid (x, 0, 0) of the rotation surface under the area `weights`, whose sum
-        is `measure`."""
-        return np.array([float(weights @ self.profile[:, 0]) / measure, 0.0, 0.0])
+        """Centroid (x, 0) of the rotation surface, in the meridian plane, under the area
+        `weights`, whose sum is `measure`."""
+        return np.array([float(weights @ self.profile[:, 0]) / measure, 0.0])
 
     def linearized_solver(self, geom, dfdlam, c):
         """Solver of (I - c J) u = r for the normal speed F of the flow.
@@ -278,7 +268,7 @@ class AnalyticSpheroid:
     @cached_property
     def _fields(self):
         """The closed-form fields, computed once and shared, with their cached metric
-        derivatives, by every grid operation; read-only, as `geometry()` hands out `lam`."""
+        derivatives, by every grid operation; read-only: `geometry()` hands out `lam`, `nu`."""
         return _spheroid_fields(self.equatorial, self.polar, self.grid_size)
 
 
@@ -427,14 +417,15 @@ def _chords_even(seg):
 class ShapeData:
     """Per-sample geometric state of a hypersurface.
 
-    `position` and `normal` are (M, n+1) in flat space, and (M, n+2) in hyperboloid
-    coordinates, time first, for the c < 0 samples of `spaceform.sample_geodesic_sphere`.
+    On a grid `position`, a copy of the samples, and `normal` are its (M, 2) plane rows;
+    embedded samples are (M, n+1) in flat space, and (M, n+2) in hyperboloid coordinates,
+    time first, for the c < 0 samples of `spaceform.sample_geodesic_sphere`.
     `lam` keeps the grid's frame order: k on a curve, (lam_m, lam_p) (meridian,
     parallel) on a rotation surface; a pointwise ellipsoid sample is ascending.
     """
 
     dim: int                 # hypersurface dimension n
-    position: np.ndarray     # (M, n+1) or, on the hyperboloid, (M, n+2)
+    position: np.ndarray     # (M, 2) on a grid, (M, n+1) embedded, (M, n+2) on the hyperboloid
     normal: np.ndarray       # inward unit normals, shaped as `position`
     lam: np.ndarray          # (M, n) principal curvatures in the grid's frame order
     support: np.ndarray      # (M,) support value <X, nu> about the origin
@@ -644,12 +635,9 @@ def curve_geometry(curve):
 
 def _meridian_shape_data(f):
     m = f.xy.shape[0]
-    pos, nrm = np.zeros((m, 3)), np.zeros((m, 3))
-    pos[:, :2] = f.xy
-    nrm[:, :2] = f.nu
     weights = 2.0 * np.pi * f.xy[:, 1] * f.w * f.du
     weights[::m - 1] *= 0.5
-    return ShapeData(dim=2, position=pos, normal=nrm, lam=f.lam, support=f.support,
+    return ShapeData(dim=2, position=f.xy.copy(), normal=f.nu, lam=f.lam, support=f.support,
                      weights=weights)
 
 

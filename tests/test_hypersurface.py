@@ -218,7 +218,7 @@ def test_revolution_two_path_consistency():
 
 def test_revolution_orientation():
     geom = revolution_geometry(spheroid_profile(1.0, 1.3, 128))
-    centroid = np.array([float(geom.weights @ geom.position[:, 0] / geom.weights.sum()), 0.0, 0.0])
+    centroid = np.array([float(geom.weights @ geom.position[:, 0] / geom.weights.sum()), 0.0])
     inward = np.einsum("ij,ij->i", geom.normal, centroid - geom.position)
     assert np.all(inward[1:-1] > 0.0)
     assert np.all(geom.lam > 0.0)
@@ -533,7 +533,7 @@ def test_linearized_solver_matches_the_linearization_of_f(surface, f, u):
     c = 1e-8
     ju = (surface.linearized_solver(geom, f.gradient(geom.lam), c)(u) - u) / c
     eps = 1e-6
-    speed = [f.value(surface.moved(e * u[:, None] * geom.normal).geometry().lam)
+    speed = [f.value(surface.placed(geom.position + e * u[:, None] * geom.normal).geometry().lam)
              for e in (eps, -eps)]
     ju_fd = (speed[0] - speed[1]) / (2.0 * eps)
     assert np.abs(ju - ju_fd).max() < 1e-3 * np.abs(ju_fd).max()
