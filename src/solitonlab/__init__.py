@@ -8,10 +8,9 @@ with pinching monitors.
 
 from .curvfun import (CurvatureFunction, DegreeMismatchError, DomainError, ElementarySymmetric,
                       EuclideanNorm, GaussCurvature, GeometricMean, MeanCurvature, Power,
-                      SecondFormPair, SymmetricStack, builtin_functions, convexity_classify,
-                      euler_residuals, matrix_first_derivative, matrix_second_form,
-                      pair_sign_gaps, parse_curvature_function, second_form_pair,
-                      symmetric_stack)
+                      SecondFormPair, SymmetricStack, builtin_functions, euler_residuals,
+                      matrix_first_derivative, matrix_second_form, pair_sign_gaps,
+                      parse_curvature_function, second_form_pair, symmetric_stack)
 from .flow import FlowConfig, FlowMonitors, FlowTrace, StopRule, monitors, run, step
 from .hypersurface import (AnalyticSpheroid, GeometryError, NonConvexSurfaceError,
                            PlaneCurve, RevolutionProfile, ShapeData, circle, codazzi_residual,

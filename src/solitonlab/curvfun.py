@@ -31,8 +31,6 @@ import numpy as np
 
 SUPPORTED_DIMS = (1, 2, 3)
 _COINCIDENCE_GAP = 1e-8      # eigenvalues closer than this times max(1, |lam|) coincide
-_CONVEXITY_TOL = 1e-9        # convexity_classify's sign slack, relative to what it tests,
-_CONVEXITY_MIN_SAMPLES = 10  # and the fewest samples it gives a verdict on
 
 
 class DomainError(ValueError):
@@ -486,39 +484,6 @@ def euler_residuals(f, a):
     second = _row_quadratic(lam, hess)  # A is diagonal in its own eigenbasis
     r1, r2 = np.abs(first - m * value), np.abs(second - (m - 1.0) * first)
     return (float(r1[0]), float(r2[0])) if single else (r1, r2)
-
-
-def convexity_classify(f, samples):
-    """Label f "convex", "concave", "neither" or "indeterminate" from sampled data.
-
-    `samples` holds eigenvalue rows: a (k, n) array or a list of (n,) rows.
-    Convex requires, at every sample, a positive semidefinite eigenvalue
-    Hessian and nonnegative gradient divided differences (dually for concave);
-    a linear function, both, is "convex".  Fewer than `_CONVEXITY_MIN_SAMPLES`
-    rows, or for n > 1 no row with distinct eigenvalues, is "indeterminate".
-    """
-    lam = np.asarray(samples, dtype=float)
-    if lam.size == 0:
-        raise ValueError("convexity_classify: empty sample list")
-    if lam.ndim != 2:
-        raise ValueError(f"convexity_classify: expected (k, n) rows, got shape {lam.shape}")
-    hess = f.hessian(lam)
-    eigs = np.linalg.eigvalsh(hess)
-    eig_tol = _CONVEXITY_TOL * np.maximum(1.0, np.abs(hess).max(axis=(1, 2)))
-    convex_ok = not np.any(eigs.min(axis=1) < -eig_tol)
-    concave_ok = not np.any(eigs.max(axis=1) > eig_tol)
-    g = f.gradient(lam)
-    i, j = np.triu_indices(f.n, 1)
-    gap = lam[:, i] - lam[:, j]
-    scale = np.maximum(1.0, np.linalg.norm(lam, axis=1))[:, None]
-    distinct = np.abs(gap) >= _COINCIDENCE_GAP * scale
-    dd = (g[:, i] - g[:, j])[distinct] / gap[distinct]
-    bound = _CONVEXITY_TOL * np.maximum(1.0, np.abs(dd))
-    convex_ok = convex_ok and not np.any(dd < -bound)
-    concave_ok = concave_ok and not np.any(dd > bound)
-    if lam.shape[0] < _CONVEXITY_MIN_SAMPLES or (f.n > 1 and not distinct.any()):
-        return "indeterminate"
-    return "convex" if convex_ok else "concave" if concave_ok else "neither"
 
 
 def _row_dot(a, b):

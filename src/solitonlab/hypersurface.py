@@ -52,8 +52,7 @@ MIN_SAMPLES = 16             # the fewest samples of a curve, a meridian grid or
 
 _POLE_MARGIN = 1e-3          # pointwise ellipsoid evaluation keeps away from poles
 _POLE_ANGLE_TOL = 1e-6       # profile must meet the axis orthogonally to this
-# a grid is resampled once its longest chord exceeds its shortest by more than this factor;
-# at 1.10 the prolate 1:2 spheroid flow at M = 256 aborts after 44 steps instead of 61
+# a grid is resampled once its longest chord exceeds its shortest by more than this factor
 _RESAMPLE_SPREAD = 1.05
 
 
@@ -586,14 +585,14 @@ def _profile_fields(profile):
     # pole-angle check: the one-sided slope of the axis coordinate must vanish
     # relative to the profile speed.  The base tolerance is floored by the
     # estimator's own resolution, O((h kappa)^3), on interpolation-grade data
-    # (resampled flow states); the reference curvature is the robust bulk
-    # median so an irregular pole cannot loosen its own check.
+    # (resampled flow states), with kappa that pole's own curvature: lam_m[i]
+    # reads samples i-4 .. i+4, so lam_m[5] and lam_m[-6] are the nearest that
+    # do not read the pole sample, and an irregular pole cannot loosen its own check.
     h_arc = float(_segments(prof).sum() / (m - 1))     # the bits of .mean()
-    bulk = np.sort(np.abs(lam_m[m // 4: 3 * m // 4]))   # its median as np.median gives it
-    kappa_ref = float(0.5 * (bulk[(bulk.size - 1) // 2] + bulk[bulk.size // 2])) or 1.0
-    pole_tol = max(_POLE_ANGLE_TOL, (2.0 * h_arc * kappa_ref) ** 3)
-    for label, xsl, ysl in (("first", _fd.onesided_d1_start(x, du), _fd.onesided_d1_start(y, du)),
-                            ("last", _fd.onesided_d1_end(x, du), _fd.onesided_d1_end(y, du))):
+    for label, kappa, xsl, ysl in (
+            ("first", lam_m[5], _fd.onesided_d1_start(x, du), _fd.onesided_d1_start(y, du)),
+            ("last", lam_m[-6], _fd.onesided_d1_end(x, du), _fd.onesided_d1_end(y, du))):
+        pole_tol = max(_POLE_ANGLE_TOL, (2.0 * h_arc * abs(kappa)) ** 3)
         speed = math.hypot(xsl, ysl)
         if speed <= 0.0 or abs(xsl) > pole_tol * speed:
             raise GeometryError(f"profile does not meet the axis orthogonally at the "

@@ -466,6 +466,26 @@ def test_criterion_7_at_m64_keeps_its_recorded_values(name):
     assert last.ahh_max == pytest.approx(ahh_max, rel=1e-12, abs=0.0)
 
 
+# each pole's angle tolerance is sized by that pole's own curvature, so the high-curvature
+# poles of prolate spheroids pass on these grids and the flows round off
+@pytest.mark.parametrize("c, grids", [(2.0, (128, 256)), (3.0, (256, 512))],
+                         ids=["1:2", "1:3"])
+def test_prolate_spheroids_round_off(c, grids):
+    e = math.sqrt(1.0 - 1.0 / (c * c))
+    area = 2.0 * math.pi * (1.0 + c * math.asin(e) / e)
+    steps = []
+    for m in grids:
+        trace = run(FlowConfig(f=H2, stop=StopRule(r_tol=0.22, t_max=10.0),
+                               rescale_mode="fixed-scale"), spheroid_profile(1.0, c, m))
+        assert trace.stop_reason == "r_tol" and trace.dt_halvings == 0
+        steps.append(len(trace.rows) - 1)
+        assert all(abs(row.measure - area) < 1e-4 * area for row in trace.rows)
+        ahh = [row.ahh_max for row in trace.rows]
+        assert all(b <= a + 1e-9 for a, b in zip(ahh, ahh[1:]))
+        assert abs(ahh[-1] - 0.5) < 0.005
+    assert steps[0] == steps[1]
+
+
 # Fixed-scale H flows to t_max, against fine references: the same flows at M = 512 and
 # dt_safety = 0.02, run with the periodic C^2 spline resample of commit 199729b.  Each
 # case is (grid, H, t_max, reference (r_max, tau_fit, aHH_max)); each cell adds the

@@ -226,11 +226,19 @@ def test_revolution_orientation():
 
 def test_pole_regularity_enforced():
     u = np.linspace(0.0, np.pi, 64)
-    x = -np.cos(u) - 0.2 * u          # meets the axis at an angle
-    y = np.sin(u)
-    y[0] = y[-1] = 0.0
-    with pytest.raises(GeometryError, match="orthogonal"):
-        revolution_geometry(RevolutionProfile(np.column_stack([x, y])))
+    # meets the axis at an angle; then tips that meet it at slope eps, at M = 64, 256 and
+    # 1024: each pole's tolerance reads a curvature whose stencils do not reach the pole
+    # sample, so a slight tilt cannot loosen its own check
+    profiles = [(u, -np.cos(u) - 0.2 * u)]
+    for eps in (1e-3, 1e-2):
+        for m in (64, 256, 1024):
+            v = np.linspace(0.0, np.pi, m)
+            profiles.append((v, -np.cos(v) + eps * np.sin(v) * np.cos(v)))
+    for v, x in profiles:
+        y = np.sin(v)
+        y[0] = y[-1] = 0.0
+        with pytest.raises(GeometryError, match="orthogonal"):
+            revolution_geometry(RevolutionProfile(np.column_stack([x, y])))
 
 
 def test_interior_axis_touch_rejected():
