@@ -51,10 +51,11 @@ def _esym(lam2d, k, skip=()):
         return np.ones(lam2d.shape[0])
     if k < 0:
         return np.zeros(lam2d.shape[0])
+    # a product starts from its first factor: 1.0 * x has the bits of x
     total = np.zeros(lam2d.shape[0])
-    for comb in itertools.combinations(idx, k):
-        term = np.ones(lam2d.shape[0])
-        for i in comb:
+    for first, *rest in itertools.combinations(idx, k):
+        term = lam2d[:, first]
+        for i in rest:
             term = term * lam2d[:, i]
         total += term
     return total
@@ -171,8 +172,10 @@ class ElementarySymmetric(CurvatureFunction):
         return _esym(arr, self.k)
 
     def _gradient(self, arr):
-        cols = [_esym(arr, self.k - 1, skip=(i,)) for i in range(self.n)]
-        return np.stack(cols, axis=1)
+        out = np.empty(arr.shape)
+        for i in range(self.n):
+            out[:, i] = _esym(arr, self.k - 1, skip=(i,))
+        return out
 
     def _hessian(self, arr):
         k, n = arr.shape
@@ -408,7 +411,8 @@ def matrix_first_derivative(f, a):
     `a` may also be a `symmetric_stack`, decomposed once for many functions.
     """
     a = symmetric_stack(a)
-    g = f.gradient(a.lam)
+    lam, _ = f._coerce(a.lam)
+    g = f._gradient(lam)
     out = (a.u * g[:, None, :]) @ a.u.transpose(0, 2, 1)
     return out[0] if a.single else out
 
@@ -449,12 +453,14 @@ def matrix_second_form(f, a, b=None):
     `second_form_pair(A, B)`, checked once for many functions, with `b` left out.
     """
     pair = a if isinstance(a, SecondFormPair) and b is None else second_form_pair(a, b)
-    lam, b, single = pair.lam, pair.b, pair.single
-    g = f.gradient(lam)
-    hess = f.hessian(lam)
+    b, single = pair.b, pair.single
+    lam, _ = f._coerce(pair.lam)
+    g = f._gradient(lam)
+    hess = f._hessian(lam)
     bd = np.diagonal(b, axis1=1, axis2=2)
     total = _row_quadratic(bd, hess)
-    gap_tol = _COINCIDENCE_GAP * np.maximum(1.0, np.linalg.norm(lam, axis=1))
+    # the row norms, by the operations np.linalg.norm(lam, axis=1) runs
+    gap_tol = _COINCIDENCE_GAP * np.maximum(1.0, np.sqrt((lam * lam).sum(axis=1)))
     n = lam.shape[1]
     for k in range(n):
         for l in range(k + 1, n):
@@ -475,15 +481,15 @@ def euler_residuals(f, a):
     `symmetric_stack`.
     """
     a = symmetric_stack(a)
-    lam, single = a.lam, a.single
-    value = f.value(lam)
-    g = f.gradient(lam)
-    hess = f.hessian(lam)
+    lam, _ = f._coerce(a.lam)
+    value = f._value(lam)
+    g = f._gradient(lam)
+    hess = f._hessian(lam)
     m = f.degree
     first = _row_dot(g, lam)
     second = _row_quadratic(lam, hess)  # A is diagonal in its own eigenbasis
     r1, r2 = np.abs(first - m * value), np.abs(second - (m - 1.0) * first)
-    return (float(r1[0]), float(r2[0])) if single else (r1, r2)
+    return (float(r1[0]), float(r2[0])) if a.single else (r1, r2)
 
 
 def _row_dot(a, b):

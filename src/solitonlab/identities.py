@@ -42,24 +42,25 @@ def _central_differences(moved, step):
 
     The axis of differentiation is axis 1, so values give (k, n) and gradients (k, n, n).
     """
-    return np.moveaxis((moved[0] - moved[1]) / (2.0 * step), 0, 1)
+    return ((moved[0] - moved[1]) / (2.0 * step)).swapaxes(0, 1)
 
 
 class _Stack:
     """Blocks of (..., n) eigenvalue rows joined once, for one call per function.
 
-    Calling it with a function gives that function's results split back by block.
+    Calling it with a function gives that function's results sliced back by block.
     """
 
     def __init__(self, blocks):
         flat = [block.reshape(-1, block.shape[-1]) for block in blocks]
         self._rows = np.concatenate(flat)
-        self._ends = np.cumsum([len(rows) for rows in flat])[:-1]
-        self._shapes = [block.shape[:-1] for block in blocks]
+        ends = list(itertools.accumulate(len(rows) for rows in flat))
+        self._blocks = [(slice(end - len(rows), end), block.shape[:-1])
+                        for rows, end, block in zip(flat, ends, blocks)]
 
     def __call__(self, fn):
-        parts = np.split(fn(self._rows), self._ends)
-        return [part.reshape(shape + part.shape[1:]) for part, shape in zip(parts, self._shapes)]
+        out = fn(self._rows)
+        return [out[rows].reshape(shape + out.shape[1:]) for rows, shape in self._blocks]
 
 
 def _distinct_eigenvalues(rng, k, n, gap=1e-3):
@@ -109,8 +110,9 @@ def _eigenvalue_samples(rng, sample_count, n):
     spd_eig = rng.uniform(0.2, 3.0, (sample_count, n))
     rot_gauss = rng.standard_normal((sample_count, n, n))
 
-    q_form, q_spd, q = np.split(_rotations(np.concatenate([form_gauss, spd_gauss, rot_gauss])),
-                                [fd_n, fd_n + sample_count])
+    rotations = _rotations(np.concatenate([form_gauss, spd_gauss, rot_gauss]))
+    q_form, q_spd, q = (rotations[:fd_n], rotations[fd_n:fd_n + sample_count],
+                        rotations[fd_n + sample_count:])
     eye = np.eye(n)
     a = eig[:, :, None] * eye
     b = _spd(q_form, form_eig) - shift[:, :, None] * eye
@@ -121,8 +123,8 @@ def _eigenvalue_samples(rng, sample_count, n):
     # row that needs a gradient: a row's result does not depend on the rows batched with it
     # (tests/test_curvfun.py pins this for the builtins)
     moved = _step_rows(lam[:fd_n], _FD_STEP)
-    form_lam, spd_lam = np.split(np.linalg.eigvalsh(
-        np.concatenate([a + _FORM_STEP * b, a, a - _FORM_STEP * b, spd])), [3 * fd_n])
+    all_lam = np.linalg.eigvalsh(np.concatenate([a + _FORM_STEP * b, a, a - _FORM_STEP * b, spd]))
+    form_lam, spd_lam = all_lam[:3 * fd_n], all_lam[3 * fd_n:]
     values = _Stack([
         lam,
         lam[:, list(itertools.permutations(range(n)))].transpose(1, 0, 2),
@@ -167,11 +169,13 @@ def _eigenvalue_checks(rows, samples, f):
     rows.append((f"{tag}_second_form_fd",
                  float((np.abs(form - fd) / np.maximum(1.0, np.abs(form))).max()), 1e-5))
 
-    d_here, d_rot = np.split(curvfun.matrix_first_derivative(f, samples.spd_pair), 2)
     q = samples.q
-    q_t = q.transpose(0, 2, 1)
-    basis = (np.abs(d_rot - q @ d_here @ q_t).max(axis=(1, 2))
-             / np.maximum(1.0, np.abs(d_here).max(axis=(1, 2))))
+    k = len(q)
+    derivative = curvfun.matrix_first_derivative(f, samples.spd_pair)
+    d_here, d_rot = derivative[:k], derivative[k:]
+    # one-axis maxima over (k, n*n) rows; a maximum is exact, so these are the bits of axis=(1, 2)
+    basis = (np.abs(d_rot - q @ d_here @ q.transpose(0, 2, 1)).reshape(k, -1).max(axis=1)
+             / np.maximum(1.0, np.abs(d_here).reshape(k, -1).max(axis=1)))
     fscale = np.maximum(1.0, np.abs(spd_values))
     r1, r2 = curvfun.euler_residuals(f, samples.spd)
     rows.append((f"{tag}_basis_invariance", float(basis.max()), 1e-10))

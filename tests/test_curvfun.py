@@ -655,3 +655,94 @@ def test_stacked_value_and_gradient_equal_separate_calls_bit_for_bit(n, rng):
         for method in (f.value, f.gradient):
             separate = np.concatenate([method(block) for block in blocks])
             assert method(stacked).tobytes() == separate.tobytes(), (f.name, method.__name__)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_matrix_calculus_checks_its_eigenvalue_rows_once(monkeypatch, n, rng):
+    spd, diag, direction = _calculus_stacks(rng, n)
+    decomposed, pair = symmetric_stack(spd), second_form_pair(diag, direction)
+    checked = []
+
+    def counted(self, lam, _inner=curvfun.CurvatureFunction._coerce):
+        checked.append(np.shape(lam))
+        return _inner(self, lam)
+
+    monkeypatch.setattr(curvfun.CurvatureFunction, "_coerce", counted)
+    calls = [lambda f: matrix_first_derivative(f, spd),
+             lambda f: matrix_first_derivative(f, spd[0]),
+             lambda f: matrix_first_derivative(f, decomposed),
+             lambda f: matrix_second_form(f, diag, direction),
+             lambda f: matrix_second_form(f, diag[0], direction[0]),
+             lambda f: matrix_second_form(f, pair),
+             lambda f: euler_residuals(f, spd),
+             lambda f: euler_residuals(f, spd[0]),
+             lambda f: euler_residuals(f, decomposed)]
+    for f in builtin_functions(n):
+        for i, call in enumerate(calls):
+            checked.clear()
+            call(f)
+            assert len(checked) == 1, (f.name, i)
+
+
+@pytest.mark.parametrize("make", [GeometricMean, lambda n: Power(MeanCurvature(n), -1.0)],
+                         ids=["geomean", "pow(H,-1)"])
+def test_the_matrix_calculus_refuses_eigenvalues_as_value_does(make):
+    f = make(2)
+    direction = np.array([[0.5, 0.2], [0.2, -0.3]])
+    bad = np.diag([1.0, -1.0])
+    for a in (bad, np.array([np.eye(2), np.diag([2.0, 0.5]), bad])):
+        # the first derivative and the Euler identities see A's ascending eigenvalues,
+        # the second form A's diagonal
+        directions = np.broadcast_to(direction, a.shape)
+        cases = [(lambda: matrix_first_derivative(f, a), np.linalg.eigvalsh(a)),
+                 (lambda: euler_residuals(f, a), np.linalg.eigvalsh(a)),
+                 (lambda: matrix_second_form(f, a, directions), np.diagonal(a, axis1=-2, axis2=-1))]
+        for call, lam in cases:
+            with pytest.raises(DomainError) as expected:
+                f.value(lam)
+            with pytest.raises(DomainError) as refused:
+                call()
+            assert str(refused.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# sigma_k keeps the bits of its products
+
+def _seeded_esym(lam2d, k, skip=()):
+    """sigma_k with each product formed from a seed array of ones, the reference for `_esym`."""
+    idx = [i for i in range(lam2d.shape[1]) if i not in skip]
+    if k == 0:
+        return np.ones(lam2d.shape[0])
+    if k < 0:
+        return np.zeros(lam2d.shape[0])
+    total = np.zeros(lam2d.shape[0])
+    for comb in itertools.combinations(idx, k):
+        term = np.ones(lam2d.shape[0])
+        for i in comb:
+            term = term * lam2d[:, i]
+        total += term
+    return total
+
+
+def _seeded_sigma(rows, k):
+    """Value, gradient and Hessian of sigma_k from `_seeded_esym`."""
+    n = rows.shape[1]
+    grad = np.stack([_seeded_esym(rows, k - 1, skip=(i,)) for i in range(n)], axis=1)
+    hess = np.zeros((len(rows), n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            hess[:, i, j] = hess[:, j, i] = _seeded_esym(rows, k - 2, skip=(i, j))
+    return _seeded_esym(rows, k), grad, hess
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in range(1, n + 1)])
+def test_sigma_k_keeps_the_bits_of_seeded_products(n, k, rng):
+    # every row of negative entries, exact zeros and -0.0, then random signed rows
+    rows = np.array(list(itertools.product((-2.5, -1.0, -0.0, 0.0, 0.7, 3.0), repeat=n)))
+    rows = np.concatenate([rows, rng.uniform(-3.0, 3.0, (50, n))])
+    functions = [ElementarySymmetric(n, k)] + ([GaussCurvature(n)] if k == n else [])
+    for f in functions:
+        got = (f.value(rows), f.gradient(rows), f.hessian(rows))
+        for name, mine, ref in zip(("value", "gradient", "hessian"), got, _seeded_sigma(rows, k)):
+            assert np.array_equal(mine, ref), (f.name, name)
+            assert np.array_equal(np.signbit(mine), np.signbit(ref)), (f.name, name)

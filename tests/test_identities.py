@@ -168,6 +168,24 @@ def test_extra_eigenvalue_draws_leave_every_later_row_bit_identical(monkeypatch)
     assert moved[first_later:] == rows[first_later:]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_row_stack_gives_each_block_the_bits_of_its_own_call(n):
+    rng = np.random.default_rng(3)
+    lam = rng.uniform(0.2, 3.0, (11, n))
+    blocks = [lam, np.array([0.5, 2.0, 10.0])[:, None, None] * lam,
+              identities._step_rows(lam[:4], 1e-5), rng.uniform(0.2, 3.0, (1, n))]
+    stack = identities._Stack(blocks)
+    for f in curvfun.builtin_functions(n):
+        for method in (f.value, f.gradient):
+            parts = stack(method)
+            assert len(parts) == len(blocks)
+            for part, block in zip(parts, blocks):
+                alone = method(block.reshape(-1, n))
+                alone = alone.reshape(block.shape[:-1] + alone.shape[1:])
+                assert part.shape == alone.shape, (f.name, method.__name__)
+                assert part.tobytes() == alone.tobytes(), (f.name, method.__name__)
+
+
 _MATRIX_CALCULUS = ("matrix_first_derivative", "matrix_second_form", "euler_residuals")
 
 
