@@ -78,8 +78,13 @@ def _cmd_sphere_check(args, out_dir):
     sphere = spaceform.sample_geodesic_sphere(args.c, args.R, args.n, args.samples)
     with np.errstate(all="ignore"):
         values = f.value(sphere.lam)
+        if not np.isfinite(values).all():
+            # F may be in range while an intermediate, such as K in pow(K, 1/4), is not:
+            # F at lam / s, scaled back by s^m, with s the power of two at or below max lam
+            # (a numpy s^m beyond the float range reads inf, where a float's would raise)
+            s = math.ldexp(1.0, math.frexp(sphere.lam.max())[1] - 1)
+            values = f.value(sphere.lam / s) * np.float64(s) ** f.degree
     if not np.isfinite(values).all():
-        # F may be in range while an intermediate, such as K in pow(K, 1/4), is not
         raise ValueError(f"F of f={f.name} at the principal curvature {sphere.lam[0, 0]:g} "
                          f"(R={args.R:g}, c={args.c:g}) overflows the float range in its "
                          "evaluation")

@@ -42,7 +42,27 @@ class DegreeMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# elementary symmetric sums on tiny eigenvalue tuples
+# row sums, products and elementary symmetric sums on tiny eigenvalue tuples
+
+def _row_sum(arr):
+    """`arr.sum(axis=1)` of a (k, n) array, bit for bit, by adding its columns in turn.
+
+    Over n <= 3 entries numpy's row reduction adds them in order, from +0.0 (a row of -0.0
+    sums to +0.0); adding columns costs a fraction of a reduction call at these n.
+    """
+    out = 0.0 + arr[:, 0]
+    for j in range(1, arr.shape[1]):
+        out += arr[:, j]
+    return out
+
+
+def _row_prod(arr):
+    """`np.prod(arr, axis=1)` of a (k, n) array, bit for bit, by multiplying its columns."""
+    out = 1.0 * arr[:, 0]
+    for j in range(1, arr.shape[1]):
+        out *= arr[:, j]
+    return out
+
 
 def _esym(lam2d, k, skip=()):
     """sigma_k over the index set minus `skip`, batched over axis 0; sigma_k = 0 for k < 0."""
@@ -146,7 +166,7 @@ class MeanCurvature(CurvatureFunction):
     power_range = (1.0, 1.0)
 
     def _value(self, arr):
-        return arr.sum(axis=1)
+        return _row_sum(arr)
 
     def _gradient(self, arr):
         return np.ones_like(arr)
@@ -207,7 +227,7 @@ class EuclideanNorm(CurvatureFunction):
         return None
 
     def _value(self, arr):
-        return np.sqrt((arr * arr).sum(axis=1))
+        return np.sqrt(_row_sum(arr * arr))
 
     def _gradient(self, arr):
         r = self._value(arr)
@@ -232,7 +252,7 @@ class GeometricMean(CurvatureFunction):
         return self._positive_cone_violation(arr)
 
     def _root(self, arr):
-        return np.prod(arr, axis=1) ** (1.0 / self.n)
+        return _row_prod(arr) ** (1.0 / self.n)
 
     def _value(self, arr):
         return self.n * self._root(arr)
@@ -460,7 +480,7 @@ def matrix_second_form(f, a, b=None):
     bd = np.diagonal(b, axis1=1, axis2=2)
     total = _row_quadratic(bd, hess)
     # the row norms, by the operations np.linalg.norm(lam, axis=1) runs
-    gap_tol = _COINCIDENCE_GAP * np.maximum(1.0, np.sqrt((lam * lam).sum(axis=1)))
+    gap_tol = _COINCIDENCE_GAP * np.maximum(1.0, np.sqrt(_row_sum(lam * lam)))
     n = lam.shape[1]
     for k in range(n):
         for l in range(k + 1, n):
@@ -529,7 +549,7 @@ def pair_sign_gaps(f, g, lam):
     grad_f, grad_g = f.gradient(rows), g.gradient(rows)
     lam_sq = rows * rows
     gap1 = m * (value_g * _row_dot(grad_f, lam_sq) - value_f * _row_dot(grad_g, lam_sq))
-    gap2 = m * (value_f[:, None] * grad_g - value_g[:, None] * grad_f).sum(axis=1)
+    gap2 = m * _row_sum(value_f[:, None] * grad_g - value_g[:, None] * grad_f)
     if single:
         return float(gap1[0]), float(gap2[0])
     return gap1, gap2

@@ -193,7 +193,8 @@ def _pair_gap_checks(rows, rng, n):
     lam_sq = lam * lam
     s1 = (np.abs(value_g * curvfun._row_dot(grad_f, lam_sq))
           + np.abs(value_f * curvfun._row_dot(grad_g, lam_sq)))
-    s2 = np.abs(value_f * grad_g.sum(axis=1)) + np.abs(value_g * grad_f.sum(axis=1))
+    s2 = (np.abs(value_f * curvfun._row_sum(grad_g))
+          + np.abs(value_g * curvfun._row_sum(grad_f)))
     for name, f, g, sign in (("convex_concave", convex, concave, -1.0),
                              ("swapped", concave, convex, 1.0)):
         g1, g2 = curvfun.pair_sign_gaps(f, g, lam)
@@ -263,8 +264,9 @@ def _geometry_checks(rows):
 
 
 def _spaceform_checks(rows):
-    cs = np.linspace(-4.0, 4.0, 17)
-    ts = np.linspace(0.1, 3.0, 7)
+    # the grids as Python floats: an operation on a numpy scalar costs about 4x, same bits
+    cs = np.linspace(-4.0, 4.0, 17).tolist()
+    ts = np.linspace(0.1, 3.0, 7).tolist()
     e = 1e-5
     err_sh, err_ch, err_py = [], [], []
     for c in cs:
@@ -280,7 +282,8 @@ def _spaceform_checks(rows):
     rows.append(("shc_chc_pythagoras", float(np.max(err_py)), 1e-12))
 
     err = [abs(spaceform.shc(c, t) - spaceform.shc(0.0, t)) / abs(c)
-           for c in (1e-12, 1e-9, 1e-6, -1e-12, -1e-9, -1e-6) for t in np.linspace(0.0, 10.0, 21)]
+           for c in (1e-12, 1e-9, 1e-6, -1e-12, -1e-9, -1e-6)
+           for t in np.linspace(0.0, 10.0, 21).tolist()]
     rows.append(("shc_continuity_at_c0", float(np.max(err)), 170.0))
 
 
@@ -297,7 +300,7 @@ def _soliton_checks(rows, rng):
 
     f = curvfun.MeanCurvature(2)
     err = []
-    for radius in rng.uniform(0.1, 10.0, 20):
+    for radius in rng.uniform(0.1, 10.0, 20).tolist():
         tau = soliton.sphere_tau(f, radius, 0.0)
         err.append(abs(soliton.solve_sphere_radius(f, tau, 0.0) - radius))
     rows.append(("sphere_radius_roundtrip", float(np.max(err)), 1e-10))
@@ -311,13 +314,13 @@ def _soliton_checks(rows, rng):
     rows.append(("sphere_tau_scaling_covariance", float(np.max(err)), 1e-12))
 
     err = []
-    for m in np.linspace(1.02, 100.0, 50):
+    for m in np.linspace(1.02, 100.0, 50).tolist():
         t = soliton.threshold_high(m)
         q = soliton.pinching_quadratics(m, t)[1]
         err.append(abs(q) / ((m - 1.0) * (t * t + t) + 2.0))
     rows.append(("threshold_root_check_high", float(np.max(err)), 1e-12))
     err = []
-    for m in np.linspace(-100.0, -7.02, 50):
+    for m in np.linspace(-100.0, -7.02, 50).tolist():
         t = soliton.threshold_low(m)
         q = soliton.pinching_quadratics(m, t)[0]
         err.append(abs(q) / (2.0 * t * t + abs(m - 1.0) * (t + 1.0)))

@@ -43,16 +43,24 @@ class PinchingVerdict:
     admissible: bool
 
 
+def _tau(unit, m, radius, c):
+    """unit * chc(R)^m / shc(R)^(m+1), unchecked; inf where a power overflows or a divisor is 0."""
+    r = float(radius)
+    try:
+        if c == 0.0:
+            return unit / r ** (m + 1.0)    # chc(0, r) ** m is 1.0 and shc(0, r) is r
+        return unit * chc(c, r) ** m / shc(c, r) ** (m + 1.0)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def sphere_tau(f, radius, c=0.0):
     """The unique tau making the centered geodesic sphere of given radius a solution."""
     require_nonpositive_curvature(c)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"sphere radius must be positive and finite (got radius={radius})")
     m = f.degree
-    try:
-        tau = f.unit_value * chc(c, radius) ** m / shc(c, radius) ** (m + 1.0)
-    except (OverflowError, ZeroDivisionError):
-        tau = math.inf
+    tau = _tau(f.unit_value, m, radius, c)
     if not 0.0 < abs(tau) < math.inf:
         raise ValueError(f"sphere tau of f={f.name} (degree m={m:g}) at R={radius:g}, c={c:g} "
                          "is zero or outside the float range")
@@ -66,14 +74,22 @@ _BISECTION_RTOL = 1e-12
 
 
 def solve_sphere_radius(f, tau, c=0.0):
-    """Invert `sphere_tau` by bisection on the radius bracket `_RADIUS_BRACKET`."""
+    """Invert `sphere_tau` by bisection on the radius bracket `_RADIUS_BRACKET`.
+
+    c is checked once; each step evaluates the closed form alone, and a radius whose tau
+    leaves the float range gets `sphere_tau`'s refusal.
+    """
     if tau == 0.0 or not -math.inf < tau < math.inf:
         raise ValueError(f"tau must be nonzero and finite (got tau={tau})")
     require_nonpositive_curvature(c)
     lo, hi = _RADIUS_BRACKET
+    unit, m = f.unit_value, f.degree
 
     def defect(r):
-        return sphere_tau(f, r, c) - tau
+        value = _tau(unit, m, r, c)
+        if not 0.0 < abs(value) < math.inf:
+            sphere_tau(f, r, c)     # refuses r by name
+        return value - tau
 
     d_lo, d_hi = defect(lo), defect(hi)
     if d_lo == 0.0 and d_hi == 0.0:

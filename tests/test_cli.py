@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -793,16 +794,19 @@ def test_sphere_check_passes_a_tiny_hyperbolic_sphere(tmp_path, capsys):
     assert "result: pass" in capsys.readouterr().out
 
 
-def test_sphere_check_refuses_an_f_whose_evaluation_overflows(tmp_path, capsys):
-    # F = K^(1/4) = 1e100 is in range but K = 1e400 is not: the residual read nan, with
-    # RuntimeWarnings, and the exact sphere soliton was reported as a FAIL
-    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(K,0.25)", "--n", "2",
-                 "--R", "1e-200"])
-    assert code == 2
-    out, err = capsys.readouterr()
-    assert "nan" not in out + err
-    assert "F of f=pow(K,0.25) at the principal curvature 1e+200" in err
-    assert "overflows the float range" in err
+@pytest.mark.parametrize("argv", [
+    ["--f", "pow(K,0.25)", "--n", "2", "--R", "1e-200"],
+    ["--f", "pow(K,-0.25)", "--n", "2", "--R", "1e200"],
+    ["--f", "pow(norm,0.5)", "--n", "3", "--R", "1e-200"],
+], ids=["K-overflows", "K-underflows", "norm-squares-overflow"])
+def test_sphere_check_passes_an_f_whose_direct_evaluation_leaves_the_float_range(
+        tmp_path, capsys, argv):
+    # F = K^(1/4) = 1e100 is in range but K = 1e400 is not: the residual read nan, and
+    # the sphere was refused; F at lam / s, scaled back by s^m, is in range
+    assert main(["--out", str(tmp_path), "sphere-check"] + argv) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"samples = (\S+)", out).group(1)) < 1e-8
+    assert "result: pass" in out
 
 
 def test_sphere_check_passes_a_tiny_flat_sphere(tmp_path, capsys):

@@ -746,3 +746,63 @@ def test_sigma_k_keeps_the_bits_of_seeded_products(n, k, rng):
         for name, mine, ref in zip(("value", "gradient", "hessian"), got, _seeded_sigma(rows, k)):
             assert np.array_equal(mine, ref), (f.name, name)
             assert np.array_equal(np.signbit(mine), np.signbit(ref)), (f.name, name)
+
+
+# ---------------------------------------------------------------------------
+# row sums and products keep numpy's bits
+
+def _loop_rows(arr, start, op):
+    """`op` folded over each row from `start`, one Python float at a time."""
+    out = []
+    for row in arr.tolist():
+        acc = start
+        for x in row:
+            acc = op(acc, x)
+        out.append(acc)
+    return np.array(out)
+
+
+def _assert_same_bits(mine, ref, what):
+    assert np.array_equal(mine, ref, equal_nan=True), what
+    assert np.array_equal(np.signbit(mine), np.signbit(ref)), what
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("k", (1, 2, 7, 256, 1000))
+def test_row_sum_and_product_keep_the_bits_of_a_row_loop(n, k, rng):
+    # signed zeros, infinities, NaN and a sum that 1e16 + 1 rounds, among random rows
+    special = [(1e16, 1.0, -1e16)[:n]] + list(
+        itertools.product((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1e16), repeat=n))
+    pool = np.concatenate([np.array(special), rng.uniform(-3.0, 3.0, (100, n))])
+    rows = pool[np.concatenate([np.arange(min(k, len(special))),
+                                rng.integers(0, len(pool), max(0, k - len(special)))])]
+    for arr in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+        with np.errstate(invalid="ignore"):     # inf - inf and 0 * inf
+            row_sum, row_prod = curvfun._row_sum(arr), curvfun._row_prod(arr)
+        _assert_same_bits(row_sum, _loop_rows(arr, 0.0, lambda s, x: s + x), "sum")
+        _assert_same_bits(row_prod, _loop_rows(arr, 1.0, lambda p, x: p * x), "product")
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_families_keep_the_bits_of_axis_reductions(n, rng, monkeypatch):
+    # `arr.sum(axis=1)` and `np.prod(arr, axis=1)`, the forms the row helpers replaced,
+    # patched back in as the reference
+    signed = np.concatenate([
+        np.array(list(itertools.product((-1e16, -1.0, -0.0, 0.0, 1.0, 1e16), repeat=n))),
+        rng.uniform(-3.0, 3.0, (100, n))])
+    positive = np.concatenate([rng.uniform(0.05, 4.0, (200, n)),
+                               10.0 ** rng.uniform(-100.0, 100.0, (200, n))])
+    cases = [(MeanCurvature(n), signed),
+             (EuclideanNorm(n), signed[signed.any(axis=1)]),
+             (GeometricMean(n), positive),
+             (Power(MeanCurvature(n), -1.0), positive)]
+
+    def evaluate():
+        return [(f.value(rows), f.gradient(rows), f.hessian(rows)) for f, rows in cases]
+
+    mine = evaluate()
+    monkeypatch.setattr(curvfun, "_row_sum", lambda arr: arr.sum(axis=1))
+    monkeypatch.setattr(curvfun, "_row_prod", lambda arr: np.prod(arr, axis=1))
+    for (f, _), got, ref in zip(cases, mine, evaluate()):
+        for name, a, b in zip(("value", "gradient", "hessian"), got, ref):
+            _assert_same_bits(a, b, (f.name, name))

@@ -136,6 +136,19 @@ def test_solve_sphere_radius_diagnostics():
         solve_sphere_radius(inverse, -0.7, 0.0)
 
 
+@pytest.mark.parametrize("spec, c, where", [
+    ("pow(H,300)", 0.0, "(degree m=300) at R=1e-06, c=0"),     # shc(R)^301 underflows
+    ("pow(H,20)", -1.0, "(degree m=20) at R=50, c=-1"),        # chc(R)^20 overflows
+], ids=["c0-lower-end", "c-1-upper-end"])
+def test_solve_sphere_radius_keeps_the_refusal_of_sphere_tau(spec, c, where):
+    # the bisection evaluates the closed form without `sphere_tau`'s checks, and hands a
+    # radius whose tau leaves the float range back to `sphere_tau` to be refused
+    with pytest.raises(ValueError) as excinfo:
+        solve_sphere_radius(parse_curvature_function(spec, 2), 1.0, c)
+    assert str(excinfo.value) == (f"sphere tau of f={spec} {where} is zero or outside the "
+                                  "float range")
+
+
 def test_solve_sphere_radius_refuses_a_bisection_out_of_steps(monkeypatch):
     monkeypatch.setattr(soliton, "_BISECTION_MAX_ITER", 2)
     with pytest.raises(ValueError, match=r"bisection did not reach .* in 2 iterations"):
