@@ -68,6 +68,11 @@ def parse_config_text(text):
 # ---------------------------------------------------------------------------
 # commands
 
+def _normal_floats(values):
+    """Whether every entry is a normal float: finite, and neither zero nor subnormal."""
+    return bool((np.abs(values) >= np.finfo(float).tiny).all() and np.isfinite(values).all())
+
+
 def _cmd_sphere_check(args, out_dir):
     _require_at_least(args, "samples", MIN_SAMPLES,
                       f"F + tau Z is checked on at least {MIN_SAMPLES} samples")
@@ -78,8 +83,9 @@ def _cmd_sphere_check(args, out_dir):
     sphere = spaceform.sample_geodesic_sphere(args.c, args.R, args.n, args.samples)
     with np.errstate(all="ignore"):
         values = f.value(sphere.lam)
-        if not np.isfinite(values).all():
-            # F may be in range while an intermediate, such as K in pow(K, 1/4), is not:
+        if not _normal_floats(values):
+            # F may be in range while an intermediate, such as K in pow(K, 1/4), is not,
+            # or F itself may underflow where its true value is a normal float:
             # F at lam / s, scaled back by s^m, with s the power of two at or below max lam
             # (a numpy s^m beyond the float range reads inf, where a float's would raise)
             s = math.ldexp(1.0, math.frexp(sphere.lam.max())[1] - 1)
@@ -88,10 +94,18 @@ def _cmd_sphere_check(args, out_dir):
         raise ValueError(f"F of f={f.name} at the principal curvature {sphere.lam[0, 0]:g} "
                          f"(R={args.R:g}, c={args.c:g}) overflows the float range in its "
                          "evaluation")
-    residual = float(np.abs(values + tau * sphere.support).max() / max(1.0, np.abs(values).max()))
+    if not _normal_floats(values):
+        raise ValueError(f"F of f={f.name} at the principal curvature {sphere.lam[0, 0]:g} "
+                         f"(R={args.R:g}, c={args.c:g}) underflows below the normal floats "
+                         "in its evaluation")
+    # relative to the size of the two terms that cancel; a zero F was refused above
+    tau_z = tau * sphere.support
+    size = max(np.abs(values).max(), np.abs(tau_z).max())
+    residual = float(np.abs(values + tau_z).max() / size)
     tol = 1e-8
     ok = residual < tol
-    print(f"max |F + tau Z| / max(1, max |F|) over {args.samples} samples = {residual:.3e}")
+    print(f"max |F + tau Z| / max(max |F|, max |tau Z|) over {args.samples} samples = "
+          f"{residual:.3e}")
     print(f"result: {'pass' if ok else 'FAIL'} (tolerance {tol:.3g})")
     return 0 if ok else 1
 

@@ -522,7 +522,7 @@ def _row_quadratic(v, m):
     return _row_dot((v[:, None, :] @ m)[:, 0, :], v)
 
 
-def pair_sign_gaps(f, g, lam):
+def pair_sign_gaps(f, g, lam, evaluated=None):
     """Two comparison gaps between same-degree elliptic functions f and g.
 
     With F = f(lam), G = g(lam) and gradients df, dg, returns
@@ -532,7 +532,8 @@ def pair_sign_gaps(f, g, lam):
 
     Both are nonnegative whenever f is convex and g is concave on nonnegative
     eigenvalues (and nonpositive with the roles swapped).  One (n,) row gives
-    two floats; (k, n) rows give two (k,) arrays.
+    two floats; (k, n) rows give two (k,) arrays.  `evaluated`, when given, is
+    (F, G, df, dg) already evaluated at `lam`, as `f.value` and `f.gradient` return them.
     """
     if abs(f.degree - g.degree) > 1e-14:
         raise DegreeMismatchError(
@@ -545,8 +546,14 @@ def pair_sign_gaps(f, g, lam):
     single = lam.ndim == 1
     rows = lam[None, :] if single else lam
     m = f.degree
-    value_f, value_g = f.value(rows), g.value(rows)
-    grad_f, grad_g = f.gradient(rows), g.gradient(rows)
+    if evaluated is None:
+        value_f, value_g = f.value(rows), g.value(rows)
+        grad_f, grad_g = f.gradient(rows), g.gradient(rows)
+    elif single:
+        value_f, value_g = np.atleast_1d(*evaluated[:2])
+        grad_f, grad_g = np.atleast_2d(*evaluated[2:])
+    else:
+        value_f, value_g, grad_f, grad_g = evaluated
     lam_sq = rows * rows
     gap1 = m * (value_g * _row_dot(grad_f, lam_sq) - value_f * _row_dot(grad_g, lam_sq))
     gap2 = m * _row_sum(value_f[:, None] * grad_g - value_g[:, None] * grad_f)

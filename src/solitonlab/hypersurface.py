@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import _fd
@@ -509,6 +508,11 @@ class _GridFields:
     def dG(self):
         return _read_only(self.d1(self.G))
 
+    @cached_property
+    def nabla_h(self):
+        """The components of nabla h along s (`_nabla_h_terms`), which both residuals read."""
+        return tuple(map(_read_only, _nabla_h_terms(self)))
+
 
 # parities through a pole: the profile's x is even and y odd, the tangent's the reverse
 _PROFILE_PARITY, _TANGENT_PARITY = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
@@ -653,12 +657,20 @@ def revolution_geometry(profile):
 # ---------------------------------------------------------------------------
 # pointwise analytic ellipsoid geometry
 
+def _dot(x, y):
+    """The dot product of two 3-tuples of floats."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
 def ellipsoid_geometry(semi_axes, u, v=0.0):
     """Closed-form `ShapeData` (single sample) of one point of an ellipsoid.
 
     The three semi-axes (a, b, c) are parametrized as
     X = (a sin u cos v, b sin u sin v, c cos u); the point must keep away from
-    the coordinate poles (u within 1e-3 of 0 or pi is rejected).
+    the coordinate poles (u within 1e-3 of 0 or pi is rejected).  The principal
+    curvatures, ascending, are the eigenvalues of the Weingarten map L^-1 h L^-T,
+    with g = L L^T the Cholesky factor of the metric: a symmetric 2x2 matrix, whose
+    eigenvalues are its mean -+ hypot(half its diagonal difference, its off-diagonal).
     """
     axes = tuple(float(a) for a in semi_axes)
     if len(axes) != 3 or not all(0.0 < a < math.inf for a in axes):
@@ -669,21 +681,31 @@ def ellipsoid_geometry(semi_axes, u, v=0.0):
         raise GeometryError(f"parameter point too close to a coordinate pole (u={uu:.4g})")
     su, cu = math.sin(uu), math.cos(uu)
     sv, cv = math.sin(vv), math.cos(vv)
-    pos = np.array([a * su * cv, b * su * sv, c * cu])
-    xu = np.array([a * cu * cv, b * cu * sv, -c * su])
-    xv = np.array([-a * su * sv, b * su * cv, 0.0])
-    xuu = np.array([-a * su * cv, -b * su * sv, -c * cu])
-    xuv = np.array([-a * cu * sv, b * cu * cv, 0.0])
-    xvv = np.array([-a * su * cv, -b * su * sv, 0.0])
-    raw = np.cross(xu, xv)
-    raw /= np.linalg.norm(raw)
-    nu = -raw if float(raw @ pos) > 0.0 else raw      # inward
-    g = np.array([[xu @ xu, xu @ xv], [xu @ xv, xv @ xv]])
-    h = np.array([[xuu @ nu, xuv @ nu], [xuv @ nu, xvv @ nu]])
-    lam = scipy.linalg.eigh(h, g, eigvals_only=True)
-    return ShapeData(dim=2, position=pos[None, :], normal=nu[None, :], lam=lam[None, :],
-                     support=np.array([float(pos @ nu)]),
-                     weights=np.array([math.sqrt(np.linalg.det(g))]))
+    pos = (a * su * cv, b * su * sv, c * cu)
+    xu = (a * cu * cv, b * cu * sv, -c * su)
+    xv = (-a * su * sv, b * su * cv, 0.0)
+    xuu = (-a * su * cv, -b * su * sv, -c * cu)
+    xuv = (-a * cu * sv, b * cu * cv, 0.0)
+    xvv = (-a * su * cv, -b * su * sv, 0.0)
+    raw = (xu[1] * xv[2] - xu[2] * xv[1], xu[2] * xv[0] - xu[0] * xv[2],
+           xu[0] * xv[1] - xu[1] * xv[0])
+    size = math.sqrt(_dot(raw, raw))
+    if _dot(raw, pos) > 0.0:       # inward
+        size = -size
+    nu = (raw[0] / size, raw[1] / size, raw[2] / size)
+    h11, h12, h22 = _dot(xuu, nu), _dot(xuv, nu), _dot(xvv, nu)
+    l11 = math.sqrt(_dot(xu, xu))
+    l21 = _dot(xu, xv) / l11
+    l22 = math.sqrt(_dot(xv, xv) - l21 * l21)
+    # W = L^-1 h L^-T by two forward substitutions: M = L^-1 h, then W = L^-1 M^T
+    m11, m12 = h11 / l11, h12 / l11
+    m21, m22 = (h12 - l21 * m11) / l22, (h22 - l21 * m12) / l22
+    w11, w12 = m11 / l11, m21 / l11
+    w22 = (m22 - l21 * w12) / l22
+    mean, radius = 0.5 * (w11 + w22), math.hypot(0.5 * (w11 - w22), w12)
+    return ShapeData(dim=2, position=np.array([pos]), normal=np.array([nu]),
+                     lam=np.array([[mean - radius, mean + radius]]),
+                     support=np.array([_dot(pos, nu)]), weights=np.array([l11 * l22]))
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +771,7 @@ def codazzi_residual(surface):
         raise GeometryError(f"codazzi_residual needs a rotation surface (n = 2); on a "
                             f"curve (n = {f.dim}) nabla h has one component")
     nab_p_sp = 0.5 * f.dG * (f.lam[:, 0] - f.lam[:, 1])
-    return float(np.abs(_nabla_h_terms(f)[1] - nab_p_sp).max())
+    return float(np.abs(f.nabla_h[1] - nab_p_sp).max())
 
 
 def support_hessian_residual(surface):
@@ -768,7 +790,7 @@ def support_hessian_residual(surface):
     (x, y), (xp, yp) = f.xy.T, f.vel.T
     radial = (x * xp + y * yp) / f.E      # (X^T)^s
     metric = (f.E, f.G) if f.dim == 2 else (f.E,)
-    terms = zip(_hessian_terms(f, z), _nabla_h_terms(f), f.lam.T, metric)
+    terms = zip(_hessian_terms(f, z), f.nabla_h, f.lam.T, metric)
     res = [hess + lam * g + radial * nab_h + z * lam ** 2 * g for hess, nab_h, lam, g in terms]
     return float(max(np.abs(r).max() for r in res))
 

@@ -5,7 +5,8 @@ array, once per dimension: the draw, its QR, its eigenvalues, its checked second
 pair, the checked eigen-decompositions of its SPD matrices and every row stack are shared
 by that dimension's functions.  Each function is evaluated once per pass over
 them: every eigenvalue row goes to one `value` call and every row that needs a
-gradient to one `gradient` call.
+gradient to one `gradient` call.  The functions' results are stacked, so each fold
+of a pass (scales, differences, worst residuals) runs once per dimension.
 The layers are called through their modules (`curvfun.pair_sign_gaps`, not a
 name imported from it), so a wrapper put on a module function sees each call.
 Worst residuals are numpy maxima, which keep a NaN where Python's `max` can drop it.
@@ -38,17 +39,19 @@ def _step_rows(lam, step):
 
 
 def _central_differences(moved, step):
-    """Central differences from a function's results on `_step_rows(lam, step)`.
+    """Central differences from functions' stacked results on `_step_rows(lam, step)`.
 
-    The axis of differentiation is axis 1, so values give (k, n) and gradients (k, n, n).
+    The axis of differentiation follows the rows, so values give (F, k, n) and gradients
+    (F, k, n, n) for F functions.
     """
-    return ((moved[0] - moved[1]) / (2.0 * step)).swapaxes(0, 1)
+    return ((moved[:, 0] - moved[:, 1]) / (2.0 * step)).swapaxes(1, 2)
 
 
 class _Stack:
     """Blocks of (..., n) eigenvalue rows joined once, for one call per function.
 
-    Calling it with a function gives that function's results sliced back by block.
+    Calling it with F functions gives their results, stacked on a leading axis of
+    length F, sliced back by block.
     """
 
     def __init__(self, blocks):
@@ -58,9 +61,10 @@ class _Stack:
         self._blocks = [(slice(end - len(rows), end), block.shape[:-1])
                         for rows, end, block in zip(flat, ends, blocks)]
 
-    def __call__(self, fn):
-        out = fn(self._rows)
-        return [out[rows].reshape(shape + out.shape[1:]) for rows, shape in self._blocks]
+    def __call__(self, fns):
+        out = np.stack([fn(self._rows) for fn in fns])
+        lead, tail = out.shape[:1], out.shape[2:]
+        return [out[:, rows].reshape(lead + shape + tail) for rows, shape in self._blocks]
 
 
 def _distinct_eigenvalues(rng, k, n, gap=1e-3):
@@ -141,63 +145,83 @@ def _eigenvalue_samples(rng, sample_count, n):
                               spd, spd_pair, q)
 
 
-def _eigenvalue_checks(rows, samples, f):
-    """One function's pass over its dimension's shared samples."""
-    tag = f"{f.name}_n{f.n}"
-    values, permuted, dilated, moved_values, form_values, spd_values = samples.values(f.value)
-    grad, moved_grad = samples.gradients(f.gradient)
+# the row suffixes and tolerances of each function's pass, in the order the rows are emitted
+_EIGENVALUE_ROWS = (("permutation_symmetry", 1e-14), ("homogeneity", 1e-12),
+                    ("gradient_fd", 1e-6), ("hessian_fd", 1e-6), ("second_form_fd", 1e-5),
+                    ("basis_invariance", 1e-10), ("euler_first", 1e-10), ("euler_second", 1e-10))
+
+
+def _eigenvalue_checks(rows, samples, fs):
+    """One pass of the functions `fs` over their dimension's shared samples.
+
+    Their results are stacked on a leading axis, so each fold runs once for all of them;
+    a maximum is exact, so each function's residual has the bits of a fold of its own.
+    """
+    values, permuted, dilated, moved_values, form_values, spd_values = samples.values(
+        [f.value for f in fs])
+    grad, moved_grad = samples.gradients([f.gradient for f in fs])
+
+    def worst(err):
+        """Each function's largest entry of its (F, ...) slice of `err`; NaN stays NaN."""
+        return err.reshape(len(fs), -1).max(axis=1)
 
     scale = np.maximum(1.0, np.abs(values))
-    rows.append((f"{tag}_permutation_symmetry",
-                 float((np.abs(permuted - values) / scale).max()), 1e-14))
-    expect = np.array([t ** f.degree for t in _DILATIONS])[:, None] * values
-    rows.append((f"{tag}_homogeneity",
-                 float((np.abs(dilated - expect) / np.maximum(1.0, np.abs(expect))).max()), 1e-12))
+    permutation = worst(np.abs(permuted - values[:, None]) / scale[:, None])
+    powers = np.array([[t ** f.degree for t in _DILATIONS] for f in fs])
+    expect = powers[:, :, None] * values[:, None]
+    homogeneity = worst(np.abs(dilated - expect) / np.maximum(1.0, np.abs(expect)))
 
     gerr = np.abs(_central_differences(moved_values, _FD_STEP) - grad)
-    rows.append((f"{tag}_gradient_fd", float((gerr / np.maximum(1.0, np.abs(grad))).max()), 1e-6))
+    gradient_fd = worst(gerr / np.maximum(1.0, np.abs(grad)))
     # differencing the analytic gradient rather than taking second differences
     # of the value keeps the rounding error near eps / step, not eps / step^2
     fd_hess = _central_differences(moved_grad, _FD_STEP)
-    hess = f.hessian(samples.lam_fd)
-    herr = np.abs(0.5 * (fd_hess + fd_hess.transpose(0, 2, 1)) - hess)
-    rows.append((f"{tag}_hessian_fd", float((herr / np.maximum(1.0, np.abs(hess))).max()), 1e-6))
+    hess = np.stack([f.hessian(samples.lam_fd) for f in fs])
+    herr = np.abs(0.5 * (fd_hess + fd_hess.swapaxes(2, 3)) - hess)
+    hessian_fd = worst(herr / np.maximum(1.0, np.abs(hess)))
 
-    form = curvfun.matrix_second_form(f, samples.form)
-    plus, mid, minus = form_values
+    form = np.stack([curvfun.matrix_second_form(f, samples.form) for f in fs])
+    plus, mid, minus = form_values.swapaxes(0, 1)
     fd = (plus - 2.0 * mid + minus) / _FORM_STEP ** 2
-    rows.append((f"{tag}_second_form_fd",
-                 float((np.abs(form - fd) / np.maximum(1.0, np.abs(form))).max()), 1e-5))
+    second_form_fd = worst(np.abs(form - fd) / np.maximum(1.0, np.abs(form)))
 
     q = samples.q
     k = len(q)
-    derivative = curvfun.matrix_first_derivative(f, samples.spd_pair)
-    d_here, d_rot = derivative[:k], derivative[k:]
-    # one-axis maxima over (k, n*n) rows; a maximum is exact, so these are the bits of axis=(1, 2)
-    basis = (np.abs(d_rot - q @ d_here @ q.transpose(0, 2, 1)).reshape(k, -1).max(axis=1)
-             / np.maximum(1.0, np.abs(d_here).reshape(k, -1).max(axis=1)))
+    q_t = q.transpose(0, 2, 1)
+    derivative = np.stack([curvfun.matrix_first_derivative(f, samples.spd_pair) for f in fs])
+    d_here, d_rot = derivative[:, :k], derivative[:, k:]
+    rotated = np.stack([q @ d @ q_t for d in d_here])
+    # maxima over each matrix's n*n entries, then over the k matrices
+    basis = worst(np.abs(d_rot - rotated).reshape(len(fs), k, -1).max(axis=2)
+                  / np.maximum(1.0, np.abs(d_here).reshape(len(fs), k, -1).max(axis=2)))
     fscale = np.maximum(1.0, np.abs(spd_values))
-    r1, r2 = curvfun.euler_residuals(f, samples.spd)
-    rows.append((f"{tag}_basis_invariance", float(basis.max()), 1e-10))
-    rows.append((f"{tag}_euler_first", float((r1 / fscale).max()), 1e-10))
-    rows.append((f"{tag}_euler_second", float((r2 / fscale).max()), 1e-10))
+    r1, r2 = np.stack([curvfun.euler_residuals(f, samples.spd) for f in fs]).swapaxes(0, 1)
+    euler_first, euler_second = worst(r1 / fscale), worst(r2 / fscale)
+
+    folds = (permutation, homogeneity, gradient_fd, hessian_fd, second_form_fd, basis,
+             euler_first, euler_second)
+    for f, residuals in zip(fs, zip(*(fold.tolist() for fold in folds))):
+        rows.extend((f"{f.name}_n{f.n}_{suffix}", residual, tol)
+                    for (suffix, tol), residual in zip(_EIGENVALUE_ROWS, residuals))
 
 
 def _pair_gap_checks(rows, rng, n):
     convex = curvfun.EuclideanNorm(n)
     concave = curvfun.GeometricMean(n)
     lam = rng.uniform(0.05, 4.0, size=(1000, n))
-    # per row, the size of the terms that each gap cancels (both functions have degree 1)
+    # each function evaluated once, for the scales and for both orderings of the pair
     value_f, value_g = convex.value(lam), concave.value(lam)
     grad_f, grad_g = convex.gradient(lam), concave.gradient(lam)
+    # per row, the size of the terms that each gap cancels (both functions have degree 1)
     lam_sq = lam * lam
     s1 = (np.abs(value_g * curvfun._row_dot(grad_f, lam_sq))
           + np.abs(value_f * curvfun._row_dot(grad_g, lam_sq)))
     s2 = (np.abs(value_f * curvfun._row_sum(grad_g))
           + np.abs(value_g * curvfun._row_sum(grad_f)))
-    for name, f, g, sign in (("convex_concave", convex, concave, -1.0),
-                             ("swapped", concave, convex, 1.0)):
-        g1, g2 = curvfun.pair_sign_gaps(f, g, lam)
+    for name, f, g, evaluated, sign in (
+            ("convex_concave", convex, concave, (value_f, value_g, grad_f, grad_g), -1.0),
+            ("swapped", concave, convex, (value_g, value_f, grad_g, grad_f), 1.0)):
+        g1, g2 = curvfun.pair_sign_gaps(f, g, lam, evaluated)
         shortfall = np.max([0.0, (sign * g1 / s1).max(), (sign * g2 / s2).max()])
         rows.append((f"pair_gaps_{name}_n{n}", float(shortfall), 1e-12))
 
@@ -356,8 +380,7 @@ def identity_suite_checks(sample_count, seed):
     rows = []
     for n in (2, 3):
         samples = _eigenvalue_samples(eigen_rng, sample_count, n)
-        for f in curvfun.builtin_functions(n):
-            _eigenvalue_checks(rows, samples, f)
+        _eigenvalue_checks(rows, samples, curvfun.builtin_functions(n))
     for n in (2, 3):
         _pair_gap_checks(rows, pair_rng, n)
     _geometry_checks(rows)

@@ -61,7 +61,7 @@ def sphere_tau(f, radius, c=0.0):
         raise ValueError(f"sphere radius must be positive and finite (got radius={radius})")
     m = f.degree
     tau = _tau(f.unit_value, m, radius, c)
-    if not 0.0 < abs(tau) < math.inf:
+    if not _in_range(tau):
         raise ValueError(f"sphere tau of f={f.name} (degree m={m:g}) at R={radius:g}, c={c:g} "
                          "is zero or outside the float range")
     return tau
@@ -71,23 +71,67 @@ def sphere_tau(f, radius, c=0.0):
 _RADIUS_BRACKET = (1e-6, 50.0)
 _BISECTION_MAX_ITER = 200
 _BISECTION_RTOL = 1e-12
+# the finest log-uniform grid, 2^10 intervals, searched for a radius whose tau is in range
+# when both ends of the bracket leave it
+_RANGE_SCAN_LEVELS = 10
+
+
+def _in_range(tau):
+    """Whether a tau of `_tau` is finite and nonzero."""
+    return 0.0 < abs(tau) < math.inf
+
+
+def _radius_in_range(unit, m, c, lo, hi):
+    """A radius in (lo, hi) whose tau is finite and nonzero, or None: the log-uniform grids
+    of 2, 4, ... intervals, each point tried once, up to `_RANGE_SCAN_LEVELS`."""
+    log_lo, width = math.log(lo), math.log(hi / lo)
+    for level in range(1, _RANGE_SCAN_LEVELS + 1):
+        count = 2 ** level
+        for i in range(1, count, 2):
+            r = math.exp(log_lo + width * i / count)
+            if _in_range(_tau(unit, m, r, c)):
+                return r
+    return None
+
+
+def _clipped_end(unit, m, c, end, inside):
+    """The radius nearest `end` whose tau is finite and nonzero, by geometric bisection
+    between `end`, whose tau is not, and `inside`, whose tau is."""
+    for _ in range(_BISECTION_MAX_ITER):
+        mid = math.sqrt(end * inside)
+        if mid in (end, inside):
+            break
+        if _in_range(_tau(unit, m, mid, c)):
+            inside = mid
+        else:
+            end = mid
+    return inside
 
 
 def solve_sphere_radius(f, tau, c=0.0):
     """Invert `sphere_tau` by bisection on the radius bracket `_RADIUS_BRACKET`.
 
-    c is checked once; each step evaluates the closed form alone, and a radius whose tau
-    leaves the float range gets `sphere_tau`'s refusal.
+    c is checked once; each step evaluates the closed form alone.  An end of the bracket
+    whose tau is zero or not finite is first clipped to the nearest radius where it is
+    finite and nonzero (`_clipped_end`, towards the other end, or towards a radius found in
+    range when both ends leave it); a radius whose tau still leaves the float range gets
+    `sphere_tau`'s refusal.  With both ends in range the bisection is the unclipped one.
     """
     if tau == 0.0 or not -math.inf < tau < math.inf:
         raise ValueError(f"tau must be nonzero and finite (got tau={tau})")
     require_nonpositive_curvature(c)
     lo, hi = _RADIUS_BRACKET
     unit, m = f.unit_value, f.degree
+    lo_in, hi_in = (_in_range(_tau(unit, m, r, c)) for r in (lo, hi))
+    if not (lo_in and hi_in):
+        inside = lo if lo_in else hi if hi_in else _radius_in_range(unit, m, c, lo, hi)
+        if inside is not None:
+            lo = lo if lo_in else _clipped_end(unit, m, c, lo, inside)
+            hi = hi if hi_in else _clipped_end(unit, m, c, hi, inside)
 
     def defect(r):
         value = _tau(unit, m, r, c)
-        if not 0.0 < abs(value) < math.inf:
+        if not _in_range(value):
             sphere_tau(f, r, c)     # refuses r by name
         return value - tau
 

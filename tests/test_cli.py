@@ -810,11 +810,52 @@ def test_sphere_check_passes_an_f_whose_direct_evaluation_leaves_the_float_range
 
 
 def test_sphere_check_passes_a_tiny_flat_sphere(tmp_path, capsys):
-    # R = 1e-200 was refused as "point coincides with the base point", while 1e-160 passed
-    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,-2)", "--R", "1e-200",
+    # R = 1e-200 was refused as "point coincides with the base point", while 1e-160 passed;
+    # F = -1/H = -1e-200 is a normal float (pow(H,-2) has F = -1e-400, refused below)
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,-1)", "--R", "1e-200",
                  "--n", "1"])
     assert code == 0
     assert "result: pass" in capsys.readouterr().out
+
+
+def _residual(out):
+    return float(re.search(r"samples = (\S+)", out).group(1))
+
+
+def test_sphere_check_passes_an_f_that_underflows_with_its_relative_residual(tmp_path, capsys):
+    # K = 1e-360 underflowed to 0, every F read 0, and the residual 1e-180 relative to
+    # max(1, max |F|) passed whatever tau was; F at lam / s, scaled back by s^m, is 1e-180
+    assert main(["--out", str(tmp_path), "sphere-check", "--f", "pow(K,0.5)", "--n", "3",
+                 "--R", "1e120"]) == 0
+    out = capsys.readouterr().out
+    assert "max |F + tau Z| / max(max |F|, max |tau Z|) over 256 samples" in out
+    assert _residual(out) < 1e-8
+    assert "result: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "pow(K,0.5)", "--n", "3", "--R", "1e120"],
+    ["--f", "pow(H,-2)", "--n", "1", "--R", "1e-150"],
+], ids=["K-underflows", "F-1e-300"])
+def test_sphere_check_fails_a_tau_1_percent_off_where_F_is_tiny(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # |F| far below 1 passed against the absolute floor of max(1, max |F|) that tau Z itself
+    # lies under: the residual 1e-182 and 1e-302 of a tau 1% off read "pass"
+    exact = cli.soliton.sphere_tau
+    monkeypatch.setattr(cli.soliton, "sphere_tau", lambda *a, **k: 1.01 * exact(*a, **k))
+    assert main(["--out", str(tmp_path), "sphere-check"] + argv) == 1
+    out = capsys.readouterr().out
+    assert _residual(out) == pytest.approx(0.01 / 1.01, rel=1e-6)
+    assert "result: FAIL" in out
+
+
+def test_sphere_check_refuses_an_f_below_the_normal_floats(tmp_path, capsys):
+    # F = -1/H^2 = -1e-400 reads -0.0, directly and at the scaled sphere, and passed
+    code = main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,-2)", "--R", "1e-200",
+                 "--n", "1"])
+    assert code == 2
+    assert ("F of f=pow(H,-2) at the principal curvature 1e+200 (R=1e-200, c=0) underflows "
+            "below the normal floats") in capsys.readouterr().err
 
 
 def test_sphere_check_passes_a_huge_flat_sphere(tmp_path, capsys):

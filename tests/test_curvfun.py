@@ -415,6 +415,21 @@ def test_pair_gaps_batch_matches_rows(n):
         assert all(type(x) is float for x in pair_sign_gaps(f, g, lam[0]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_gaps_with_evaluated_functions_keep_their_bits(n):
+    # F, G, dF and dG handed in as f.value and f.gradient return them give the bytes of the
+    # call that evaluates them itself, for one row and for a batch, in both orderings
+    lam = np.random.default_rng(200 + n).uniform(0.05, 4.0, (50, n))
+    for f, g in ((EuclideanNorm(n), GeometricMean(n)), (GeometricMean(n), EuclideanNorm(n))):
+        for rows in (lam, lam[0]):
+            evaluated = (f.value(rows), g.value(rows), f.gradient(rows), g.gradient(rows))
+            given = pair_sign_gaps(f, g, rows, evaluated)
+            alone = pair_sign_gaps(f, g, rows)
+            assert [type(x) for x in given] == [type(x) for x in alone]
+            assert [np.asarray(x).tobytes() for x in given] == [
+                np.asarray(x).tobytes() for x in alone], (f.name, np.ndim(rows))
+
+
 def test_batch_refusals():
     for n in (1, 2, 3):
         with pytest.raises(ValueError, match="empty"):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg.lapack import dgtsv
 
 from solitonlab import curvfun
@@ -297,6 +298,36 @@ def test_ellipsoid_trace_consistency():
     p = float(np.sum(x ** 2 / axes ** 4)) ** -0.5
     exact = float(np.sum(axes ** 2) - x @ x) * p ** 3 / float(np.prod(axes ** 2))
     assert abs(float(geom.mean[0]) - exact) < 1e-12
+
+
+def _generalized_eigenvalues(axes, u, v):
+    """The principal curvatures at one ellipsoid point as `scipy.linalg.eigh(h, g)` gives them."""
+    a, b, c = axes
+    su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
+    pos = np.array([a * su * cv, b * su * sv, c * cu])
+    xu = np.array([a * cu * cv, b * cu * sv, -c * su])
+    xv = np.array([-a * su * sv, b * su * cv, 0.0])
+    xuv = np.array([-a * cu * sv, b * cu * cv, 0.0])
+    xvv = np.array([-a * su * cv, -b * su * sv, 0.0])
+    nu = np.cross(xu, xv)
+    nu /= -np.linalg.norm(nu) if nu @ pos > 0.0 else np.linalg.norm(nu)
+    g = np.array([[xu @ xu, xu @ xv], [xu @ xv, xv @ xv]])
+    h = np.array([[-pos @ nu, xuv @ nu], [xuv @ nu, xvv @ nu]])
+    return scipy.linalg.eigh(h, g, eigvals_only=True)
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (1.5, 1.5, 1.5), (1.0, 1.0, 1.5),
+                                  (2.0, 2.0, 1.0), (1.0, 1.2, 1.5), (3.0, 1.0, 0.5),
+                                  (0.5, 2.0, 1.3)])
+def test_ellipsoid_principal_curvatures_match_the_generalized_eigenproblem(axes):
+    # the closed-form eigenvalues of the 2x2 Weingarten map, against LAPACK's h v = lam g v,
+    # ascending, near the poles and at umbilic sphere points included
+    for u in np.linspace(1.001e-3, math.pi - 1.001e-3, 15):
+        for v in np.linspace(-3.0, 6.0, 11):
+            lam = ellipsoid_geometry(axes, u, v).lam[0]
+            expect = _generalized_eigenvalues(axes, u, v)
+            assert lam[0] <= lam[1]
+            assert np.all(np.abs(lam - expect) <= 1e-14 * np.abs(expect)), (axes, u, v)
 
 
 def test_ellipsoid_pole_proximity_rejected():

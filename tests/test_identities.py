@@ -175,15 +175,18 @@ def test_a_row_stack_gives_each_block_the_bits_of_its_own_call(n):
     blocks = [lam, np.array([0.5, 2.0, 10.0])[:, None, None] * lam,
               identities._step_rows(lam[:4], 1e-5), rng.uniform(0.2, 3.0, (1, n))]
     stack = identities._Stack(blocks)
-    for f in curvfun.builtin_functions(n):
-        for method in (f.value, f.gradient):
-            parts = stack(method)
-            assert len(parts) == len(blocks)
-            for part, block in zip(parts, blocks):
+    functions = curvfun.builtin_functions(n)
+    for name in ("value", "gradient"):
+        methods = [getattr(f, name) for f in functions]
+        parts = stack(methods)
+        assert len(parts) == len(blocks)
+        for part, block in zip(parts, blocks):
+            assert len(part) == len(functions)
+            for method, stacked in zip(methods, part):
                 alone = method(block.reshape(-1, n))
                 alone = alone.reshape(block.shape[:-1] + alone.shape[1:])
-                assert part.shape == alone.shape, (f.name, method.__name__)
-                assert part.tobytes() == alone.tobytes(), (f.name, method.__name__)
+                assert stacked.shape == alone.shape, (method.__self__.name, name)
+                assert stacked.tobytes() == alone.tobytes(), (method.__self__.name, name)
 
 
 _MATRIX_CALCULUS = ("matrix_first_derivative", "matrix_second_form", "euler_residuals")
@@ -211,8 +214,87 @@ def test_eigenvalue_checks_evaluate_each_function_once_per_pass(monkeypatch, n):
     samples = identities._eigenvalue_samples(np.random.default_rng(0), 30, n)
     for f in curvfun.builtin_functions(n):
         calls.clear()
-        identities._eigenvalue_checks([], samples, f)
+        identities._eigenvalue_checks([], samples, [f])
         assert sorted(calls) == ["gradient", "value"], f.name
+
+
+def _per_function_rows(samples, f):
+    """One function's eigenvalue rows, folded on its own: the reference for the stacked pass."""
+    tag = f"{f.name}_n{f.n}"
+    values, permuted, dilated, moved_values, form_values, spd_values = (
+        part[0] for part in samples.values([f.value]))
+    grad, moved_grad = (part[0] for part in samples.gradients([f.gradient]))
+    step, form_step = identities._FD_STEP, identities._FORM_STEP
+    rows = []
+    scale = np.maximum(1.0, np.abs(values))
+    rows.append((f"{tag}_permutation_symmetry",
+                 float((np.abs(permuted - values) / scale).max()), 1e-14))
+    expect = np.array([t ** f.degree for t in identities._DILATIONS])[:, None] * values
+    rows.append((f"{tag}_homogeneity",
+                 float((np.abs(dilated - expect) / np.maximum(1.0, np.abs(expect))).max()), 1e-12))
+    fd_grad = ((moved_values[0] - moved_values[1]) / (2.0 * step)).swapaxes(0, 1)
+    gerr = np.abs(fd_grad - grad)
+    rows.append((f"{tag}_gradient_fd", float((gerr / np.maximum(1.0, np.abs(grad))).max()), 1e-6))
+    fd_hess = ((moved_grad[0] - moved_grad[1]) / (2.0 * step)).swapaxes(0, 1)
+    hess = f.hessian(samples.lam_fd)
+    herr = np.abs(0.5 * (fd_hess + fd_hess.transpose(0, 2, 1)) - hess)
+    rows.append((f"{tag}_hessian_fd", float((herr / np.maximum(1.0, np.abs(hess))).max()), 1e-6))
+    form = curvfun.matrix_second_form(f, samples.form)
+    plus, mid, minus = form_values
+    fd = (plus - 2.0 * mid + minus) / form_step ** 2
+    rows.append((f"{tag}_second_form_fd",
+                 float((np.abs(form - fd) / np.maximum(1.0, np.abs(form))).max()), 1e-5))
+    q = samples.q
+    k = len(q)
+    derivative = curvfun.matrix_first_derivative(f, samples.spd_pair)
+    d_here, d_rot = derivative[:k], derivative[k:]
+    basis = (np.abs(d_rot - q @ d_here @ q.transpose(0, 2, 1)).max(axis=(1, 2))
+             / np.maximum(1.0, np.abs(d_here).max(axis=(1, 2))))
+    fscale = np.maximum(1.0, np.abs(spd_values))
+    r1, r2 = curvfun.euler_residuals(f, samples.spd)
+    rows.append((f"{tag}_basis_invariance", float(basis.max()), 1e-10))
+    rows.append((f"{tag}_euler_first", float((r1 / fscale).max()), 1e-10))
+    rows.append((f"{tag}_euler_second", float((r2 / fscale).max()), 1e-10))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 86])
+@pytest.mark.parametrize("sample_count", [30, 100])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_stacked_pass_gives_each_function_the_rows_of_its_own_folds(seed, sample_count, n):
+    samples = identities._eigenvalue_samples(np.random.default_rng(seed), sample_count, n)
+    functions = curvfun.builtin_functions(n)
+    rows = []
+    identities._eigenvalue_checks(rows, samples, functions)
+    expect = [row for f in functions for row in _per_function_rows(samples, f)]
+    assert [name for name, _, _ in rows] == [name for name, _, _ in expect]
+    assert ([np.float64(res).tobytes() for _, res, _ in rows]
+            == [np.float64(res).tobytes() for _, res, _ in expect])
+    assert [tol for _, _, tol in rows] == [tol for _, _, tol in expect]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_gap_checks_evaluate_each_function_once(monkeypatch, n):
+    # the scales and both orderings of the pair read one value and one gradient call each
+    calls = []
+    for method in ("value", "gradient"):
+        def counted(self, lam, _inner=getattr(curvfun.CurvatureFunction, method), _name=method):
+            calls.append((self.name, _name))
+            return _inner(self, lam)
+        monkeypatch.setattr(curvfun.CurvatureFunction, method, counted)
+    identities._pair_gap_checks([], np.random.default_rng(0), n)
+    assert sorted(calls) == [("geomean", "gradient"), ("geomean", "value"),
+                             ("norm", "gradient"), ("norm", "value")]
+
+
+def test_geometry_checks_take_nabla_h_once_per_spheroid_grid(monkeypatch):
+    # codazzi_residual and support_hessian_residual share each grid's cached nabla h
+    calls = []
+    terms = hypersurface._nabla_h_terms
+    monkeypatch.setattr(hypersurface, "_nabla_h_terms",
+                        lambda f: calls.append(f.xy.shape[0]) or terms(f))
+    identities._geometry_checks([])
+    assert sorted(calls) == [128, 128, 256]
 
 
 def test_each_dimension_draws_and_decomposes_its_samples_once(monkeypatch):
@@ -259,6 +341,17 @@ def test_a_spheroid_grid_refuses_writes_into_its_cached_fields():
             arr[0] = 1.0
 
 
+def test_a_spheroid_grid_caches_nabla_h_read_only():
+    spheroid = hypersurface.AnalyticSpheroid(1.0, 1.3, 64)
+    f = spheroid.grid_fields()
+    assert f.nabla_h is spheroid.grid_fields().nabla_h
+    fresh = hypersurface._nabla_h_terms(f)
+    assert [arr.tobytes() for arr in f.nabla_h] == [arr.tobytes() for arr in fresh]
+    for arr in f.nabla_h:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # a NaN residual fails its row: Python's max(0.0, nan) is 0.0, so every fold
 # of a worst residual must keep the NaN
@@ -278,7 +371,7 @@ class _NaNFirstValue(curvfun.MeanCurvature):
 def test_a_nan_value_fails_the_eigenvalue_fold_rows():
     rows = []
     samples = identities._eigenvalue_samples(np.random.default_rng(0), 10, 2)
-    identities._eigenvalue_checks(rows, samples, _NaNFirstValue(2))
+    identities._eigenvalue_checks(rows, samples, [_NaNFirstValue(2)])
     residual = {name: res for name, res, _ in rows}
     assert math.isnan(residual["H_n2_permutation_symmetry"])
     assert math.isnan(residual["H_n2_homogeneity"])
@@ -301,7 +394,7 @@ _NAN_CASES = [
      ["support_hessian_spheroid_refinement_shortfall"]),
     (identities, "_ellipse_curvature_error", lambda *a: NAN, identities._geometry_checks,
      ["ellipse_curvature_refinement_shortfall"]),
-    (curvfun, "pair_sign_gaps", lambda f, g, lam: (np.full(len(lam), NAN),) * 2,
+    (curvfun, "pair_sign_gaps", lambda f, g, lam, evaluated=None: (np.full(len(lam), NAN),) * 2,
      lambda rows: identities._pair_gap_checks(rows, np.random.default_rng(0), 2),
      ["pair_gaps_convex_concave_n2", "pair_gaps_swapped_n2"]),
     # c = 0 is mid-grid, so each fold already holds a positive worst when the NaN comes

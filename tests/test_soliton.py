@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from solitonlab import curvfun, hypersurface, soliton, spaceform
 from solitonlab.curvfun import (CurvatureFunction, GaussCurvature, MeanCurvature,
@@ -136,17 +137,36 @@ def test_solve_sphere_radius_diagnostics():
         solve_sphere_radius(inverse, -0.7, 0.0)
 
 
-@pytest.mark.parametrize("spec, c, where", [
-    ("pow(H,300)", 0.0, "(degree m=300) at R=1e-06, c=0"),     # shc(R)^301 underflows
-    ("pow(H,20)", -1.0, "(degree m=20) at R=50, c=-1"),        # chc(R)^20 overflows
+def _radius_reference(spec, c):
+    """The radius whose sphere tau is 1, by brentq on log tau with no power of the closed form
+    formed: log f(1,..,1) + m log chc(R) - (m + 1) log shc(R) = 0."""
+    f = parse_curvature_function(spec, 2)
+    kappa = math.sqrt(-c)
+
+    def log_tau(r):
+        log_ch, log_sh = ((0.0, math.log(r)) if c == 0.0 else
+                          (math.log(math.cosh(kappa * r)), math.log(math.sinh(kappa * r) / kappa)))
+        return math.log(f.unit_value) + f.degree * log_ch - (f.degree + 1.0) * log_sh
+
+    return scipy.optimize.brentq(log_tau, 1e-3, 40.0, xtol=1e-15, rtol=1e-15)
+
+
+@pytest.mark.parametrize("spec, c", [
+    ("pow(H,300)", 0.0),      # shc(R)^301 underflows at 1e-6 and overflows at 50
+    ("pow(H,20)", -1.0),      # chc(R)^20 overflows at 50
 ], ids=["c0-lower-end", "c-1-upper-end"])
-def test_solve_sphere_radius_keeps_the_refusal_of_sphere_tau(spec, c, where):
-    # the bisection evaluates the closed form without `sphere_tau`'s checks, and hands a
-    # radius whose tau leaves the float range back to `sphere_tau` to be refused
-    with pytest.raises(ValueError) as excinfo:
-        solve_sphere_radius(parse_curvature_function(spec, 2), 1.0, c)
-    assert str(excinfo.value) == (f"sphere tau of f={spec} {where} is zero or outside the "
-                                  "float range")
+def test_solve_sphere_radius_clips_a_bracket_end_outside_the_float_range(spec, c):
+    # each refused an end of the bracket by name, a radius the caller never passed
+    found = solve_sphere_radius(parse_curvature_function(spec, 2), 1.0, c)
+    assert found == pytest.approx(_radius_reference(spec, c), rel=1e-12)
+    if c == 0.0:
+        assert found == pytest.approx(2.0 ** (300.0 / 301.0), rel=1e-12)
+
+
+def test_solve_sphere_radius_refuses_an_end_when_no_radius_is_in_range():
+    # pow(H,300) at c = -400: chc(R)^300 overflows wherever shc(R)^301 is in range
+    with pytest.raises(ValueError, match=r"at R=1e-06, c=-400 is zero or outside the float"):
+        solve_sphere_radius(parse_curvature_function("pow(H,300)", 2), 1.0, -400.0)
 
 
 def test_solve_sphere_radius_refuses_a_bisection_out_of_steps(monkeypatch):
