@@ -18,7 +18,9 @@ the same convention: one (n, n) matrix, or a (k, n, n) stack checked member by
 member, with one implementation for both.  `matrix_first_derivative` and
 `euler_residuals` also take a `symmetric_stack(A)`: the matrices checked and
 eigen-decomposed once, so that many functions share that work; `matrix_second_form`
-likewise takes a `second_form_pair(A, B)`.
+likewise takes a `second_form_pair(A, B)`.  All three take f's results already
+evaluated at the record's rows (`evaluated=`), for one function or for a list of them
+stacked on a leading axis, so that one call serves many functions.
 """
 
 import functools
@@ -116,8 +118,13 @@ class CurvatureFunction:
 
     @functools.cached_property
     def unit_value(self):
-        """f(1, ..., 1), a constant of f; fixes the geodesic-sphere normalization."""
-        return self.value(np.ones(self.n))
+        """f(1, ..., 1), a constant of f; fixes the geodesic-sphere normalization.
+
+        Beyond the float range it reads inf or 0.0, silently: its callers refuse such a
+        constant by name (`soliton.sphere_tau`).
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            return self.value(np.ones(self.n))
 
     def _power_convexity(self, p=1.0):
         """`Power(f, p)` "convex", "concave" or "neither", exact from `power_range`:
@@ -422,19 +429,51 @@ def symmetric_stack(a):
     return SymmetricStack(lam, u, single)
 
 
-def matrix_first_derivative(f, a):
+def _calculus_inputs(f, lam, evaluated, kinds):
+    """f's results at a record's checked eigenvalue rows `lam`, one array per name in `kinds`
+    ("value", "gradient", "hessian"), and f's degree.
+
+    Each function's domain check runs on `lam`.  Without `evaluated`, f is one function,
+    evaluated here.  With it, the arrays are `evaluated` as given: f's results at `lam`, as
+    `f.value(lam)`, `f.gradient(lam)` and `f.hessian(lam)` return them, each with a leading
+    axis of length F when f is a list of F functions; the degree then is an (F, 1) column.
+    """
+    single = isinstance(f, CurvatureFunction)
+    fs = [f] if single else list(f)
+    if evaluated is None and not single:
+        raise ValueError("a list of functions needs their evaluated results")
+    for fn in fs:
+        fn._coerce(lam)
+    if evaluated is None:
+        return [getattr(f, f"_{kind}")(lam) for kind in kinds], f.degree
+    if len(evaluated) != len(kinds):
+        raise ValueError(f"evaluated must hold {', '.join(kinds)}; got {len(evaluated)} arrays")
+    lead = () if single else (len(fs),)
+    tails = {"value": lam.shape[:1], "gradient": lam.shape, "hessian": lam.shape + lam.shape[1:]}
+    arrays = [np.asarray(arr, dtype=float) for arr in evaluated]
+    for kind, arr in zip(kinds, arrays):
+        if arr.shape != lead + tails[kind]:
+            raise ValueError(f"evaluated {kind} must have shape {lead + tails[kind]}, "
+                             f"got {arr.shape}")
+    degree = f.degree if single else np.array([fn.degree for fn in fs])[:, None]
+    return arrays, degree
+
+
+def matrix_first_derivative(f, a, evaluated=None):
     """dF at A as a symmetric matrix: <dF, B> = d/ds F(A + sB) at s=0.
 
     Built from an eigen-decomposition A = U diag(lam) U^T as
     U diag(grad f(lam)) U^T, which also satisfies <dF, A> = m F(A).
     One (n, n) matrix gives an (n, n) matrix; a (k, n, n) stack gives a stack.
     `a` may also be a `symmetric_stack`, decomposed once for many functions.
+    `evaluated`, when given, is f's gradient at the record's rows (see `_calculus_inputs`);
+    with a list of F functions the results carry a leading axis of length F.
     """
     a = symmetric_stack(a)
-    lam, _ = f._coerce(a.lam)
-    g = f._gradient(lam)
-    out = (a.u * g[:, None, :]) @ a.u.transpose(0, 2, 1)
-    return out[0] if a.single else out
+    (g,), _ = _calculus_inputs(f, a.lam, None if evaluated is None else (evaluated,),
+                               ("gradient",))
+    out = (a.u * g[..., None, :]) @ a.u.transpose(0, 2, 1)
+    return out[..., 0, :, :] if a.single else out
 
 
 @dataclass(frozen=True)
@@ -462,7 +501,7 @@ def second_form_pair(a, b):
     return SecondFormPair(lam, b, single)
 
 
-def matrix_second_form(f, a, b=None):
+def matrix_second_form(f, a, b=None, evaluated=None):
     """Second derivative of F at diagonal A in direction B: d^2/ds^2 F(A+sB)|0.
 
     Uses the eigenvalue Hessian on the diagonal part of B and gradient divided
@@ -471,12 +510,12 @@ def matrix_second_form(f, a, b=None):
     decided per member.  One pair of (n, n) matrices gives a float; (k, n, n)
     stacks of matching shape give a (k,) array.  `a` may also be a
     `second_form_pair(A, B)`, checked once for many functions, with `b` left out.
+    `evaluated`, when given, is (gradient, Hessian) of f at the pair's rows (see
+    `_calculus_inputs`); with a list of F functions the forms carry a leading axis of length F.
     """
     pair = a if isinstance(a, SecondFormPair) and b is None else second_form_pair(a, b)
-    b, single = pair.b, pair.single
-    lam, _ = f._coerce(pair.lam)
-    g = f._gradient(lam)
-    hess = f._hessian(lam)
+    b, single, lam = pair.b, pair.single, pair.lam
+    (g, hess), _ = _calculus_inputs(f, lam, evaluated, ("gradient", "hessian"))
     bd = np.diagonal(b, axis1=1, axis2=2)
     total = _row_quadratic(bd, hess)
     # the row norms, by the operations np.linalg.norm(lam, axis=1) runs
@@ -486,40 +525,44 @@ def matrix_second_form(f, a, b=None):
         for l in range(k + 1, n):
             gap = lam[:, k] - lam[:, l]
             near = np.abs(gap) < gap_tol
-            divided = (g[:, k] - g[:, l]) / np.where(near, 1.0, gap)
-            coeff = np.where(near, hess[:, k, k] - hess[:, k, l], divided)
+            divided = (g[..., k] - g[..., l]) / np.where(near, 1.0, gap)
+            coeff = np.where(near, hess[..., k, k] - hess[..., k, l], divided)
             total = total + 2.0 * coeff * b[:, k, l] ** 2
-    return float(total[0]) if single else total
+    if not single:
+        return total
+    return float(total[0]) if total.ndim == 1 else total[:, 0]
 
 
-def euler_residuals(f, a):
+def euler_residuals(f, a, evaluated=None):
     """Absolute defects of the two homogeneity identities at A.
 
     Returns (|<dF, A> - m F|, |d2F(A, A) - (m - 1) <dF, A>|); both vanish for
     exactly homogeneous functions up to rounding.  One (n, n) matrix gives two
     floats; a (k, n, n) stack gives two (k,) arrays.  `a` may also be a
-    `symmetric_stack`.
+    `symmetric_stack`.  `evaluated`, when given, is (value, gradient, Hessian) of f at
+    the record's rows (see `_calculus_inputs`); with a list of F functions, each of
+    their degrees, the defects carry a leading axis of length F.
     """
     a = symmetric_stack(a)
-    lam, _ = f._coerce(a.lam)
-    value = f._value(lam)
-    g = f._gradient(lam)
-    hess = f._hessian(lam)
-    m = f.degree
+    lam = a.lam
+    (value, g, hess), m = _calculus_inputs(f, lam, evaluated, ("value", "gradient", "hessian"))
     first = _row_dot(g, lam)
     second = _row_quadratic(lam, hess)  # A is diagonal in its own eigenbasis
     r1, r2 = np.abs(first - m * value), np.abs(second - (m - 1.0) * first)
-    return (float(r1[0]), float(r2[0])) if a.single else (r1, r2)
+    if not a.single:
+        return r1, r2
+    return (float(r1[0]), float(r2[0])) if r1.ndim == 1 else (r1[:, 0], r2[:, 0])
 
 
 def _row_dot(a, b):
-    """Dot products of matching rows of two (k, n) arrays, bit for bit `a[i] @ b[i]`."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Dot products of matching rows of (..., k, n) arrays, bit for bit `a[i] @ b[i]`, one
+    matmul over any leading axes."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _row_quadratic(v, m):
-    """`v[i] @ m[i] @ v[i]` for (k, n) rows `v` and (k, n, n) matrices `m`."""
-    return _row_dot((v[:, None, :] @ m)[:, 0, :], v)
+    """`v[i] @ m[i] @ v[i]` for (k, n) rows `v` and (..., k, n, n) matrices `m`."""
+    return _row_dot((v[..., None, :] @ m)[..., 0, :], v)
 
 
 def pair_sign_gaps(f, g, lam, evaluated=None):

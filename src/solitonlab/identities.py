@@ -4,9 +4,13 @@ The curvature-function checks draw their samples in bulk, one generator call per
 array, once per dimension: the draw, its QR, its eigenvalues, its checked second-form
 pair, the checked eigen-decompositions of its SPD matrices and every row stack are shared
 by that dimension's functions.  Each function is evaluated once per pass over
-them: every eigenvalue row goes to one `value` call and every row that needs a
-gradient to one `gradient` call.  The functions' results are stacked, so each fold
-of a pass (scales, differences, worst residuals) runs once per dimension.
+them: every eigenvalue row goes to one `value` call, every row that needs a
+gradient to one `gradient` call and every row that needs a Hessian to one `hessian`
+call, the rows of the matrix calculus included.  The functions' results are stacked,
+so each fold of a pass (scales, differences, worst residuals) runs once per dimension,
+and so does each matrix-calculus identity: `matrix_first_derivative`,
+`matrix_second_form` and `euler_residuals` are called once with the list of functions
+and their stacked results (`evaluated=`).
 The layers are called through their modules (`curvfun.pair_sign_gaps`, not a
 name imported from it), so a wrapper put on a module function sees each call.
 Worst residuals are numpy maxima, which keep a NaN where Python's `max` can drop it.
@@ -89,13 +93,17 @@ class _EigenvalueSamples:
     """One dimension's samples, and every array built from them that no function enters.
 
     `values` stacks every row a pass evaluates (base, permuted, dilated, +-step, the
-    eigenvalues of A + sB, A, A - sB and of the SPD matrices) and `gradients` every row
-    whose gradient it needs (the first rows and their +-step rows).
+    eigenvalues of A + sB, A, A - sB and of the SPD matrices, both as `eigvalsh` and as
+    `eigh` gives them), `gradients` every row whose gradient it needs (the first rows and
+    their +-step rows, the second-form diagonals and the SPD pair's eigenvalues) and
+    `hessians` every row whose Hessian it needs (the first rows, the second-form
+    diagonals and the SPD eigenvalues).
     """
 
     lam_fd: np.ndarray      # (fd_n, n): the rows that are differenced
     values: _Stack
     gradients: _Stack
+    hessians: _Stack
     form: curvfun.SecondFormPair      # (fd_n, n, n) diagonal A, symmetric direction B
     spd: curvfun.SymmetricStack       # (k, n, n), the first half of spd_pair
     spd_pair: curvfun.SymmetricStack  # (2k, n, n): spd, then q spd q^T, decomposed
@@ -123,9 +131,16 @@ def _eigenvalue_samples(rng, sample_count, n):
     spd = _spd(q_spd, spd_eig)
     q_t = q.transpose(0, 2, 1)
 
-    # one f.value call for every eigenvalue row of a pass, one f.gradient call for every
-    # row that needs a gradient: a row's result does not depend on the rows batched with it
-    # (tests/test_curvfun.py pins this for the builtins)
+    # one eigh for both records: LAPACK decomposes each matrix of a stack on its own,
+    # so the first half of the pair's decomposition is that of spd, bit for bit
+    spd_pair = curvfun.symmetric_stack(np.concatenate([spd, q @ spd @ q_t]))
+    spd_record = curvfun.SymmetricStack(spd_pair.lam[:sample_count],
+                                        spd_pair.u[:sample_count], False)
+    form = curvfun.second_form_pair(a, b)
+
+    # one f.value, one f.gradient and one f.hessian call for every row of a pass that
+    # needs one, the matrix calculus's rows included: a row's result does not depend on
+    # the rows batched with it (tests/test_curvfun.py pins this for the builtins)
     moved = _step_rows(lam[:fd_n], _FD_STEP)
     all_lam = np.linalg.eigvalsh(np.concatenate([a + _FORM_STEP * b, a, a - _FORM_STEP * b, spd]))
     form_lam, spd_lam = all_lam[:3 * fd_n], all_lam[3 * fd_n:]
@@ -135,14 +150,12 @@ def _eigenvalue_samples(rng, sample_count, n):
         np.array(_DILATIONS)[:, None, None] * lam,
         moved,
         form_lam.reshape(3, fd_n, n),
-        spd_lam])
-    gradients = _Stack([lam[:fd_n], moved])
-    # one eigh for both records: LAPACK decomposes each matrix of a stack on its own,
-    # so the first half of the pair's decomposition is that of spd, bit for bit
-    spd_pair = curvfun.symmetric_stack(np.concatenate([spd, q @ spd @ q_t]))
-    spd = curvfun.SymmetricStack(spd_pair.lam[:sample_count], spd_pair.u[:sample_count], False)
-    return _EigenvalueSamples(lam[:fd_n], values, gradients, curvfun.second_form_pair(a, b),
-                              spd, spd_pair, q)
+        spd_lam,
+        spd_record.lam])
+    gradients = _Stack([lam[:fd_n], moved, form.lam, spd_pair.lam])
+    hessians = _Stack([lam[:fd_n], form.lam, spd_record.lam])
+    return _EigenvalueSamples(lam[:fd_n], values, gradients, hessians, form, spd_record,
+                              spd_pair, q)
 
 
 # the row suffixes and tolerances of each function's pass, in the order the rows are emitted
@@ -154,12 +167,14 @@ _EIGENVALUE_ROWS = (("permutation_symmetry", 1e-14), ("homogeneity", 1e-12),
 def _eigenvalue_checks(rows, samples, fs):
     """One pass of the functions `fs` over their dimension's shared samples.
 
-    Their results are stacked on a leading axis, so each fold runs once for all of them;
+    Their results are stacked on a leading axis, so each fold runs once for all of them,
+    the matrix calculus included (one call per identity, given the stacked results);
     a maximum is exact, so each function's residual has the bits of a fold of its own.
     """
-    values, permuted, dilated, moved_values, form_values, spd_values = samples.values(
-        [f.value for f in fs])
-    grad, moved_grad = samples.gradients([f.gradient for f in fs])
+    values, permuted, dilated, moved_values, form_values, spd_values, eigh_values = (
+        samples.values([f.value for f in fs]))
+    grad, moved_grad, form_grad, pair_grad = samples.gradients([f.gradient for f in fs])
+    hess, form_hess, eigh_hess = samples.hessians([f.hessian for f in fs])
 
     def worst(err):
         """Each function's largest entry of its (F, ...) slice of `err`; NaN stays NaN."""
@@ -176,11 +191,10 @@ def _eigenvalue_checks(rows, samples, fs):
     # differencing the analytic gradient rather than taking second differences
     # of the value keeps the rounding error near eps / step, not eps / step^2
     fd_hess = _central_differences(moved_grad, _FD_STEP)
-    hess = np.stack([f.hessian(samples.lam_fd) for f in fs])
     herr = np.abs(0.5 * (fd_hess + fd_hess.swapaxes(2, 3)) - hess)
     hessian_fd = worst(herr / np.maximum(1.0, np.abs(hess)))
 
-    form = np.stack([curvfun.matrix_second_form(f, samples.form) for f in fs])
+    form = curvfun.matrix_second_form(fs, samples.form, evaluated=(form_grad, form_hess))
     plus, mid, minus = form_values.swapaxes(0, 1)
     fd = (plus - 2.0 * mid + minus) / _FORM_STEP ** 2
     second_form_fd = worst(np.abs(form - fd) / np.maximum(1.0, np.abs(form)))
@@ -188,14 +202,16 @@ def _eigenvalue_checks(rows, samples, fs):
     q = samples.q
     k = len(q)
     q_t = q.transpose(0, 2, 1)
-    derivative = np.stack([curvfun.matrix_first_derivative(f, samples.spd_pair) for f in fs])
+    derivative = curvfun.matrix_first_derivative(fs, samples.spd_pair, evaluated=pair_grad)
     d_here, d_rot = derivative[:, :k], derivative[:, k:]
     rotated = np.stack([q @ d @ q_t for d in d_here])
     # maxima over each matrix's n*n entries, then over the k matrices
     basis = worst(np.abs(d_rot - rotated).reshape(len(fs), k, -1).max(axis=2)
                   / np.maximum(1.0, np.abs(d_here).reshape(len(fs), k, -1).max(axis=2)))
     fscale = np.maximum(1.0, np.abs(spd_values))
-    r1, r2 = np.stack([curvfun.euler_residuals(f, samples.spd) for f in fs]).swapaxes(0, 1)
+    # the SPD records are the first k of the pair's, so their gradients are too
+    r1, r2 = curvfun.euler_residuals(fs, samples.spd,
+                                     evaluated=(eigh_values, pair_grad[:, :k], eigh_hess))
     euler_first, euler_second = worst(r1 / fscale), worst(r2 / fscale)
 
     folds = (permutation, homogeneity, gradient_fd, hessian_fd, second_form_fd, basis,

@@ -3,9 +3,9 @@
 Centered geodesic spheres solve it for every symmetric homogeneous curvature
 function, with the closed-form constant
 
-    tau = f(1, ..., 1) * chc(R)^m / shc(R)^(m+1)
+    tau = f(1, ..., 1) * chc(R)^m / shc(R)^(m+1) = f(1, ..., 1) * cotc(R)^m / shc(R)
 
-(inward normals: every principal curvature is chc(R)/shc(R) and the support
+(inward normals: every principal curvature is cotc(R) = chc(R)/shc(R) and the support
 value is -shc(R)).  For sampled flat grid surfaces, `fit_tau` finds the
 measure-weighted least-squares tau and centre and reports residual statistics,
 and the admissibility calculator evaluates which branch of the umbilical-sphere
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .hypersurface import MIN_SAMPLES
-from .spaceform import chc, shc, require_nonpositive_curvature
+from .spaceform import cotc, shc, require_nonpositive_curvature
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,16 @@ class PinchingVerdict:
 
 
 def _tau(unit, m, radius, c):
-    """unit * chc(R)^m / shc(R)^(m+1), unchecked; inf where a power overflows or a divisor is 0."""
+    """unit * cotc(R)^m / shc(R), unchecked; inf where a power overflows or a divisor is 0.
+
+    At c < 0 the curvature cotc(R) = chc(R)/shc(R) falls towards sqrt(-c) as R grows, so
+    its power stays bounded where chc(R)^m, about e^(m sqrt(-c) R), overflows.
+    """
     r = float(radius)
     try:
         if c == 0.0:
-            return unit / r ** (m + 1.0)    # chc(0, r) ** m is 1.0 and shc(0, r) is r
-        return unit * chc(c, r) ** m / shc(c, r) ** (m + 1.0)
+            return unit / r ** (m + 1.0)    # cotc(0, r) ** m / shc(0, r) is r ** -m / r
+        return unit * cotc(c, r) ** m / shc(c, r)
     except (OverflowError, ZeroDivisionError):
         return math.inf
 

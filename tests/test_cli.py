@@ -96,16 +96,39 @@ def test_sphere_check_positive_c_locked(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["--f", "pow(H,300)", "--R", "0.01"],
     ["--f", "pow(H,1e+06)", "--R", "1.3", "--n", "1"],
-    ["--f", "pow(H,-300)", "--R", "100", "--c", "-1"],
+    # tau = -2^-300 tanh(R)^300 / sinh(R), about -1e-688 at R = 0.01
+    ["--f", "pow(H,-300)", "--R", "0.01", "--c", "-1"],
     ["--f", "H", "--R", "800", "--c", "-1"],
     ["--f", "K", "--n", "3", "--R", "1e-120"],
 ], ids=["m-300-small-R", "m-1e6-n1", "m-minus-300-c-1", "cosh-overflow", "K-tiny-R"])
 def test_sphere_check_refuses_a_tau_outside_the_float_range(tmp_path, capsys, argv):
-    # each raised ZeroDivisionError or OverflowError out of the closed form
+    # each tau is zero or beyond the largest float in exact arithmetic too
     assert main(["--out", str(tmp_path), "sphere-check"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is zero or outside the float range" in captured.err
+
+
+def test_sphere_check_passes_where_chc_to_the_m_overflows(tmp_path, capsys):
+    # tau = 2^20 coth(50)^20 / sinh(50) = 4.04e-16, while cosh(50)^20 is beyond the floats
+    assert main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,20)", "--R", "50",
+                 "--c=-1"]) == 0
+    out = capsys.readouterr().out
+    expect = 2.0 ** 20 / math.tanh(50.0) ** 20 / math.sinh(50.0)
+    assert f"tau = {expect:.10g}" in out
+    assert "result: pass (tolerance 1e-08)" in out
+
+
+def test_sphere_check_refuses_an_overflowing_unit_value_with_no_warning(tmp_path, capsys):
+    # f(1, 1) = 2^3000: the refusal by name is all that is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,3000)",
+                     "--R", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sphere tau of f=pow(H,3000) (degree m=3000) at R=1, c=0 "
+                            "is zero or outside the float range\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -721,6 +721,146 @@ def test_the_matrix_calculus_refuses_eigenvalues_as_value_does(make):
 
 
 # ---------------------------------------------------------------------------
+# the matrix calculus on results already evaluated, for one function or a list of them
+
+def _public_results(functions, rows, kinds):
+    """Each function's public `kinds` results at `rows`, one tuple per function."""
+    return [tuple(getattr(f, kind)(rows) for kind in kinds) for f in functions]
+
+
+def _stacked(results):
+    """Per-function result tuples as one tuple of arrays with a leading function axis."""
+    return tuple(np.stack(arrays) for arrays in zip(*results))
+
+
+def _same_array(x, y):
+    return np.shape(x) == np.shape(y) and _same_bits(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("single", [False, True], ids=["stack", "one-matrix"])
+def test_the_matrix_calculus_on_evaluated_results_keeps_the_bits_of_its_own_calls(n, single,
+                                                                                  rng):
+    spd, diag, direction = _calculus_stacks(rng, n)
+    if single:
+        spd, diag, direction = spd[0], diag[0], direction[0]
+    record, pair = symmetric_stack(spd), second_form_pair(diag, direction)
+    functions = builtin_functions(n)
+    at_record = _public_results(functions, record.lam, ("value", "gradient", "hessian"))
+    at_pair = _public_results(functions, pair.lam, ("gradient", "hessian"))
+    alone = [(matrix_first_derivative(f, spd), matrix_second_form(f, diag, direction),
+              euler_residuals(f, spd)) for f in functions]
+    for f, (value, grad, hess), form_rows, (first, form, euler) in zip(
+            functions, at_record, at_pair, alone):
+        for a in (spd, record):
+            assert _same_array(matrix_first_derivative(f, a, evaluated=grad), first), f.name
+            given = euler_residuals(f, a, evaluated=(value, grad, hess))
+            assert [type(r) for r in given] == [type(r) for r in euler], f.name
+            assert all(map(_same_array, given, euler)), f.name
+        for args in ((diag, direction), (pair,)):
+            given = matrix_second_form(f, *args, evaluated=form_rows)
+            assert type(given) is type(form) and _same_array(given, form), f.name
+    values, grads, hessians = _stacked(at_record)
+    first = matrix_first_derivative(functions, record, evaluated=grads)
+    assert _same_array(first, np.stack([calls[0] for calls in alone]))
+    form = matrix_second_form(functions, pair, evaluated=_stacked(at_pair))
+    assert _same_array(form, np.array([calls[1] for calls in alone]))
+    r1, r2 = euler_residuals(functions, spd, evaluated=(values, grads, hessians))
+    assert _same_array(r1, np.array([calls[2][0] for calls in alone]))
+    assert _same_array(r2, np.array([calls[2][1] for calls in alone]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_matrix_calculus_on_evaluated_results_evaluates_nothing(monkeypatch, n, rng):
+    spd, diag, direction = _calculus_stacks(rng, n)
+    record, pair = symmetric_stack(spd), second_form_pair(diag, direction)
+    functions = builtin_functions(n)
+    values, grads, hessians = _stacked(
+        _public_results(functions, record.lam, ("value", "gradient", "hessian")))
+    form_rows = _stacked(_public_results(functions, pair.lam, ("gradient", "hessian")))
+    calls, checked = [], []
+    for name in ("value", "gradient", "hessian"):
+        monkeypatch.setattr(curvfun.CurvatureFunction, name,
+                            lambda self, lam, _name=name: calls.append(_name))
+    for f in functions:
+        for name in ("_value", "_gradient", "_hessian"):
+            monkeypatch.setattr(f, name, lambda lam, _name=name: calls.append(_name))
+    coerce = curvfun.CurvatureFunction._coerce
+    monkeypatch.setattr(curvfun.CurvatureFunction, "_coerce",
+                        lambda self, lam: checked.append(self.name) or coerce(self, lam))
+    names = [f.name for f in functions]
+    for call in (lambda: matrix_first_derivative(functions, record, evaluated=grads),
+                 lambda: matrix_second_form(functions, pair, evaluated=form_rows),
+                 lambda: euler_residuals(functions, record, evaluated=(values, grads, hessians))):
+        checked.clear()
+        call()
+        assert calls == []
+        assert checked == names         # each function's domain check, once
+    for i, f in enumerate(functions):
+        checked.clear()
+        matrix_first_derivative(f, record, evaluated=grads[i])
+        matrix_second_form(f, pair, evaluated=(form_rows[0][i], form_rows[1][i]))
+        euler_residuals(f, record, evaluated=(values[i], grads[i], hessians[i]))
+        assert calls == [] and checked == [f.name] * 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_matrix_calculus_on_evaluated_results_still_checks_its_inputs(n, rng):
+    spd, diag, direction = _calculus_stacks(rng, n)
+    k = len(spd)
+    functions = [GeometricMean(n), GaussCurvature(n)]
+    values, grads, hessians = np.ones((2, k)), np.ones((2, k, n)), np.zeros((2, k, n, n))
+
+    def first(a, g=grads):
+        return matrix_first_derivative(functions, a, evaluated=g)
+
+    def euler(a, fs=functions, evaluated=(values, grads, hessians)):
+        return euler_residuals(fs, a, evaluated=evaluated)
+
+    def form(a, b, evaluated=(grads, hessians)):
+        return matrix_second_form(functions, a, b, evaluated=evaluated)
+
+    bad = spd.copy()
+    bad[4, 0, n - 1] = np.nan
+    for call in (first, euler):
+        with pytest.raises(DomainError, match=r"^A\[4\] has non-finite entries$"):
+            call(bad)
+    bad = spd.copy()
+    bad[3, 0, 1] += 0.1
+    for call in (first, euler):
+        with pytest.raises(ValueError, match=r"^A\[3\] is not symmetric$"):
+            call(bad)
+    bad = diag.copy()
+    bad[1, 0, 1] = bad[1, 1, 0] = 0.3
+    with pytest.raises(ValueError, match=r"^A\[1\] must be diagonal"):
+        form(bad, direction)
+    bad = direction.copy()
+    bad[5, n - 1, 0] = np.nan
+    with pytest.raises(DomainError, match=r"^B\[5\] has non-finite entries$"):
+        form(diag, bad)
+    # a row outside a function's domain is refused as f.value refuses it
+    outside = diag.copy()
+    outside[2, 0, 0] = -1.0
+    with pytest.raises(DomainError) as expected:
+        GeometricMean(n).value(np.diagonal(outside, axis1=1, axis2=2))
+    with pytest.raises(DomainError) as refused:
+        form(outside, direction)
+    assert str(refused.value) == str(expected.value)
+    # results of the wrong shape, or a list of functions with nothing evaluated
+    with pytest.raises(ValueError, match=r"evaluated gradient must have shape \(2, 7, "):
+        first(spd, g=grads[:, :-1])
+    with pytest.raises(ValueError, match=r"evaluated hessian must have shape \(7, "):
+        euler(spd, fs=functions[0], evaluated=(values[0], grads[0], hessians))
+    with pytest.raises(ValueError, match="evaluated must hold gradient, hessian"):
+        form(diag, direction, evaluated=(grads,))
+    for call in (lambda: matrix_first_derivative(functions, spd),
+                 lambda: matrix_second_form(functions, diag, direction),
+                 lambda: euler_residuals(functions, spd)):
+        with pytest.raises(ValueError, match="a list of functions needs their evaluated"):
+            call()
+
+
+# ---------------------------------------------------------------------------
 # sigma_k keeps the bits of its products
 
 def _seeded_esym(lam2d, k, skip=()):

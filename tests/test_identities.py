@@ -176,7 +176,7 @@ def test_a_row_stack_gives_each_block_the_bits_of_its_own_call(n):
               identities._step_rows(lam[:4], 1e-5), rng.uniform(0.2, 3.0, (1, n))]
     stack = identities._Stack(blocks)
     functions = curvfun.builtin_functions(n)
-    for name in ("value", "gradient"):
+    for name in ("value", "gradient", "hessian"):
         methods = [getattr(f, name) for f in functions]
         parts = stack(methods)
         assert len(parts) == len(blocks)
@@ -197,10 +197,10 @@ def test_eigenvalue_checks_evaluate_each_function_once_per_pass(monkeypatch, n):
     # calls made inside the matrix calculus are that layer's own, and not counted
     inside = []
     for name in _MATRIX_CALCULUS:
-        def nested(*args, _inner=getattr(curvfun, name)):
+        def nested(*args, _inner=getattr(curvfun, name), **kwargs):
             inside.append(True)
             try:
-                return _inner(*args)
+                return _inner(*args, **kwargs)
             finally:
                 inside.pop()
         monkeypatch.setattr(curvfun, name, nested)
@@ -218,12 +218,34 @@ def test_eigenvalue_checks_evaluate_each_function_once_per_pass(monkeypatch, n):
         assert sorted(calls) == ["gradient", "value"], f.name
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_pass_evaluates_each_function_once_and_runs_each_identity_once(monkeypatch, n):
+    # every call counts, the matrix calculus's own included: it is handed the stacked
+    # results, and each identity runs once for all of a dimension's functions
+    calls = []
+    for name in _MATRIX_CALCULUS:
+        monkeypatch.setattr(curvfun, name,
+                            lambda *args, _inner=getattr(curvfun, name), _name=name, **kwargs:
+                            calls.append(("curvfun", _name)) or _inner(*args, **kwargs))
+    for method in ("value", "gradient", "hessian"):
+        def counted(self, lam, _inner=getattr(curvfun.CurvatureFunction, method), _name=method):
+            calls.append((self.name, _name))
+            return _inner(self, lam)
+        monkeypatch.setattr(curvfun.CurvatureFunction, method, counted)
+    samples = identities._eigenvalue_samples(np.random.default_rng(0), 30, n)
+    functions = curvfun.builtin_functions(n)
+    identities._eigenvalue_checks([], samples, functions)
+    expect = [("curvfun", name) for name in _MATRIX_CALCULUS]
+    expect += [(f.name, method) for f in functions for method in ("value", "gradient", "hessian")]
+    assert sorted(calls) == sorted(expect)
+
+
 def _per_function_rows(samples, f):
     """One function's eigenvalue rows, folded on its own: the reference for the stacked pass."""
     tag = f"{f.name}_n{f.n}"
-    values, permuted, dilated, moved_values, form_values, spd_values = (
+    values, permuted, dilated, moved_values, form_values, spd_values, _ = (
         part[0] for part in samples.values([f.value]))
-    grad, moved_grad = (part[0] for part in samples.gradients([f.gradient]))
+    grad, moved_grad, _, _ = (part[0] for part in samples.gradients([f.gradient]))
     step, form_step = identities._FD_STEP, identities._FORM_STEP
     rows = []
     scale = np.maximum(1.0, np.abs(values))

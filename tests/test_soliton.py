@@ -137,24 +137,43 @@ def test_solve_sphere_radius_diagnostics():
         solve_sphere_radius(inverse, -0.7, 0.0)
 
 
-def _radius_reference(spec, c):
-    """The radius whose sphere tau is 1, by brentq on log tau with no power of the closed form
-    formed: log f(1,..,1) + m log chc(R) - (m + 1) log shc(R) = 0."""
-    f = parse_curvature_function(spec, 2)
+def _log_abs_tau(f, r, c):
+    """log |tau| of the sphere of radius r with no power of the closed form formed:
+    log |f(1,..,1)| + m log cotc(R) - log shc(R), where at c < 0, with x = sqrt(-c) R,
+    log cosh x = x + log1p(e^-2x) - log 2 and log sinh x = x + log(-expm1(-2x)) - log 2."""
+    log_unit = math.log(abs(f.unit_value))
+    if c == 0.0:
+        return log_unit - (f.degree + 1.0) * math.log(r)
     kappa = math.sqrt(-c)
+    x = kappa * r
+    log_cosh = x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+    log_shc = x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0) - math.log(kappa)
+    return log_unit + f.degree * (log_cosh - log_shc) - log_shc
 
-    def log_tau(r):
-        log_ch, log_sh = ((0.0, math.log(r)) if c == 0.0 else
-                          (math.log(math.cosh(kappa * r)), math.log(math.sinh(kappa * r) / kappa)))
-        return math.log(f.unit_value) + f.degree * log_ch - (f.degree + 1.0) * log_sh
 
-    return scipy.optimize.brentq(log_tau, 1e-3, 40.0, xtol=1e-15, rtol=1e-15)
+def _radius_reference(spec, c):
+    """The radius whose sphere tau is 1, by brentq on `_log_abs_tau`."""
+    f = parse_curvature_function(spec, 2)
+    return scipy.optimize.brentq(lambda r: _log_abs_tau(f, r, c), 1e-3, 40.0,
+                                 xtol=1e-15, rtol=1e-15)
+
+
+@pytest.mark.parametrize("spec, radius", [
+    ("H", 1.0), ("pow(H,20)", 50.0), ("pow(H,20)", 300.0), ("pow(H,-300)", 100.0),
+    ("K", 30.0), ("pow(H,-1)", 0.2), ("pow(geomean,7.5)", 120.0)])
+def test_sphere_tau_at_negative_c_matches_a_stable_log_tau(spec, radius):
+    # chc(R)^m leaves the float range at each radius from 50 on, while tau does not
+    f = parse_curvature_function(spec, 2)
+    tau = sphere_tau(f, radius, -1.0)
+    assert math.copysign(1.0, tau) == math.copysign(1.0, f.unit_value)
+    assert math.log(abs(tau)) == pytest.approx(_log_abs_tau(f, radius, -1.0), rel=1e-13, abs=1e-13)
 
 
 @pytest.mark.parametrize("spec, c", [
     ("pow(H,300)", 0.0),      # shc(R)^301 underflows at 1e-6 and overflows at 50
-    ("pow(H,20)", -1.0),      # chc(R)^20 overflows at 50
-], ids=["c0-lower-end", "c-1-upper-end"])
+    ("pow(H,20)", -1.0),      # chc(R)^20 overflowed at 50 while tau was formed from it
+    ("pow(H,20)", -400.0),    # cosh(20 R) overflows at 50; the root is near R = 3.87
+], ids=["c0-lower-end", "c-1-upper-end", "c-400-upper-end"])
 def test_solve_sphere_radius_clips_a_bracket_end_outside_the_float_range(spec, c):
     # each refused an end of the bracket by name, a radius the caller never passed
     found = solve_sphere_radius(parse_curvature_function(spec, 2), 1.0, c)
@@ -163,8 +182,14 @@ def test_solve_sphere_radius_clips_a_bracket_end_outside_the_float_range(spec, c
         assert found == pytest.approx(2.0 ** (300.0 / 301.0), rel=1e-12)
 
 
+def test_solve_sphere_radius_refuses_a_function_whose_unit_value_overflows():
+    # f(1, 1) = 2^3000 reads inf without a numpy overflow warning, and tau is refused by name
+    with pytest.raises(ValueError, match=r"pow\(H,3000\) .* zero or outside the float range"):
+        solve_sphere_radius(parse_curvature_function("pow(H,3000)", 2), 1.0, 0.0)
+
+
 def test_solve_sphere_radius_refuses_an_end_when_no_radius_is_in_range():
-    # pow(H,300) at c = -400: chc(R)^300 overflows wherever shc(R)^301 is in range
+    # pow(H,300) at c = -400: cotc(R)^300 > 20^300 overflows at every radius
     with pytest.raises(ValueError, match=r"at R=1e-06, c=-400 is zero or outside the float"):
         solve_sphere_radius(parse_curvature_function("pow(H,300)", 2), 1.0, -400.0)
 
