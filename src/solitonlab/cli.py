@@ -98,6 +98,9 @@ def _cmd_sphere_check(args, out_dir):
         raise ValueError(f"F of f={f.name} at the principal curvature {sphere.lam[0, 0]:g} "
                          f"(R={args.R:g}, c={args.c:g}) underflows below the normal floats "
                          "in its evaluation")
+    if not _normal_floats(tau):
+        raise ValueError(f"sphere tau of f={f.name} at R={args.R:g}, c={args.c:g} is the "
+                         f"subnormal float {tau:g}, too coarse for the residual's tolerance")
     # relative to the size of the two terms that cancel; a zero F was refused above
     tau_z = tau * sphere.support
     size = max(np.abs(values).max(), np.abs(tau_z).max())

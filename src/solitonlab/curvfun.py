@@ -13,14 +13,15 @@ continuous extension at coincident eigenvalues).
 
 Supported dimensions are n in {1, 2, 3}.  Batch evaluation accepts arrays of
 shape (k, n) and is used heavily by the flow integrator.  The matrix calculus
-(`matrix_first_derivative`, `matrix_second_form`, `euler_residuals`) follows
-the same convention: one (n, n) matrix, or a (k, n, n) stack checked member by
-member, with one implementation for both.  `matrix_first_derivative` and
-`euler_residuals` also take a `symmetric_stack(A)`: the matrices checked and
-eigen-decomposed once, so that many functions share that work; `matrix_second_form`
-likewise takes a `second_form_pair(A, B)`.  All three take f's results already
-evaluated at the record's rows (`evaluated=`), for one function or for a list of them
-stacked on a leading axis, so that one call serves many functions.
+(`matrix_first_derivative`, `matrix_second_form`, `euler_residuals`) has one entry
+form: a checked record of (k, n, n) stacks (`symmetric_stack(A)`, or
+`second_form_pair(A, B)` for the second form), a list of F functions, and their
+results already evaluated at the record's rows, stacked on a leading axis of length
+F.  Building the record and evaluating the functions are the caller's, so one call
+serves many functions and the functions' domain checks run in those evaluations.
+`pair_sign_gaps` likewise takes (k, n) rows and its two functions' evaluated results.
+The raw-matrix form that evaluates one function itself is the byte-level reference in
+the tests.
 """
 
 import functools
@@ -366,25 +367,22 @@ def parse_curvature_function(spec, n):
 # ---------------------------------------------------------------------------
 # matrix calculus
 
-def _refuse_member(bad, what, single, problem, error=ValueError):
+def _refuse_member(bad, what, problem, error=ValueError):
     """Raise `error` naming the first member of a stack flagged in `bad`."""
     if bad.any():
-        name = what if single else f"{what}[{int(np.argmax(bad))}]"
-        raise error(f"{name} {problem}")
+        raise error(f"{what}[{int(np.argmax(bad))}] {problem}")
 
 
 def _finite_stack(a, what):
-    """`a` as a (k, n, n) stack of finite square matrices, and whether it was one (n, n)."""
+    """`a` as a non-empty (k, n, n) stack of finite square matrices."""
     a = np.asarray(a, dtype=float)
-    single = a.ndim == 2
-    stack = a[None] if single else a
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"{what} must be square (n, n) or a (k, n, n) stack, got shape {a.shape}")
-    if stack.shape[0] == 0:
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"{what} must be a (k, n, n) stack of square matrices, "
+                         f"got shape {a.shape}")
+    if a.shape[0] == 0:
         raise ValueError(f"{what} is an empty stack, shape {a.shape}")
-    _refuse_member(~np.isfinite(stack).all(axis=(1, 2)), what, single,
-                   "has non-finite entries", DomainError)
-    return stack, single
+    _refuse_member(~np.isfinite(a).all(axis=(1, 2)), what, "has non-finite entries", DomainError)
+    return a
 
 
 def _scale(stack):
@@ -392,88 +390,31 @@ def _scale(stack):
 
 
 def _check_symmetric(a, what):
-    """The symmetrized (k, n, n) stack of `a`, and whether `a` was one matrix."""
-    stack, single = _finite_stack(a, what)
+    """The symmetrized (k, n, n) stack of `a`."""
+    stack = _finite_stack(a, what)
     transpose = stack.transpose(0, 2, 1)
     asym = np.abs(stack - transpose).max(axis=(1, 2))
-    _refuse_member(asym > 1e-12 * _scale(stack), what, single, "is not symmetric")
-    return 0.5 * (stack + transpose), single
+    _refuse_member(asym > 1e-12 * _scale(stack), what, "is not symmetric")
+    return 0.5 * (stack + transpose)
 
 
 @dataclass(frozen=True)
 class SymmetricStack:
     """A checked symmetric (k, n, n) stack and its eigen-decomposition U diag(lam) U^T.
 
-    Built by `symmetric_stack`, or sliced from one member by member; the matrix
-    calculus takes it in place of the matrices, so that many curvature functions
-    share one check and one `eigh`.  The arrays are read-only.
+    Built by `symmetric_stack`, or sliced from one member by member; the arrays are read-only.
     """
 
     lam: np.ndarray   # (k, n) ascending eigenvalues
     u: np.ndarray     # (k, n, n) orthonormal eigenvectors, one per column
-    single: bool      # built from one (n, n) matrix: results come back unbatched
 
 
 def symmetric_stack(a):
-    """`a` checked (square, finite, symmetric, non-empty) and decomposed by one `eigh`.
-
-    A refusal names the bad member, e.g. `A[3] is not symmetric`.  A `SymmetricStack`
-    is returned as it is.
-    """
-    if isinstance(a, SymmetricStack):
-        return a
-    stack, single = _check_symmetric(a, "A")
-    lam, u = np.linalg.eigh(stack)
-    lam.flags.writeable = False
-    u.flags.writeable = False
-    return SymmetricStack(lam, u, single)
-
-
-def _calculus_inputs(f, lam, evaluated, kinds):
-    """f's results at a record's checked eigenvalue rows `lam`, one array per name in `kinds`
-    ("value", "gradient", "hessian"), and f's degree.
-
-    Each function's domain check runs on `lam`.  Without `evaluated`, f is one function,
-    evaluated here.  With it, the arrays are `evaluated` as given: f's results at `lam`, as
-    `f.value(lam)`, `f.gradient(lam)` and `f.hessian(lam)` return them, each with a leading
-    axis of length F when f is a list of F functions; the degree then is an (F, 1) column.
-    """
-    single = isinstance(f, CurvatureFunction)
-    fs = [f] if single else list(f)
-    if evaluated is None and not single:
-        raise ValueError("a list of functions needs their evaluated results")
-    for fn in fs:
-        fn._coerce(lam)
-    if evaluated is None:
-        return [getattr(f, f"_{kind}")(lam) for kind in kinds], f.degree
-    if len(evaluated) != len(kinds):
-        raise ValueError(f"evaluated must hold {', '.join(kinds)}; got {len(evaluated)} arrays")
-    lead = () if single else (len(fs),)
-    tails = {"value": lam.shape[:1], "gradient": lam.shape, "hessian": lam.shape + lam.shape[1:]}
-    arrays = [np.asarray(arr, dtype=float) for arr in evaluated]
-    for kind, arr in zip(kinds, arrays):
-        if arr.shape != lead + tails[kind]:
-            raise ValueError(f"evaluated {kind} must have shape {lead + tails[kind]}, "
-                             f"got {arr.shape}")
-    degree = f.degree if single else np.array([fn.degree for fn in fs])[:, None]
-    return arrays, degree
-
-
-def matrix_first_derivative(f, a, evaluated=None):
-    """dF at A as a symmetric matrix: <dF, B> = d/ds F(A + sB) at s=0.
-
-    Built from an eigen-decomposition A = U diag(lam) U^T as
-    U diag(grad f(lam)) U^T, which also satisfies <dF, A> = m F(A).
-    One (n, n) matrix gives an (n, n) matrix; a (k, n, n) stack gives a stack.
-    `a` may also be a `symmetric_stack`, decomposed once for many functions.
-    `evaluated`, when given, is f's gradient at the record's rows (see `_calculus_inputs`);
-    with a list of F functions the results carry a leading axis of length F.
-    """
-    a = symmetric_stack(a)
-    (g,), _ = _calculus_inputs(f, a.lam, None if evaluated is None else (evaluated,),
-                               ("gradient",))
-    out = (a.u * g[..., None, :]) @ a.u.transpose(0, 2, 1)
-    return out[..., 0, :, :] if a.single else out
+    """`a`, a (k, n, n) stack, checked (finite, symmetric, non-empty) and decomposed by one
+    `eigh`.  A refusal names the bad member, e.g. `A[3] is not symmetric`."""
+    lam, u = np.linalg.eigh(_check_symmetric(a, "A"))
+    lam.flags.writeable = u.flags.writeable = False
+    return SymmetricStack(lam, u)
 
 
 @dataclass(frozen=True)
@@ -483,39 +424,66 @@ class SecondFormPair:
 
     lam: np.ndarray   # (k, n) the diagonal of A
     b: np.ndarray     # (k, n, n) B, symmetrized
-    single: bool      # built from one pair of (n, n) matrices: the form comes back a float
 
 
 def second_form_pair(a, b):
-    """A and B checked once (matching shapes, finite, A diagonal, B symmetric), so that many
-    functions share the check.  A refusal names the bad member, e.g. `B[3] is not symmetric`."""
+    """A and B, (k, n, n) stacks, checked (matching shapes, finite, A diagonal, B symmetric).
+    A refusal names the bad member, e.g. `B[3] is not symmetric`."""
     if np.shape(a) != np.shape(b):
         raise ValueError(f"A and B must have the same shape, got {np.shape(a)} and {np.shape(b)}")
-    a, single = _finite_stack(a, "A")
+    a = _finite_stack(a, "A")
     lam = np.diagonal(a, axis1=1, axis2=2).copy()
     offdiag = np.abs(a - lam[:, :, None] * np.eye(a.shape[1])).max(axis=(1, 2))
-    _refuse_member(offdiag > 1e-12 * _scale(a), "A", single,
+    _refuse_member(offdiag > 1e-12 * _scale(a), "A",
                    "must be diagonal for the second-derivative form")
-    b, _ = _check_symmetric(b, "B")
+    b = _check_symmetric(b, "B")
     lam.flags.writeable = b.flags.writeable = False
-    return SecondFormPair(lam, b, single)
+    return SecondFormPair(lam, b)
 
 
-def matrix_second_form(f, a, b=None, evaluated=None):
-    """Second derivative of F at diagonal A in direction B: d^2/ds^2 F(A+sB)|0.
+def _evaluated(fs, lam, evaluated, kinds):
+    """The functions' results at a record's rows `lam`, as given: one array per name in
+    `kinds` ("value", "gradient", "hessian"), each checked for its shape.
+
+    They are the caller's `f.value(lam)`, `f.gradient(lam)` and `f.hessian(lam)` for each
+    function of the list `fs`, stacked on a leading axis of length F.  Those calls ran each
+    function's domain check on `lam`, so none runs here.
+    """
+    if len(evaluated) != len(kinds):
+        raise ValueError(f"evaluated must hold {', '.join(kinds)}; got {len(evaluated)} arrays")
+    tails = {"value": lam.shape[:1], "gradient": lam.shape, "hessian": lam.shape + lam.shape[1:]}
+    arrays = [np.asarray(arr, dtype=float) for arr in evaluated]
+    for kind, arr in zip(kinds, arrays):
+        if arr.shape != (len(fs),) + tails[kind]:
+            raise ValueError(f"evaluated {kind} must have shape {(len(fs),) + tails[kind]}, "
+                             f"got {arr.shape}")
+    return arrays
+
+
+def matrix_first_derivative(fs, a, evaluated):
+    """dF at each matrix A of the `symmetric_stack` `a`: <dF, B> = d/ds F(A + sB) at s=0.
+
+    Built from the eigen-decomposition A = U diag(lam) U^T as U diag(grad f(lam)) U^T,
+    which also satisfies <dF, A> = m F(A).  `evaluated` is the gradients of the functions
+    `fs` at `a.lam`, a one-array tuple (gradient,) stacked (F, k, n) (see `_evaluated`); the
+    result is (F, k, n, n).
+    """
+    (g,) = _evaluated(fs, a.lam, evaluated, ("gradient",))
+    return (a.u * g[..., None, :]) @ a.u.transpose(0, 2, 1)
+
+
+def matrix_second_form(fs, pair, evaluated):
+    """Second derivative of F at diagonal A in direction B: d^2/ds^2 F(A+sB)|0, for each
+    member of the `second_form_pair` `pair`.
 
     Uses the eigenvalue Hessian on the diagonal part of B and gradient divided
     differences on the off-diagonal part; divided differences switch to their
     continuous limit (hess_kk - hess_kl) when eigenvalues nearly coincide,
-    decided per member.  One pair of (n, n) matrices gives a float; (k, n, n)
-    stacks of matching shape give a (k,) array.  `a` may also be a
-    `second_form_pair(A, B)`, checked once for many functions, with `b` left out.
-    `evaluated`, when given, is (gradient, Hessian) of f at the pair's rows (see
-    `_calculus_inputs`); with a list of F functions the forms carry a leading axis of length F.
+    decided per member.  `evaluated` is (gradient, Hessian) of the functions `fs` at
+    `pair.lam`, stacked on a leading axis of length F (see `_evaluated`); the forms are (F, k).
     """
-    pair = a if isinstance(a, SecondFormPair) and b is None else second_form_pair(a, b)
-    b, single, lam = pair.b, pair.single, pair.lam
-    (g, hess), _ = _calculus_inputs(f, lam, evaluated, ("gradient", "hessian"))
+    lam, b = pair.lam, pair.b
+    g, hess = _evaluated(fs, lam, evaluated, ("gradient", "hessian"))
     bd = np.diagonal(b, axis1=1, axis2=2)
     total = _row_quadratic(bd, hess)
     # the row norms, by the operations np.linalg.norm(lam, axis=1) runs
@@ -528,30 +496,24 @@ def matrix_second_form(f, a, b=None, evaluated=None):
             divided = (g[..., k] - g[..., l]) / np.where(near, 1.0, gap)
             coeff = np.where(near, hess[..., k, k] - hess[..., k, l], divided)
             total = total + 2.0 * coeff * b[:, k, l] ** 2
-    if not single:
-        return total
-    return float(total[0]) if total.ndim == 1 else total[:, 0]
+    return total
 
 
-def euler_residuals(f, a, evaluated=None):
-    """Absolute defects of the two homogeneity identities at A.
+def euler_residuals(fs, a, evaluated):
+    """Absolute defects of the two homogeneity identities at each matrix A of the
+    `symmetric_stack` `a`.
 
-    Returns (|<dF, A> - m F|, |d2F(A, A) - (m - 1) <dF, A>|); both vanish for
-    exactly homogeneous functions up to rounding.  One (n, n) matrix gives two
-    floats; a (k, n, n) stack gives two (k,) arrays.  `a` may also be a
-    `symmetric_stack`.  `evaluated`, when given, is (value, gradient, Hessian) of f at
-    the record's rows (see `_calculus_inputs`); with a list of F functions, each of
-    their degrees, the defects carry a leading axis of length F.
+    Returns (|<dF, A> - m F|, |d2F(A, A) - (m - 1) <dF, A>|), two (F, k) arrays; both vanish
+    for exactly homogeneous functions up to rounding.  `evaluated` is (value, gradient,
+    Hessian) of the functions `fs` at `a.lam`, stacked on a leading axis of length F (see
+    `_evaluated`); m is each one's degree.
     """
-    a = symmetric_stack(a)
     lam = a.lam
-    (value, g, hess), m = _calculus_inputs(f, lam, evaluated, ("value", "gradient", "hessian"))
+    value, g, hess = _evaluated(fs, lam, evaluated, ("value", "gradient", "hessian"))
+    m = np.array([f.degree for f in fs])[:, None]
     first = _row_dot(g, lam)
     second = _row_quadratic(lam, hess)  # A is diagonal in its own eigenbasis
-    r1, r2 = np.abs(first - m * value), np.abs(second - (m - 1.0) * first)
-    if not a.single:
-        return r1, r2
-    return (float(r1[0]), float(r2[0])) if r1.ndim == 1 else (r1[:, 0], r2[:, 0])
+    return np.abs(first - m * value), np.abs(second - (m - 1.0) * first)
 
 
 def _row_dot(a, b):
@@ -565,7 +527,7 @@ def _row_quadratic(v, m):
     return _row_dot((v[..., None, :] @ m)[..., 0, :], v)
 
 
-def pair_sign_gaps(f, g, lam, evaluated=None):
+def pair_sign_gaps(f, g, lam, evaluated):
     """Two comparison gaps between same-degree elliptic functions f and g.
 
     With F = f(lam), G = g(lam) and gradients df, dg, returns
@@ -574,32 +536,24 @@ def pair_sign_gaps(f, g, lam, evaluated=None):
           m * sum_j (F * dg_j - G * df_j) )
 
     Both are nonnegative whenever f is convex and g is concave on nonnegative
-    eigenvalues (and nonpositive with the roles swapped).  One (n,) row gives
-    two floats; (k, n) rows give two (k,) arrays.  `evaluated`, when given, is
-    (F, G, df, dg) already evaluated at `lam`, as `f.value` and `f.gradient` return them.
+    eigenvalues (and nonpositive with the roles swapped).  `lam` holds (k, n) rows and
+    `evaluated` is (F, G, df, dg) at them, as `f.value` and `f.gradient` return them
+    (those calls ran both domain checks); the gaps are two (k,) arrays.
     """
     if abs(f.degree - g.degree) > 1e-14:
         raise DegreeMismatchError(
             f"degree mismatch: {f.name} has degree {f.degree:g}, {g.name} has {g.degree:g}")
     lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 2 or lam.shape[1] != f.n:
+        raise ValueError(f"pair_sign_gaps: expected (k, {f.n}) eigenvalue rows, got shape "
+                         f"{lam.shape}")
     if lam.size == 0:
         raise ValueError("pair_sign_gaps: empty eigenvalue array")
     if np.any(lam < 0.0):
         raise DomainError("pair_sign_gaps requires nonnegative eigenvalues")
-    single = lam.ndim == 1
-    rows = lam[None, :] if single else lam
+    value_f, value_g, grad_f, grad_g = evaluated
     m = f.degree
-    if evaluated is None:
-        value_f, value_g = f.value(rows), g.value(rows)
-        grad_f, grad_g = f.gradient(rows), g.gradient(rows)
-    elif single:
-        value_f, value_g = np.atleast_1d(*evaluated[:2])
-        grad_f, grad_g = np.atleast_2d(*evaluated[2:])
-    else:
-        value_f, value_g, grad_f, grad_g = evaluated
-    lam_sq = rows * rows
+    lam_sq = lam * lam
     gap1 = m * (value_g * _row_dot(grad_f, lam_sq) - value_f * _row_dot(grad_g, lam_sq))
     gap2 = m * _row_sum(value_f[:, None] * grad_g - value_g[:, None] * grad_f)
-    if single:
-        return float(gap1[0]), float(gap2[0])
     return gap1, gap2

@@ -9,8 +9,10 @@ gradient to one `gradient` call and every row that needs a Hessian to one `hessi
 call, the rows of the matrix calculus included.  The functions' results are stacked,
 so each fold of a pass (scales, differences, worst residuals) runs once per dimension,
 and so does each matrix-calculus identity: `matrix_first_derivative`,
-`matrix_second_form` and `euler_residuals` are called once with the list of functions
-and their stacked results (`evaluated=`).
+`matrix_second_form` and `euler_residuals` are called once, in their one entry form,
+with the dimension's checked records, the list of its functions and their stacked
+results.  Those `value`, `gradient` and `hessian` calls run every function's domain
+check of a round; the matrix calculus and the pair gaps repeat none of them.
 The layers are called through their modules (`curvfun.pair_sign_gaps`, not a
 name imported from it), so a wrapper put on a module function sees each call.
 Worst residuals are numpy maxima, which keep a NaN where Python's `max` can drop it.
@@ -134,8 +136,7 @@ def _eigenvalue_samples(rng, sample_count, n):
     # one eigh for both records: LAPACK decomposes each matrix of a stack on its own,
     # so the first half of the pair's decomposition is that of spd, bit for bit
     spd_pair = curvfun.symmetric_stack(np.concatenate([spd, q @ spd @ q_t]))
-    spd_record = curvfun.SymmetricStack(spd_pair.lam[:sample_count],
-                                        spd_pair.u[:sample_count], False)
+    spd_record = curvfun.SymmetricStack(spd_pair.lam[:sample_count], spd_pair.u[:sample_count])
     form = curvfun.second_form_pair(a, b)
 
     # one f.value, one f.gradient and one f.hessian call for every row of a pass that
@@ -202,7 +203,7 @@ def _eigenvalue_checks(rows, samples, fs):
     q = samples.q
     k = len(q)
     q_t = q.transpose(0, 2, 1)
-    derivative = curvfun.matrix_first_derivative(fs, samples.spd_pair, evaluated=pair_grad)
+    derivative = curvfun.matrix_first_derivative(fs, samples.spd_pair, evaluated=(pair_grad,))
     d_here, d_rot = derivative[:, :k], derivative[:, k:]
     rotated = np.stack([q @ d @ q_t for d in d_here])
     # maxima over each matrix's n*n entries, then over the k matrices

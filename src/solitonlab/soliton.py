@@ -13,6 +13,7 @@ classification covers a curvature function (its n, degree and convexity) at a pi
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,18 +45,46 @@ class PinchingVerdict:
 
 
 def _tau(unit, m, radius, c):
-    """unit * cotc(R)^m / shc(R), unchecked; inf where a power overflows or a divisor is 0.
+    """unit * cotc(R)^m / shc(R), unchecked: zero or not finite only where tau leaves the
+    float range (or `unit` already has).
 
     At c < 0 the curvature cotc(R) = chc(R)/shc(R) falls towards sqrt(-c) as R grows, so
-    its power stays bounded where chc(R)^m, about e^(m sqrt(-c) R), overflows.
+    its power stays bounded where chc(R)^m, about e^(m sqrt(-c) R), overflows.  Where this
+    direct form still overflows or underflows on the way (shc(R) past R ~ 710 / sqrt(-c),
+    a power past the float range, a subnormal factor that has lost bits), log |tau| is
+    formed instead and exponentiated once.
     """
     r = float(radius)
     try:
         if c == 0.0:
-            return unit / r ** (m + 1.0)    # cotc(0, r) ** m / shc(0, r) is r ** -m / r
-        return unit * cotc(c, r) ** m / shc(c, r)
+            tau = unit / _normal(r ** (m + 1.0))    # cotc(0, r) ** m / shc(0, r) is r ** -m / r
+        else:
+            tau = _normal(unit * _normal(cotc(c, r) ** m)) / shc(c, r)
     except (OverflowError, ZeroDivisionError):
+        tau = math.inf
+    if _in_range(tau) or not _in_range(unit):
+        return tau
+    try:
+        return math.copysign(math.exp(_log_abs_tau(unit, m, r, c)), unit)
+    except (OverflowError, ValueError):     # log|tau| > 709.78, or shc(R) underflows to 0
         return math.inf
+
+
+def _normal(x):
+    """x where it is a normal float, else inf, which takes `_tau` to its log form."""
+    return x if sys.float_info.min <= abs(x) < math.inf else math.inf
+
+
+def _log_abs_tau(unit, m, r, c):
+    """log |unit| + m log cotc(R) - log shc(R), with no power formed: at c < 0, with
+    x = sqrt(-c) R and e = e^(-2x), log shc = x + log(1 - e) - log 2 - log sqrt(-c) and
+    log cotc = log sqrt(-c) + log1p(e) - log(1 - e), so no two terms of size x cancel."""
+    if c == 0.0:
+        return math.log(abs(unit)) - (m + 1.0) * math.log(r)
+    log_kappa, x = 0.5 * math.log(-c), math.sqrt(-c) * r
+    log_gap = math.log(-math.expm1(-2.0 * x))
+    log_cotc = log_kappa + math.log1p(math.exp(-2.0 * x)) - log_gap
+    return math.log(abs(unit)) + m * log_cotc - (x + log_gap - math.log(2.0) - log_kappa)
 
 
 def sphere_tau(f, radius, c=0.0):

@@ -11,7 +11,7 @@ import pytest
 
 from solitonlab import curvfun, flow, hypersurface, soliton, spaceform
 from solitonlab.cli import main
-from solitonlab.curvfun import builtin_functions, matrix_second_form
+from solitonlab.curvfun import builtin_functions
 from solitonlab.flow import FlowConfig, StopRule
 from solitonlab.hypersurface import AnalyticSpheroid, circle, ellipse, spheroid_profile
 
@@ -31,16 +31,22 @@ def test_criterion_1_euler_identities():
     count = 0
     for n in (2, 3):
         for f in builtin_functions(n):
-            for _ in range(100):
-                a = random_spd(rng, n)
-                fval = f.value(np.linalg.eigvalsh(a))
-                r1, r2 = curvfun.euler_residuals(f, a)
-                worst = max(worst, max(r1, r2) / max(1.0, abs(fval)))
-                count += 1
+            record = curvfun.symmetric_stack([random_spd(rng, n) for _ in range(100)])
+            value, grad, hess = f.value(record.lam), f.gradient(record.lam), f.hessian(record.lam)
+            r1, r2 = curvfun.euler_residuals([f], record, (value[None], grad[None], hess[None]))
+            worst = max(worst, float((np.maximum(r1, r2) / np.maximum(1.0, np.abs(value))).max()))
+            count += len(value)
     elapsed = time.perf_counter() - start
     _report(1, "Euler identities", worst < 1e-10 and elapsed < 5.0,
             f"worst normalized residual {worst:.2e} < 1e-10 over {count} matrices, "
             f"{elapsed:.2f}s < 5s")
+
+
+def _second_form(f, a, b):
+    """The second form of one function at (k, n, n) stacks A and B, through their checked pair."""
+    pair = curvfun.second_form_pair(a, b)
+    return curvfun.matrix_second_form(
+        [f], pair, (f.gradient(pair.lam)[None], f.hessian(pair.lam)[None]))[0]
 
 
 def test_criterion_2_second_derivative_formula():
@@ -49,25 +55,24 @@ def test_criterion_2_second_derivative_formula():
     pairs = 0
     for n in (2, 3):
         for f in builtin_functions(n):
+            a, b = [], []
             for _ in range(50):
                 eig = np.sort(rng.uniform(0.2, 3.0, n))
                 while np.diff(eig).min() < 1e-3:
                     eig = np.sort(rng.uniform(0.2, 3.0, n))
-                a = np.diag(eig)
-                b = random_spd(rng, n) - np.diag(rng.uniform(0.0, 1.0, n))
-                b = 0.5 * (b + b.T)
-                form = matrix_second_form(f, a, b)
-                s = 1e-4
-
-                def feval(mat):
-                    return f.value(np.linalg.eigvalsh(mat))
-
-                fd = (feval(a + s * b) - 2.0 * feval(a) + feval(a - s * b)) / s ** 2
-                worst = max(worst, abs(form - fd) / max(1.0, abs(form)))
-                pairs += 1
+                a.append(np.diag(eig))
+                direction = random_spd(rng, n) - np.diag(rng.uniform(0.0, 1.0, n))
+                b.append(0.5 * (direction + direction.T))
+            a, b = np.array(a), np.array(b)
+            form = _second_form(f, a, b)
+            s = 1e-4
+            plus, mid, minus = (f.value(np.linalg.eigvalsh(m)) for m in (a + s * b, a, a - s * b))
+            fd = (plus - 2.0 * mid + minus) / s ** 2
+            worst = max(worst, float((np.abs(form - fd) / np.maximum(1.0, np.abs(form))).max()))
+            pairs += len(form)
     # analytic anchor: det(diag(1,2) + s*offdiag(1)) = 2 - s^2, so d2/ds2 = -2
-    anchor = matrix_second_form(curvfun.GaussCurvature(2), np.diag([1.0, 2.0]),
-                                np.array([[0.0, 1.0], [1.0, 0.0]]))
+    anchor = float(_second_form(curvfun.GaussCurvature(2), [np.diag([1.0, 2.0])],
+                                [[[0.0, 1.0], [1.0, 0.0]]])[0])
     ok = worst < 1e-5 and abs(anchor + 2.0) < 1e-12
     _report(2, "second-derivative formula", ok,
             f"worst FD mismatch {worst:.2e} < 1e-5 over {pairs} pairs, "
@@ -79,12 +84,13 @@ def test_criterion_3_pair_sign_property():
     start = time.perf_counter()
     convex = curvfun.EuclideanNorm(2)
     concave = curvfun.GeometricMean(2)
-    worst = 0.0
-    for lam in rng.uniform(0.05, 4.0, (1000, 2)):
-        g1, g2 = curvfun.pair_sign_gaps(convex, concave, lam)
-        worst = max(worst, -g1 / max(1.0, abs(g1)), -g2 / max(1.0, abs(g2)))
-        s1, s2 = curvfun.pair_sign_gaps(concave, convex, lam)
-        worst = max(worst, s1 / max(1.0, abs(s1)), s2 / max(1.0, abs(s2)))
+    lam = rng.uniform(0.05, 4.0, (1000, 2))
+    value_f, value_g = convex.value(lam), concave.value(lam)
+    grad_f, grad_g = convex.gradient(lam), concave.gradient(lam)
+    g1, g2 = curvfun.pair_sign_gaps(convex, concave, lam, (value_f, value_g, grad_f, grad_g))
+    s1, s2 = curvfun.pair_sign_gaps(concave, convex, lam, (value_g, value_f, grad_g, grad_f))
+    worst = max(0.0, *(float((sign * gap / np.maximum(1.0, np.abs(gap))).max())
+                       for sign, gap in ((-1.0, g1), (-1.0, g2), (1.0, s1), (1.0, s2))))
     elapsed = time.perf_counter() - start
     _report(3, "convex/concave sign gaps", worst <= 1e-12 and elapsed < 2.0,
             f"max normalized violation {worst:.2e} <= 1e-12 over 1000 samples x 2 "

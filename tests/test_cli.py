@@ -119,6 +119,24 @@ def test_sphere_check_passes_where_chc_to_the_m_overflows(tmp_path, capsys):
     assert "result: pass (tolerance 1e-08)" in out
 
 
+def test_sphere_check_passes_where_r_to_the_m_plus_1_overflows(tmp_path, capsys):
+    # tau = 2^300 / 20^301 = 5e-302, while 20^301 is beyond the floats: tau was refused
+    assert main(["--out", str(tmp_path), "sphere-check", "--f", "pow(H,300)", "--n", "2",
+                 "--R", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "tau = 5e-302" in out
+    assert "result: pass (tolerance 1e-08)" in out
+
+
+def test_sphere_check_refuses_a_subnormal_tau(tmp_path, capsys):
+    # tau = 1 / R^2 = 1e-316 keeps about 25 of its 53 bits, and the exact sphere soliton
+    # would read a residual of 1.6e-8 against the tolerance 1e-8
+    assert main(["--out", str(tmp_path), "sphere-check", "--f", "H", "--n", "1",
+                 "--R", "1e158"]) == 2
+    assert ("sphere tau of f=H at R=1e+158, c=0 is the subnormal float 1e-316, too coarse "
+            "for the residual's tolerance") in capsys.readouterr().err
+
+
 def test_sphere_check_refuses_an_overflowing_unit_value_with_no_warning(tmp_path, capsys):
     # f(1, 1) = 2^3000: the refusal by name is all that is printed
     with warnings.catch_warnings():

@@ -12,7 +12,9 @@ from solitonlab.curvfun import (DegreeMismatchError, DomainError, ElementarySymm
                                 pair_sign_gaps, parse_curvature_function, second_form_pair,
                                 symmetric_stack)
 
-from conftest import fd_gradient, fd_hessian, random_rotation, random_spd
+from conftest import (evaluated_at, fd_gradient, fd_hessian, random_rotation, random_spd,
+                      reference_euler_residuals, reference_first_derivative,
+                      reference_pair_sign_gaps, reference_second_form)
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +59,9 @@ def test_sigma1_has_zero_hessian_and_its_calculus_runs(n, rng):
     f = ElementarySymmetric(n, 1)
     lam = rng.uniform(0.2, 3.0, (50, n))
     assert np.array_equal(f.hessian(lam), np.zeros((50, n, n)))
-    a = random_spd(rng, n)
-    r1, r2 = euler_residuals(f, a)
-    assert r1 < 1e-12 and r2 < 1e-12
-    assert matrix_second_form(f, np.diag(lam[0]), np.eye(n)) == 0.0
+    r1, r2 = _euler(f, [random_spd(rng, n)])
+    assert r1[0] < 1e-12 and r2[0] < 1e-12
+    assert _form(f, [np.diag(lam[0])], [np.eye(n)])[0] == 0.0
     assert _sampled_convexity(f, lam) == "convex" == f.convexity
 
 
@@ -226,19 +227,38 @@ def test_negative_power_normalization():
 # ---------------------------------------------------------------------------
 # matrix calculus
 
+def _first(f, a):
+    """`matrix_first_derivative` of one function at a (k, n, n) stack, through its record."""
+    record = symmetric_stack(a)
+    return matrix_first_derivative([f], record, evaluated_at([f], record.lam, "gradient"))[0]
+
+
+def _form(f, a, b):
+    """`matrix_second_form` of one function at (k, n, n) stacks A and B, through their pair."""
+    pair = second_form_pair(a, b)
+    return matrix_second_form([f], pair, evaluated_at([f], pair.lam, "gradient", "hessian"))[0]
+
+
+def _euler(f, a):
+    """`euler_residuals` of one function at a (k, n, n) stack, through its record."""
+    record = symmetric_stack(a)
+    r1, r2 = euler_residuals([f], record,
+                             evaluated_at([f], record.lam, "value", "gradient", "hessian"))
+    return r1[0], r2[0]
+
+
 def test_matrix_first_derivative_examples(rng):
     h = MeanCurvature(2)
-    a = random_spd(rng, 2)
-    np.testing.assert_allclose(matrix_first_derivative(h, a), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(_first(h, [random_spd(rng, 2)])[0], np.eye(2), atol=1e-14)
 
     k = GaussCurvature(2)
-    np.testing.assert_allclose(matrix_first_derivative(k, np.diag([2.0, 3.0])),
-                               np.diag([3.0, 2.0]), atol=1e-14)
+    np.testing.assert_allclose(_first(k, [np.diag([2.0, 3.0])])[0], np.diag([3.0, 2.0]),
+                               atol=1e-14)
 
     # <dF, B> against the finite difference of det(A + sB)
     a = np.array([[2.0, 0.5], [0.5, 3.0]])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    d = matrix_first_derivative(k, a)
+    d = _first(k, [a])[0]
     s = 1e-5
     fd = (np.linalg.det(a + s * b) - np.linalg.det(a - s * b)) / (2.0 * s)
     assert abs(float(np.sum(d * b)) - fd) / abs(fd) < 1e-8
@@ -246,58 +266,57 @@ def test_matrix_first_derivative_examples(rng):
 
 def test_matrix_second_form_examples(rng):
     h = MeanCurvature(3)
-    a = np.diag([1.0, 2.0, 3.0])
-    b = random_spd(rng, 3)
-    assert matrix_second_form(h, a, b) == pytest.approx(0.0, abs=1e-14)
+    assert _form(h, [np.diag([1.0, 2.0, 3.0])], [random_spd(rng, 3)])[0] == pytest.approx(
+        0.0, abs=1e-14)
 
-    # analytic oracle: det(diag(1,2) + s*offdiag(1)) = 2 - s^2, second derivative -2
+    # analytic oracle: det(diag(1,2) + s*offdiag(1)) = 2 - s^2, second derivative -2;
+    # a diagonal direction reduces to the eigenvalue Hessian: 2 * hess_12
     k = GaussCurvature(2)
     a = np.diag([1.0, 2.0])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert matrix_second_form(k, a, b) == pytest.approx(-2.0, abs=1e-12)
-    # diagonal direction reduces to the eigenvalue Hessian: 2 * hess_12
-    assert matrix_second_form(k, a, np.eye(2)) == pytest.approx(2.0, abs=1e-12)
+    offdiag, diagonal = _form(k, [a, a], [[[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
+    assert offdiag == pytest.approx(-2.0, abs=1e-12)
+    assert diagonal == pytest.approx(2.0, abs=1e-12)
 
 
 def test_matrix_second_form_validation():
-    k = GaussCurvature(2)
     with pytest.raises(ValueError, match="diagonal"):
-        matrix_second_form(k, np.array([[1.0, 0.3], [0.3, 2.0]]), np.eye(2))
+        second_form_pair([[[1.0, 0.3], [0.3, 2.0]]], [np.eye(2)])
     with pytest.raises(ValueError, match="symmetric"):
-        matrix_second_form(k, np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        second_form_pair([np.diag([1.0, 2.0])], [[[0.0, 1.0], [0.0, 0.0]]])
+    # one pair of matrices is not a stack
+    with pytest.raises(ValueError, match=r"A must be a \(k, n, n\) stack .* got shape \(2, 2\)"):
+        second_form_pair(np.diag([1.0, 2.0]), np.eye(2))
 
 
 def test_second_form_is_quadratic(rng):
     f = GaussCurvature(3)
     a = np.diag([0.7, 1.4, 2.6])
     b = random_spd(rng, 3) - 0.5 * np.eye(3)
-    base = matrix_second_form(f, a, b)
-    for t in (0.5, 2.0, -3.0):
-        assert matrix_second_form(f, a, t * b) == pytest.approx(t * t * base, rel=1e-12)
+    scales = (1.0, 0.5, 2.0, -3.0)
+    base, *scaled = _form(f, [a] * len(scales), [t * b for t in scales])
+    for t, form in zip(scales[1:], scaled):
+        assert form == pytest.approx(t * t * base, rel=1e-12)
 
 
 def test_second_form_coincident_eigenvalues():
     # the divided difference switches to its limit without blowing up
     f = EuclideanNorm(2)
     b = np.array([[0.3, 1.0], [1.0, -0.2]])
-    exact = matrix_second_form(f, np.diag([2.0, 2.0 + 1e-12]), b)
-    nearby = matrix_second_form(f, np.diag([2.0, 2.0 + 1e-5]), b)
+    exact, nearby = _form(f, [np.diag([2.0, 2.0 + 1e-12]), np.diag([2.0, 2.0 + 1e-5])], [b, b])
     assert np.isfinite(exact)
     assert exact == pytest.approx(nearby, rel=1e-4)
 
 
 def test_euler_residual_examples(rng):
-    r1, r2 = euler_residuals(MeanCurvature(3), np.diag([1.0, 2.0, 3.0]))
-    assert r1 < 1e-12 and r2 < 1e-12
-    r1, r2 = euler_residuals(GaussCurvature(2), np.diag([2.0, 3.0]))
-    assert r1 < 1e-10 and r2 < 1e-10
+    r1, r2 = _euler(MeanCurvature(3), [np.diag([1.0, 2.0, 3.0])])
+    assert r1[0] < 1e-12 and r2[0] < 1e-12
+    r1, r2 = _euler(GaussCurvature(2), [np.diag([2.0, 3.0])])
+    assert r1[0] < 1e-10 and r2[0] < 1e-10
     p = Power(MeanCurvature(2), -1.0)
-    for _ in range(20):
-        a = random_spd(rng, 2)
-        fval = p.value(np.linalg.eigvalsh(a))
-        r1, r2 = euler_residuals(p, a)
-        assert r1 <= 1e-10 * max(1.0, abs(fval))
-        assert r2 <= 1e-10 * max(1.0, abs(fval))
+    a = np.array([random_spd(rng, 2) for _ in range(20)])
+    bound = 1e-10 * np.maximum(1.0, np.abs(p.value(np.linalg.eigvalsh(a))))
+    r1, r2 = _euler(p, a)
+    assert np.all(r1 <= bound) and np.all(r2 <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +383,18 @@ def test_exact_convexity_agrees_with_the_sampled_classifier(name, n):
 # ---------------------------------------------------------------------------
 # convex/concave pairing gaps
 
+def _gaps(f, g, lam):
+    """`pair_sign_gaps` at (k, n) rows, with f and g evaluated there."""
+    lam = np.asarray(lam, dtype=float)
+    return pair_sign_gaps(f, g, lam, (f.value(lam), g.value(lam), f.gradient(lam),
+                                      g.gradient(lam)))
+
+
 def test_pair_gaps_identical_functions():
     h = MeanCurvature(2)
-    g1, g2 = pair_sign_gaps(h, h, [0.7, 2.2])
-    assert g1 == pytest.approx(0.0, abs=1e-14)
-    assert g2 == pytest.approx(0.0, abs=1e-14)
+    g1, g2 = _gaps(h, h, [[0.7, 2.2]])
+    assert g1[0] == pytest.approx(0.0, abs=1e-14)
+    assert g2[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_pair_gaps_anchor():
@@ -377,28 +403,32 @@ def test_pair_gaps_anchor():
     # sum df = 3/sqrt(5), so gap2 = sqrt(5)*3/sqrt(2) - 2 sqrt(2)*3/sqrt(5).
     expected = math.sqrt(5.0) * 3.0 / math.sqrt(2.0) - 2.0 * math.sqrt(2.0) * 3.0 / math.sqrt(5.0)
     assert expected == pytest.approx(3.0 / math.sqrt(10.0), rel=1e-15)
-    _, g2 = pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [1.0, 2.0])
-    assert g2 == pytest.approx(expected, rel=1e-12)
-    assert g2 >= 0.0
+    _, g2 = _gaps(EuclideanNorm(2), GeometricMean(2), [[1.0, 2.0]])
+    assert g2[0] == pytest.approx(expected, rel=1e-12)
+    assert g2[0] >= 0.0
 
 
 def test_pair_gaps_sign_property(rng):
     convex = EuclideanNorm(2)
     concave = GeometricMean(2)
-    for lam in rng.uniform(0.05, 4.0, (1000, 2)):
-        g1, g2 = pair_sign_gaps(convex, concave, lam)
-        assert g1 >= -1e-12 * max(1.0, abs(g1))
-        assert g2 >= -1e-12 * max(1.0, abs(g2))
-        s1, s2 = pair_sign_gaps(concave, convex, lam)
-        assert s1 <= 1e-12 * max(1.0, abs(s1))
-        assert s2 <= 1e-12 * max(1.0, abs(s2))
+    lam = rng.uniform(0.05, 4.0, (1000, 2))
+    g1, g2 = _gaps(convex, concave, lam)
+    assert np.all(g1 >= -1e-12 * np.maximum(1.0, np.abs(g1)))
+    assert np.all(g2 >= -1e-12 * np.maximum(1.0, np.abs(g2)))
+    s1, s2 = _gaps(concave, convex, lam)
+    assert np.all(s1 <= 1e-12 * np.maximum(1.0, np.abs(s1)))
+    assert np.all(s2 <= 1e-12 * np.maximum(1.0, np.abs(s2)))
+
+
+# the gaps refuse these rows before they read the evaluated results
+_UNREAD = None
 
 
 def test_pair_gaps_rejections():
     with pytest.raises(DegreeMismatchError):
-        pair_sign_gaps(MeanCurvature(2), GaussCurvature(2), [1.0, 2.0])
+        pair_sign_gaps(MeanCurvature(2), GaussCurvature(2), [[1.0, 2.0]], _UNREAD)
     with pytest.raises(DomainError, match="nonnegative"):
-        pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [-1.0, 2.0])
+        pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [[-1.0, 2.0]], _UNREAD)
 
 
 # ---------------------------------------------------------------------------
@@ -408,38 +438,36 @@ def test_pair_gaps_rejections():
 def test_pair_gaps_batch_matches_rows(n):
     lam = np.random.default_rng(100 + n).uniform(0.05, 4.0, (300, n))
     for f, g in ((EuclideanNorm(n), GeometricMean(n)), (GeometricMean(n), EuclideanNorm(n))):
-        batch = np.column_stack(pair_sign_gaps(f, g, lam))
-        rows = np.array([pair_sign_gaps(f, g, row) for row in lam])
+        batch = np.column_stack(_gaps(f, g, lam))
+        rows = np.array([np.concatenate(_gaps(f, g, lam[i:i + 1])) for i in range(len(lam))])
         assert batch.shape == rows.shape == (300, 2)
         assert np.all(np.abs(batch - rows) <= 1e-15 * np.abs(rows))
-        assert all(type(x) is float for x in pair_sign_gaps(f, g, lam[0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pair_gaps_with_evaluated_functions_keep_their_bits(n):
     # F, G, dF and dG handed in as f.value and f.gradient return them give the bytes of the
-    # call that evaluates them itself, for one row and for a batch, in both orderings
+    # reference that evaluates them itself, for one row and for a batch, in both orderings
     lam = np.random.default_rng(200 + n).uniform(0.05, 4.0, (50, n))
     for f, g in ((EuclideanNorm(n), GeometricMean(n)), (GeometricMean(n), EuclideanNorm(n))):
-        for rows in (lam, lam[0]):
-            evaluated = (f.value(rows), g.value(rows), f.gradient(rows), g.gradient(rows))
-            given = pair_sign_gaps(f, g, rows, evaluated)
-            alone = pair_sign_gaps(f, g, rows)
-            assert [type(x) for x in given] == [type(x) for x in alone]
-            assert [np.asarray(x).tobytes() for x in given] == [
-                np.asarray(x).tobytes() for x in alone], (f.name, np.ndim(rows))
+        for rows in (lam, lam[:1]):
+            given = _gaps(f, g, rows)
+            alone = reference_pair_sign_gaps(f, g, rows)
+            assert all(map(_same_array, given, alone)), (f.name, len(rows))
 
 
 def test_batch_refusals():
     for n in (1, 2, 3):
         with pytest.raises(ValueError, match="empty"):
-            pair_sign_gaps(EuclideanNorm(n), GeometricMean(n), np.zeros((0, n)))
-    with pytest.raises(ValueError):
-        pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), np.ones((4, 3)))
-    with pytest.raises(ValueError, match=r"A must be square .* got shape \(3, 2, 3\)"):
-        matrix_first_derivative(MeanCurvature(2), np.ones((3, 2, 3)))
+            pair_sign_gaps(EuclideanNorm(n), GeometricMean(n), np.zeros((0, n)), _UNREAD)
+    for lam in (np.ones((4, 3)), [1.0, 2.0]):        # rows of the wrong length; one bare row
+        with pytest.raises(ValueError, match=r"expected \(k, 2\) eigenvalue rows, got shape"):
+            pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), lam, _UNREAD)
+    for a in (np.ones((3, 2, 3)), np.eye(2)):
+        with pytest.raises(ValueError, match=r"A must be a \(k, n, n\) stack .* got shape"):
+            symmetric_stack(a)
     with pytest.raises(DomainError, match="nonnegative"):
-        pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [[1.0, 2.0], [0.5, -1.0]])
+        pair_sign_gaps(EuclideanNorm(2), GeometricMean(2), [[1.0, 2.0], [0.5, -1.0]], _UNREAD)
 
 
 # ---------------------------------------------------------------------------
@@ -472,43 +500,40 @@ def test_gradient_hessian_fd(n, rng):
 @pytest.mark.parametrize("n", [2, 3])
 def test_second_form_matches_fd(n, rng):
     for f in builtin_functions(n):
+        pairs = []
         for _ in range(25):
             eig = np.sort(rng.uniform(0.2, 3.0, n))
             while np.diff(eig).min() < 1e-3:
                 eig = np.sort(rng.uniform(0.2, 3.0, n))
-            a = np.diag(eig)
             b = random_spd(rng, n) - np.diag(rng.uniform(0.0, 1.0, n))
-            b = 0.5 * (b + b.T)
-            form = matrix_second_form(f, a, b)
-            s = 1e-4
-
-            def feval(mat):
-                return f.value(np.linalg.eigvalsh(mat))
-
-            fd = (feval(a + s * b) - 2.0 * feval(a) + feval(a - s * b)) / s ** 2
-            assert abs(form - fd) / max(1.0, abs(form)) < 1e-5
+            pairs.append((np.diag(eig), 0.5 * (b + b.T)))
+        a, b = (np.array(stack) for stack in zip(*pairs))
+        forms = _form(f, a, b)
+        s = 1e-4
+        plus, mid, minus = (f.value(np.linalg.eigvalsh(m)) for m in (a + s * b, a, a - s * b))
+        fd = (plus - 2.0 * mid + minus) / s ** 2
+        assert np.all(np.abs(forms - fd) / np.maximum(1.0, np.abs(forms)) < 1e-5), f.name
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_basis_invariance(n, rng):
     for f in builtin_functions(n):
-        for _ in range(20):
-            a = random_spd(rng, n)
-            q = random_rotation(rng, n)
-            d = matrix_first_derivative(f, a)
-            d_rot = matrix_first_derivative(f, q @ a @ q.T)
-            assert np.abs(d_rot - q @ d @ q.T).max() <= 1e-10 * max(1.0, np.abs(d).max())
+        a, q = (np.array(stack) for stack in zip(
+            *[(random_spd(rng, n), random_rotation(rng, n)) for _ in range(20)]))
+        q_t = q.transpose(0, 2, 1)
+        d = _first(f, a)
+        d_rot = _first(f, q @ a @ q_t)
+        err = np.abs(d_rot - q @ d @ q_t).max(axis=(1, 2))
+        assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(d).max(axis=(1, 2)))), f.name
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_euler_residuals_all_families(n, rng):
     for f in builtin_functions(n):
-        for _ in range(100):
-            a = random_spd(rng, n)
-            fval = f.value(np.linalg.eigvalsh(a))
-            r1, r2 = euler_residuals(f, a)
-            bound = 1e-10 * max(1.0, abs(fval))
-            assert r1 <= bound and r2 <= bound
+        a = np.array([random_spd(rng, n) for _ in range(100)])
+        bound = 1e-10 * np.maximum(1.0, np.abs(f.value(np.linalg.eigvalsh(a))))
+        r1, r2 = _euler(f, a)
+        assert np.all(r1 <= bound) and np.all(r2 <= bound), f.name
 
 
 def test_every_builtin_is_elliptic_on_the_positive_cone(rng):
@@ -522,10 +547,11 @@ def test_every_builtin_is_elliptic_on_the_positive_cone(rng):
 # the matrix calculus on (k, n, n) stacks
 
 def _calculus_stacks(rng, n, k=7):
-    """SPD matrices, diagonal matrices (one with coincident eigenvalues) and directions."""
+    """SPD matrices, diagonal matrices and directions; member 2 of the SPD and of the
+    diagonal stack has coincident eigenvalues."""
     spd = np.array([random_spd(rng, n) for _ in range(k)])
     diag = np.array([np.diag(rng.uniform(0.2, 3.0, n)) for _ in range(k)])
-    diag[2] = 2.0 * np.eye(n)
+    spd[2] = diag[2] = 2.0 * np.eye(n)
     direction = np.array([random_spd(rng, n) - 0.5 * np.eye(n) for _ in range(k)])
     return spd, diag, direction
 
@@ -538,93 +564,75 @@ def _same_bits(x, y):
     return np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
+def _same_array(x, y):
+    return np.shape(x) == np.shape(y) and _same_bits(x, y)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_calculus_matches_single_matrices(n, rng):
-    # a symmetric_stack record gives the bits of the matrices it decomposed
+    # each member of a stack gets the bits of a stack of that member alone, and agrees with
+    # the reference on the one (n, n) matrix, a form the library does not take
     spd, diag, direction = _calculus_stacks(rng, n)
-    decomposed = symmetric_stack(spd)
-    singles = [symmetric_stack(a) for a in spd]
     for f in builtin_functions(n):
-        first = matrix_first_derivative(f, spd)
-        form = matrix_second_form(f, diag, direction)
-        r1, r2 = euler_residuals(f, spd)
+        first, form, (r1, r2) = _first(f, spd), _form(f, diag, direction), _euler(f, spd)
         assert first.shape == (len(spd), n, n)
         assert form.shape == r1.shape == r2.shape == (len(spd),)
-        assert _same_bits(matrix_first_derivative(f, decomposed), first)
-        assert all(map(_same_bits, euler_residuals(f, decomposed), (r1, r2)))
         for i in range(len(spd)):
-            single = matrix_first_derivative(f, spd[i])
-            assert single.shape == (n, n) and _close(first[i], single)
-            assert _same_bits(matrix_first_derivative(f, singles[i]), single)
-            single = matrix_second_form(f, diag[i], direction[i])
-            assert isinstance(single, float) and _close(form[i], single)
-            single = euler_residuals(f, spd[i])
-            assert all(isinstance(r, float) for r in single)
+            one = slice(i, i + 1)
+            assert _same_array(_first(f, spd[one]), first[one]), (f.name, i)
+            assert _same_array(_form(f, diag[one], direction[one]), form[one]), (f.name, i)
+            assert all(map(_same_array, _euler(f, spd[one]), (r1[one], r2[one]))), (f.name, i)
+            assert _close(first[i], reference_first_derivative(f, spd[i]))
+            assert _close(form[i], reference_second_form(f, diag[i], direction[i]))
+            single = reference_euler_residuals(f, spd[i])
             assert _close(r1[i], single[0]) and _close(r2[i], single[1])
-            from_record = euler_residuals(f, singles[i])
-            assert all(isinstance(r, float) for r in from_record)
-            assert all(map(_same_bits, from_record, single))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_calculus_names_the_bad_member(n, rng):
     spd, diag, direction = _calculus_stacks(rng, n)
-    for f in builtin_functions(n):
+    bad = spd.copy()
+    bad[4, 0, n - 1] = np.nan
+    with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
+        symmetric_stack(bad)
+    bad = diag.copy()
+    bad[4, 0, 0] = np.inf
+    with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
+        second_form_pair(bad, direction)
+    bad = direction.copy()
+    bad[5, n - 1, 0] = np.nan
+    with pytest.raises(DomainError, match=r"B\[5\] has non-finite"):
+        second_form_pair(diag, bad)
+    if n > 1:
         bad = spd.copy()
-        bad[4, 0, n - 1] = np.nan
-        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
-            matrix_first_derivative(f, bad)
-        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
-            euler_residuals(f, bad)
-        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
+        bad[3, 0, 1] += 0.1
+        with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
             symmetric_stack(bad)
-        bad = diag.copy()
-        bad[4, 0, 0] = np.inf
-        with pytest.raises(DomainError, match=r"A\[4\] has non-finite"):
-            matrix_second_form(f, bad, direction)
         bad = direction.copy()
-        bad[5, n - 1, 0] = np.nan
-        with pytest.raises(DomainError, match=r"B\[5\] has non-finite"):
-            matrix_second_form(f, diag, bad)
-        if n > 1:
-            bad = spd.copy()
-            bad[3, 0, 1] += 0.1
-            with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
-                matrix_first_derivative(f, bad)
-            with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
-                euler_residuals(f, bad)
-            with pytest.raises(ValueError, match=r"A\[3\] is not symmetric"):
-                symmetric_stack(bad)
-            bad = direction.copy()
-            bad[6, 1, 0] += 0.1
-            with pytest.raises(ValueError, match=r"B\[6\] is not symmetric"):
-                matrix_second_form(f, diag, bad)
-            bad = diag.copy()
-            bad[1, 0, 1] = bad[1, 1, 0] = 0.3
-            with pytest.raises(ValueError, match=r"A\[1\] must be diagonal"):
-                matrix_second_form(f, bad, direction)
-        for calc in (matrix_first_derivative, euler_residuals):
-            with pytest.raises(ValueError, match="empty"):
-                calc(f, np.zeros((0, n, n)))
-        with pytest.raises(ValueError, match="empty"):
-            symmetric_stack(np.zeros((0, n, n)))
-        with pytest.raises(ValueError, match="empty"):
-            matrix_second_form(f, np.zeros((0, n, n)), np.zeros((0, n, n)))
-        with pytest.raises(ValueError, match="same shape"):
-            matrix_second_form(f, diag, direction[:-1])
+        bad[6, 1, 0] += 0.1
+        with pytest.raises(ValueError, match=r"B\[6\] is not symmetric"):
+            second_form_pair(diag, bad)
+        bad = diag.copy()
+        bad[1, 0, 1] = bad[1, 1, 0] = 0.3
+        with pytest.raises(ValueError, match=r"A\[1\] must be diagonal"):
+            second_form_pair(bad, direction)
+    with pytest.raises(ValueError, match="empty"):
+        symmetric_stack(np.zeros((0, n, n)))
+    with pytest.raises(ValueError, match="empty"):
+        second_form_pair(np.zeros((0, n, n)), np.zeros((0, n, n)))
+    with pytest.raises(ValueError, match="same shape"):
+        second_form_pair(diag, direction[:-1])
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_second_form_pair_gives_the_bits_of_its_matrices(n, rng):
+    # a pair over a stack gives each member the bits of a pair of that member alone
     _, diag, direction = _calculus_stacks(rng, n)
-    pair = second_form_pair(diag, direction)
-    singles = [second_form_pair(a, b) for a, b in zip(diag, direction)]
     for f in builtin_functions(n):
-        assert _same_bits(matrix_second_form(f, pair), matrix_second_form(f, diag, direction))
-        for i, single in enumerate(singles):
-            form = matrix_second_form(f, single)
-            assert isinstance(form, float)
-            assert _same_bits(form, matrix_second_form(f, diag[i], direction[i]))
+        form = _form(f, diag, direction)
+        for i in range(len(diag)):
+            assert _same_array(_form(f, diag[i:i + 1], direction[i:i + 1]), form[i:i + 1])
+    pair = second_form_pair(diag, direction)
     for arr in (pair.lam, pair.b):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
@@ -632,8 +640,8 @@ def test_a_second_form_pair_gives_the_bits_of_its_matrices(n, rng):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_second_form_pair_refuses_as_the_two_matrix_call(n, rng):
+    # `second_form_pair(A, B)`, the one call that checks A and B, refuses with these messages
     _, diag, direction = _calculus_stacks(rng, n)
-    f = GaussCurvature(n)
     refusals = []
     bad = diag.copy()
     bad[4, 0, 0] = np.inf
@@ -646,7 +654,7 @@ def test_a_second_form_pair_refuses_as_the_two_matrix_call(n, rng):
     refusals.append(((bad, direction), ValueError,
                      "A[1] must be diagonal for the second-derivative form"))
     refusals.append(((bad[1], direction[1]), ValueError,
-                     "A must be diagonal for the second-derivative form"))
+                     f"A must be a (k, n, n) stack of square matrices, got shape {(n, n)}"))
     bad = direction.copy()
     bad[6, 1, 0] += 0.1
     refusals.append(((diag, bad), ValueError, "B[6] is not symmetric"))
@@ -654,10 +662,9 @@ def test_a_second_form_pair_refuses_as_the_two_matrix_call(n, rng):
                      f"A and B must have the same shape, got {diag.shape} and "
                      f"{direction[:-1].shape}"))
     for (a, b), error, message in refusals:
-        for call in (lambda: matrix_second_form(f, a, b), lambda: second_form_pair(a, b)):
-            with pytest.raises(error) as refused:
-                call()
-            assert str(refused.value) == message
+        with pytest.raises(error) as refused:
+            second_form_pair(a, b)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -672,192 +679,95 @@ def test_stacked_value_and_gradient_equal_separate_calls_bit_for_bit(n, rng):
             assert method(stacked).tobytes() == separate.tobytes(), (f.name, method.__name__)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_the_matrix_calculus_checks_its_eigenvalue_rows_once(monkeypatch, n, rng):
-    spd, diag, direction = _calculus_stacks(rng, n)
-    decomposed, pair = symmetric_stack(spd), second_form_pair(diag, direction)
-    checked = []
-
-    def counted(self, lam, _inner=curvfun.CurvatureFunction._coerce):
-        checked.append(np.shape(lam))
-        return _inner(self, lam)
-
-    monkeypatch.setattr(curvfun.CurvatureFunction, "_coerce", counted)
-    calls = [lambda f: matrix_first_derivative(f, spd),
-             lambda f: matrix_first_derivative(f, spd[0]),
-             lambda f: matrix_first_derivative(f, decomposed),
-             lambda f: matrix_second_form(f, diag, direction),
-             lambda f: matrix_second_form(f, diag[0], direction[0]),
-             lambda f: matrix_second_form(f, pair),
-             lambda f: euler_residuals(f, spd),
-             lambda f: euler_residuals(f, spd[0]),
-             lambda f: euler_residuals(f, decomposed)]
-    for f in builtin_functions(n):
-        for i, call in enumerate(calls):
-            checked.clear()
-            call(f)
-            assert len(checked) == 1, (f.name, i)
-
-
 @pytest.mark.parametrize("make", [GeometricMean, lambda n: Power(MeanCurvature(n), -1.0)],
                          ids=["geomean", "pow(H,-1)"])
 def test_the_matrix_calculus_refuses_eigenvalues_as_value_does(make):
+    # the calculus takes results evaluated at its record's rows, so the evaluation refuses
+    # a matrix outside f's domain: the first derivative and the Euler identities read A's
+    # ascending eigenvalues, the second form A's diagonal, as f.value refuses them
     f = make(2)
     direction = np.array([[0.5, 0.2], [0.2, -0.3]])
     bad = np.diag([1.0, -1.0])
-    for a in (bad, np.array([np.eye(2), np.diag([2.0, 0.5]), bad])):
-        # the first derivative and the Euler identities see A's ascending eigenvalues,
-        # the second form A's diagonal
+    for a in (bad[None], np.array([np.eye(2), np.diag([2.0, 0.5]), bad])):
         directions = np.broadcast_to(direction, a.shape)
-        cases = [(lambda: matrix_first_derivative(f, a), np.linalg.eigvalsh(a)),
-                 (lambda: euler_residuals(f, a), np.linalg.eigvalsh(a)),
-                 (lambda: matrix_second_form(f, a, directions), np.diagonal(a, axis1=-2, axis2=-1))]
-        for call, lam in cases:
+        cases = [(symmetric_stack(a).lam, np.linalg.eigvalsh(a)),
+                 (second_form_pair(a, directions).lam, np.diagonal(a, axis1=1, axis2=2))]
+        for rows, lam in cases:
             with pytest.raises(DomainError) as expected:
                 f.value(lam)
-            with pytest.raises(DomainError) as refused:
-                call()
-            assert str(refused.value) == str(expected.value)
+            for kind in ("value", "gradient", "hessian"):
+                with pytest.raises(DomainError) as refused:
+                    evaluated_at([f], rows, kind)
+                assert str(refused.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
-# the matrix calculus on results already evaluated, for one function or a list of them
+# the matrix calculus on results already evaluated, for a list of functions
 
-def _public_results(functions, rows, kinds):
-    """Each function's public `kinds` results at `rows`, one tuple per function."""
-    return [tuple(getattr(f, kind)(rows) for kind in kinds) for f in functions]
-
-
-def _stacked(results):
-    """Per-function result tuples as one tuple of arrays with a leading function axis."""
-    return tuple(np.stack(arrays) for arrays in zip(*results))
-
-
-def _same_array(x, y):
-    return np.shape(x) == np.shape(y) and _same_bits(x, y)
-
-
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("single", [False, True], ids=["stack", "one-matrix"])
 def test_the_matrix_calculus_on_evaluated_results_keeps_the_bits_of_its_own_calls(n, single,
                                                                                   rng):
+    # one call for all the builtins gives each one the bytes of the reference, which
+    # decomposes the raw matrices and evaluates the function itself; "one-matrix" is a
+    # stack of one, the member with coincident eigenvalues
     spd, diag, direction = _calculus_stacks(rng, n)
     if single:
-        spd, diag, direction = spd[0], diag[0], direction[0]
+        spd, diag, direction = spd[2:3], diag[2:3], direction[2:3]
     record, pair = symmetric_stack(spd), second_form_pair(diag, direction)
     functions = builtin_functions(n)
-    at_record = _public_results(functions, record.lam, ("value", "gradient", "hessian"))
-    at_pair = _public_results(functions, pair.lam, ("gradient", "hessian"))
-    alone = [(matrix_first_derivative(f, spd), matrix_second_form(f, diag, direction),
-              euler_residuals(f, spd)) for f in functions]
-    for f, (value, grad, hess), form_rows, (first, form, euler) in zip(
-            functions, at_record, at_pair, alone):
-        for a in (spd, record):
-            assert _same_array(matrix_first_derivative(f, a, evaluated=grad), first), f.name
-            given = euler_residuals(f, a, evaluated=(value, grad, hess))
-            assert [type(r) for r in given] == [type(r) for r in euler], f.name
-            assert all(map(_same_array, given, euler)), f.name
-        for args in ((diag, direction), (pair,)):
-            given = matrix_second_form(f, *args, evaluated=form_rows)
-            assert type(given) is type(form) and _same_array(given, form), f.name
-    values, grads, hessians = _stacked(at_record)
-    first = matrix_first_derivative(functions, record, evaluated=grads)
-    assert _same_array(first, np.stack([calls[0] for calls in alone]))
-    form = matrix_second_form(functions, pair, evaluated=_stacked(at_pair))
-    assert _same_array(form, np.array([calls[1] for calls in alone]))
-    r1, r2 = euler_residuals(functions, spd, evaluated=(values, grads, hessians))
-    assert _same_array(r1, np.array([calls[2][0] for calls in alone]))
-    assert _same_array(r2, np.array([calls[2][1] for calls in alone]))
+    first = matrix_first_derivative(functions, record,
+                                    evaluated_at(functions, record.lam, "gradient"))
+    form = matrix_second_form(functions, pair,
+                              evaluated_at(functions, pair.lam, "gradient", "hessian"))
+    r1, r2 = euler_residuals(functions, record,
+                             evaluated_at(functions, record.lam, "value", "gradient", "hessian"))
+    for i, f in enumerate(functions):
+        assert _same_array(first[i], reference_first_derivative(f, spd)), f.name
+        assert _same_array(form[i], reference_second_form(f, diag, direction)), f.name
+        ref1, ref2 = reference_euler_residuals(f, spd)
+        assert _same_array(r1[i], ref1) and _same_array(r2[i], ref2), f.name
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_matrix_calculus_on_evaluated_results_evaluates_nothing(monkeypatch, n, rng):
+    # nor does it check the rows again: the caller's evaluation ran each domain check
     spd, diag, direction = _calculus_stacks(rng, n)
     record, pair = symmetric_stack(spd), second_form_pair(diag, direction)
     functions = builtin_functions(n)
-    values, grads, hessians = _stacked(
-        _public_results(functions, record.lam, ("value", "gradient", "hessian")))
-    form_rows = _stacked(_public_results(functions, pair.lam, ("gradient", "hessian")))
-    calls, checked = [], []
-    for name in ("value", "gradient", "hessian"):
+    at_record = evaluated_at(functions, record.lam, "value", "gradient", "hessian")
+    at_pair = evaluated_at(functions, pair.lam, "gradient", "hessian")
+    calls = []
+    for name in ("value", "gradient", "hessian", "_coerce"):
         monkeypatch.setattr(curvfun.CurvatureFunction, name,
                             lambda self, lam, _name=name: calls.append(_name))
     for f in functions:
         for name in ("_value", "_gradient", "_hessian"):
             monkeypatch.setattr(f, name, lambda lam, _name=name: calls.append(_name))
-    coerce = curvfun.CurvatureFunction._coerce
-    monkeypatch.setattr(curvfun.CurvatureFunction, "_coerce",
-                        lambda self, lam: checked.append(self.name) or coerce(self, lam))
-    names = [f.name for f in functions]
-    for call in (lambda: matrix_first_derivative(functions, record, evaluated=grads),
-                 lambda: matrix_second_form(functions, pair, evaluated=form_rows),
-                 lambda: euler_residuals(functions, record, evaluated=(values, grads, hessians))):
-        checked.clear()
-        call()
-        assert calls == []
-        assert checked == names         # each function's domain check, once
-    for i, f in enumerate(functions):
-        checked.clear()
-        matrix_first_derivative(f, record, evaluated=grads[i])
-        matrix_second_form(f, pair, evaluated=(form_rows[0][i], form_rows[1][i]))
-        euler_residuals(f, record, evaluated=(values[i], grads[i], hessians[i]))
-        assert calls == [] and checked == [f.name] * 3
+    matrix_first_derivative(functions, record, at_record[1:2])
+    matrix_second_form(functions, pair, at_pair)
+    euler_residuals(functions, record, at_record)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_the_matrix_calculus_on_evaluated_results_still_checks_its_inputs(n, rng):
+    # results of the wrong shape, or of the wrong kinds, are refused
     spd, diag, direction = _calculus_stacks(rng, n)
+    record, pair = symmetric_stack(spd), second_form_pair(diag, direction)
     k = len(spd)
     functions = [GeometricMean(n), GaussCurvature(n)]
     values, grads, hessians = np.ones((2, k)), np.ones((2, k, n)), np.zeros((2, k, n, n))
-
-    def first(a, g=grads):
-        return matrix_first_derivative(functions, a, evaluated=g)
-
-    def euler(a, fs=functions, evaluated=(values, grads, hessians)):
-        return euler_residuals(fs, a, evaluated=evaluated)
-
-    def form(a, b, evaluated=(grads, hessians)):
-        return matrix_second_form(functions, a, b, evaluated=evaluated)
-
-    bad = spd.copy()
-    bad[4, 0, n - 1] = np.nan
-    for call in (first, euler):
-        with pytest.raises(DomainError, match=r"^A\[4\] has non-finite entries$"):
-            call(bad)
-    bad = spd.copy()
-    bad[3, 0, 1] += 0.1
-    for call in (first, euler):
-        with pytest.raises(ValueError, match=r"^A\[3\] is not symmetric$"):
-            call(bad)
-    bad = diag.copy()
-    bad[1, 0, 1] = bad[1, 1, 0] = 0.3
-    with pytest.raises(ValueError, match=r"^A\[1\] must be diagonal"):
-        form(bad, direction)
-    bad = direction.copy()
-    bad[5, n - 1, 0] = np.nan
-    with pytest.raises(DomainError, match=r"^B\[5\] has non-finite entries$"):
-        form(diag, bad)
-    # a row outside a function's domain is refused as f.value refuses it
-    outside = diag.copy()
-    outside[2, 0, 0] = -1.0
-    with pytest.raises(DomainError) as expected:
-        GeometricMean(n).value(np.diagonal(outside, axis1=1, axis2=2))
-    with pytest.raises(DomainError) as refused:
-        form(outside, direction)
-    assert str(refused.value) == str(expected.value)
-    # results of the wrong shape, or a list of functions with nothing evaluated
     with pytest.raises(ValueError, match=r"evaluated gradient must have shape \(2, 7, "):
-        first(spd, g=grads[:, :-1])
-    with pytest.raises(ValueError, match=r"evaluated hessian must have shape \(7, "):
-        euler(spd, fs=functions[0], evaluated=(values[0], grads[0], hessians))
-    with pytest.raises(ValueError, match="evaluated must hold gradient, hessian"):
-        form(diag, direction, evaluated=(grads,))
-    for call in (lambda: matrix_first_derivative(functions, spd),
-                 lambda: matrix_second_form(functions, diag, direction),
-                 lambda: euler_residuals(functions, spd)):
-        with pytest.raises(ValueError, match="a list of functions needs their evaluated"):
-            call()
+        matrix_first_derivative(functions, record, (grads[:, :-1],))
+    with pytest.raises(ValueError, match=r"evaluated value must have shape \(1, 7\)"):
+        euler_residuals(functions[:1], record, (values[0], grads[:1], hessians[:1]))
+    with pytest.raises(ValueError, match=r"evaluated hessian must have shape \(2, 7, "):
+        matrix_second_form(functions, pair, (grads, hessians[:, :, 0]))
+    with pytest.raises(ValueError, match="evaluated must hold gradient, hessian; got 1"):
+        matrix_second_form(functions, pair, (grads,))
+    with pytest.raises(ValueError, match="evaluated must hold gradient; got 2"):
+        matrix_first_derivative(functions, record, grads)     # the array, not a tuple of it
 
 
 # ---------------------------------------------------------------------------

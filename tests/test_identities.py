@@ -8,6 +8,8 @@ import pytest
 from solitonlab import curvfun, hypersurface, identities, soliton, spaceform
 from solitonlab.identities import identity_suite_checks
 
+from conftest import evaluated_at
+
 # (name, tolerance) of every row of identity_suite_checks(30, 0), in order
 SUITE_ROWS = [
     ("H_n2_permutation_symmetry", 1e-14),
@@ -240,6 +242,26 @@ def test_a_pass_evaluates_each_function_once_and_runs_each_identity_once(monkeyp
     assert sorted(calls) == sorted(expect)
 
 
+def test_a_round_checks_domains_only_where_it_evaluates(monkeypatch):
+    # every domain check of a round runs inside a value, gradient or hessian call; the
+    # matrix calculus and the pair gaps take those results and check nothing again
+    checks, inside = [], []
+    coerce = curvfun.CurvatureFunction._coerce
+    monkeypatch.setattr(curvfun.CurvatureFunction, "_coerce", lambda self, lam: (
+        checks.append(inside[-1] if inside else "outside") or coerce(self, lam)))
+    for method in ("value", "gradient", "hessian"):
+        def entered(self, lam, _inner=getattr(curvfun.CurvatureFunction, method), _name=method):
+            inside.append(_name)
+            try:
+                return _inner(self, lam)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(curvfun.CurvatureFunction, method, entered)
+    identity_suite_checks(30, 0)
+    assert {name: checks.count(name) for name in set(checks)} == {
+        "value": 59, "gradient": 16, "hessian": 12}
+
+
 def _per_function_rows(samples, f):
     """One function's eigenvalue rows, folded on its own: the reference for the stacked pass."""
     tag = f"{f.name}_n{f.n}"
@@ -261,19 +283,22 @@ def _per_function_rows(samples, f):
     hess = f.hessian(samples.lam_fd)
     herr = np.abs(0.5 * (fd_hess + fd_hess.transpose(0, 2, 1)) - hess)
     rows.append((f"{tag}_hessian_fd", float((herr / np.maximum(1.0, np.abs(hess))).max()), 1e-6))
-    form = curvfun.matrix_second_form(f, samples.form)
+    form = curvfun.matrix_second_form(
+        [f], samples.form, evaluated_at([f], samples.form.lam, "gradient", "hessian"))[0]
     plus, mid, minus = form_values
     fd = (plus - 2.0 * mid + minus) / form_step ** 2
     rows.append((f"{tag}_second_form_fd",
                  float((np.abs(form - fd) / np.maximum(1.0, np.abs(form))).max()), 1e-5))
     q = samples.q
     k = len(q)
-    derivative = curvfun.matrix_first_derivative(f, samples.spd_pair)
+    derivative = curvfun.matrix_first_derivative(
+        [f], samples.spd_pair, evaluated_at([f], samples.spd_pair.lam, "gradient"))[0]
     d_here, d_rot = derivative[:k], derivative[k:]
     basis = (np.abs(d_rot - q @ d_here @ q.transpose(0, 2, 1)).max(axis=(1, 2))
              / np.maximum(1.0, np.abs(d_here).max(axis=(1, 2))))
     fscale = np.maximum(1.0, np.abs(spd_values))
-    r1, r2 = curvfun.euler_residuals(f, samples.spd)
+    r1, r2 = (r[0] for r in curvfun.euler_residuals(
+        [f], samples.spd, evaluated_at([f], samples.spd.lam, "value", "gradient", "hessian")))
     rows.append((f"{tag}_basis_invariance", float(basis.max()), 1e-10))
     rows.append((f"{tag}_euler_first", float((r1 / fscale).max()), 1e-10))
     rows.append((f"{tag}_euler_second", float((r2 / fscale).max()), 1e-10))
@@ -416,7 +441,7 @@ _NAN_CASES = [
      ["support_hessian_spheroid_refinement_shortfall"]),
     (identities, "_ellipse_curvature_error", lambda *a: NAN, identities._geometry_checks,
      ["ellipse_curvature_refinement_shortfall"]),
-    (curvfun, "pair_sign_gaps", lambda f, g, lam, evaluated=None: (np.full(len(lam), NAN),) * 2,
+    (curvfun, "pair_sign_gaps", lambda f, g, lam, evaluated: (np.full(len(lam), NAN),) * 2,
      lambda rows: identities._pair_gap_checks(rows, np.random.default_rng(0), 2),
      ["pair_gaps_convex_concave_n2", "pair_gaps_swapped_n2"]),
     # c = 0 is mid-grid, so each fold already holds a positive worst when the NaN comes

@@ -1,9 +1,12 @@
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from solitonlab import curvfun, hypersurface, soliton, spaceform
 from solitonlab.curvfun import (CurvatureFunction, GaussCurvature, MeanCurvature,
@@ -140,15 +143,16 @@ def test_solve_sphere_radius_diagnostics():
 def _log_abs_tau(f, r, c):
     """log |tau| of the sphere of radius r with no power of the closed form formed:
     log |f(1,..,1)| + m log cotc(R) - log shc(R), where at c < 0, with x = sqrt(-c) R,
-    log cosh x = x + log1p(e^-2x) - log 2 and log sinh x = x + log(-expm1(-2x)) - log 2."""
+    log sinh x = x + log(-expm1(-2x)) - log 2 and log coth x = log1p(e^-2x) - log(-expm1(-2x)),
+    so that no two terms of size x cancel."""
     log_unit = math.log(abs(f.unit_value))
     if c == 0.0:
         return log_unit - (f.degree + 1.0) * math.log(r)
     kappa = math.sqrt(-c)
     x = kappa * r
-    log_cosh = x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
-    log_shc = x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0) - math.log(kappa)
-    return log_unit + f.degree * (log_cosh - log_shc) - log_shc
+    log_sinh = x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
+    log_coth = math.log1p(math.exp(-2.0 * x)) - math.log(-math.expm1(-2.0 * x))
+    return log_unit + f.degree * (math.log(kappa) + log_coth) - (log_sinh - math.log(kappa))
 
 
 def _radius_reference(spec, c):
@@ -189,9 +193,69 @@ def test_solve_sphere_radius_refuses_a_function_whose_unit_value_overflows():
 
 
 def test_solve_sphere_radius_refuses_an_end_when_no_radius_is_in_range():
-    # pow(H,300) at c = -400: cotc(R)^300 > 20^300 overflows at every radius
-    with pytest.raises(ValueError, match=r"at R=1e-06, c=-400 is zero or outside the float"):
+    # pow(H,300) at c = -400: cotc(R)^300 > 20^300 overflows at every radius, but tau is in
+    # range from R = 20.0285 up (log tau(50) = 110.35); the root, R = 55.52, is beyond the
+    # bracket, so the clipped bracket holds no sign change
+    with pytest.raises(ValueError, match=r"^no sphere soliton in range \[20\.0285, 50\] for "
+                                         r"tau=1 \(no sign change of the defect\)$"):
         solve_sphere_radius(parse_curvature_function("pow(H,300)", 2), 1.0, -400.0)
+
+
+@pytest.mark.parametrize("spec, radius, c, expect", [
+    ("pow(H,300)", 50.0, -400.0, 8.43e47),   # 20^300 overflows, and so does sinh(1000)
+    ("H", 720.0, -1.0, 8.13e-313),           # sinh(720) overflows; tau is subnormal
+    ("pow(H,300)", 20.0, 0.0, 5.0e-302),     # 20^301 overflows
+], ids=["c-400", "c-1-subnormal", "c0"])
+def test_sphere_tau_is_formed_from_its_log_where_the_direct_form_leaves_the_float_range(
+        spec, radius, c, expect):
+    # each was refused as "zero or outside the float range"
+    f = parse_curvature_function(spec, 2)
+    tau = sphere_tau(f, radius, c)
+    assert tau == pytest.approx(expect, rel=1e-3)
+    assert tau == pytest.approx(math.exp(_log_abs_tau(f, radius, c)), rel=1e-12, abs=0.0)
+
+
+# the float range in log space: log of the largest float, of the smallest normal and of the
+# smallest subnormal float
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_NORMAL = math.log(sys.float_info.min)
+_LOG_MIN = math.log(math.ulp(0.0))
+
+
+def _switch_radius(f, c):
+    """A radius where the direct form of tau starts to overflow on the way: sinh(sqrt(-c) R)
+    at sqrt(-c) R = 710.5 for c < 0, R^(m+1) at (m+1) log R = 709.78 for c = 0."""
+    if c < 0.0:
+        return 710.5 / math.sqrt(-c)
+    return math.exp(_LOG_MAX / abs(f.degree + 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(["H", "K", "pow(H,20)", "pow(H,300)", "pow(H,-1)", "pow(H,-300)",
+                             "pow(geomean,7.5)", "pow(K,-40)"]),
+       c=st.sampled_from([0.0, -1.0, -400.0]) | st.floats(-1e4, -1e-4),
+       near_switch=st.booleans(), log_radius=st.floats(math.log(1e-6), math.log(1e3)),
+       log_scale=st.floats(-0.1, 0.1))
+def test_sphere_tau_agrees_with_the_log_tau_reference(spec, c, near_switch, log_radius,
+                                                      log_scale):
+    # radii spread over [1e-6, 1e3], or within 10% of where the direct form starts to
+    # overflow, so that they run across the switch to the log form at every c
+    f = parse_curvature_function(spec, 2)
+    if near_switch and (c < 0.0 or f.degree != -1.0):
+        radius = _switch_radius(f, c) * math.exp(log_scale)
+    else:
+        radius = math.exp(log_radius)
+    log_tau = _log_abs_tau(f, radius, c)
+    # away from the log limits of the float range, so rounding cannot flip the outcome
+    assume(abs(log_tau - _LOG_MAX) > 1.0 and abs(log_tau - _LOG_MIN) > 1.0)
+    if not _LOG_MIN < log_tau < _LOG_MAX:
+        with pytest.raises(ValueError, match=r"is zero or outside the float range"):
+            sphere_tau(f, radius, c)
+        return
+    tau = sphere_tau(f, radius, c)
+    assert tau != 0.0 and math.copysign(1.0, tau) == math.copysign(1.0, f.unit_value)
+    if log_tau > _LOG_NORMAL:
+        assert abs(tau / (math.copysign(math.exp(log_tau), tau)) - 1.0) <= 1e-12
 
 
 def test_solve_sphere_radius_refuses_a_bisection_out_of_steps(monkeypatch):
