@@ -187,7 +187,7 @@ def _cmd_flow(args, out_dir):
     print(f"flow: surface='{args.surface}' f={f.name} rescale={args.rescale} "
           f"grid={surface.grid_size}")
     print(f"steps={len(trace.rows) - 1} t_final={last.t:.6g} stop={trace.stop_reason} "
-          f"dt_halvings={trace.dt_halvings}")
+          f"dt_halvings={trace.dt_halvings} rejected={trace.rejected}")
     print(f"final r_max={last.r_max:.8g} F_aniso_max={last.aniso_max:.4e} "
           f"rel_residual={last.rel_residual:.4e}")
     print(f"wrote {trace_path}")
@@ -195,7 +195,8 @@ def _cmd_flow(args, out_dir):
     hypersurface.save_surface(trace.final_surface, snapshot_path,
                               metadata={"seed": args.seed, "f": f.name,
                                         "stop_reason": trace.stop_reason,
-                                        "t_final": last.t, "dt_halvings": trace.dt_halvings})
+                                        "t_final": last.t, "dt_halvings": trace.dt_halvings,
+                                        "rejected": trace.rejected})
     print(f"wrote {snapshot_path}")
     return 1 if trace.aborted else 0
 

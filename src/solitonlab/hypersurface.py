@@ -31,7 +31,7 @@ The two sampled grid types own every operation that depends on their layout, wit
 the same members: `placed`, `resampled`, `centroid` and `linearized_solver`.  A grid's
 `ShapeData` holds the grid's own (M, 2) plane rows, a copy of its samples, and `placed`
 builds the grid from such rows: a flow moves a grid by `placed(geom.position + d)`.
-`resampled` moves the samples to uniform polygon arclength by a local degree-7
+`resampled` moves the samples to uniform polygon arclength by a local degree-11
 interpolant, with no system to solve, once the grid's longest chord exceeds its
 shortest by more than `_RESAMPLE_SPREAD`; below that it returns the grid itself.
 """
@@ -98,7 +98,7 @@ class PlaneCurve:
 
     def resampled(self):
         """Resampled to uniform arclength by the local interpolant in arclength, which
-        reads three samples before the first and four after the last across the seam;
+        reads five samples before the first and six after the last across the seam;
         the curve itself while its chords are within `_RESAMPLE_SPREAD` of each other."""
         pts, m = self.points, self.grid_size
         seg = _segments(np.concatenate((pts, pts[:1])))
@@ -106,8 +106,8 @@ class PlaneCurve:
             return self
         s = _arclength(seg)
         length = s[-1]
-        knots = np.concatenate((s[-4:-1] - length, s, s[1:4] + length))
-        ext = np.concatenate((pts[-3:], pts, pts[:4]))
+        knots = np.concatenate((s[-6:-1] - length, s, s[1:6] + length))
+        ext = np.concatenate((pts[-5:], pts, pts[:6]))
         return PlaneCurve(_local_lagrange(knots, ext, length * np.arange(m) / m))
 
     def placed(self, position):
@@ -174,7 +174,7 @@ class RevolutionProfile:
         """Resampled to uniform arclength with the poles kept in place; the profile
         itself while its chords are within `_RESAMPLE_SPREAD` of each other.
 
-        The local interpolant reads three samples past each pole: the profile's own,
+        The local interpolant reads five samples past each pole: the profile's own,
         mirrored through the pole (axis coordinate even, radius odd), so the resampled
         data keeps the reflection symmetry of the pole stencils.
         """
@@ -184,10 +184,10 @@ class RevolutionProfile:
             return self
         s = _arclength(seg)
         length = s[-1]
-        knots = np.concatenate((-s[3:0:-1], s, 2.0 * length - s[-2:-5:-1]))
-        ext = np.concatenate((prof[3:0:-1], prof, prof[-2:-5:-1]))
-        ext[:3, 1] *= -1.0
-        ext[-3:, 1] *= -1.0
+        knots = np.concatenate((-s[5:0:-1], s, 2.0 * length - s[-2:-7:-1]))
+        ext = np.concatenate((prof[5:0:-1], prof, prof[-2:-7:-1]))
+        ext[:5, 1] *= -1.0
+        ext[-5:, 1] *= -1.0
         new = _local_lagrange(knots, ext, np.linspace(0.0, length, m))
         new[::m - 1] = prof[::m - 1]       # the two poles
         y = new[:, 1]
@@ -338,19 +338,22 @@ def _second_difference(back, fwd):
     return 2.0 / (back * span), 2.0 / (fwd * span)
 
 
-_WINDOW = np.arange(7)[:, None]     # a target's first seven window knots, from its start
+_DEGREE = 11
+_WINDOW = np.arange(_DEGREE)[:, None]   # a target's first eleven window knots, from its start
 
 
 def _local_lagrange(knots, values, targets):
-    """Local degree-7 interpolant of `values` (N, k) over `knots` (N,), at `targets`.
+    """Local degree-11 interpolant of `values` (N, k) over `knots` (N,), at `targets`.
 
-    The knots increase strictly, and the targets lie in [knots[3], knots[-4]]: a
-    target in [knots[i], knots[i + 1]) takes the polynomial through knots i - 3 to
-    i + 4 (Lagrange interpolation in Newton form: one divided-difference order per
+    The knots increase strictly, and the targets lie in [knots[5], knots[-6]]: a
+    target in [knots[i], knots[i + 1]) takes the polynomial through knots i - 5 to
+    i + 6 (Lagrange interpolation in Newton form: one divided-difference order per
     pass over the knots, then one product of the coefficients with the Newton basis).
-    A 4-point cubic costs less, but its error adds up over a flow's resamples: up to
-    3x a periodic C^2 spline's in the final r_max and tau_fit at M = 64, dt_safety
-    0.1; degree 7's does not.
+    A lower degree costs less, but its error adds up over a flow's resamples: a
+    4-point cubic's final r_max and tau_fit at M = 64, dt_safety 0.1 reach 3x a
+    periodic C^2 spline's, and degree 7's tau_fit reaches 1.3x on the under-resolved
+    5:1 ellipse with its tips on samples; degree 11's stays below the spline's there,
+    on every grid phase and M = 60-96 tried.
     """
     # table[j, c * n + l]: divided difference of order j of column c over knots l, ...,
     # l + j, for l < n - j.  The k columns share one row per order, so that each pass is
@@ -358,28 +361,28 @@ def _local_lagrange(knots, values, targets):
     # straddle two columns are never read; their knots are distinct, so they divide by
     # no zero.
     n, k = values.shape
-    table = np.empty((8, k * n))
+    table = np.empty((_DEGREE + 1, k * n))
     table[0].reshape(k, n)[:] = values.T
     if not (knots[1:] - knots[:-1]).min() > 0.0:
         raise GeometryError("coincident samples: arclength does not increase")
     tiled = np.concatenate((knots,) * k)
     lower = table[0]
-    for j in range(1, 8):
+    for j in range(1, _DEGREE + 1):
         order = table[j, :-j]
         np.subtract(lower[1:], lower[:-1], order)
         order /= tiled[j:] - tiled[:-j]
         lower = order
-    # the start of each target's window; a target on knots[-4] takes the last window
-    start = knots[:-4].searchsorted(targets, "right") - 4
+    # the start of each target's window; a target on knots[-6] takes the last window
+    start = knots[:-6].searchsorted(targets, "right") - 6
     # Newton basis at each target: row j is the product of (t - knot) over its first j
     # knots, multiplied up row by row as np.cumprod does along axis 0
     gaps = targets - knots[start + _WINDOW]
-    basis = np.empty((8, targets.size))
+    basis = np.empty((_DEGREE + 1, targets.size))
     basis[0] = 1.0
     row = basis[1] = gaps[0]
-    for j in range(1, 7):
+    for j in range(1, _DEGREE):
         row = np.multiply(row, gaps[j], basis[j + 1])
-    coefficients = table[:, start + n * np.arange(k)[:, None]]        # (8, k, M)
+    coefficients = table[:, start + n * np.arange(k)[:, None]]        # (12, k, M)
     # C order: the gathered coefficients are not, and a sample array's layout can change
     # the bits of a BLAS product with it (the centroid's weights @ points)
     return np.einsum("jkm,jm->mk", coefficients, basis, order="C")

@@ -107,6 +107,8 @@ _BISECTION_RTOL = 1e-12
 # the finest log-uniform grid, 2^10 intervals, searched for a radius whose tau is in range
 # when both ends of the bracket leave it
 _RANGE_SCAN_LEVELS = 10
+# the factor by which an end of the bracket is moved out while the defect keeps its sign
+_WIDEN = 2.0
 
 
 def _in_range(tau):
@@ -141,6 +143,17 @@ def _clipped_end(unit, m, c, end, inside):
     return inside
 
 
+def _widened_end(unit, m, c, end, inside):
+    """`end` moved away from `inside` by `_WIDEN`, or to the last radius that way whose tau
+    is finite and nonzero; `end` itself when no radius beyond it has one."""
+    wider = end * _WIDEN if end > inside else end / _WIDEN
+    if not 0.0 < wider < math.inf:
+        wider = sys.float_info.max if end > inside else math.ulp(0.0)
+    if _in_range(_tau(unit, m, wider, c)):
+        return wider
+    return _clipped_end(unit, m, c, wider, end)
+
+
 def solve_sphere_radius(f, tau, c=0.0):
     """Invert `sphere_tau` by bisection on the radius bracket `_RADIUS_BRACKET`.
 
@@ -149,6 +162,10 @@ def solve_sphere_radius(f, tau, c=0.0):
     finite and nonzero (`_clipped_end`, towards the other end, or towards a radius found in
     range when both ends leave it); a radius whose tau still leaves the float range gets
     `sphere_tau`'s refusal.  With both ends in range the bisection is the unclipped one.
+    Where the defect keeps its sign over the bracket, the end whose tau is nearer the target
+    in ratio, beyond which a root of a monotone tau lies, is moved out by `_WIDEN`
+    (`_widened_end`) until the sign changes or tau leaves the float range; the bracket is
+    then that last move.
     """
     if tau == 0.0 or not -math.inf < tau < math.inf:
         raise ValueError(f"tau must be nonzero and finite (got tau={tau})")
@@ -168,7 +185,26 @@ def solve_sphere_radius(f, tau, c=0.0):
             sphere_tau(f, r, c)     # refuses r by name
         return value - tau
 
+    def log_gap(r):
+        return abs(math.log(abs(_tau(unit, m, r, c))) - math.log(abs(tau)))
+
     d_lo, d_hi = defect(lo), defect(hi)
+    # tau has the sign of f(1, ..., 1) at every radius, so no other sign is reached; signs
+    # are compared, not products, which underflow where tau is near the smallest floats
+    while d_lo and d_hi and (d_lo > 0.0) == (d_hi > 0.0) and (tau > 0.0) == (unit > 0.0):
+        gap_lo, gap_hi = log_gap(lo), log_gap(hi)
+        if gap_lo == gap_hi:
+            break
+        if gap_hi < gap_lo:
+            wider = _widened_end(unit, m, c, hi, lo)
+            if wider == hi:
+                break
+            lo, d_lo, hi, d_hi = hi, d_hi, wider, defect(wider)
+        else:
+            wider = _widened_end(unit, m, c, lo, hi)
+            if wider == lo:
+                break
+            lo, d_lo, hi, d_hi = wider, defect(wider), lo, d_lo
     if d_lo == 0.0 and d_hi == 0.0:
         raise ValueError(f"degenerate inverse problem: sphere_tau of {f.name} is constant "
                          f"over the bracket (every radius solves)")
@@ -176,7 +212,7 @@ def solve_sphere_radius(f, tau, c=0.0):
         return lo
     if d_hi == 0.0:
         return hi
-    if d_lo * d_hi > 0.0:
+    if (d_lo > 0.0) == (d_hi > 0.0):
         raise ValueError(f"no sphere soliton in range [{lo:g}, {hi:g}] for tau={tau:g} "
                          f"(no sign change of the defect)")
     for _ in range(_BISECTION_MAX_ITER):
@@ -184,7 +220,7 @@ def solve_sphere_radius(f, tau, c=0.0):
         d_mid = defect(mid)
         if abs(d_mid) <= _BISECTION_RTOL * abs(tau):
             return mid
-        if d_lo * d_mid <= 0.0:
+        if (d_lo > 0.0) != (d_mid > 0.0):
             hi = mid
         else:
             lo, d_lo = mid, d_mid

@@ -284,10 +284,26 @@ def test_flow_reports_its_dt_halvings(tmp_path, capsys):
     assert code == 1
     steps_line = next(line for line in capsys.readouterr().out.splitlines()
                       if line.startswith("steps="))
-    halvings = int(steps_line.rsplit(" dt_halvings=", 1)[1])
+    halvings = int(steps_line.split(" dt_halvings=", 1)[1].split()[0])
     assert halvings >= 20
     snap = json.loads((tmp_path / "flow_final.json").read_text())
     assert snap["metadata"]["dt_halvings"] == halvings
+
+
+def test_flow_reports_its_rejected_steps(tmp_path, capsys, monkeypatch):
+    # a first step 8x the usual one is refused on its error estimate
+    monkeypatch.setattr(flow, "_STEP_SCALE", 8.0 * flow._STEP_SCALE)
+    code = main(["--out", str(tmp_path), "flow", "--surface", "ellipse 2 1", "--f", "H",
+                 "--grid", "64", "--rescale", "fixed-scale", "--t-max", "0.3"])
+    assert code == 0
+    steps_line = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("steps="))
+    assert re.fullmatch(r"steps=\d+ t_final=0\.3 stop=t_max dt_halvings=0 rejected=\d+",
+                        steps_line)
+    rejected = int(steps_line.rsplit(" rejected=", 1)[1])
+    assert rejected >= 1
+    snap = json.loads((tmp_path / "flow_final.json").read_text())
+    assert snap["metadata"]["rejected"] == rejected and snap["metadata"]["dt_halvings"] == 0
 
 
 def test_flow_refuses_an_ellipsoid_snapshot(tmp_path, capsys):

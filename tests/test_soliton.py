@@ -192,13 +192,27 @@ def test_solve_sphere_radius_refuses_a_function_whose_unit_value_overflows():
         solve_sphere_radius(parse_curvature_function("pow(H,3000)", 2), 1.0, 0.0)
 
 
-def test_solve_sphere_radius_refuses_an_end_when_no_radius_is_in_range():
+def test_solve_sphere_radius_widens_the_bracket_to_a_root_beyond_it():
     # pow(H,300) at c = -400: cotc(R)^300 > 20^300 overflows at every radius, but tau is in
     # range from R = 20.0285 up (log tau(50) = 110.35); the root, R = 55.52, is beyond the
-    # bracket, so the clipped bracket holds no sign change
-    with pytest.raises(ValueError, match=r"^no sphere soliton in range \[20\.0285, 50\] for "
-                                         r"tau=1 \(no sign change of the defect\)$"):
-        solve_sphere_radius(parse_curvature_function("pow(H,300)", 2), 1.0, -400.0)
+    # bracket, whose upper end is moved out to 100 (this was refused as "no sphere soliton
+    # in range [20.0285, 50]")
+    f = parse_curvature_function("pow(H,300)", 2)
+    found = solve_sphere_radius(f, 1.0, -400.0)
+    reference = scipy.optimize.brentq(lambda r: _log_abs_tau(f, r, -400.0), 50.0, 100.0,
+                                      xtol=1e-15, rtol=1e-15)
+    assert found == pytest.approx(reference, rel=1e-12)
+    assert found == pytest.approx(55.5176, abs=5e-5)
+
+
+@pytest.mark.parametrize("tau, radius", [(1e13, math.sqrt(2e-13)), (1e-4, math.sqrt(2e4)),
+                                         (1e-300, math.sqrt(2e300))],
+                         ids=["below", "above", "far-above"])
+def test_solve_sphere_radius_reaches_a_root_outside_the_bracket(tau, radius):
+    # tau = 2 / R^2 under H at n = 2; each root is outside (1e-6, 50).  At tau = 1e-300 the
+    # product of two defects underflows, so the bisection compares their signs
+    found = solve_sphere_radius(MeanCurvature(2), tau, 0.0)
+    assert found == pytest.approx(radius, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec, radius, c, expect", [
