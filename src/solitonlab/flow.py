@@ -38,9 +38,10 @@ the clock of its starting scale; its rescale by alpha makes the normalized time
 of a self-similar step dt q / (1 - e^-q), with q = (m + 1) ln alpha and m the
 degree of F, and t advances by that (by dt when nothing is rescaled, q = 0).
 The step that reaches t_max is sized so that its increment lands there, with q
-predicted from the rate q per unit t of the step before; whether a step reaches
-t_max is read from its predicted increment, -ln(1 - rate dt) / rate, which
-stays finite where the landing dt of a distant t_max would overflow.
+predicted from the rate q per unit t of the step before.  A step lands once a
+dt `_LAND_STRETCH` times longer would reach t_max, so that no sliver of a step
+is left over; that is read from its predicted increment, -ln(1 - rate dt) /
+rate, which stays finite where the landing dt of a distant t_max would overflow.
 
 The surfaces (`PlaneCurve`, `RevolutionProfile`) own every operation that
 depends on their grid layout, the linearized solve included, so nothing here
@@ -74,6 +75,7 @@ _GAMMA = 1.0 + 0.5 ** 0.5          # ROS2's diagonal coefficient, the L-stable c
 _STEP_SCALE = 0.05                 # the first dt * max sum_i (df/dlam_i) lam_i^2 at dt_safety = 1
 _TOL_SCALE = 0.0044                # the error tolerance at dt_safety = 1
 _DT_FACTOR = (0.2, 2.0)            # bounds of a step's dt over the dt before it
+_LAND_STRETCH = 1.05               # the longest landing dt over the dt it replaces
 
 TRACE_HEADER = "t,dt,scale,r_max,F_aniso_max,aHH_max,umb_max,tau_fit,rel_residual,measure"
 
@@ -348,9 +350,10 @@ def run(config, surface):
         dfdlam = f.gradient(lam)
         if dt is None:
             dt = config.dt_safety * _STEP_SCALE / float((dfdlam * lam * lam).sum(axis=1).max())
-        # the step lands on t_max once it would cover what remains; the landing dt is
-        # then no larger than dt, nor its q larger in size, so _clock cannot overflow
-        lands = stop.t_max is not None and _span(dt, rate) >= stop.t_max - t
+        # the step lands on t_max once a slightly longer one would cover what remains; the
+        # landing dt is then no larger than _LAND_STRETCH dt, nor its q larger in size, so
+        # _clock cannot overflow
+        lands = stop.t_max is not None and _span(_LAND_STRETCH * dt, rate) >= stop.t_max - t
         if lands:
             remaining = stop.t_max - t
             dt = remaining / _clock(rate * remaining)   # the dt whose increment ends there

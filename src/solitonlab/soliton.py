@@ -100,132 +100,89 @@ def sphere_tau(f, radius, c=0.0):
     return tau
 
 
-# the radius bracket of `solve_sphere_radius`, its step cap and its tolerance relative to |tau|
-_RADIUS_BRACKET = (1e-6, 50.0)
-_BISECTION_MAX_ITER = 200
-_BISECTION_RTOL = 1e-12
-# the finest log-uniform grid, 2^10 intervals, searched for a radius whose tau is in range
-# when both ends of the bracket leave it
-_RANGE_SCAN_LEVELS = 10
-# the factor by which an end of the bracket is moved out while the defect keeps its sign
-_WIDEN = 2.0
-
-
 def _in_range(tau):
     """Whether a tau of `_tau` is finite and nonzero."""
     return 0.0 < abs(tau) < math.inf
 
 
-def _radius_in_range(unit, m, c, lo, hi):
-    """A radius in (lo, hi) whose tau is finite and nonzero, or None: the log-uniform grids
-    of 2, 4, ... intervals, each point tried once, up to `_RANGE_SCAN_LEVELS`."""
-    log_lo, width = math.log(lo), math.log(hi / lo)
-    for level in range(1, _RANGE_SCAN_LEVELS + 1):
-        count = 2 ** level
-        for i in range(1, count, 2):
-            r = math.exp(log_lo + width * i / count)
-            if _in_range(_tau(unit, m, r, c)):
-                return r
-    return None
-
-
-def _clipped_end(unit, m, c, end, inside):
-    """The radius nearest `end` whose tau is finite and nonzero, by geometric bisection
-    between `end`, whose tau is not, and `inside`, whose tau is."""
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = math.sqrt(end * inside)
-        if mid in (end, inside):
-            break
-        if _in_range(_tau(unit, m, mid, c)):
-            inside = mid
-        else:
-            end = mid
-    return inside
-
-
-def _widened_end(unit, m, c, end, inside):
-    """`end` moved away from `inside` by `_WIDEN`, or to the last radius that way whose tau
-    is finite and nonzero; `end` itself when no radius beyond it has one."""
-    wider = end * _WIDEN if end > inside else end / _WIDEN
-    if not 0.0 < wider < math.inf:
-        wider = sys.float_info.max if end > inside else math.ulp(0.0)
-    if _in_range(_tau(unit, m, wider, c)):
-        return wider
-    return _clipped_end(unit, m, c, wider, end)
+# the logs of the largest and of the smallest positive float
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(math.ulp(0.0))
+# a tau this close in ratio beyond an end of the radii's reach is taken as reached there: at
+# c < 0 and the smallest x, the terms of log |tau| are about 700 in size and cancel for m near
+# -1, so it is rounded by about 1e-13
+_REACH_RTOL = 1e-12
 
 
 def solve_sphere_radius(f, tau, c=0.0):
-    """Invert `sphere_tau` by bisection on the radius bracket `_RADIUS_BRACKET`.
+    """The radius R of the centered geodesic sphere whose `sphere_tau` is tau, from log |tau|.
 
-    c is checked once; each step evaluates the closed form alone.  An end of the bracket
-    whose tau is zero or not finite is first clipped to the nearest radius where it is
-    finite and nonzero (`_clipped_end`, towards the other end, or towards a radius found in
-    range when both ends leave it); a radius whose tau still leaves the float range gets
-    `sphere_tau`'s refusal.  With both ends in range the bisection is the unclipped one.
-    Where the defect keeps its sign over the bracket, the end whose tau is nearer the target
-    in ratio, beyond which a root of a monotone tau lies, is moved out by `_WIDEN`
-    (`_widened_end`) until the sign changes or tau leaves the float range; the bracket is
-    then that last move.
+    tau has the sign of f(1, ..., 1) at every radius.  At c = 0, log |tau| = log |f(1, ..., 1)|
+    - (m + 1) log R is inverted in closed form (m = -1 is degenerate: tau is f(1, ..., 1) at
+    every radius).  At c < 0, log |tau| is bisected in log R, down to adjacent floats, over the
+    radii whose x = sqrt(-c) R is a normal float.  It falls monotonically in R for m >= -1.
+    For m < -1 it rises to a maximum at R* = artanh(sqrt((m + 1) / m)) / sqrt(-c), where
+    sinh(x)^2 = -m - 1, and falls after it; the root returned is the one below R*, the branch
+    that continues the flat case.  A tau no radius reaches is refused with the |tau| range
+    that the radii reach (at c < 0, widened by `_REACH_RTOL`).
     """
     if tau == 0.0 or not -math.inf < tau < math.inf:
         raise ValueError(f"tau must be nonzero and finite (got tau={tau})")
     require_nonpositive_curvature(c)
-    lo, hi = _RADIUS_BRACKET
     unit, m = f.unit_value, f.degree
-    lo_in, hi_in = (_in_range(_tau(unit, m, r, c)) for r in (lo, hi))
-    if not (lo_in and hi_in):
-        inside = lo if lo_in else hi if hi_in else _radius_in_range(unit, m, c, lo, hi)
-        if inside is not None:
-            lo = lo if lo_in else _clipped_end(unit, m, c, lo, inside)
-            hi = hi if hi_in else _clipped_end(unit, m, c, hi, inside)
+    if not _in_range(unit):
+        sphere_tau(f, 1.0, c)       # refuses f(1, ..., 1) by name, as it would at any radius
+    if (tau > 0.0) != (unit > 0.0):
+        raise _no_sphere_soliton(f, tau, c, f"tau has the sign of f(1, ..., 1) = {unit:g}")
+    target = math.log(abs(tau))
+    if c == 0.0:
+        if m == -1.0:
+            if tau == unit:
+                raise ValueError(f"degenerate inverse problem: sphere_tau of {f.name} is "
+                                 f"{unit:g} at every radius (every radius solves)")
+            raise _no_sphere_soliton(f, tau, c, f"|tau| is {abs(unit):g} at every radius")
+        log_unit = math.log(abs(unit))
+        log_radius = (log_unit - target) / (m + 1.0)
+        if _LOG_MIN <= log_radius < _LOG_MAX:
+            return math.exp(log_radius)
+        ends = [log_unit - (m + 1.0) * log_r for log_r in (_LOG_MIN, _LOG_MAX)]
+        raise _no_sphere_soliton(f, tau, c, f"the radii reach {_reach(ends)}")
 
-    def defect(r):
-        value = _tau(unit, m, r, c)
-        if not _in_range(value):
-            sphere_tau(f, r, c)     # refuses r by name
-        return value - tau
-
-    def log_gap(r):
-        return abs(math.log(abs(_tau(unit, m, r, c))) - math.log(abs(tau)))
-
-    d_lo, d_hi = defect(lo), defect(hi)
-    # tau has the sign of f(1, ..., 1) at every radius, so no other sign is reached; signs
-    # are compared, not products, which underflow where tau is near the smallest floats
-    while d_lo and d_hi and (d_lo > 0.0) == (d_hi > 0.0) and (tau > 0.0) == (unit > 0.0):
-        gap_lo, gap_hi = log_gap(lo), log_gap(hi)
-        if gap_lo == gap_hi:
-            break
-        if gap_hi < gap_lo:
-            wider = _widened_end(unit, m, c, hi, lo)
-            if wider == hi:
-                break
-            lo, d_lo, hi, d_hi = hi, d_hi, wider, defect(wider)
-        else:
-            wider = _widened_end(unit, m, c, lo, hi)
-            if wider == lo:
-                break
-            lo, d_lo, hi, d_hi = wider, defect(wider), lo, d_lo
-    if d_lo == 0.0 and d_hi == 0.0:
-        raise ValueError(f"degenerate inverse problem: sphere_tau of {f.name} is constant "
-                         f"over the bracket (every radius solves)")
-    if d_lo == 0.0:
-        return lo
-    if d_hi == 0.0:
-        return hi
-    if (d_lo > 0.0) == (d_hi > 0.0):
-        raise ValueError(f"no sphere soliton in range [{lo:g}, {hi:g}] for tau={tau:g} "
-                         f"(no sign change of the defect)")
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        d_mid = defect(mid)
-        if abs(d_mid) <= _BISECTION_RTOL * abs(tau):
+    kappa = math.sqrt(-c)
+    lo = max(sys.float_info.min / kappa, math.ulp(0.0))
+    hi = min(sys.float_info.max / kappa, sys.float_info.max)
+    rising = m < -1.0
+    if rising:
+        hi = math.asinh(math.sqrt(-1.0 - m)) / kappa        # R*, where sinh(x)^2 = -m - 1
+    ends = [_log_abs_tau(unit, m, r, c) for r in (lo, hi)]
+    if not min(ends) - _REACH_RTOL <= target <= max(ends) + _REACH_RTOL:
+        branch = f" up to R*={hi:g}, where |tau| is largest," if rising else ""
+        raise _no_sphere_soliton(f, tau, c, f"the radii{branch} reach {_reach(ends)}")
+    gap_lo, gap_hi = (end - target for end in ends)
+    while True:
+        # geometric midpoints while the bracket spans an octave, arithmetic ones after
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if abs(gap_lo) <= abs(gap_hi) else hi
+        gap = _log_abs_tau(unit, m, mid, c) - target
+        if gap == 0.0:
             return mid
-        if (d_lo > 0.0) != (d_mid > 0.0):
-            hi = mid
+        if (gap < 0.0) == rising:
+            lo, gap_lo = mid, gap
         else:
-            lo, d_lo = mid, d_mid
-    raise ValueError(f"bisection did not reach |sphere_tau(R) - tau| <= "
-                     f"{_BISECTION_RTOL:g}*|tau| in {_BISECTION_MAX_ITER} iterations")
+            hi, gap_hi = mid, gap
+
+
+def _no_sphere_soliton(f, tau, c, reason):
+    """The refusal of a tau that no sphere of f at c has, with its reason."""
+    return ValueError(f"no sphere soliton of {f.name} (degree m={f.degree:g}) at c={c:g} "
+                      f"for tau={tau:g}: {reason}")
+
+
+def _reach(log_ends):
+    """'|tau| in [a, b]' for the log |tau| at two radii, inf past the largest float."""
+    low, high = (math.exp(v) if v < _LOG_MAX else math.inf for v in sorted(log_ends))
+    return f"|tau| in [{low:g}, {high:g}]"
 
 
 def _samples_arrays(samples, f, values=None):

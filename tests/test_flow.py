@@ -681,6 +681,17 @@ def test_a_fixed_scale_run_lands_on_t_max(surface, f):
     assert abs(before.t + increment - 0.3) <= 1e-4 * last.dt
 
 
+def test_a_run_leaves_no_sliver_of_a_step_before_t_max():
+    # the eighth step of pow(H,2) on the 2:1 ellipse stopped 6.6e-5 short of t_max, a
+    # sixtieth of a step, and a ninth step covered it; a step that a dt 5% longer would
+    # land is now stretched to land
+    f = curvfun.parse_curvature_function("pow(H,2)", 1)
+    config = FlowConfig(f=f, stop=StopRule(t_max=0.02), rescale_mode="fixed-scale")
+    trace = run(config, ellipse(2.0, 1.0, 64))
+    assert trace.stop_reason == "t_max" and trace.final.t == 0.02
+    assert len(trace.rows) - 1 == 8 and trace.rejected == 0
+
+
 def test_a_step_above_the_error_tolerance_is_rejected_and_retried(monkeypatch):
     # a first step 8x the usual one is refused on its error estimate and retried at the
     # dt that estimate asks for, with no halving

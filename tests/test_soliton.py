@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -89,29 +90,12 @@ def test_solve_sphere_radius_anchors():
     assert solve_sphere_radius(MeanCurvature(2), 1.0, 0.0) == pytest.approx(
         math.sqrt(2.0), abs=1e-10)
     assert solve_sphere_radius(GaussCurvature(2), 1.0, 0.0) == pytest.approx(1.0, abs=1e-10)
-    for radius in soliton._RADIUS_BRACKET:      # a tau solved exactly at an end returns it
-        assert solve_sphere_radius(MeanCurvature(2), sphere_tau(MeanCurvature(2), radius, 0.0),
-                                   0.0) == radius
-
-
-def _bisect_calling_sphere_tau(f, tau, c, lo=1e-6, hi=50.0):
-    """The bisection of `solve_sphere_radius`, evaluating `sphere_tau` on every step."""
-    d_lo = sphere_tau(f, lo, c) - tau
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d_mid = sphere_tau(f, mid, c) - tau
-        if abs(d_mid) <= 1e-12 * abs(tau):
-            return mid
-        if d_lo * d_mid <= 0.0:
-            hi = mid
-        else:
-            lo, d_lo = mid, d_mid
-    raise AssertionError("reference bisection did not converge")
 
 
 def test_solve_sphere_radius_round_trip(rng, monkeypatch):
-    # f(1,...,1) is evaluated once per function, however many solves use it, and the
-    # radius is bit for bit the one a bisection evaluating `sphere_tau` on every step finds
+    # f(1,...,1) is evaluated once per function, however many solves use it; at c = 0 the
+    # closed form returns the radius to 1e-14, and at c < 0 the bisection on log |tau| agrees
+    # with brentq on the reference log |tau|
     calls = []
     value = CurvatureFunction.value
     monkeypatch.setattr(CurvatureFunction, "value",
@@ -121,22 +105,24 @@ def test_solve_sphere_radius_round_trip(rng, monkeypatch):
         for radius in rng.uniform(0.1, 10.0, 20):
             c = -1.0 if f.degree < 0 else 0.0   # m = -1 at c = 0 is degenerate
             tau = sphere_tau(f, radius, c)
-            expect = _bisect_calling_sphere_tau(f, tau, c)
             found = solve_sphere_radius(f, tau, c)
-            assert abs(found - radius) < 1e-10
-            assert found == expect
+            if c == 0.0:
+                assert found == pytest.approx(radius, rel=1e-14, abs=0.0)
+            else:
+                assert found == pytest.approx(_radius_reference(f, c, tau), rel=1e-12, abs=0.0)
+                assert abs(found - radius) < 1e-10
         assert calls == [f.name]
 
 
 def test_solve_sphere_radius_diagnostics():
-    with pytest.raises(ValueError, match="no sphere soliton in range"):
+    with pytest.raises(ValueError, match="no sphere soliton .* sign of f"):
         solve_sphere_radius(MeanCurvature(2), -1.0, 0.0)
     with pytest.raises(ValueError, match="nonzero"):
         solve_sphere_radius(MeanCurvature(2), 0.0, 0.0)
     inverse = parse_curvature_function("pow(H,-1)", 2)
     with pytest.raises(ValueError, match="degenerate"):
         solve_sphere_radius(inverse, inverse.unit_value, 0.0)
-    with pytest.raises(ValueError, match="no sphere soliton"):
+    with pytest.raises(ValueError, match="no sphere soliton .* 0.5 at every radius"):
         solve_sphere_radius(inverse, -0.7, 0.0)
 
 
@@ -155,11 +141,11 @@ def _log_abs_tau(f, r, c):
     return log_unit + f.degree * (math.log(kappa) + log_coth) - (log_sinh - math.log(kappa))
 
 
-def _radius_reference(spec, c):
-    """The radius whose sphere tau is 1, by brentq on `_log_abs_tau`."""
-    f = parse_curvature_function(spec, 2)
-    return scipy.optimize.brentq(lambda r: _log_abs_tau(f, r, c), 1e-3, 40.0,
-                                 xtol=1e-15, rtol=1e-15)
+def _radius_reference(f, c, tau=1.0, lo=1e-3, hi=40.0):
+    """The radius in [lo, hi] whose sphere tau is tau, by brentq in log R on `_log_abs_tau`."""
+    target = math.log(abs(tau))
+    return math.exp(scipy.optimize.brentq(lambda s: _log_abs_tau(f, math.exp(s), c) - target,
+                                          math.log(lo), math.log(hi), xtol=1e-15, rtol=1e-15))
 
 
 @pytest.mark.parametrize("spec, radius", [
@@ -179,9 +165,12 @@ def test_sphere_tau_at_negative_c_matches_a_stable_log_tau(spec, radius):
     ("pow(H,20)", -400.0),    # cosh(20 R) overflows at 50; the root is near R = 3.87
 ], ids=["c0-lower-end", "c-1-upper-end", "c-400-upper-end"])
 def test_solve_sphere_radius_clips_a_bracket_end_outside_the_float_range(spec, c):
-    # each refused an end of the bracket by name, a radius the caller never passed
-    found = solve_sphere_radius(parse_curvature_function(spec, 2), 1.0, c)
-    assert found == pytest.approx(_radius_reference(spec, c), rel=1e-12)
+    # the bisection on the radius bracket [1e-6, 50] once refused an end of it by name, a
+    # radius the caller never passed, where tau left the float range; log |tau| is finite
+    # at every radius
+    f = parse_curvature_function(spec, 2)
+    found = solve_sphere_radius(f, 1.0, c)
+    assert found == pytest.approx(_radius_reference(f, c), rel=1e-12)
     if c == 0.0:
         assert found == pytest.approx(2.0 ** (300.0 / 301.0), rel=1e-12)
 
@@ -192,16 +181,14 @@ def test_solve_sphere_radius_refuses_a_function_whose_unit_value_overflows():
         solve_sphere_radius(parse_curvature_function("pow(H,3000)", 2), 1.0, 0.0)
 
 
-def test_solve_sphere_radius_widens_the_bracket_to_a_root_beyond_it():
+def test_solve_sphere_radius_finds_a_root_where_cotc_to_the_m_overflows():
     # pow(H,300) at c = -400: cotc(R)^300 > 20^300 overflows at every radius, but tau is in
-    # range from R = 20.0285 up (log tau(50) = 110.35); the root, R = 55.52, is beyond the
-    # bracket, whose upper end is moved out to 100 (this was refused as "no sphere soliton
-    # in range [20.0285, 50]")
+    # range from R = 20.0285 up (log tau(50) = 110.35); the root, R = 55.52, lies past 50,
+    # the upper end of the bracket the bisection once searched, and was refused as "no
+    # sphere soliton in range [20.0285, 50]"
     f = parse_curvature_function("pow(H,300)", 2)
     found = solve_sphere_radius(f, 1.0, -400.0)
-    reference = scipy.optimize.brentq(lambda r: _log_abs_tau(f, r, -400.0), 50.0, 100.0,
-                                      xtol=1e-15, rtol=1e-15)
-    assert found == pytest.approx(reference, rel=1e-12)
+    assert found == pytest.approx(_radius_reference(f, -400.0, 1.0, 50.0, 100.0), rel=1e-12)
     assert found == pytest.approx(55.5176, abs=5e-5)
 
 
@@ -209,8 +196,8 @@ def test_solve_sphere_radius_widens_the_bracket_to_a_root_beyond_it():
                                          (1e-300, math.sqrt(2e300))],
                          ids=["below", "above", "far-above"])
 def test_solve_sphere_radius_reaches_a_root_outside_the_bracket(tau, radius):
-    # tau = 2 / R^2 under H at n = 2; each root is outside (1e-6, 50).  At tau = 1e-300 the
-    # product of two defects underflows, so the bisection compares their signs
+    # tau = 2 / R^2 under H at n = 2; each root is outside (1e-6, 50), the bracket the
+    # bisection once searched, and each was refused or out of reach of it
     found = solve_sphere_radius(MeanCurvature(2), tau, 0.0)
     assert found == pytest.approx(radius, rel=1e-12)
 
@@ -272,10 +259,79 @@ def test_sphere_tau_agrees_with_the_log_tau_reference(spec, c, near_switch, log_
         assert abs(tau / (math.copysign(math.exp(log_tau), tau)) - 1.0) <= 1e-12
 
 
-def test_solve_sphere_radius_refuses_a_bisection_out_of_steps(monkeypatch):
-    monkeypatch.setattr(soliton, "_BISECTION_MAX_ITER", 2)
-    with pytest.raises(ValueError, match=r"bisection did not reach .* in 2 iterations"):
-        solve_sphere_radius(MeanCurvature(2), 1.0, 0.0)
+def _count_tau_calls(monkeypatch, cap=500):
+    """Make `soliton._tau` and `soliton._log_abs_tau` raise after `cap` calls between them,
+    so that a solve which loops fails at once."""
+    calls = []
+    for name in ("_tau", "_log_abs_tau"):
+        def counted(*args, inner=getattr(soliton, name)):
+            calls.append(None)
+            if len(calls) > cap:
+                raise AssertionError(f"more than {cap} evaluations of tau")
+            return inner(*args)
+        monkeypatch.setattr(soliton, name, counted)
+
+
+@pytest.mark.parametrize("spec, tau, reach", [
+    ("pow(H,-2)", -0.2, r"R\*=0.881374, .* \[5.56268e-309, 0.125\]"),
+    ("pow(H,-1)", -1.0, r"\[0, 0.5\]"),
+], ids=["m-2-above-the-maximum", "m-1-above-the-supremum"])
+def test_solve_sphere_radius_refuses_a_tau_no_radius_reaches_at_once(monkeypatch, spec, tau,
+                                                                     reach):
+    # at c = -1, |tau| of pow(H,-2) is largest, 0.125, at R* = 0.8814, and that of
+    # pow(H,-1) tends to |f(1, 1)| = 0.5 as R -> 0; the bisection on a widening bracket ran
+    # without end on the first, and refused the second with the radius range
+    # [3.9e-09, 7.8e-09]
+    _count_tau_calls(monkeypatch)
+    with pytest.raises(ValueError, match=rf"no sphere soliton of {re.escape(spec)} .*{reach}"):
+        solve_sphere_radius(parse_curvature_function(spec, 2), tau, -1.0)
+
+
+@pytest.mark.parametrize("spec, tau, expect", [
+    ("pow(H,-2)", -0.05, 0.20722583),
+    ("pow(H,-2)", -1e-200, 4.0e-200),     # was 459.82, above R* = 0.8814
+    ("pow(K,-40)", -1e-3, 1.6422009),     # was 7.6009, above R* = 2.88
+])
+def test_solve_sphere_radius_returns_the_root_below_the_maximum_of_tau(spec, tau, expect):
+    # for m < -1 at c < 0, |tau| rises to its maximum at R* and falls after it, so each
+    # reachable tau below the maximum has two radii; the one below R* continues the flat
+    # case, where tau = f(1, ..., 1) R^-(m+1) rises for every R
+    f = parse_curvature_function(spec, 2)
+    r_star = math.atanh(math.sqrt((f.degree + 1.0) / f.degree))
+    found = solve_sphere_radius(f, tau, -1.0)
+    assert found < r_star
+    assert found == pytest.approx(expect, rel=1e-7)
+    assert found == pytest.approx(_radius_reference(f, -1.0, tau, 1e-250, r_star), rel=1e-12)
+    assert sphere_tau(f, found, -1.0) == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+
+_SPECS = ["H", "K", "pow(H,20)", "pow(H,300)", "pow(H,-1)", "pow(H,-300)", "pow(geomean,7.5)",
+          "pow(K,-40)"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(_SPECS),
+       c=st.sampled_from([0.0, -1.0, -400.0]) | st.floats(-1e4, -1e-4),
+       log_radius=st.floats(math.log(1e-300), math.log(1e300)) | st.floats(-5.0, 5.0))
+def test_solve_sphere_radius_inverts_sphere_tau(spec, c, log_radius):
+    # radii across the float range: the radius found has the given tau to 1e-12, and for
+    # m < -1 at c < 0 it lies below R*, or the tau is refused as below that branch's reach
+    f = parse_curvature_function(spec, 2)
+    m, radius = f.degree, math.exp(log_radius)
+    assume(not (c == 0.0 and m == -1.0))     # every radius solves
+    log_tau = _log_abs_tau(f, radius, c)
+    assume(_LOG_NORMAL + 1.0 < log_tau < _LOG_MAX - 1.0)
+    tau = sphere_tau(f, radius, c)
+    branch = c < 0.0 and m < -1.0
+    r_star = math.asinh(math.sqrt(-1.0 - m)) / math.sqrt(-c) if branch else math.inf
+    try:
+        found = solve_sphere_radius(f, tau, c)
+    except ValueError as exc:
+        assert radius > r_star and "no sphere soliton" in str(exc)
+        assert log_tau < _log_abs_tau(f, sys.float_info.min / math.sqrt(-c), c) + 1e-9
+        return
+    assert sphere_tau(f, found, c) == pytest.approx(tau, rel=1e-12, abs=0.0)
+    assert found <= r_star
 
 
 # ---------------------------------------------------------------------------
